@@ -10,8 +10,8 @@ that produces it, and (when available) a finite presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Optional, Sequence
+from math import gcd, prod
+from typing import Callable, Iterable, Optional, Sequence
 
 from .curve import (
     CyclicCover,
@@ -50,7 +50,6 @@ class GroupDescriptor:
     #            DIRECT_SUM_SEMIDIRECT, NAMED, ABELIAN
     params: tuple = ()
     presentation: Optional[Presentation] = None
-    notes: str = ""
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -159,16 +158,18 @@ def octahedral_times_c4_presentation() -> Presentation:
 # Report assembly
 
 
-def _chain_from_rows(sig: Signature, row_ids: Sequence[str]) -> tuple[ChainStep, ...]:
-    steps: list[ChainStep] = []
-    cur = sig
-    for rid in row_ids:
-        by_id = {e.row.row_id: e for e in gs_extensions(cur)}
-        assert rid in by_id, f"signature {cur.periods} admits no row {rid} extension"
-        ext = by_id[rid]
-        steps.append(ChainStep(rid, ext.outer, ext.index))
-        cur = ext.outer
-    return tuple(steps)
+def _cyclic(m: int) -> GroupDescriptor:
+    return GroupDescriptor(m, f"Z{m}", "CYCLIC", (m,), cyclic_presentation(m))
+
+
+def _c3_twist(n: int, k: int) -> GroupDescriptor:
+    """Z_n:Z_3 with the order-3 generator acting as t -> t^k."""
+    return GroupDescriptor(
+        3 * n, f"Z{n}:Z3", "CYCLIC_SEMIDIRECT_C3", (n, k), twisted_c3_presentation(n, k)
+    )
+
+
+_PSL27 = GroupDescriptor(168, "PSL(2,7)", "NAMED", ("PSL(2,7)",))
 
 
 def _make_report(
@@ -179,59 +180,110 @@ def _make_report(
     sig: Signature,
     row: str,
     group: GroupDescriptor,
-    chain: tuple[ChainStep, ...],
+    chain_rows: Sequence[str],
     base_order: int,
+    g: int,
     notes: str = "",
 ) -> ClassificationReport:
-    g = genus(cover)
+    """Walk the extension chain from sig through chain_rows, then check the
+    order law group.order = base_order x chain indices (for genus >= 2)."""
+    steps: list[ChainStep] = []
+    cur = sig
+    for rid in chain_rows:
+        by_id = {e.row.row_id: e for e in gs_extensions(cur)}
+        assert rid in by_id, f"signature {cur.periods} admits no row {rid} extension"
+        ext = by_id[rid]
+        steps.append(ChainStep(rid, ext.outer, ext.index))
+        cur = ext.outer
     if g >= 2:
-        expected = base_order
-        for step in chain:
-            expected *= step.index
+        expected = base_order * prod(step.index for step in steps)
         assert group.order == expected, (
             f"order law broken on row {row}: {group.order} != {base_order} x chain"
         )
     elif not notes:
         notes = "genus below 2: table row reported verbatim, extension chain not applicable"
     return ClassificationReport(
-        kind, cover, cover.n, triple, canonical, g, sig, row, group, chain, base_order, notes
+        kind, cover, cover.n, triple, canonical, g, sig, row, group, tuple(steps), base_order, notes
     )
 
 
 # ---------------------------------------------------------------------------
 # Three-branch-point classification
 
-
-_EXACT_ROWS = {
-    (8, (1, 2, 5)): "B.3",
-    (7, (1, 2, 4)): "C.2",
-    (12, (1, 3, 8)): "D.1",
-    (8, (1, 3, 4)): "E.1",
-    (12, (1, 4, 7)): "E.2",
-    (24, (1, 4, 19)): "E.3",
-}
+# Each rule is (row id, candidates, build).  candidates(n) yields the
+# (twist, triple) pairs the row offers at degree n, where twist is the unit
+# the row's group is built from (0 for rows without one); the row fires when
+# a triple has the input's canonical form, and build(n, twist) then gives
+# the group, the extension-chain row ids and the genus column.
+_Candidates = Callable[[int], Iterable[tuple[int, tuple[int, int, int]]]]
+_Build = Callable[[int, int], tuple[GroupDescriptor, tuple[str, ...], int]]
 
 
-def _exact_row_report(row: str) -> tuple[GroupDescriptor, str, int]:
-    """(descriptor, chain row id, expected genus) for the six exceptional rows."""
-    table = {
-        "B.3": (GroupDescriptor(96, "(Z4+Z4):S3", "DIRECT_SUM_SEMIDIRECT", ((4, 4), "S3")), "7", 3),
-        "C.2": (GroupDescriptor(168, "PSL(2,7)", "NAMED", ("PSL(2,7)",)), "4", 3),
-        "D.1": (GroupDescriptor(48, "(central Z4):A4", "CENTRAL_EXT", (4, "A4")), "13", 3),
-        "E.1": (GroupDescriptor(48, "GL(2,3)", "NAMED", ("GL(2,3)",)), "11", 2),
-        "E.2": (GroupDescriptor(72, "(central Z3):S4", "CENTRAL_EXT", (3, "S4")), "11", 4),
-        "E.3": (GroupDescriptor(144, "(central Z6):S4", "CENTRAL_EXT", (6, "S4")), "11", 10),
-    }
-    return table[row]
+def _exact(row: str, degree: int, triple: tuple[int, int, int], chain_row: str,
+           genus_column: int, group: GroupDescriptor) -> tuple[str, _Candidates, _Build]:
+    """An exceptional row: one literal triple at one degree."""
+    return (
+        row,
+        lambda n: [(0, triple)] if n == degree else [],
+        lambda n, twist: (group, (chain_row,), genus_column),
+    )
+
+
+def _order3_candidates(n: int):
+    if n % 2 and n > 7 and has_prime_1_mod_3(n):
+        for tw in omega_units(n):
+            if tw != 1:
+                yield tw, (1, tw, tw * tw % n)
+
+
+def _build_a2(n: int, twist: int):
+    group = GroupDescriptor(4 * n, f"(central Z2):D{2 * n}", "CENTRAL_EXT", (2, f"D{2 * n}"),
+                            central_dihedral_presentation(n))
+    return group, ("12",) if n >= 6 else (), n // 2 - 1
+
+
+def _build_b2(n: int, twist: int):
+    group = GroupDescriptor(4 * n, f"(Z{n}:Z2):Z2", "NAMED", (f"(Z{n}:Z2):Z2",),
+                            kulkarni_presentation(n))
+    return group, ("12",), n // 2 - 1
+
+
+def _build_b1(n: int, twist: int):
+    group = GroupDescriptor(2 * n, f"Z{n}:Z2", "CYCLIC_SEMIDIRECT_C2", (n, twist),
+                            twisted_c2_presentation(n, twist))
+    return group, ("3",), (n - gcd(n, twist + 1)) // 2
+
+
+# Precedence is table order: the first row offering the input's canonical
+# triple fires, and a triple no row offers gets the cyclic default.
+_BELYI_RULES: tuple[tuple[str, _Candidates, _Build], ...] = (
+    _exact("B.3", 8, (1, 2, 5), "7", 3,
+           GroupDescriptor(96, "(Z4+Z4):S3", "DIRECT_SUM_SEMIDIRECT", ((4, 4), "S3"))),
+    _exact("C.2", 7, (1, 2, 4), "4", 3, _PSL27),
+    _exact("D.1", 12, (1, 3, 8), "13", 3,
+           GroupDescriptor(48, "(central Z4):A4", "CENTRAL_EXT", (4, "A4"))),
+    _exact("E.1", 8, (1, 3, 4), "11", 2, GroupDescriptor(48, "GL(2,3)", "NAMED", ("GL(2,3)",))),
+    _exact("E.2", 12, (1, 4, 7), "11", 4,
+           GroupDescriptor(72, "(central Z3):S4", "CENTRAL_EXT", (3, "S4"))),
+    _exact("E.3", 24, (1, 4, 19), "11", 10,
+           GroupDescriptor(144, "(central Z6):S4", "CENTRAL_EXT", (6, "S4"))),
+    ("A.1", lambda n: [(0, (1, 1, n - 2))] if n % 2 else [],
+     lambda n, twist: (_cyclic(2 * n), ("3",), (n - 1) // 2)),
+    ("A.2", lambda n: [] if n % 2 else [(0, (1, 1, n - 2))], _build_a2),
+    ("B.2", lambda n: [(0, (1, n // 2 - 2, n // 2 + 1))] if n % 8 == 0 and n > 8 else [],
+     _build_b2),
+    ("B.1", lambda n: ((tw, (1, tw, n - 1 - tw)) for tw in involutory_units(n) if tw <= n - 2),
+     _build_b1),
+    ("C.1", _order3_candidates, lambda n, twist: (_c3_twist(n, twist), ("1",), (n - 1) // 2)),
+)
 
 
 def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:
     """Full automorphism group of y^n = x^a (x-1)^b (x+1)^c.
 
     Matches the canonical form of the triple against the classification
-    table.  Precedence: the six exact (n, triple) rows, then the repeated-
-    exponent rows A.1/A.2, the degree-multiple-of-8 row B.2, the involutory-
-    twist row B.1, the order-3-twist row C.1, and finally the cyclic default.
+    table; precedence is the order of the rows in ``_BELYI_RULES``, with the
+    cyclic default when no row fires.
     """
     if n < 4:
         raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
@@ -239,62 +291,15 @@ def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:
     cover = belyi_cover(n, a, b, c)
     sig = signature_of(cover)
     g = genus(cover)
-
-    row = _EXACT_ROWS.get((n, canon))
-    if row is not None:
-        group, chain_row, expected_genus = _exact_row_report(row)
-        assert g == expected_genus, f"row {row} genus column mismatch"
-        chain = _chain_from_rows(sig, [chain_row])
-        return _make_report("belyi", cover, (a, b, c), canon, sig, row, group, chain, n)
-
-    if canon == canonical_triple(n, 1, 1, n - 2):
-        if n % 2:
-            assert g == (n - 1) // 2, "row A.1 genus column mismatch"
-            group = GroupDescriptor(
-                2 * n, f"Z{2 * n}", "CYCLIC", (2 * n,), cyclic_presentation(2 * n)
-            )
-            chain = _chain_from_rows(sig, ["3"])
-            return _make_report("belyi", cover, (a, b, c), canon, sig, "A.1", group, chain, n)
-        assert g == n // 2 - 1, "row A.2 genus column mismatch"
-        group = GroupDescriptor(
-            4 * n,
-            f"(central Z2):D{2 * n}",
-            "CENTRAL_EXT",
-            (2, f"D{2 * n}"),
-            central_dihedral_presentation(n),
-        )
-        chain = _chain_from_rows(sig, ["12"]) if n >= 6 else ()
-        return _make_report("belyi", cover, (a, b, c), canon, sig, "A.2", group, chain, n)
-
-    if n % 8 == 0 and n > 8 and canon == canonical_triple(n, 1, n // 2 - 2, n // 2 + 1):
-        assert g == n // 2 - 1, "row B.2 genus column mismatch"
-        group = GroupDescriptor(
-            4 * n, f"(Z{n}:Z2):Z2", "NAMED", (f"(Z{n}:Z2):Z2",), kulkarni_presentation(n)
-        )
-        chain = _chain_from_rows(sig, ["12"])
-        return _make_report("belyi", cover, (a, b, c), canon, sig, "B.2", group, chain, n)
-
-    for tw in involutory_units(n):
-        if tw <= n - 2 and canon == canonical_triple(n, 1, tw, n - 1 - tw):
-            assert g == (n - gcd(n, tw + 1)) // 2, "row B.1 genus column mismatch"
-            group = GroupDescriptor(
-                2 * n, f"Z{n}:Z2", "CYCLIC_SEMIDIRECT_C2", (n, tw), twisted_c2_presentation(n, tw)
-            )
-            chain = _chain_from_rows(sig, ["3"])
-            return _make_report("belyi", cover, (a, b, c), canon, sig, "B.1", group, chain, n)
-
-    if n % 2 and n > 7 and has_prime_1_mod_3(n):
-        for tw in omega_units(n):
-            if tw != 1 and canon == canonical_triple(n, 1, tw, tw * tw % n):
-                assert g == (n - 1) // 2, "row C.1 genus column mismatch"
-                group = GroupDescriptor(
-                    3 * n, f"Z{n}:Z3", "CYCLIC_SEMIDIRECT_C3", (n, tw), twisted_c3_presentation(n, tw)
+    for row, candidates, build in _BELYI_RULES:
+        for twist, triple in candidates(n):
+            if canonical_triple(n, *triple) == canon:
+                group, chain_rows, genus_column = build(n, twist)
+                assert g == genus_column, f"row {row} genus column mismatch"
+                return _make_report(
+                    "belyi", cover, (a, b, c), canon, sig, row, group, chain_rows, n, g
                 )
-                chain = _chain_from_rows(sig, ["1"])
-                return _make_report("belyi", cover, (a, b, c), canon, sig, "C.1", group, chain, n)
-
-    group = GroupDescriptor(n, f"Z{n}", "CYCLIC", (n,), cyclic_presentation(n))
-    return _make_report("belyi", cover, (a, b, c), canon, sig, "DEFAULT", group, (), n)
+    return _make_report("belyi", cover, (a, b, c), canon, sig, "DEFAULT", _cyclic(n), (), n, g)
 
 
 def classify_cover(cover: CyclicCover) -> ClassificationReport:
@@ -337,21 +342,16 @@ def classify_lefschetz(p: int, a: int) -> ClassificationReport:
     triple = (a0, 1, (p - 1 - a0) % p)
     canon = canonical_triple(p, *triple)
     if a0 == 1:
-        group = GroupDescriptor(2 * p, f"Z{2 * p}", "CYCLIC", (2 * p,), cyclic_presentation(2 * p))
-        chain = _chain_from_rows(sig, ["3"])
-        return _make_report("lefschetz", cover, triple, canon, sig, "L.1", group, chain, p)
-    if p == 7 and a0 == 2:
-        group = GroupDescriptor(168, "PSL(2,7)", "NAMED", ("PSL(2,7)",))
-        chain = _chain_from_rows(sig, ["4"])
-        return _make_report("lefschetz", cover, triple, canon, sig, "L.2", group, chain, p)
-    if p % 3 == 1 and p > 7 and (1 + a0 + a0 * a0) % p == 0:
-        group = GroupDescriptor(
-            3 * p, f"Z{p}:Z3", "CYCLIC_SEMIDIRECT_C3", (p, a0), twisted_c3_presentation(p, a0)
-        )
-        chain = _chain_from_rows(sig, ["1"])
-        return _make_report("lefschetz", cover, triple, canon, sig, "L.3", group, chain, p)
-    group = GroupDescriptor(p, f"Z{p}", "CYCLIC", (p,), cyclic_presentation(p))
-    return _make_report("lefschetz", cover, triple, canon, sig, "L.4", group, (), p)
+        row, group, chain_rows = "L.1", _cyclic(2 * p), ("3",)
+    elif p == 7 and a0 == 2:
+        row, group, chain_rows = "L.2", _PSL27, ("4",)
+    elif p % 3 == 1 and p > 7 and (1 + a0 + a0 * a0) % p == 0:
+        row, group, chain_rows = "L.3", _c3_twist(p, a0), ("1",)
+    else:
+        row, group, chain_rows = "L.4", _cyclic(p), ()
+    return _make_report(
+        "lefschetz", cover, triple, canon, sig, row, group, chain_rows, p, genus(cover)
+    )
 
 
 def lefschetz_isomorphic(p: int, a: int, b: int) -> bool:
@@ -392,13 +392,11 @@ def classify_fermat(n: int, d: int) -> ClassificationReport:
 
     def report(row, sig_periods, group, chain_rows, notes=""):
         sig = Signature(0, sig_periods)
-        chain = _chain_from_rows(sig, chain_rows)
-        return _make_report("fermat", cover, None, None, sig, row, group, chain, base, notes)
+        return _make_report("fermat", cover, None, None, sig, row, group, chain_rows, base, g, notes)
 
     if d == 2:
         if n % 2:
-            group = GroupDescriptor(2 * n, f"Z{2 * n}", "CYCLIC", (2 * n,), cyclic_presentation(2 * n))
-            return report("F.4", (2, n, 2 * n), group, [])
+            return report("F.4", (2, n, 2 * n), _cyclic(2 * n), [])
         group = GroupDescriptor(
             4 * n, f"(Z2+Z{n}):Z2", "DIRECT_SUM_SEMIDIRECT", ((2, n), "Z2"),
             fermat_quadratic_presentation(n),
@@ -416,9 +414,8 @@ def classify_fermat(n: int, d: int) -> ClassificationReport:
                 fermat_cubic_presentation(n),
             )
             return report("F.6", (3, n, n), group, ["3"])
-        group = GroupDescriptor(3 * n, f"Z{3 * n}", "CYCLIC", (3 * n,), cyclic_presentation(3 * n))
         return report(
-            "F.7", (3, n, 3 * n), group, [],
+            "F.7", (3, n, 3 * n), _cyclic(3 * n), [],
             notes="signature admits an extension but no compatible epimorphism survives it",
         )
     if d == n:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .classifier import (
     classify_belyi,
@@ -41,18 +39,6 @@ from .verify import (
     enumeration_to_json_dict,
     run_scenario,
 )
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated run options shared across subcommands."""
-
-    command: str
-    json_output: bool
-    seed: int
-    max_cosets: int
-    max_size: int
-    n_max: Optional[int]
 
 
 def _emit(obj) -> None:
@@ -302,15 +288,7 @@ def run(argv) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = CliConfig(
-        command=ns.command,
-        json_output=bool(getattr(ns, "json", False)),
-        seed=int(getattr(ns, "seed", 0)),
-        max_cosets=int(getattr(ns, "max_cosets", 1_000_000)),
-        max_size=int(getattr(ns, "max_size", 10_000_000)),
-        n_max=getattr(ns, "n_max", None),
-    )
-    if config.max_cosets < 1 or config.max_size < 1:
+    if getattr(ns, "max_cosets", 1) < 1 or getattr(ns, "max_size", 1) < 1:
         print("error: budgets must be positive", file=sys.stderr)
         return 1
     if getattr(ns, "samples", 1) < 1:

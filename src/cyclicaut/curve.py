@@ -450,15 +450,11 @@ def monodromy_genus(cover: CyclicCover) -> int:
 # Serialization
 
 
-def _point_to_json(pt: BranchPoint) -> str:
-    return pt.label()
-
-
 def cover_to_json_dict(cover: CyclicCover) -> dict:
     out: dict = {
         "n": cover.n,
         "branches": [
-            {"point": _point_to_json(pt), "exponent": k} for pt, k in cover.branches
+            {"point": pt.label(), "exponent": k} for pt, k in cover.branches
         ],
         "infinity_exponent": cover.infinity_exponent,
     }

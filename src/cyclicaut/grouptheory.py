@@ -64,9 +64,6 @@ class Presentation:
             raise DomainError("generator names must be distinct and match the count")
         object.__setattr__(self, "names", names)
 
-    def to_text(self) -> str:
-        return presentation_to_text(self)
-
 
 def inverse_word(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(-x for x in reversed(word))

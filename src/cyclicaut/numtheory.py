@@ -1,8 +1,10 @@
 """Exact integer arithmetic primitives shared by every other module.
 
 All arithmetic is over Python's arbitrary-precision integers; congruence
-questions are answered by exhaustive residue scans, which is trivially
-correct at the small moduli this package works with (n up to a few hundred).
+questions are answered by exhaustive residue scans.  A scan over the
+residues modulo n costs O(n) per call (trial division in is_prime and
+factorize costs O(sqrt(n))), so at large degrees these scans, repeated per
+classification, become the dominant cost.
 """
 
 from __future__ import annotations

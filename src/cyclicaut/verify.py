@@ -14,7 +14,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .classifier import ClassificationReport, classify_belyi
 from .curve import (
@@ -168,8 +168,16 @@ def _twisted_beta(n: int, b: int) -> int:
     return (b * b - 1) // n
 
 
-def _twisted_scenario(n: int, b: int, eta: complex, family: str) -> MapScenario:
+def _twisted_involution(n: int, b: int, phases: Iterable[int], family: str) -> MapScenario:
+    """The involution u = (-x, eta y^b (x+1)^-beta) of y^n = (x+1)^b (x-1), with
+    eta = exp(i pi t / n) for the first t in phases that solves the sign conditions."""
     beta = _twisted_beta(n, b)
+    for t in phases:
+        if (t - (b + 1)) % 2 == 0 and (t * (1 + b) - beta * n) % (2 * n) == 0:
+            break
+    else:
+        raise DomainError(f"no phase solution for n={n}, b={b}")
+    eta = cmath.exp(1j * cmath.pi * t / n)
     cover = parse_curve(f"y^{n} = (x+1)^{b}(x-1)")
     u = RationalMap("u", ProductForm(-1, 1, 0), ProductForm(eta, 0, b, ((-1 + 0j, -beta),)))
     return MapScenario(
@@ -184,24 +192,16 @@ def _twisted_scenario(n: int, b: int, eta: complex, family: str) -> MapScenario:
 
 def twistedz2(n: int, b: int) -> MapScenario:
     """The involution u = (-x, (-1)^l y^b (x+1)^-beta) of y^n = (x+1)^b (x-1),
-    defined when n is not a multiple of 8."""
+    defined when n is not a multiple of 8: the phases t = l n, l in {0, 1}."""
     if n % 8 == 0:
         raise DomainError(f"this construction needs n not divisible by 8, got {n}")
-    beta = _twisted_beta(n, b)
-    for l in (0, 1):
-        if (n * l - (b + 1)) % 2 == 0 and (l + b * l - beta) % 2 == 0:
-            return _twisted_scenario(n, b, (-1.0) ** l, "twistedz2")
-    raise DomainError(f"no sign solution for n={n}, b={b}")
+    return _twisted_involution(n, b, (0, n), "twistedz2")
 
 
 def twisted_involution_general(n: int, b: int) -> MapScenario:
     """Involution with sign eta = exp(i pi t / n): works for every admissible b,
     including degrees where the plain +-1 sign fails."""
-    beta = _twisted_beta(n, b)
-    for t in range(2 * n):
-        if (t - (b + 1)) % 2 == 0 and (t * (1 + b) - beta * n) % (2 * n) == 0:
-            return _twisted_scenario(n, b, cmath.exp(1j * cmath.pi * t / n), "twisted-general")
-    raise DomainError(f"no phase solution for n={n}, b={b}")
+    return _twisted_involution(n, b, range(2 * n), "twisted-general")
 
 
 def build_scenario(family: str, n: int, k: Optional[int] = None, b: Optional[int] = None) -> MapScenario:
@@ -346,14 +346,8 @@ def run_scenario(
     """Residual, order, and relation checks for one scenario at one seed."""
     samples = sample_curve(scenario.cover, count, seed)
     featured = scenario.maps[scenario.featured]
-    out = [
-        ScenarioOutcome(
-            "on_curve_samples",
-            max(on_curve_residual(scenario.cover, x, y) for x, y in samples),
-            True,
-        )
-    ]
-    out[0] = ScenarioOutcome(out[0].label, out[0].value, out[0].value <= tol)
+    worst = max(on_curve_residual(scenario.cover, x, y) for x, y in samples)
+    out = [ScenarioOutcome("on_curve_samples", worst, worst <= tol)]
     res = action_residual(scenario.cover, featured, samples)
     out.append(ScenarioOutcome(f"preserves_curve[{scenario.featured}]", res, res <= tol))
     ok = verify_map_order(scenario.cover, featured, scenario.order, samples, tol)

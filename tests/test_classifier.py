@@ -290,12 +290,17 @@ def test_lefschetz_nonabelian_without_presentation_gap():
 
 
 def test_lefschetz_agrees_with_triple_classifier():
-    for p in [5, 7, 11, 13, 17, 19, 23, 29, 31]:
+    # the Lefschetz closed forms and the triple table share group constructors;
+    # they must agree on the whole descriptor, the chain, the genus and the row
+    rows = {"A.1": "L.1", "C.2": "L.2", "C.1": "L.3", "DEFAULT": "L.4"}
+    for p in [p for p in range(5, 100) if is_prime(p)]:
         for a in range(1, p - 1):
             rl = classify_lefschetz(p, a)
-            rb = classify_belyi(p, a, 1, (p - 1 - a) % p)
-            assert rl.group.order == rb.group.order
-            assert rl.group.structure == rb.group.structure
+            a0 = lefschetz_canonical(p, a)
+            rb = classify_belyi(p, a0, 1, p - 1 - a0)
+            assert rl.group == rb.group, (p, a)
+            assert (rl.chain, rl.genus) == (rb.chain, rb.genus), (p, a)
+            assert rl.row == rows[rb.row], (p, a)
 
 
 def test_lefschetz_isomorphic_examples():
