@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .curve import (
     CyclicCover,
@@ -26,14 +26,7 @@ from .curve import (
 )
 from .fuchsian import ChainStep, gs_extensions
 from .grouptheory import Presentation, presentation_to_text
-from .numtheory import (
-    DomainError,
-    gcd_many,
-    has_prime_1_mod_3,
-    involutory_units,
-    is_prime,
-    omega_units,
-)
+from .numtheory import DomainError, gcd_many, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +155,6 @@ def _cyclic(m: int) -> GroupDescriptor:
     return GroupDescriptor(m, f"Z{m}", "CYCLIC", (m,), cyclic_presentation(m))
 
 
-def _c3_twist(n: int, k: int) -> GroupDescriptor:
-    """Z_n:Z_3 with the order-3 generator acting as t -> t^k."""
-    return GroupDescriptor(
-        3 * n, f"Z{n}:Z3", "CYCLIC_SEMIDIRECT_C3", (n, k), twisted_c3_presentation(n, k)
-    )
-
-
-_PSL27 = GroupDescriptor(168, "PSL(2,7)", "NAMED", ("PSL(2,7)",))
-
-
 def _make_report(
     kind: str,
     cover: CyclicCover,
@@ -210,30 +193,24 @@ def _make_report(
 # ---------------------------------------------------------------------------
 # Three-branch-point classification
 
-# Each rule is (row id, candidates, build).  candidates(n) yields the
-# (twist, triple) pairs the row offers at degree n, where twist is the unit
-# the row's group is built from (0 for rows without one); the row fires when
-# a triple has the input's canonical form, and build(n, twist) then gives
-# the group, the extension-chain row ids and the genus column.
-_Candidates = Callable[[int], Iterable[tuple[int, tuple[int, int, int]]]]
+# Each rule is (row id, holds, build).  Every row's triple contains the
+# entry 1, so a triple lies in a row's class exactly when one of its unit-led
+# forms (1, x, y) -- a unit multiple of a permutation of the triple -- has
+# holds(n, x, y).  The first such row in table order fires, with the least
+# such x as its twist, and build(n, twist) gives the group, the extension-chain
+# row ids and the genus column; a triple no row holds for is cyclic (DEFAULT).
+_Holds = Callable[[int, int, int], bool]
 _Build = Callable[[int, int], tuple[GroupDescriptor, tuple[str, ...], int]]
 
 
 def _exact(row: str, degree: int, triple: tuple[int, int, int], chain_row: str,
-           genus_column: int, group: GroupDescriptor) -> tuple[str, _Candidates, _Build]:
-    """An exceptional row: one literal triple at one degree."""
+           genus_column: int, group: GroupDescriptor) -> tuple[str, _Holds, _Build]:
+    """An exceptional row: one literal triple, led by 1, at one degree."""
     return (
         row,
-        lambda n: [(0, triple)] if n == degree else [],
+        lambda n, x, y: n == degree and (1, x, y) == triple,
         lambda n, twist: (group, (chain_row,), genus_column),
     )
-
-
-def _order3_candidates(n: int):
-    if n % 2 and n > 7 and has_prime_1_mod_3(n):
-        for tw in omega_units(n):
-            if tw != 1:
-                yield tw, (1, tw, tw * tw % n)
 
 
 def _build_a2(n: int, twist: int):
@@ -254,12 +231,16 @@ def _build_b1(n: int, twist: int):
     return group, ("3",), (n - gcd(n, twist + 1)) // 2
 
 
-# Precedence is table order: the first row offering the input's canonical
-# triple fires, and a triple no row offers gets the cyclic default.
-_BELYI_RULES: tuple[tuple[str, _Candidates, _Build], ...] = (
+def _build_c1(n: int, twist: int):
+    group = GroupDescriptor(3 * n, f"Z{n}:Z3", "CYCLIC_SEMIDIRECT_C3", (n, twist),
+                            twisted_c3_presentation(n, twist))
+    return group, ("1",), (n - 1) // 2
+
+
+_BELYI_RULES: tuple[tuple[str, _Holds, _Build], ...] = (
     _exact("B.3", 8, (1, 2, 5), "7", 3,
            GroupDescriptor(96, "(Z4+Z4):S3", "DIRECT_SUM_SEMIDIRECT", ((4, 4), "S3"))),
-    _exact("C.2", 7, (1, 2, 4), "4", 3, _PSL27),
+    _exact("C.2", 7, (1, 2, 4), "4", 3, GroupDescriptor(168, "PSL(2,7)", "NAMED", ("PSL(2,7)",))),
     _exact("D.1", 12, (1, 3, 8), "13", 3,
            GroupDescriptor(48, "(central Z4):A4", "CENTRAL_EXT", (4, "A4"))),
     _exact("E.1", 8, (1, 3, 4), "11", 2, GroupDescriptor(48, "GL(2,3)", "NAMED", ("GL(2,3)",))),
@@ -267,39 +248,56 @@ _BELYI_RULES: tuple[tuple[str, _Candidates, _Build], ...] = (
            GroupDescriptor(72, "(central Z3):S4", "CENTRAL_EXT", (3, "S4"))),
     _exact("E.3", 24, (1, 4, 19), "11", 10,
            GroupDescriptor(144, "(central Z6):S4", "CENTRAL_EXT", (6, "S4"))),
-    ("A.1", lambda n: [(0, (1, 1, n - 2))] if n % 2 else [],
+    ("A.1", lambda n, x, y: n % 2 == 1 and x == 1,
      lambda n, twist: (_cyclic(2 * n), ("3",), (n - 1) // 2)),
-    ("A.2", lambda n: [] if n % 2 else [(0, (1, 1, n - 2))], _build_a2),
-    ("B.2", lambda n: [(0, (1, n // 2 - 2, n // 2 + 1))] if n % 8 == 0 and n > 8 else [],
+    ("A.2", lambda n, x, y: n % 2 == 0 and x == 1, _build_a2),
+    ("B.2", lambda n, x, y: n % 8 == 0 and n > 8 and (x, y) == (n // 2 - 2, n // 2 + 1),
      _build_b2),
-    ("B.1", lambda n: ((tw, (1, tw, n - 1 - tw)) for tw in involutory_units(n) if tw <= n - 2),
-     _build_b1),
-    ("C.1", _order3_candidates, lambda n, twist: (_c3_twist(n, twist), ("1",), (n - 1) // 2)),
+    ("B.1", lambda n, x, y: x != 1 and x * x % n == 1, _build_b1),
+    ("C.1", lambda n, x, y: (1 + x + x * x) % n == 0, _build_c1),
 )
 
 
-def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:
-    """Full automorphism group of y^n = x^a (x-1)^b (x+1)^c.
+def _unit_led_forms(n: int, triple: tuple[int, int, int]) -> list[tuple[int, int]]:
+    """The pairs (x, y) with (1, x, y) a unit multiple of a permutation of the
+    triple: each unit entry k, scaled by k^-1 to 1, leads two of them."""
+    forms = []
+    for i, k in enumerate(triple):
+        if gcd(k, n) == 1:
+            inv = pow(k, -1, n)
+            x, y = (inv * t % n for j, t in enumerate(triple) if j != i)
+            forms += [(x, y), (y, x)]
+    return forms
 
-    Matches the canonical form of the triple against the classification
-    table; precedence is the order of the rows in ``_BELYI_RULES``, with the
-    cyclic default when no row fires.
-    """
+
+def _three_point_report(kind: str, cover: CyclicCover, triple: tuple[int, int, int],
+                        canon: tuple[int, int, int],
+                        row_names: Optional[dict[str, str]] = None) -> ClassificationReport:
+    """Report on a cover branched over three points with exponents `triple`:
+    the first row of ``_BELYI_RULES`` that fires, renamed by row_names."""
+    n = cover.n
+    g = genus(cover)
+    forms = _unit_led_forms(n, triple)
+    for row, holds, build in _BELYI_RULES:
+        twists = [x for x, y in forms if holds(n, x, y)]
+        if twists:
+            group, chain_rows, genus_column = build(n, min(twists))
+            assert g == genus_column, f"row {row} genus column mismatch"
+            break
+    else:
+        row, group, chain_rows = "DEFAULT", _cyclic(n), ()
+    if row_names is not None:
+        row = row_names[row]
+    return _make_report(kind, cover, triple, canon, signature_of(cover), row, group, chain_rows,
+                        n, g)
+
+
+def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:
+    """Full automorphism group of y^n = x^a (x-1)^b (x+1)^c, by ``_BELYI_RULES``."""
     if n < 4:
         raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
     canon = canonical_triple(n, a, b, c)
-    cover = belyi_cover(n, a, b, c)
-    sig = signature_of(cover)
-    g = genus(cover)
-    for row, candidates, build in _BELYI_RULES:
-        for twist, triple in candidates(n):
-            if canonical_triple(n, *triple) == canon:
-                group, chain_rows, genus_column = build(n, twist)
-                assert g == genus_column, f"row {row} genus column mismatch"
-                return _make_report(
-                    "belyi", cover, (a, b, c), canon, sig, row, group, chain_rows, n, g
-                )
-    return _make_report("belyi", cover, (a, b, c), canon, sig, "DEFAULT", _cyclic(n), (), n, g)
+    return _three_point_report("belyi", belyi_cover(n, a, b, c), (a, b, c), canon)
 
 
 def classify_cover(cover: CyclicCover) -> ClassificationReport:
@@ -334,24 +332,17 @@ def _validate_lefschetz(p: int, a: int) -> None:
         raise DomainError(f"exponent {a} outside [1, {p - 2}] (a = p-1 drops a branch point)")
 
 
+# The table rows a prime-degree cover y^p = x^a (x+1) can fire, by Lefschetz row.
+_LEFSCHETZ_ROWS = {"A.1": "L.1", "C.2": "L.2", "C.1": "L.3", "DEFAULT": "L.4"}
+
+
 def classify_lefschetz(p: int, a: int) -> ClassificationReport:
-    """Full automorphism group of y^p = x^a (x+1) for prime p >= 5."""
+    """Full automorphism group of y^p = x^a (x+1) for prime p >= 5: the
+    three-point answer for exponents (a0, 1, p-1-a0) over 0, -1 and infinity."""
     a0 = lefschetz_canonical(p, a)
-    cover = lefschetz_cover(p, a0)
-    sig = signature_of(cover)
-    triple = (a0, 1, (p - 1 - a0) % p)
-    canon = canonical_triple(p, *triple)
-    if a0 == 1:
-        row, group, chain_rows = "L.1", _cyclic(2 * p), ("3",)
-    elif p == 7 and a0 == 2:
-        row, group, chain_rows = "L.2", _PSL27, ("4",)
-    elif p % 3 == 1 and p > 7 and (1 + a0 + a0 * a0) % p == 0:
-        row, group, chain_rows = "L.3", _c3_twist(p, a0), ("1",)
-    else:
-        row, group, chain_rows = "L.4", _cyclic(p), ()
-    return _make_report(
-        "lefschetz", cover, triple, canon, sig, row, group, chain_rows, p, genus(cover)
-    )
+    triple = (a0, 1, p - 1 - a0)
+    return _three_point_report("lefschetz", lefschetz_cover(p, a0), triple,
+                               canonical_triple(p, *triple), _LEFSCHETZ_ROWS)
 
 
 def lefschetz_isomorphic(p: int, a: int, b: int) -> bool:

@@ -147,7 +147,18 @@ class _Lexer:
         return -value if neg else value
 
 
-def _parse_word(lx: _Lexer, index: dict[str, int]) -> tuple[int, ...]:
+# Most letters the text parser expands a presentation's relators to, all
+# together; each power, commutator and concatenation is checked against the
+# room left before it is built.
+MAX_RELATOR_LETTERS = 10**7
+
+
+def _check_length(length: int, room: int) -> None:
+    if length > room:
+        raise DomainError(f"relators expand to more than {MAX_RELATOR_LETTERS} letters")
+
+
+def _parse_word(lx: _Lexer, index: dict[str, int], room: int) -> tuple[int, ...]:
     out: list[int] = []
     while True:
         c = lx.peek()
@@ -155,14 +166,15 @@ def _parse_word(lx: _Lexer, index: dict[str, int]) -> tuple[int, ...]:
             raise lx.error("unterminated word")
         if c == "(":
             lx.take_symbol("(")
-            inner = _parse_word(lx, index)
+            inner = _parse_word(lx, index, room)
             lx.take_symbol(")")
         elif c == "[":
             lx.take_symbol("[")
-            u = _parse_word(lx, index)
+            u = _parse_word(lx, index, room)
             lx.take_symbol(",")
-            v = _parse_word(lx, index)
+            v = _parse_word(lx, index, room)
             lx.take_symbol("]")
+            _check_length(2 * (len(u) + len(v)), room)
             inner = u + v + inverse_word(u) + inverse_word(v)
         elif c.isalpha() or c == "_":
             name = lx.take_name()
@@ -173,10 +185,9 @@ def _parse_word(lx: _Lexer, index: dict[str, int]) -> tuple[int, ...]:
             raise lx.error("expected a factor")
         if lx.try_symbol("^"):
             e = lx.take_int()
-            if e >= 0:
-                inner = inner * e
-            else:
-                inner = inverse_word(inner) * (-e)
+            _check_length(len(inner) * abs(e), room)
+            inner = (inner if e >= 0 else inverse_word(inner)) * abs(e)
+        _check_length(len(out) + len(inner), room)
         out.extend(inner)
         nxt = lx.peek()
         if nxt == "*":
@@ -200,10 +211,12 @@ def parse_presentation(text: str) -> Presentation:
     lx.take_symbol("|")
     index = {nm: i + 1 for i, nm in enumerate(names)}
     relators: list[tuple[int, ...]] = []
+    room = MAX_RELATOR_LETTERS
     if lx.peek() != ">":
-        relators.append(_parse_word(lx, index))
+        relators.append(_parse_word(lx, index, room))
         while lx.try_symbol(","):
-            relators.append(_parse_word(lx, index))
+            room -= len(relators[-1])
+            relators.append(_parse_word(lx, index, room))
     lx.take_symbol(">")
     if lx.peek() is not None:
         raise lx.error("trailing input")

@@ -3,8 +3,9 @@
 All arithmetic is over Python's arbitrary-precision integers; congruence
 questions are answered by exhaustive residue scans.  A scan over the
 residues modulo n costs O(n) per call (trial division in is_prime and
-factorize costs O(sqrt(n))), so at large degrees these scans, repeated per
-classification, become the dominant cost.
+factorize costs O(sqrt(n))).  A classification makes one such scan, the
+unit scan behind its canonical triple; its table rows test congruences on
+the triple's unit-led forms and scan no residues.
 """
 
 from __future__ import annotations
@@ -94,13 +95,6 @@ def omega_units(n: int) -> list[int]:
     if n < 2:
         raise DomainError(f"modulus must be >= 2, got {n}")
     return [k for k in range(1, n) if (1 + k + k * k) % n == 0]
-
-
-def has_prime_1_mod_3(n: int) -> bool:
-    """True iff some prime divisor p of n satisfies p = 1 (mod 3)."""
-    if n < 2:
-        raise DomainError(f"requires n >= 2, got {n}")
-    return any(p % 3 == 1 for p, _ in factorize(n))
 
 
 def units(n: int) -> list[int]:

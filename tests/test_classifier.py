@@ -120,10 +120,13 @@ def test_b2_takes_precedence_over_b1():
     # both rows match these classes; the order-4n row must win
     for n in (16, 24):
         a, b, c = 1, n // 2 - 2, n // 2 + 1
-        assert canonical_triple(n, 1, c % n, (n - 1 - c) % n) or True
-        r = classify_belyi(n, a, b, c)
-        assert r.row == "B.2"
-        assert r.group.order == 4 * n
+        # reordered as (1, c, b), the triple is B.1's (1, x, n-1-x) with x^2 = 1
+        assert c * c % n == 1 and c != 1 and b == n - 1 - c
+        assert (1, c, b) in triple_orbit(n, a, b, c)
+        for t in ((a, b, c), (1, c, b)):
+            r = classify_belyi(n, *t)
+            assert r.row == "B.2"
+            assert r.group.order == 4 * n
 
 
 def test_b1_two_classes_same_degree():
@@ -290,17 +293,69 @@ def test_lefschetz_nonabelian_without_presentation_gap():
 
 
 def test_lefschetz_agrees_with_triple_classifier():
-    # the Lefschetz closed forms and the triple table share group constructors;
-    # they must agree on the whole descriptor, the chain, the genus and the row
+    # y^p = x^a0 (x+1) branches over 0, -1 and infinity with exponents
+    # (a0, 1, p-1-a0); its row must be the paper's closed-form L row, and its
+    # descriptor, chain and genus those of the triple classifier's answer
     rows = {"A.1": "L.1", "C.2": "L.2", "C.1": "L.3", "DEFAULT": "L.4"}
     for p in [p for p in range(5, 100) if is_prime(p)]:
+        orders = {"L.1": 2 * p, "L.2": 168, "L.3": 3 * p, "L.4": p}
         for a in range(1, p - 1):
             rl = classify_lefschetz(p, a)
             a0 = lefschetz_canonical(p, a)
+            if a0 == 1:
+                want = "L.1"
+            elif p == 7 and a0 == 2:
+                want = "L.2"
+            elif p % 3 == 1 and p > 7 and (1 + a0 + a0 * a0) % p == 0:
+                want = "L.3"
+            else:
+                want = "L.4"
+            assert rl.row == want, (p, a)
+            assert rl.group.order == orders[want], (p, a)
+            if want == "L.3":
+                assert rl.group.params == (p, a0), (p, a)
             rb = classify_belyi(p, a0, 1, p - 1 - a0)
+            assert rows[rb.row] == want, (p, a)
             assert rl.group == rb.group, (p, a)
             assert (rl.chain, rl.genus) == (rb.chain, rb.genus), (p, a)
-            assert rl.row == rows[rb.row], (p, a)
+            assert report_to_json_dict(rl)["input"] == {
+                "n": p,
+                "branches": [{"point": "0", "exponent": a0}, {"point": "-1", "exponent": 1}],
+                "infinity_exponent": p - 1 - a0,
+            }, (p, a)
+
+
+def test_classification_makes_one_unit_scan(monkeypatch):
+    # each classification canonicalises its triple once and runs no other
+    # residue scan: the table rows test the triple's unit-led forms
+    import cyclicaut.classifier as classifier
+    import cyclicaut.numtheory as numtheory
+
+    calls = {"canonical_triple": 0, "involutory_units": 0, "omega_units": 0}
+
+    def counting(name, inner):
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(classifier, "canonical_triple",
+                        counting("canonical_triple", classifier.canonical_triple))
+    for name in ("involutory_units", "omega_units"):
+        wrapper = counting(name, getattr(numtheory, name))
+        monkeypatch.setattr(numtheory, name, wrapper)
+        monkeypatch.setattr(classifier, name, wrapper, raising=False)
+    cases = [
+        (classify_belyi, (9919, 1, 2, 9916), "DEFAULT"),
+        (classify_belyi, (15, 4, 10, 1), "B.1"),
+        (classify_belyi, (91, 9, 81, 1), "C.1"),
+        (classify_lefschetz, (43, 6), "L.3"),
+        (classify_lefschetz, (43, 5), "L.4"),
+    ]
+    for classify, args, row in cases:
+        calls.update(dict.fromkeys(calls, 0))
+        assert classify(*args).row == row
+        assert calls == {"canonical_triple": 1, "involutory_units": 0, "omega_units": 0}, args
 
 
 def test_lefschetz_isomorphic_examples():

@@ -168,6 +168,16 @@ def test_coset_enum_parse_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "word", ["a^99999999999", "(a^100000)^100000", "[" * 23 + "a" + ",a]" * 23]
+)
+def test_coset_enum_overlong_relator(capsys, word):
+    assert run(["coset-enum", "--pres", f"<a | {word}>"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_negative_budget(capsys):
     assert run(["coset-enum", "--pres", "<x | x^2>", "--max-cosets", "-5"]) == 1
     assert "positive" in capsys.readouterr().err

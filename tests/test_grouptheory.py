@@ -17,7 +17,16 @@ from cyclicaut.grouptheory import (
     smith_normal_form,
     triangle_presentation,
 )
+from cyclicaut import grouptheory
 from cyclicaut.numtheory import DomainError
+
+# relators whose expansion passes MAX_RELATOR_LETTERS: a huge power, a power
+# of a power, and 23 nested commutators of about 2.5e7 letters
+OVERLONG_RELATORS = (
+    "a^99999999999",
+    "(a^100000)^100000",
+    "[" * 23 + "a" + ",a]" * 23,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +68,33 @@ def test_parse_errors_carry_position():
         parse_presentation("<a | a^2> junk")
     with pytest.raises(DomainError):
         parse_presentation("no brackets")
+
+
+@pytest.mark.parametrize("word", OVERLONG_RELATORS)
+def test_overlong_relator_is_a_domain_error(word):
+    with pytest.raises(DomainError, match="more than 10000000 letters"):
+        parse_presentation(f"<a | {word}>")
+
+
+def test_relator_letter_bound_is_checked_before_each_expansion(monkeypatch):
+    monkeypatch.setattr(grouptheory, "MAX_RELATOR_LETTERS", 100)
+    assert len(parse_presentation("<a | a^-100>").relators[0]) == 100
+    assert len(parse_presentation("<a,b | [a^25,b^25]>").relators[0]) == 100
+    assert len(parse_presentation("<a | a^60*a^40>").relators[0]) == 100
+    assert parse_presentation("<a | a^60, a^40>").relators == ((1,) * 60, (1,) * 40)
+    # the bound covers all relators together
+    for word in ("a^60*a^41", "a^60 a^40 a", "(a^11)^10", "a^60, a^41", "a^50, a, a^50"):
+        with pytest.raises(DomainError, match="more than 100 letters"):
+            parse_presentation(f"<a | {word}>")
+
+    # a power or commutator past the bound stops before any word is inverted
+    def no_inverse(word):
+        raise AssertionError(f"a word of {len(word)} letters was inverted")
+
+    monkeypatch.setattr(grouptheory, "inverse_word", no_inverse)
+    for word in ("a^-101", "(a^11)^-10", "[a^25,a^26]"):
+        with pytest.raises(DomainError, match="more than 100 letters"):
+            parse_presentation(f"<a | {word}>")
 
 
 def test_text_round_trip():

@@ -5,7 +5,6 @@ from cyclicaut.numtheory import (
     DomainError,
     factorize,
     gcd_many,
-    has_prime_1_mod_3,
     inverse_mod,
     involutory_units,
     is_prime,
@@ -100,13 +99,6 @@ def test_omega_units_sweep():
             # solvability forces every prime factor to be 3 (at most once) or 1 mod 3
             assert n % 9 != 0
             assert all(p == 3 or p % 3 == 1 for p, _ in factorize(n))
-
-
-def test_has_prime_1_mod_3():
-    assert has_prime_1_mod_3(13)
-    assert not has_prime_1_mod_3(15)
-    assert has_prime_1_mod_3(14)
-    assert not has_prime_1_mod_3(8)
 
 
 def test_units_and_inverse():
