@@ -10,7 +10,7 @@ that produces it, and (when available) a finite presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Callable, Optional, Sequence
 
 from .curve import (
@@ -24,7 +24,7 @@ from .curve import (
     lefschetz_cover,
     signature_of,
 )
-from .fuchsian import ChainStep, gs_extensions
+from .fuchsian import ChainStep, chain_steps
 from .grouptheory import Presentation, presentation_to_text
 from .numtheory import DomainError, gcd_many, is_prime
 
@@ -77,8 +77,8 @@ def _commutator(i: int, j: int) -> tuple[int, ...]:
     return (i, j, -i, -j)
 
 
-def cyclic_presentation(m: int, name: str = "a") -> Presentation:
-    return Presentation(1, ((1,) * m,), (name,))
+def cyclic_presentation(m: int) -> Presentation:
+    return Presentation(1, ((1,) * m,), ("a",))
 
 
 def central_dihedral_presentation(n: int) -> Presentation:
@@ -170,14 +170,7 @@ def _make_report(
 ) -> ClassificationReport:
     """Walk the extension chain from sig through chain_rows, then check the
     order law group.order = base_order x chain indices (for genus >= 2)."""
-    steps: list[ChainStep] = []
-    cur = sig
-    for rid in chain_rows:
-        by_id = {e.row.row_id: e for e in gs_extensions(cur)}
-        assert rid in by_id, f"signature {cur.periods} admits no row {rid} extension"
-        ext = by_id[rid]
-        steps.append(ChainStep(rid, ext.outer, ext.index))
-        cur = ext.outer
+    steps = chain_steps(sig, chain_rows)
     if g >= 2:
         expected = base_order * prod(step.index for step in steps)
         assert group.order == expected, (
@@ -186,7 +179,7 @@ def _make_report(
     elif not notes:
         notes = "genus below 2: table row reported verbatim, extension chain not applicable"
     return ClassificationReport(
-        kind, cover, cover.n, triple, canonical, g, sig, row, group, tuple(steps), base_order, notes
+        kind, cover, cover.n, triple, canonical, g, sig, row, group, steps, base_order, notes
     )
 
 
@@ -368,9 +361,9 @@ def lefschetz_isomorphic(p: int, a: int, b: int) -> bool:
 def classify_fermat(n: int, d: int) -> ClassificationReport:
     """Full automorphism group of y^n + x^d = 1.
 
-    The reported signature is the triangle signature uniformizing the full
-    action, and the order law runs from base order d*n (the deck group
-    together with the visible Z_d symmetry of the model).
+    The reported signature is (d, n, lcm(d, n)): that of the Z_d x Z_n
+    action (x, y) -> (zeta x, omega y), whose quotient map is (x, y) -> x^d.
+    The order law runs from base order d*n, the order of that action.
     """
     if not 2 <= d <= n:
         raise DomainError(f"need 2 <= d <= n, got d={d}, n={n}")
@@ -380,50 +373,50 @@ def classify_fermat(n: int, d: int) -> ClassificationReport:
     if g < 2:
         raise DomainError(f"below hyperbolic range: y^{n} + x^{d} = 1 has genus {g}")
     base = d * n
+    sig = Signature(0, (d, n, lcm(d, n)))
 
-    def report(row, sig_periods, group, chain_rows, notes=""):
-        sig = Signature(0, sig_periods)
+    def report(row, group, chain_rows, notes=""):
         return _make_report("fermat", cover, None, None, sig, row, group, chain_rows, base, g, notes)
 
     if d == 2:
         if n % 2:
-            return report("F.4", (2, n, 2 * n), _cyclic(2 * n), [])
+            return report("F.4", _cyclic(2 * n), [])
         group = GroupDescriptor(
             4 * n, f"(Z2+Z{n}):Z2", "DIRECT_SUM_SEMIDIRECT", ((2, n), "Z2"),
             fermat_quadratic_presentation(n),
         )
-        return report("F.5", (2, n, n), group, ["3"])
+        return report("F.5", group, ["3"])
     if d == 3:
         if n == 4:
             group = GroupDescriptor(
                 48, "(central Z4):A4", "CENTRAL_EXT", (4, "A4"), octahedral_times_c4_presentation()
             )
-            return report("F.8", (3, 4, 12), group, ["13"])
+            return report("F.8", group, ["13"])
         if n % 3 == 0:
             group = GroupDescriptor(
                 6 * n, f"(Z3+Z{n}):Z2", "DIRECT_SUM_SEMIDIRECT", ((3, n), "Z2"),
                 fermat_cubic_presentation(n),
             )
-            return report("F.6", (3, n, n), group, ["3"])
+            return report("F.6", group, ["3"])
         return report(
-            "F.7", (3, n, 3 * n), _cyclic(3 * n), [],
+            "F.7", _cyclic(3 * n), [],
             notes="signature admits an extension but no compatible epimorphism survives it",
         )
     if d == n:
         group = GroupDescriptor(
             6 * n * n, f"(Z{n}+Z{n}):S3", "DIRECT_SUM_SEMIDIRECT", ((n, n), "S3")
         )
-        return report("F.1", (n, n, n), group, ["2"])
+        return report("F.1", group, ["2"])
     if n % d:
         group = GroupDescriptor(
             d * n, f"Z{d}+Z{n}", "ABELIAN", (d, n), abelian_presentation(d, n)
         )
-        return report("F.2", (d, n, (d * n) // gcd(d, n)), group, [])
+        return report("F.2", group, [])
     group = GroupDescriptor(
         2 * d * n, f"(central Z{d}):D{2 * n}", "CENTRAL_EXT", (d, f"D{2 * n}"),
         fermat_divisor_presentation(d, n),
     )
-    return report("F.3", (d, n, n), group, ["3"])
+    return report("F.3", group, ["3"])
 
 
 # ---------------------------------------------------------------------------

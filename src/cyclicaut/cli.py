@@ -33,6 +33,7 @@ from .numtheory import DomainError
 from .verify import (
     build_scenario,
     check_enumeration,
+    check_to_json_dict,
     cross_check,
     cross_check_to_json_dict,
     enumerate_classes,
@@ -132,12 +133,11 @@ def _cmd_cross_check(ns, parser) -> int:
             payload = json.load(sys.stdin)
         except json.JSONDecodeError as exc:
             raise DomainError(f"stdin is not valid JSON: {exc}")
+        except ValueError:  # an integer with more digits than int() converts
+            raise DomainError("stdin is not valid JSON: an integer is too long") from None
         result = check_enumeration(payload)
         if ns.json:
-            entry = {"name": result.name, "n_range": list(result.n_range), "pass": result.passed}
-            if result.witness is not None:
-                entry["witness"] = result.witness
-            _emit({"checks": [entry]})
+            _emit({"checks": [check_to_json_dict(result)]})
         else:
             print(f"{'PASS' if result.passed else 'FAIL'} {result.name}")
         return 0 if result.passed else 1
@@ -159,7 +159,7 @@ def _cmd_gs_table(ns, parser) -> int:
         return 0
     for row in rows:
         marker = "normal" if row["normal"] else "      "
-        print(f"{row['row_id']:3s} {marker} index {row['index'] or '|N/N+|':>3}  {row['inner']}  ->  {row['outer']}")
+        print(f"{row['row_id']:3s} {marker} index {row['index']:>3}  {row['inner']}  ->  {row['outer']}")
     return 0
 
 

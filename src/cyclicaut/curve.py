@@ -205,11 +205,14 @@ class _CurveCursor:
     def take_uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise self.error(f"integer of {self.pos - start} digits is too long") from None
 
     def take_rational(self) -> Fraction:
         sign = 1
@@ -262,7 +265,7 @@ def parse_curve(text: str) -> CyclicCover:
     cur.take("=")
     constant = Fraction(1)
     nxt = cur.peek()
-    if nxt is not None and (nxt.isdigit() or nxt in "+-"):
+    if nxt is not None and (nxt.isdecimal() or nxt in "+-"):
         constant = cur.take_rational()
         if constant == 0:
             raise cur.error("constant must be nonzero")

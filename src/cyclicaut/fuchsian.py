@@ -1,17 +1,22 @@
 """Genus-0 Fuchsian signature machinery.
 
-Ships the table of non-finitely-maximal genus-0 signatures as literal data
-with guard predicates, the lcm admissibility test for surface-kernel
-epimorphisms onto Z_n, the cyclic-action extension criteria for triangle and
-quadrilateral signatures, and the catalog of two-step extension chains with
-their single-row equivalents.
+The table of non-finitely-maximal genus-0 signatures is written once, as the
+text of its rows (inner ``"(t,t,m), t>=3, t+m>=7"``, outer ``"(2,t,2m)"``);
+each row parses its text into its matcher.  The catalogue of two-step
+extension chains names only row ids and an equivalent single row; where a
+chain applies and the signatures it passes through are derived from the
+table.  Also here: the lcm admissibility test for surface-kernel epimorphisms
+onto Z_n, and the cyclic-action extension criteria for triangle and
+quadrilateral signatures, which are computed independently of the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from itertools import permutations
+from math import gcd, prod
+from string import ascii_lowercase
+from typing import Optional, Sequence
 
 from .curve import CyclicCover, Signature, signature_of
 from .numtheory import DomainError, inverse_mod, lcm_many, units
@@ -20,127 +25,105 @@ from .numtheory import DomainError, inverse_mod, lcm_many, units
 # ---------------------------------------------------------------------------
 # The signature-extension table
 
+# A term is (coefficient, variable).  A literal has the variable "", which
+# every binding maps to 1, so a term's value is always coefficient x binding.
+# A guard is (summands, bound).
+_Term = tuple[int, str]
+_Guard = tuple[tuple[_Term, ...], int]
+
+
+def _term(text: str) -> _Term:
+    """'4t' -> (4, 't'), 't' -> (1, 't'), '7' -> (7, '')."""
+    digits = text.rstrip(ascii_lowercase)
+    return int(digits or 1), text[len(digits):]
+
+
+def _parse_pattern(text: str) -> tuple[tuple[_Term, ...], tuple[_Guard, ...]]:
+    """'(t,t,m), t>=3, t+m>=7' -> its period terms and its guards."""
+    head, _, tail = text.replace(" ", "").partition(")")
+    guards = [guard.split(">=") for guard in tail.split(",")[1:]]
+    return (
+        tuple(map(_term, head[1:].split(","))),
+        tuple((tuple(map(_term, lhs.split("+"))), int(bound)) for lhs, bound in guards),
+    )
+
+
+def _bind(terms: tuple[_Term, ...], periods: tuple[int, ...]) -> Optional[dict[str, int]]:
+    """The variable values that make terms equal periods, position by position."""
+    env = {"": 1}
+    for (coef, var), p in zip(terms, periods):
+        if var not in env:
+            if p % coef:
+                return None
+            env[var] = p // coef
+        elif coef * env[var] != p:
+            return None
+    return env
+
 
 @dataclass(frozen=True)
 class GsRow:
-    """One table row: an inner signature pattern contained in an outer one."""
+    """One table row: an inner signature pattern contained in an outer one.
+
+    The row is defined by its text.  A pattern lists periods, each a literal
+    or a coefficient times a variable; the inner pattern may be followed by
+    guards ``sum >= bound``, e.g. ``"(t,t,m), t>=3, t+m>=7"``.
+    """
 
     row_id: str
     inner: str
     outer: str
     index: int
     normal: bool
+    _orderings: tuple = field(init=False, repr=False, compare=False)
+    _guards: tuple = field(init=False, repr=False, compare=False)
+    _outer_terms: tuple = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        terms, guards = _parse_pattern(self.inner)
+        object.__setattr__(self, "_orderings", tuple(dict.fromkeys(permutations(terms))))
+        object.__setattr__(self, "_guards", guards)
+        object.__setattr__(self, "_outer_terms", _parse_pattern(self.outer)[0])
 
-_Match = Callable[[tuple[int, ...]], Optional[tuple[int, ...]]]
-
-
-def _all_equal(p: tuple[int, ...]) -> bool:
-    return len(set(p)) == 1
-
-
-def _repeated_single(p: tuple[int, ...]) -> Optional[tuple[int, int]]:
-    """For a sorted triple with a repeated value: (repeated t, single m); t=m when all equal."""
-    if len(p) != 3:
+    def match(self, periods: tuple[int, ...]) -> Optional[Signature]:
+        """The outer signature for sorted periods that some ordering of the inner
+        pattern fits within the guards, or None."""
+        if len(periods) != len(self._orderings[0]):
+            return None
+        for ordering in self._orderings:
+            env = _bind(ordering, periods)
+            if env is not None and all(
+                sum(c * env[v] for c, v in lhs) >= bound for lhs, bound in self._guards
+            ):
+                return Signature(0, tuple(c * env[v] for c, v in self._outer_terms))
         return None
-    if p[0] == p[1] == p[2]:
-        return p[0], p[0]
-    if p[0] == p[1]:
-        return p[0], p[2]
-    if p[1] == p[2]:
-        return p[1], p[0]
-    return None
 
 
-def _m_row1(p):
-    if len(p) == 3 and _all_equal(p) and p[0] >= 4:
-        return (3, 3, p[0])
-    return None
-
-
-def _m_row2(p):
-    if len(p) == 3 and _all_equal(p) and p[0] >= 4:
-        return (2, 3, 2 * p[0])
-    return None
-
-
-def _m_row3(p):
-    tm = _repeated_single(p)
-    if tm is not None:
-        t, m = tm
-        if t >= 3 and t + m >= 7:
-            return (2, t, 2 * m)
-    return None
-
-
-def _m_rowA(p):
-    if len(p) == 4 and _all_equal(p) and p[0] >= 3:
-        return (2, 2, 2, p[0])
-    return None
-
-
-def _m_rowB(p):
-    if len(p) == 4 and p[0] == p[1] and p[2] == p[3] and p[0] + p[2] >= 5:
-        return (2, 2, p[0], p[2])
-    return None
-
-
-def _m_literal(inner: tuple[int, ...], outer: tuple[int, ...]) -> _Match:
-    def match(p):
-        return outer if p == inner else None
-
-    return match
-
-
-def _m_row11(p):
-    if len(p) == 3 and p[1] == p[2] == 4 * p[0] and p[0] >= 2:
-        return (2, 3, 4 * p[0])
-    return None
-
-
-def _m_row12(p):
-    if len(p) == 3 and p[1] == p[2] == 2 * p[0] and p[0] >= 3:
-        return (2, 4, 2 * p[0])
-    return None
-
-
-def _m_row13(p):
-    if len(p) == 3 and p[0] == 3 and p[2] == 3 * p[1] and p[1] >= 3:
-        return (2, 3, 3 * p[1])
-    return None
-
-
-def _m_row14(p):
-    if len(p) == 3 and p[0] == 2 and p[2] == 2 * p[1] and p[1] >= 4:
-        return (2, 3, 2 * p[1])
-    return None
-
-
-_TABLE: tuple[tuple[GsRow, _Match], ...] = (
-    (GsRow("1", "(t,t,t), t>=4", "(3,3,t)", 3, True), _m_row1),
-    (GsRow("2", "(t,t,t), t>=4", "(2,3,2t)", 6, True), _m_row2),
-    (GsRow("3", "(t,t,m), t>=3, t+m>=7", "(2,t,2m)", 2, True), _m_row3),
-    (GsRow("A", "(t,t,t,t), t>=3", "(2,2,2,t)", 4, True), _m_rowA),
-    (GsRow("B", "(t,t,m,m), t+m>=5", "(2,2,t,m)", 2, True), _m_rowB),
-    (GsRow("4", "(7,7,7)", "(2,3,7)", 24, False), _m_literal((7, 7, 7), (2, 3, 7))),
-    (GsRow("5", "(2,7,7)", "(2,3,7)", 9, False), _m_literal((2, 7, 7), (2, 3, 7))),
-    (GsRow("6", "(3,3,7)", "(2,3,7)", 8, False), _m_literal((3, 3, 7), (2, 3, 7))),
-    (GsRow("7", "(4,8,8)", "(2,3,8)", 12, False), _m_literal((4, 8, 8), (2, 3, 8))),
-    (GsRow("8", "(3,8,8)", "(2,3,8)", 10, False), _m_literal((3, 8, 8), (2, 3, 8))),
-    (GsRow("9", "(9,9,9)", "(2,3,9)", 12, False), _m_literal((9, 9, 9), (2, 3, 9))),
-    (GsRow("10", "(4,4,5)", "(2,4,5)", 6, False), _m_literal((4, 4, 5), (2, 4, 5))),
-    (GsRow("11", "(t,4t,4t), t>=2", "(2,3,4t)", 6, False), _m_row11),
-    (GsRow("12", "(t,2t,2t), t>=3", "(2,4,2t)", 4, False), _m_row12),
-    (GsRow("13", "(3,t,3t), t>=3", "(2,3,3t)", 4, False), _m_row13),
-    (GsRow("14", "(2,t,2t), t>=4", "(2,3,2t)", 3, False), _m_row14),
+_TABLE: tuple[GsRow, ...] = (
+    GsRow("1", "(t,t,t), t>=4", "(3,3,t)", 3, True),
+    GsRow("2", "(t,t,t), t>=4", "(2,3,2t)", 6, True),
+    GsRow("3", "(t,t,m), t>=3, t+m>=7", "(2,t,2m)", 2, True),
+    GsRow("A", "(t,t,t,t), t>=3", "(2,2,2,t)", 4, True),
+    GsRow("B", "(t,t,m,m), t+m>=5", "(2,2,t,m)", 2, True),
+    GsRow("4", "(7,7,7)", "(2,3,7)", 24, False),
+    GsRow("5", "(2,7,7)", "(2,3,7)", 9, False),
+    GsRow("6", "(3,3,7)", "(2,3,7)", 8, False),
+    GsRow("7", "(4,8,8)", "(2,3,8)", 12, False),
+    GsRow("8", "(3,8,8)", "(2,3,8)", 10, False),
+    GsRow("9", "(9,9,9)", "(2,3,9)", 12, False),
+    GsRow("10", "(4,4,5)", "(2,4,5)", 6, False),
+    GsRow("11", "(t,4t,4t), t>=2", "(2,3,4t)", 6, False),
+    GsRow("12", "(t,2t,2t), t>=3", "(2,4,2t)", 4, False),
+    GsRow("13", "(3,t,3t), t>=3", "(2,3,3t)", 4, False),
+    GsRow("14", "(2,t,2t), t>=4", "(2,3,2t)", 3, False),
 )
+_ROWS = {row.row_id: row for row in _TABLE}
 
 
 def gs_row(row_id: str) -> GsRow:
-    for row, _ in _TABLE:
-        if row.row_id == row_id:
-            return row
-    raise DomainError(f"no signature-extension row {row_id!r}")
+    if row_id not in _ROWS:
+        raise DomainError(f"no signature-extension row {row_id!r}")
+    return _ROWS[row_id]
 
 
 @dataclass(frozen=True)
@@ -158,12 +141,7 @@ class GsExtension:
 def gs_extensions(sig: Signature) -> list[GsExtension]:
     """All table rows whose inner pattern matches; empty iff sig is finitely maximal."""
     _require_genus0(sig)
-    out: list[GsExtension] = []
-    for row, match in _TABLE:
-        outer = match(sig.periods)
-        if outer is not None:
-            out.append(GsExtension(row, Signature(0, outer)))
-    return out
+    return [GsExtension(row, outer) for row in _TABLE if (outer := row.match(sig.periods))]
 
 
 def is_finitely_maximal(sig: Signature) -> bool:
@@ -180,7 +158,7 @@ def gs_table_json() -> list[dict]:
             "index": row.index,
             "normal": row.normal,
         }
-        for row, _ in _TABLE
+        for row in _TABLE
     ]
 
 
@@ -393,41 +371,48 @@ class ExtensionChain:
     live: bool
 
 
-def _chain(item: int, steps: Sequence[tuple[str, tuple[int, ...]]], equiv: str, live: bool) -> ExtensionChain:
-    built = tuple(
-        ChainStep(row_id, Signature(0, periods), gs_row(row_id).index)
-        for row_id, periods in steps
-    )
-    composite = 1
-    for step in built:
-        composite *= step.index
-    assert composite == gs_row(equiv).index, "chain indices do not compose to the equivalent row"
-    return ExtensionChain(item, built, equiv, live)
+def chain_steps(sig: Signature, row_ids: Sequence[str]) -> tuple[ChainStep, ...]:
+    """Walk from sig through the named rows in turn, matching only the named
+    row at each step."""
+    _require_genus0(sig)
+    steps: list[ChainStep] = []
+    cur = sig
+    for rid in row_ids:
+        row = gs_row(rid)
+        outer = row.match(cur.periods)
+        assert outer is not None, f"signature {cur.periods} admits no row {rid} extension"
+        steps.append(ChainStep(rid, outer, row.index))
+        cur = outer
+    return tuple(steps)
+
+
+# The chain catalogue: (item, row ids, equivalent row, live).  A chain applies
+# exactly where its equivalent row matches, and its steps come from the table.
+_CHAINS: tuple[tuple[int, tuple[str, ...], str, bool], ...] = (
+    (1, ("1", "3"), "2", False),
+    (2, ("1", "6"), "4", True),
+    (3, ("1", "13"), "9", False),
+    (4, ("3", "3"), "12", True),
+    (5, ("3", "11"), "7", True),
+    (6, ("3", "14"), "2", False),
+    (7, ("3", "14"), "11", True),
+    (8, ("12", "14"), "7", True),
+)
 
 
 def extension_chains(sig: Signature) -> list[ExtensionChain]:
     """All catalogued two-step extension chains starting at a triangle signature."""
     _require_genus0(sig)
-    p = sig.periods
-    if len(p) != 3:
+    if len(sig.periods) != 3:
         raise DomainError("chains are catalogued for triangle signatures only")
     out: list[ExtensionChain] = []
-    if _all_equal(p) and p[0] >= 4:
-        t = p[0]
-        out.append(_chain(1, [("1", (3, 3, t)), ("3", (2, 3, 2 * t))], "2", live=False))
-        if t == 7:
-            out.append(_chain(2, [("1", (3, 3, 7)), ("6", (2, 3, 7))], "4", live=True))
-        if t == 9:
-            out.append(_chain(3, [("1", (3, 3, 9)), ("13", (2, 3, 9))], "9", live=False))
-        out.append(_chain(6, [("3", (2, t, 2 * t)), ("14", (2, 3, 2 * t))], "2", live=False))
-    if p[1] == p[2] == 2 * p[0] and p[0] >= 3:
-        t = p[0]
-        out.append(_chain(4, [("3", (2, 2 * t, 2 * t)), ("3", (2, 4, 2 * t))], "12", live=True))
-    if p == (4, 8, 8):
-        out.append(_chain(5, [("3", (2, 8, 8)), ("11", (2, 3, 8))], "7", live=True))
-        out.append(_chain(8, [("12", (2, 4, 8)), ("14", (2, 3, 8))], "7", live=True))
-    if p[1] == p[2] == 4 * p[0] and p[0] >= 2:
-        t = p[0]
-        out.append(_chain(7, [("3", (2, 2 * t, 4 * t)), ("14", (2, 3, 4 * t))], "11", live=True))
-    out.sort(key=lambda ch: ch.item)
+    for item, row_ids, equiv, live in _CHAINS:
+        row = _ROWS[equiv]
+        outer = row.match(sig.periods)
+        if outer is None:
+            continue
+        steps = chain_steps(sig, row_ids)
+        assert steps[-1].signature == outer, "chain does not end at the equivalent row's outer"
+        assert prod(s.index for s in steps) == row.index, "chain indices do not compose to the row"
+        out.append(ExtensionChain(item, steps, equiv, live))
     return out

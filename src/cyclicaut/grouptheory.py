@@ -138,12 +138,15 @@ class _Lexer:
             neg = True
             self.pos += 1
             c = self.peek()
-        if c is None or not c.isdigit():
+        if c is None or not c.isdecimal():
             raise self.error("expected an integer")
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
-        value = int(self.text[start : self.pos])
+        try:
+            value = int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise self.error(f"integer of {self.pos - start} digits is too long") from None
         return -value if neg else value
 
 
@@ -228,6 +231,8 @@ def _presentation_from_json(text: str) -> Presentation:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"presentation syntax error at position {exc.pos}: bad JSON") from exc
+    except ValueError:  # an integer with more digits than int() converts
+        raise DomainError("presentation syntax error: an integer is too long") from None
     gens = obj.get("generators")
     rels = obj.get("relators")
     if not isinstance(gens, int) or not isinstance(rels, list):

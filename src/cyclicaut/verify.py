@@ -291,15 +291,13 @@ def action_residual(cover: CyclicCover, rmap: RationalMap, samples: CurveSample)
     return worst
 
 
-def _close(p: tuple[complex, complex], q: tuple[complex, complex], tol: float) -> bool:
-    return abs(p[0] - q[0]) <= tol * max(1.0, abs(p[0])) and abs(
+def _close(p: tuple[complex, complex], q: tuple[complex, complex]) -> bool:
+    return abs(p[0] - q[0]) <= TOLERANCE * max(1.0, abs(p[0])) and abs(
         p[1] - q[1]
-    ) <= tol * max(1.0, abs(p[1]))
+    ) <= TOLERANCE * max(1.0, abs(p[1]))
 
 
-def verify_map_order(
-    cover: CyclicCover, rmap: RationalMap, k: int, samples: CurveSample, tol: float = TOLERANCE
-) -> bool:
+def verify_map_order(cover: CyclicCover, rmap: RationalMap, k: int, samples: CurveSample) -> bool:
     """True iff the k-fold composite is the identity on all samples and no
     smaller positive iterate is."""
     if k < 1:
@@ -310,10 +308,10 @@ def verify_map_order(
         for _ in range(k):
             path.append(rmap.apply(*path[-1]))
         trajectories.append(path)
-    if not all(_close(path[k], path[0], tol) for path in trajectories):
+    if not all(_close(path[k], path[0]) for path in trajectories):
         return False
     for m in range(1, k):
-        if all(_close(path[m], path[0], tol) for path in trajectories):
+        if all(_close(path[m], path[0]) for path in trajectories):
             return False
     return True
 
@@ -340,17 +338,15 @@ class ScenarioOutcome:
     passed: bool
 
 
-def run_scenario(
-    scenario: MapScenario, count: int = 100, seed: int = 0, tol: float = TOLERANCE
-) -> list[ScenarioOutcome]:
+def run_scenario(scenario: MapScenario, count: int = 100, seed: int = 0) -> list[ScenarioOutcome]:
     """Residual, order, and relation checks for one scenario at one seed."""
     samples = sample_curve(scenario.cover, count, seed)
     featured = scenario.maps[scenario.featured]
     worst = max(on_curve_residual(scenario.cover, x, y) for x, y in samples)
-    out = [ScenarioOutcome("on_curve_samples", worst, worst <= tol)]
+    out = [ScenarioOutcome("on_curve_samples", worst, worst <= TOLERANCE)]
     res = action_residual(scenario.cover, featured, samples)
-    out.append(ScenarioOutcome(f"preserves_curve[{scenario.featured}]", res, res <= tol))
-    ok = verify_map_order(scenario.cover, featured, scenario.order, samples, tol)
+    out.append(ScenarioOutcome(f"preserves_curve[{scenario.featured}]", res, res <= TOLERANCE))
+    ok = verify_map_order(scenario.cover, featured, scenario.order, samples)
     out.append(ScenarioOutcome(f"order[{scenario.featured}]={scenario.order}", 0.0, ok))
     for left, right, label in scenario.relations:
         dev = verify_relation(
@@ -359,7 +355,7 @@ def run_scenario(
             [scenario.maps[name] for name in right],
             samples,
         )
-        out.append(ScenarioOutcome(label, dev, dev <= tol))
+        out.append(ScenarioOutcome(label, dev, dev <= TOLERANCE))
     return out
 
 
@@ -386,14 +382,17 @@ def _ordered_admissible(n: int):
                 yield (a, b, c)
 
 
-def enumerate_classes(n: int, cap: int = 60) -> list[TripleClass]:
+ENUMERATION_CAP = 60
+
+
+def enumerate_classes(n: int) -> list[TripleClass]:
     """All equivalence classes of admissible triples at degree n, each with its
     ordered-triple orbit size and classification; asserts every orbit member
     classifies identically to the representative."""
     if n < 4:
         raise DomainError(f"enumeration needs degree >= 4, got {n}")
-    if n > cap:
-        raise DomainError(f"degree {n} above enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise DomainError(f"degree {n} above enumeration cap {ENUMERATION_CAP}")
     buckets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
     reports: dict[tuple[int, int, int], ClassificationReport] = {}
     for triple in _ordered_admissible(n):
@@ -544,11 +543,12 @@ def check_enumeration(payload: dict) -> CheckResult:
     )
 
 
+def check_to_json_dict(check: CheckResult) -> dict:
+    entry: dict = {"name": check.name, "n_range": list(check.n_range), "pass": check.passed}
+    if check.witness is not None:
+        entry["witness"] = check.witness
+    return entry
+
+
 def cross_check_to_json_dict(report: CrossCheckReport) -> dict:
-    out: dict = {"n_max": report.n_max, "checks": []}
-    for c in report.checks:
-        entry: dict = {"name": c.name, "n_range": list(c.n_range), "pass": c.passed}
-        if c.witness is not None:
-            entry["witness"] = c.witness
-        out["checks"].append(entry)
-    return out
+    return {"n_max": report.n_max, "checks": [check_to_json_dict(c) for c in report.checks]}

@@ -129,7 +129,7 @@ def test_numerical_action_verification():
     ]
     for scenario in scenarios:
         for seed in (0, 1, 2):
-            outcomes = run_scenario(scenario, 100, seed, tol=1e-8)
+            outcomes = run_scenario(scenario, 100, seed)
             assert all(o.passed for o in outcomes), (scenario.family, seed, outcomes)
     assert time.monotonic() - start < 5.0
 

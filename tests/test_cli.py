@@ -138,6 +138,9 @@ def test_pipe_rejects_bad_json(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("not json"))
     assert run(["cross-check"]) == 1
     assert "error:" in capsys.readouterr().err
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": ' + "9" * 5000 + "}"))
+    assert run(["cross-check"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_gs_table(capsys):
@@ -169,10 +172,33 @@ def test_coset_enum_parse_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "word", ["a^99999999999", "(a^100000)^100000", "[" * 23 + "a" + ",a]" * 23]
+    "word",
+    [
+        "a^99999999999",
+        "(a^100000)^100000",
+        "[" * 23 + "a" + ",a]" * 23,
+        pytest.param("a^" + "9" * 5000, id="a^(5000 digits)"),
+    ],
 )
 def test_coset_enum_overlong_relator(capsys, word):
     assert run(["coset-enum", "--pres", f"<a | {word}>"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abelianize", "--pres", "<a | a^" + "9" * 5000 + ">"],
+        ["coset-enum", "--pres", '{"generators": 1, "relators": [[' + "9" * 5000 + "]]}"],
+        ["classify", "--curve", "y^" + "9" * 5000 + " = x(x-1)(x+1)"],
+        ["genus", "--curve", "y^7 = x^" + "9" * 5000 + "(x-1)"],
+    ],
+)
+def test_overlong_integer_is_a_domain_error(capsys, argv):
+    # 5000 digits is past what int() converts from text by default
+    assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")

@@ -100,6 +100,13 @@ def test_parse_errors():
         parse_curve("z^5 = x")
     with pytest.raises(DomainError, match="position"):
         parse_curve("y^5 = x trailing$")
+    # more digits than int() converts from text
+    with pytest.raises(DomainError, match="integer of 5000 digits is too long"):
+        parse_curve("y^7 = x^" + "9" * 5000 + "(x-1)")
+    with pytest.raises(DomainError, match="integer of 5000 digits is too long"):
+        parse_curve("y^7 = " + "9" * 5000 + "x(x-1)")
+    with pytest.raises(DomainError, match="position 8: expected an integer"):
+        parse_curve("y^7 = x^\u00b2(x-1)")  # a digit, but not a decimal one
 
 
 def test_cover_validation():

@@ -12,6 +12,7 @@ from cyclicaut.fuchsian import (
     GsExtension,
     SkepSpec,
     cb_extendable,
+    chain_steps,
     extension_chains,
     gs_extensions,
     gs_row,
@@ -40,6 +41,19 @@ def test_gs_extensions_examples():
         ("4", (2, 3, 7), 24),
     ]
     assert _ext_summary((2, 3, 7)) == []
+    # guard boundaries: rows 1 and 2 need t >= 4, row 3 needs t + m >= 7,
+    # row 12 needs t >= 3 and row 14 needs t >= 4
+    assert _ext_summary((3, 3, 3)) == []
+    assert _ext_summary((4, 4, 4)) == [
+        ("1", (3, 3, 4), 3),
+        ("2", (2, 3, 8), 6),
+        ("3", (2, 4, 8), 2),
+    ]
+    assert _ext_summary((3, 3, 4)) == [("3", (2, 3, 8), 2)]
+    assert _ext_summary((2, 4, 4)) == []
+    assert _ext_summary((3, 6, 6)) == [("3", (2, 6, 6), 2), ("12", (2, 4, 6), 4)]
+    assert _ext_summary((2, 3, 6)) == []
+    assert _ext_summary((2, 4, 8)) == [("14", (2, 3, 8), 3)]
 
 
 def test_gs_extensions_literal_rows():
@@ -263,6 +277,27 @@ def test_chains_t_2t_2t():
         ch = next(c for c in chains if c.item == 4)
         assert ch.live and ch.equivalent_row_id == "12"
         assert ch.steps[-1].signature.periods == (2, 4, 2 * t)
+
+
+# One start signature per catalogue item, with its steps as (row, outer, index).
+CHAIN_STEPS = {
+    1: ((7, 7, 7), [("1", (3, 3, 7), 3), ("3", (2, 3, 14), 2)]),
+    2: ((7, 7, 7), [("1", (3, 3, 7), 3), ("6", (2, 3, 7), 8)]),
+    3: ((9, 9, 9), [("1", (3, 3, 9), 3), ("13", (2, 3, 9), 4)]),
+    4: ((5, 10, 10), [("3", (2, 10, 10), 2), ("3", (2, 4, 10), 2)]),
+    5: ((4, 8, 8), [("3", (2, 8, 8), 2), ("11", (2, 3, 8), 6)]),
+    6: ((5, 5, 5), [("3", (2, 5, 10), 2), ("14", (2, 3, 10), 3)]),
+    7: ((3, 12, 12), [("3", (2, 6, 12), 2), ("14", (2, 3, 12), 3)]),
+    8: ((4, 8, 8), [("12", (2, 4, 8), 4), ("14", (2, 3, 8), 3)]),
+}
+
+
+@pytest.mark.parametrize("item", sorted(CHAIN_STEPS))
+def test_chain_steps_pinned(item):
+    periods, expected = CHAIN_STEPS[item]
+    chain = next(c for c in extension_chains(Signature(0, periods)) if c.item == item)
+    assert [(s.row_id, s.signature.periods, s.index) for s in chain.steps] == expected
+    assert chain_steps(Signature(0, periods), [row for row, _, _ in expected]) == chain.steps
 
 
 def test_chains_indices_compose():

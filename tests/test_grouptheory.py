@@ -68,6 +68,10 @@ def test_parse_errors_carry_position():
         parse_presentation("<a | a^2> junk")
     with pytest.raises(DomainError):
         parse_presentation("no brackets")
+    with pytest.raises(DomainError, match="position 5007: integer of 5000 digits"):
+        parse_presentation("<a | a^" + "9" * 5000 + ">")
+    with pytest.raises(DomainError, match="position 7: expected an integer"):
+        parse_presentation("<a | a^\u00b2>")  # a digit, but not a decimal one
 
 
 @pytest.mark.parametrize("word", OVERLONG_RELATORS)

@@ -8,6 +8,7 @@ import pytest
 from cyclicaut.curve import genus, parse_curve
 from cyclicaut.numtheory import DomainError
 from cyclicaut.verify import (
+    ENUMERATION_CAP,
     CurveSample,
     ProductForm,
     RationalMap,
@@ -245,11 +246,9 @@ def test_enumerate_classes_ordered_count_closed_form():
 def test_enumerate_classes_validation():
     with pytest.raises(DomainError):
         enumerate_classes(3)
-    with pytest.raises(DomainError):
-        enumerate_classes(61)
-    with pytest.raises(DomainError):
-        enumerate_classes(13, cap=12)
-    assert enumerate_classes(13, cap=13)
+    with pytest.raises(DomainError, match="above enumeration cap 60"):
+        enumerate_classes(ENUMERATION_CAP + 1)
+    assert enumerate_classes(ENUMERATION_CAP)
 
 
 def test_enumeration_json_and_check():
