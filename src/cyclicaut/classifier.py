@@ -3,8 +3,10 @@
 Total decision procedures for three families: three-branch-point covers
 y^n = x^a (x-1)^b (x+1)^c, the two-finite-branch-point prime-degree family
 y^p = x^a (x+1), and Fermat curves y^n + x^d = 1.  Each verdict names a
-table row, the group's order and structure, the signature-extension chain
-that produces it, and (when available) a finite presentation.
+table row, the group and the signature-extension chain that produces it.  A
+group is written once, as its order, kind and params; its structure string
+is formatted from kind and params, and its presentation (on rows that ship
+one) is kept as the text reports print, parsed only when asked for.
 """
 
 from __future__ import annotations
@@ -25,30 +27,55 @@ from .curve import (
     signature_of,
 )
 from .fuchsian import ChainStep, chain_steps
-from .grouptheory import Presentation, presentation_to_text
+from .grouptheory import Presentation, parse_presentation
 from .numtheory import DomainError, gcd_many, is_prime
 
 
 # ---------------------------------------------------------------------------
 # Group descriptors
 
+# How each kind of group is written, formatted with the group's params.
+_STRUCTURE_FORMATS = {
+    "CYCLIC": "Z{0}",
+    "CYCLIC_SEMIDIRECT_C2": "Z{0}:Z2",
+    "CYCLIC_SEMIDIRECT_C3": "Z{0}:Z3",
+    "CENTRAL_EXT": "(central Z{0}):{1}",
+    "DIRECT_SUM_SEMIDIRECT": "(Z{0[0]}+Z{0[1]}):{1}",
+    "NAMED": "{0}",
+    "ABELIAN": "Z{0}+Z{1}",
+}
+
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """Order plus a structure tag; kind/params give the machine-readable form."""
+    """A reported group: its order, its kind and params (a key of
+    ``_STRUCTURE_FORMATS`` and the values that format it), and the text of its
+    presentation, or None on rows that ship none."""
 
     order: int
-    structure: str
-    kind: str  # CYCLIC, CYCLIC_SEMIDIRECT_C2, CYCLIC_SEMIDIRECT_C3, CENTRAL_EXT,
-    #            DIRECT_SUM_SEMIDIRECT, NAMED, ABELIAN
-    params: tuple = ()
-    presentation: Optional[Presentation] = None
+    kind: str
+    params: tuple
+    presentation_text: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.order < 1:
             raise DomainError("group order must be positive")
+        if self.kind not in _STRUCTURE_FORMATS:
+            raise DomainError(f"unknown group kind {self.kind!r}")
         if self.kind == "CYCLIC" and self.params and self.params[0] != self.order:
             raise DomainError("cyclic descriptor order mismatch")
+
+    @property
+    def structure(self) -> str:
+        return _STRUCTURE_FORMATS[self.kind].format(*self.params)
+
+    @property
+    def presentation(self) -> Optional[Presentation]:
+        """The presentation text, parsed; a DomainError when its relators
+        expand past ``MAX_RELATOR_LETTERS`` letters (Z_m for m above it)."""
+        if self.presentation_text is None:
+            return None
+        return parse_presentation(self.presentation_text)
 
 
 @dataclass(frozen=True)
@@ -70,81 +97,50 @@ class ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Presentation builders
+# Presentation builders: each returns the text a report prints, written as
+# ``presentation_to_text`` writes the parsed presentation.
 
 
-def _commutator(i: int, j: int) -> tuple[int, ...]:
-    return (i, j, -i, -j)
+def cyclic_presentation(m: int) -> str:
+    return f"<a | a^{m}>"
 
 
-def cyclic_presentation(m: int) -> Presentation:
-    return Presentation(1, ((1,) * m,), ("a",))
+def central_dihedral_presentation(n: int) -> str:
+    return f"<u,v | u^4, v^{n}, u*v*u*v, u^2*v*u^-2*v^-1>"
 
 
-def central_dihedral_presentation(n: int) -> Presentation:
-    """<u,v | u^4, v^n, (uv)^2, [u^2,v]>, of order 4n (n even)."""
-    return Presentation(
-        2, ((1, 1, 1, 1), (2,) * n, (1, 2, 1, 2), (1, 1, 2, -1, -1, -2)), ("u", "v")
-    )
-
-
-def kulkarni_presentation(n: int) -> Presentation:
-    """<u,v | u^4, v^n, (uv)^2, u^2 v u^2 v^(n/2-1)>, of order 4n (8 | n)."""
+def kulkarni_presentation(n: int) -> str:
     if n % 2:
         raise DomainError("this presentation needs an even degree")
-    return Presentation(
-        2,
-        ((1, 1, 1, 1), (2,) * n, (1, 2, 1, 2), (1, 1, 2, 1, 1) + (2,) * (n // 2 - 1)),
-        ("u", "v"),
-    )
+    return f"<u,v | u^4, v^{n}, u*v*u*v, u^2*v*u^2*v^{n // 2 - 1}>"
 
 
-def twisted_c2_presentation(n: int, b: int) -> Presentation:
-    """<u,v | u^2, v^n, u v u v^-b>: the relation u v u = v^b, order 2n."""
-    return Presentation(2, ((1, 1), (2,) * n, (1, 2, 1) + (-2,) * b), ("u", "v"))
+def twisted_c2_presentation(n: int, b: int) -> str:
+    return f"<u,v | u^2, v^{n}, u*v*u*v^-{b}>"
 
 
-def twisted_c3_presentation(n: int, k: int) -> Presentation:
-    """<s,t | s^3, t^n, s t s^-1 t^-k>: the relation s t s^-1 = t^k, order 3n."""
-    return Presentation(2, ((1, 1, 1), (2,) * n, (1, 2, -1) + (-2,) * k), ("s", "t"))
+def twisted_c3_presentation(n: int, k: int) -> str:
+    return f"<s,t | s^3, t^{n}, s*t*s^-1*t^-{k}>"
 
 
-def abelian_presentation(d: int, n: int) -> Presentation:
-    return Presentation(2, ((1,) * d, (2,) * n, _commutator(1, 2)), ("s", "t"))
+def abelian_presentation(d: int, n: int) -> str:
+    return f"<s,t | s^{d}, t^{n}, s*t*s^-1*t^-1>"
 
 
-def fermat_divisor_presentation(d: int, n: int) -> Presentation:
-    """<s,t,u | s^d, t^n, u^2, [s,t], [s,u], (ut)^2 s>, of order 2dn."""
-    return Presentation(
-        3,
-        ((1,) * d, (2,) * n, (3, 3), _commutator(1, 2), _commutator(1, 3), (3, 2, 3, 2, 1)),
-        ("s", "t", "u"),
-    )
+def fermat_divisor_presentation(d: int, n: int) -> str:
+    return f"<s,t,u | s^{d}, t^{n}, u^2, s*t*s^-1*t^-1, s*u*s^-1*u^-1, u*t*u*t*s>"
 
 
-def fermat_quadratic_presentation(n: int) -> Presentation:
-    """<a,b,u | a^n, b^n, (ab)^2, [a,b], u^2, uaub^-1, ubua^-1>, of order 4n."""
-    return Presentation(
-        3,
-        ((1,) * n, (2,) * n, (1, 2, 1, 2), _commutator(1, 2), (3, 3), (3, 1, 3, -2), (3, 2, 3, -1)),
-        ("a", "b", "u"),
-    )
+def fermat_quadratic_presentation(n: int) -> str:
+    return f"<a,b,u | a^{n}, b^{n}, a*b*a*b, a*b*a^-1*b^-1, u^2, u*a*u*b^-1, u*b*u*a^-1>"
 
 
-def fermat_cubic_presentation(n: int) -> Presentation:
-    """Same generators with (ab)^3 = 1, of order 6n."""
-    return Presentation(
-        3,
-        ((1,) * n, (2,) * n, (1, 2) * 3, _commutator(1, 2), (3, 3), (3, 1, 3, -2), (3, 2, 3, -1)),
-        ("a", "b", "u"),
-    )
+def fermat_cubic_presentation(n: int) -> str:
+    return f"<a,b,u | a^{n}, b^{n}, a*b*a*b*a*b, a*b*a^-1*b^-1, u^2, u*a*u*b^-1, u*b*u*a^-1>"
 
 
-def octahedral_times_c4_presentation() -> Presentation:
-    """<x,y | x^2, y^3, x (xy)^3 x^-1 (xy)^-3>, of order 48."""
-    return Presentation(
-        2, ((1, 1), (2, 2, 2), (1,) + (1, 2) * 3 + (-1,) + (-2, -1) * 3), ("x", "y")
-    )
+def octahedral_times_c4_presentation() -> str:
+    return "<x,y | x^2, y^3, x^2*y*x*y*x*y*x^-1*y^-1*x^-1*y^-1*x^-1*y^-1*x^-1>"
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +148,7 @@ def octahedral_times_c4_presentation() -> Presentation:
 
 
 def _cyclic(m: int) -> GroupDescriptor:
-    return GroupDescriptor(m, f"Z{m}", "CYCLIC", (m,), cyclic_presentation(m))
+    return GroupDescriptor(m, "CYCLIC", (m,), cyclic_presentation(m))
 
 
 def _make_report(
@@ -207,40 +203,36 @@ def _exact(row: str, degree: int, triple: tuple[int, int, int], chain_row: str,
 
 
 def _build_a2(n: int, twist: int):
-    group = GroupDescriptor(4 * n, f"(central Z2):D{2 * n}", "CENTRAL_EXT", (2, f"D{2 * n}"),
+    group = GroupDescriptor(4 * n, "CENTRAL_EXT", (2, f"D{2 * n}"),
                             central_dihedral_presentation(n))
     return group, ("12",) if n >= 6 else (), n // 2 - 1
 
 
 def _build_b2(n: int, twist: int):
-    group = GroupDescriptor(4 * n, f"(Z{n}:Z2):Z2", "NAMED", (f"(Z{n}:Z2):Z2",),
-                            kulkarni_presentation(n))
+    group = GroupDescriptor(4 * n, "NAMED", (f"(Z{n}:Z2):Z2",), kulkarni_presentation(n))
     return group, ("12",), n // 2 - 1
 
 
 def _build_b1(n: int, twist: int):
-    group = GroupDescriptor(2 * n, f"Z{n}:Z2", "CYCLIC_SEMIDIRECT_C2", (n, twist),
+    group = GroupDescriptor(2 * n, "CYCLIC_SEMIDIRECT_C2", (n, twist),
                             twisted_c2_presentation(n, twist))
     return group, ("3",), (n - gcd(n, twist + 1)) // 2
 
 
 def _build_c1(n: int, twist: int):
-    group = GroupDescriptor(3 * n, f"Z{n}:Z3", "CYCLIC_SEMIDIRECT_C3", (n, twist),
+    group = GroupDescriptor(3 * n, "CYCLIC_SEMIDIRECT_C3", (n, twist),
                             twisted_c3_presentation(n, twist))
     return group, ("1",), (n - 1) // 2
 
 
 _BELYI_RULES: tuple[tuple[str, _Holds, _Build], ...] = (
     _exact("B.3", 8, (1, 2, 5), "7", 3,
-           GroupDescriptor(96, "(Z4+Z4):S3", "DIRECT_SUM_SEMIDIRECT", ((4, 4), "S3"))),
-    _exact("C.2", 7, (1, 2, 4), "4", 3, GroupDescriptor(168, "PSL(2,7)", "NAMED", ("PSL(2,7)",))),
-    _exact("D.1", 12, (1, 3, 8), "13", 3,
-           GroupDescriptor(48, "(central Z4):A4", "CENTRAL_EXT", (4, "A4"))),
-    _exact("E.1", 8, (1, 3, 4), "11", 2, GroupDescriptor(48, "GL(2,3)", "NAMED", ("GL(2,3)",))),
-    _exact("E.2", 12, (1, 4, 7), "11", 4,
-           GroupDescriptor(72, "(central Z3):S4", "CENTRAL_EXT", (3, "S4"))),
-    _exact("E.3", 24, (1, 4, 19), "11", 10,
-           GroupDescriptor(144, "(central Z6):S4", "CENTRAL_EXT", (6, "S4"))),
+           GroupDescriptor(96, "DIRECT_SUM_SEMIDIRECT", ((4, 4), "S3"))),
+    _exact("C.2", 7, (1, 2, 4), "4", 3, GroupDescriptor(168, "NAMED", ("PSL(2,7)",))),
+    _exact("D.1", 12, (1, 3, 8), "13", 3, GroupDescriptor(48, "CENTRAL_EXT", (4, "A4"))),
+    _exact("E.1", 8, (1, 3, 4), "11", 2, GroupDescriptor(48, "NAMED", ("GL(2,3)",))),
+    _exact("E.2", 12, (1, 4, 7), "11", 4, GroupDescriptor(72, "CENTRAL_EXT", (3, "S4"))),
+    _exact("E.3", 24, (1, 4, 19), "11", 10, GroupDescriptor(144, "CENTRAL_EXT", (6, "S4"))),
     ("A.1", lambda n, x, y: n % 2 == 1 and x == 1,
      lambda n, twist: (_cyclic(2 * n), ("3",), (n - 1) // 2)),
     ("A.2", lambda n, x, y: n % 2 == 0 and x == 1, _build_a2),
@@ -381,41 +373,30 @@ def classify_fermat(n: int, d: int) -> ClassificationReport:
     if d == 2:
         if n % 2:
             return report("F.4", _cyclic(2 * n), [])
-        group = GroupDescriptor(
-            4 * n, f"(Z2+Z{n}):Z2", "DIRECT_SUM_SEMIDIRECT", ((2, n), "Z2"),
-            fermat_quadratic_presentation(n),
-        )
+        group = GroupDescriptor(4 * n, "DIRECT_SUM_SEMIDIRECT", ((2, n), "Z2"),
+                                fermat_quadratic_presentation(n))
         return report("F.5", group, ["3"])
     if d == 3:
         if n == 4:
-            group = GroupDescriptor(
-                48, "(central Z4):A4", "CENTRAL_EXT", (4, "A4"), octahedral_times_c4_presentation()
-            )
+            group = GroupDescriptor(48, "CENTRAL_EXT", (4, "A4"),
+                                    octahedral_times_c4_presentation())
             return report("F.8", group, ["13"])
         if n % 3 == 0:
-            group = GroupDescriptor(
-                6 * n, f"(Z3+Z{n}):Z2", "DIRECT_SUM_SEMIDIRECT", ((3, n), "Z2"),
-                fermat_cubic_presentation(n),
-            )
+            group = GroupDescriptor(6 * n, "DIRECT_SUM_SEMIDIRECT", ((3, n), "Z2"),
+                                    fermat_cubic_presentation(n))
             return report("F.6", group, ["3"])
         return report(
             "F.7", _cyclic(3 * n), [],
             notes="signature admits an extension but no compatible epimorphism survives it",
         )
     if d == n:
-        group = GroupDescriptor(
-            6 * n * n, f"(Z{n}+Z{n}):S3", "DIRECT_SUM_SEMIDIRECT", ((n, n), "S3")
-        )
-        return report("F.1", group, ["2"])
+        return report("F.1", GroupDescriptor(6 * n * n, "DIRECT_SUM_SEMIDIRECT", ((n, n), "S3")),
+                      ["2"])
     if n % d:
-        group = GroupDescriptor(
-            d * n, f"Z{d}+Z{n}", "ABELIAN", (d, n), abelian_presentation(d, n)
-        )
-        return report("F.2", group, [])
-    group = GroupDescriptor(
-        2 * d * n, f"(central Z{d}):D{2 * n}", "CENTRAL_EXT", (d, f"D{2 * n}"),
-        fermat_divisor_presentation(d, n),
-    )
+        return report("F.2", GroupDescriptor(d * n, "ABELIAN", (d, n), abelian_presentation(d, n)),
+                      [])
+    group = GroupDescriptor(2 * d * n, "CENTRAL_EXT", (d, f"D{2 * n}"),
+                            fermat_divisor_presentation(d, n))
     return report("F.3", group, ["3"])
 
 
@@ -456,7 +437,7 @@ def stability_normal(p: int, r: int) -> bool:
 
 
 def presentation_for(report: ClassificationReport) -> Optional[Presentation]:
-    """The attached presentation, when the classification carries one."""
+    """The report's presentation, or None when its row ships none."""
     return report.group.presentation
 
 
@@ -470,8 +451,8 @@ def report_to_json_dict(report: ClassificationReport) -> dict:
         "order": report.group.order,
         "structure": report.group.structure,
     }
-    if report.group.presentation is not None:
-        out["presentation"] = presentation_to_text(report.group.presentation)
+    if report.group.presentation_text is not None:
+        out["presentation"] = report.group.presentation_text
     out["chain"] = [
         {"row": step.row_id, "signature": list(step.signature.periods), "index": step.index}
         for step in report.chain

@@ -59,10 +59,8 @@ def _print_report(report, as_json: bool) -> None:
     for step in report.chain:
         periods = ",".join(str(p) for p in step.signature.periods)
         print(f"chain      row {step.row_id} -> ({periods}) index {step.index}")
-    if report.group.presentation is not None:
-        from .grouptheory import presentation_to_text
-
-        print(f"presentation {presentation_to_text(report.group.presentation)}")
+    if report.group.presentation_text is not None:
+        print(f"presentation {report.group.presentation_text}")
     if report.notes:
         print(f"notes      {report.notes}")
 

@@ -144,11 +144,6 @@ def gs_extensions(sig: Signature) -> list[GsExtension]:
     return [GsExtension(row, outer) for row in _TABLE if (outer := row.match(sig.periods))]
 
 
-def is_finitely_maximal(sig: Signature) -> bool:
-    """True iff no Fuchsian group with this signature embeds in a larger one generically."""
-    return not gs_extensions(sig)
-
-
 def gs_table_json() -> list[dict]:
     return [
         {

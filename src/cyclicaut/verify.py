@@ -455,14 +455,17 @@ class CrossCheckReport:
 
 
 def cross_check(n_max: int, *, _genus_fn: Optional[Callable] = None) -> CrossCheckReport:
-    """Replay the classifier over every admissible triple with n <= n_max and
-    test each invariant against an independent oracle.
+    """Replay the classifier over every admissible triple with n <= n_max
+    (at most ``ENUMERATION_CAP``) and test each invariant against an
+    independent oracle.
 
     _genus_fn is a test-build fault-injection hook replacing the closed-form
     genus; production callers leave it unset.
     """
     if n_max < 4:
         raise DomainError(f"cross-check needs n_max >= 4, got {n_max}")
+    if n_max > ENUMERATION_CAP:
+        raise DomainError(f"degree {n_max} above enumeration cap {ENUMERATION_CAP}")
     genus_fn = _genus_fn if _genus_fn is not None else genus
     failures: dict[str, dict] = {}
 
@@ -528,10 +531,12 @@ def cross_check(n_max: int, *, _genus_fn: Optional[Callable] = None) -> CrossChe
 def check_enumeration(payload: dict) -> CheckResult:
     """Re-derive an emitted enumeration and compare; for piped verification."""
     try:
-        n = int(payload["n"])
+        n = payload["n"]
         listed = payload["classes"]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError):
         raise DomainError("enumeration payload needs keys 'n' and 'classes'")
+    if type(n) is not int:  # a JSON integer; bool is a subclass of int
+        raise DomainError("enumeration payload 'n' must be a JSON integer")
     derived = enumeration_to_json_dict(n, enumerate_classes(n))["classes"]
     if listed == derived:
         return CheckResult("enumeration_consistent", (n, n), True)

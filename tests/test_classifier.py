@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from cyclicaut import classifier
 from cyclicaut.classifier import (
     ClassificationReport,
     GroupDescriptor,
@@ -26,7 +27,13 @@ from cyclicaut.curve import (
     triple_orbit,
 )
 from cyclicaut.fuchsian import cb_extendable, skep_of_cover
-from cyclicaut.grouptheory import coset_enumerate, fingerprint
+from cyclicaut.grouptheory import (
+    Presentation,
+    coset_enumerate,
+    fingerprint,
+    parse_presentation,
+    presentation_to_text,
+)
 from cyclicaut.numtheory import DomainError, is_prime
 
 
@@ -518,6 +525,54 @@ def test_report_json_presentation_and_notes():
 
 def test_group_descriptor_validation():
     with pytest.raises(DomainError):
-        GroupDescriptor(0, "Z0", "CYCLIC", (0,))
+        GroupDescriptor(0, "CYCLIC", (0,))
     with pytest.raises(DomainError):
-        GroupDescriptor(6, "Z5", "CYCLIC", (5,))
+        GroupDescriptor(6, "CYCLIC", (5,))
+    with pytest.raises(DomainError):
+        GroupDescriptor(6, "DIHEDRAL", (3,))
+
+
+def test_presentation_builders_print_their_text():
+    # each builder returns the text presentation_to_text prints for it
+    texts = [classifier.octahedral_times_c4_presentation()]
+    for n in range(2, 120):
+        texts += [classifier.cyclic_presentation(n), classifier.fermat_quadratic_presentation(n),
+                  classifier.fermat_cubic_presentation(n)]
+        if n % 2 == 0 and n >= 4:
+            texts.append(classifier.central_dihedral_presentation(n))
+        if n % 2 == 0 and n >= 6:
+            texts.append(classifier.kulkarni_presentation(n))
+    for n in range(2, 40):
+        for k in range(1, n):
+            texts += [classifier.twisted_c2_presentation(n, k),
+                      classifier.twisted_c3_presentation(n, k)]
+        for d in range(2, n + 1):
+            texts += [classifier.abelian_presentation(d, n),
+                      classifier.fermat_divisor_presentation(d, n)]
+    for text in texts:
+        assert presentation_to_text(parse_presentation(text)) == text
+
+
+def test_classification_builds_no_presentation(monkeypatch):
+    # reports carry presentation text; a Presentation is built only on request
+    built = []
+    check = Presentation.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Presentation, "__post_init__", counting)
+    reports = [classify_belyi(n, *t) for n, t in [
+        (9, (1, 1, 7)), (10, (1, 1, 8)), (15, (1, 4, 10)), (16, (1, 6, 9)), (13, (1, 3, 9)),
+        (7, (1, 2, 4)), (8, (1, 2, 5)), (11, (1, 2, 8)), (10007, (1, 2, 10004)),
+    ]]
+    reports += [classify_lefschetz(p, a) for p, a in [(7, 2), (13, 3), (11, 1), (11, 2)]]
+    reports += [classify_fermat(n, d) for n, d in [
+        (5, 2), (6, 2), (6, 3), (4, 3), (5, 3), (5, 5), (5, 4), (8, 4),
+    ]]
+    for r in reports:
+        report_to_json_dict(r)
+    assert built == []
+    assert presentation_for(classify_belyi(15, 1, 4, 10)) is not None
+    assert len(built) == 1

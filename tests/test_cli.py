@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from cyclicaut.cli import run
-from cyclicaut.verify import check_enumeration
+from cyclicaut.verify import ENUMERATION_CAP, check_enumeration
 
 G96 = (
     "(1,4)(2,7)(3,10)(5,8)(6,11)(9,12);"
@@ -112,6 +112,11 @@ def test_cross_check_empty_stdin(capsys, monkeypatch):
 def test_cross_check_below_range(capsys):
     assert run(["cross-check", "--n-max", "3"]) == 1
     assert "error:" in capsys.readouterr().err
+    # and above the enumeration cap
+    assert run(["cross-check", "--n-max", str(ENUMERATION_CAP + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: degree {ENUMERATION_CAP + 1} above enumeration cap")
 
 
 def test_pipe_enumerate_into_cross_check(capsys, monkeypatch):
@@ -141,6 +146,12 @@ def test_pipe_rejects_bad_json(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": ' + "9" * 5000 + "}"))
     assert run(["cross-check"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    # n must be a JSON integer: no float, string or bool is read as a degree
+    for n in ("1e400", "5.5", '"7"', "true"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": ' + n + ', "classes": []}'))
+        assert run(["cross-check"]) == 1, n
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), n
 
 
 def test_gs_table(capsys):

@@ -18,7 +18,6 @@ from cyclicaut.fuchsian import (
     gs_row,
     gs_table_json,
     harvey_admissible,
-    is_finitely_maximal,
     skep_of_cover,
 )
 from cyclicaut.numtheory import DomainError, gcd_many, lcm_many
@@ -73,13 +72,14 @@ def test_gs_extensions_quadrilateral_rows():
 
 
 def test_is_finitely_maximal_examples():
-    assert is_finitely_maximal(Signature(0, (2, 3, 12)))
+    # a signature is finitely maximal exactly when no table row extends it
+    assert gs_extensions(Signature(0, (2, 3, 12))) == []
     for n in range(5, 20):
-        assert not is_finitely_maximal(Signature(0, (2, n, n)))
-    assert is_finitely_maximal(Signature(0, (2, 4, 4)))  # vacuous: below row bounds
+        assert gs_extensions(Signature(0, (2, n, n))) != []
+    assert gs_extensions(Signature(0, (2, 4, 4))) == []  # vacuous: below row bounds
     for n in range(3, 12):
         expected = n == 4
-        assert is_finitely_maximal(Signature(0, (2, 4, 2 * n))) is not expected
+        assert (gs_extensions(Signature(0, (2, 4, 2 * n))) == []) is not expected
 
 
 def test_gs_row_lookup():

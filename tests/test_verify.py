@@ -302,3 +302,6 @@ def test_cross_check_fault_injection():
 def test_cross_check_below_range():
     with pytest.raises(DomainError):
         cross_check(3)
+    # the sweep stops at the cap enumerate_classes keeps
+    with pytest.raises(DomainError, match=f"degree {ENUMERATION_CAP + 1} above enumeration cap"):
+        cross_check(ENUMERATION_CAP + 1)
