@@ -5,8 +5,8 @@ y^n = x^a (x-1)^b (x+1)^c, the two-finite-branch-point prime-degree family
 y^p = x^a (x+1), and Fermat curves y^n + x^d = 1.  Each verdict names a
 table row, the group and the signature-extension chain that produces it.  A
 group is written once, as its order, kind and params; its structure string
-is formatted from kind and params, and its presentation (on rows that ship
-one) is kept as the text reports print, parsed only when asked for.
+is formatted from these, and its presentation (on rows that ship one) is
+kept as the text reports print, parsed only when asked for.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from .numtheory import DomainError, gcd_many, is_prime
 # ---------------------------------------------------------------------------
 # Group descriptors
 
-# How each kind of group is written, formatted with the group's params.
+# How each kind of group is written, formatted with the group's params (and
+# its order, as ``order``).
 _STRUCTURE_FORMATS = {
-    "CYCLIC": "Z{0}",
+    "CYCLIC": "Z{order}",
     "CYCLIC_SEMIDIRECT_C2": "Z{0}:Z2",
     "CYCLIC_SEMIDIRECT_C3": "Z{0}:Z3",
     "CENTRAL_EXT": "(central Z{0}):{1}",
@@ -64,10 +65,14 @@ class GroupDescriptor:
             raise DomainError(f"unknown group kind {self.kind!r}")
         if self.kind == "CYCLIC" and self.params and self.params[0] != self.order:
             raise DomainError("cyclic descriptor order mismatch")
+        try:
+            self.structure
+        except (IndexError, KeyError, TypeError):
+            raise DomainError(f"params {self.params!r} do not fill a {self.kind} group") from None
 
     @property
     def structure(self) -> str:
-        return _STRUCTURE_FORMATS[self.kind].format(*self.params)
+        return _STRUCTURE_FORMATS[self.kind].format(*self.params, order=self.order)
 
     @property
     def presentation(self) -> Optional[Presentation]:
@@ -331,19 +336,16 @@ def classify_lefschetz(p: int, a: int) -> ClassificationReport:
 
 
 def lefschetz_isomorphic(p: int, a: int, b: int) -> bool:
-    """Curve-isomorphism test for canonical exponents a, b in [1, (p-1)/2)."""
+    """Curve-isomorphism test for canonical exponents a, b in [1, (p-1)/2):
+    the covers' exponent triples (a, 1, p-1-a) and (b, 1, p-1-b) lie in one
+    class."""
     if not is_prime(p) or p < 5:
         raise DomainError(f"degree must be a prime >= 5, got {p}")
     half = (p - 1) // 2
     for v in (a, b):
         if not 1 <= v < half:
             raise DomainError(f"exponent {v} outside [1, {half})")
-    if a == b:
-        return True
-    return any(
-        value % p == 0
-        for value in (a * b + b + 1, a * b + a + 1, a + b + a * b, a * b - 1)
-    )
+    return canonical_triple(p, a, 1, p - 1 - a) == canonical_triple(p, b, 1, p - 1 - b)
 
 
 # ---------------------------------------------------------------------------

@@ -286,12 +286,6 @@ def run(argv) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(ns, "max_cosets", 1) < 1 or getattr(ns, "max_size", 1) < 1:
-        print("error: budgets must be positive", file=sys.stderr)
-        return 1
-    if getattr(ns, "samples", 1) < 1:
-        print("error: sample count must be positive", file=sys.stderr)
-        return 1
     try:
         return ns.fn(ns, parser)
     except SystemExit as exc:  # parser.error inside a handler

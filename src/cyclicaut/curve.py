@@ -386,16 +386,25 @@ def canonical_triple(n: int, a: int, b: int, c: int) -> tuple[int, int, int]:
     """Lexicographically least representative of the triple's equivalence class.
 
     Two triples are equivalent when one is a unit multiple mod n of a
-    permutation of the other.
+    permutation of the other.  A unit keeps gcd(n, k), and the least unit
+    multiple of k is gcd(n, k), so the least entry of the class is
+    g = min gcd(n, k_i).  The least triple therefore comes from a unit that
+    carries an entry k with gcd(n, k) = g down to g: a lift to [0, n) of
+    (k/g)^-1 mod n/g that is coprime to n.  The three gcds are pairwise
+    coprime (a common factor of two divides the third entry, and the triple
+    is irreducible), so g <= n^(1/3) and at most 3g units are tried.
     """
     _validate_triple(n, a, b, c)
-    best: tuple[int, int, int] | None = None
-    for k in units(n):
-        scaled = tuple(sorted(((k * a) % n, (k * b) % n, (k * c) % n)))
-        if best is None or scaled < best:
-            best = scaled
-    assert best is not None
-    return best
+    triple = (a, b, c)
+    g = min(gcd(n, k) for k in triple)
+    step = n // g
+    return min(
+        tuple(sorted(u * t % n for t in triple))
+        for k in triple
+        if gcd(n, k) == g
+        for u in range(pow(k // g, -1, step), n, step)
+        if gcd(u, n) == 1
+    )
 
 
 def triple_orbit(n: int, a: int, b: int, c: int) -> set[tuple[int, int, int]]:

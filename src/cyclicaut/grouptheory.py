@@ -241,21 +241,6 @@ def _presentation_from_json(text: str) -> Presentation:
     return Presentation(gens, tuple(tuple(w) for w in rels), names)
 
 
-def triangle_presentation(l: int, m: int, k: int) -> Presentation:
-    """The triangle group ``<x,y | x^l, y^m, (x*y)^k>``."""
-    for v in (l, m, k):
-        if v < 2:
-            raise DomainError(f"triangle periods must be >= 2, got {v}")
-    return Presentation(2, ((1,) * l, (2,) * m, (1, 2) * k), ("x", "y"))
-
-
-def dihedral_presentation(n: int) -> Presentation:
-    """``<u,v | u^2, v^n, (u*v)^2>``, of order 2n."""
-    if n < 2:
-        raise DomainError(f"dihedral parameter must be >= 2, got {n}")
-    return Presentation(2, ((1, 1), (2,) * n, (1, 2, 1, 2)), ("u", "v"))
-
-
 # ---------------------------------------------------------------------------
 # Todd-Coxeter coset enumeration (HLT with lookahead)
 

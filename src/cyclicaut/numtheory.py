@@ -1,11 +1,10 @@
 """Exact integer arithmetic primitives shared by every other module.
 
-All arithmetic is over Python's arbitrary-precision integers; congruence
-questions are answered by exhaustive residue scans.  A scan over the
-residues modulo n costs O(n) per call (trial division in is_prime and
-factorize costs O(sqrt(n))).  A classification makes one such scan, the
-unit scan behind its canonical triple; its table rows test congruences on
-the triple's unit-led forms and scan no residues.
+All arithmetic is over Python's arbitrary-precision integers.  The unit
+helpers answer congruence questions by exhaustive residue scans, O(n) per
+call (trial division in is_prime and factorize costs O(sqrt(n))).  A
+classification makes no such scan: its canonical triple has a closed form,
+and its table rows test congruences on the triple's unit-led forms.
 """
 
 from __future__ import annotations

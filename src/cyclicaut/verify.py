@@ -14,7 +14,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .classifier import ClassificationReport, classify_belyi
 from .curve import (
@@ -454,19 +454,14 @@ class CrossCheckReport:
         return all(c.passed for c in self.checks)
 
 
-def cross_check(n_max: int, *, _genus_fn: Optional[Callable] = None) -> CrossCheckReport:
+def cross_check(n_max: int) -> CrossCheckReport:
     """Replay the classifier over every admissible triple with n <= n_max
     (at most ``ENUMERATION_CAP``) and test each invariant against an
-    independent oracle.
-
-    _genus_fn is a test-build fault-injection hook replacing the closed-form
-    genus; production callers leave it unset.
-    """
+    independent oracle."""
     if n_max < 4:
         raise DomainError(f"cross-check needs n_max >= 4, got {n_max}")
     if n_max > ENUMERATION_CAP:
         raise DomainError(f"degree {n_max} above enumeration cap {ENUMERATION_CAP}")
-    genus_fn = _genus_fn if _genus_fn is not None else genus
     failures: dict[str, dict] = {}
 
     def fail(name: str, witness: dict) -> None:
@@ -476,13 +471,13 @@ def cross_check(n_max: int, *, _genus_fn: Optional[Callable] = None) -> CrossChe
         reps: dict[tuple[int, int, int], ClassificationReport] = {}
         for triple in _ordered_admissible(n):
             r = classify_belyi(n, *triple)
-            if genus_fn(r.cover) != monodromy_genus(r.cover):
+            if genus(r.cover) != monodromy_genus(r.cover):
                 fail(
                     "genus_matches_monodromy",
                     {
                         "n": n,
                         "triple": list(triple),
-                        "formula": genus_fn(r.cover),
+                        "formula": genus(r.cover),
                         "monodromy": monodromy_genus(r.cover),
                     },
                 )

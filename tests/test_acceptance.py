@@ -11,12 +11,10 @@ from cyclicaut.grouptheory import (
     BudgetExceeded,
     abelianization,
     coset_enumerate,
-    dihedral_presentation,
     fingerprint,
     parse_permutations,
     parse_presentation,
     perm_order,
-    triangle_presentation,
 )
 from cyclicaut.verify import (
     accola_maclachlan,
@@ -81,10 +79,10 @@ def test_group_engine_certification():
         )
     ) == 64
     for n in range(2, 31):
-        assert coset_enumerate(dihedral_presentation(n)) == 2 * n
+        assert coset_enumerate(parse_presentation(f"<u,v | u^2, v^{n}, (u*v)^2>")) == 2 * n
     for d in range(2, 21):
         for n in range(2, 21):
-            inv = abelianization(triangle_presentation(d, n, n))
+            inv = abelianization(parse_presentation(f"<x,y | x^{d}, y^{n}, (x*y)^{n}>"))
             expected = tuple(v for v in (gcd(d, n), n) if v > 1)
             assert inv.factors == expected, (d, n, inv)
             assert inv.free_rank == 0

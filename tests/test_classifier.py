@@ -188,14 +188,19 @@ def test_genus_agrees_with_monodromy():
 
 
 def test_cyclic_when_no_unit_exponent():
-    for n in range(4, 19):
+    # the least degrees with such triples are 30 and 42 (three pairwise
+    # coprime gcds >= 2 must divide n): 8 at n = 30, 12 at n = 42
+    found = {}
+    for n in [*range(4, 19), 30, 42]:
         for (a, b, c) in admissible_triples(n):
             orbit = triple_orbit(n, a, b, c)
             if any(gcd(n, x) == 1 for t in orbit for x in t):
                 continue
+            found[n] = found.get(n, 0) + 1
             r = classify_belyi(n, a, b, c)
             assert r.row == "DEFAULT"
             assert r.group.kind == "CYCLIC"
+    assert found == {30: 8, 42: 12}
 
 
 def test_default_rows_not_extendable():
@@ -333,12 +338,13 @@ def test_lefschetz_agrees_with_triple_classifier():
 
 
 def test_classification_makes_one_unit_scan(monkeypatch):
-    # each classification canonicalises its triple once and runs no other
-    # residue scan: the table rows test the triple's unit-led forms
+    # each classification canonicalises its triple once, in closed form, and
+    # scans no residues: the table rows test the triple's unit-led forms
     import cyclicaut.classifier as classifier
+    import cyclicaut.curve as curve
     import cyclicaut.numtheory as numtheory
 
-    calls = {"canonical_triple": 0, "involutory_units": 0, "omega_units": 0}
+    calls = {"canonical_triple": 0, "involutory_units": 0, "omega_units": 0, "units": 0}
 
     def counting(name, inner):
         def wrapper(*args):
@@ -348,10 +354,11 @@ def test_classification_makes_one_unit_scan(monkeypatch):
 
     monkeypatch.setattr(classifier, "canonical_triple",
                         counting("canonical_triple", classifier.canonical_triple))
-    for name in ("involutory_units", "omega_units"):
+    for name in ("involutory_units", "omega_units", "units"):
         wrapper = counting(name, getattr(numtheory, name))
         monkeypatch.setattr(numtheory, name, wrapper)
         monkeypatch.setattr(classifier, name, wrapper, raising=False)
+        monkeypatch.setattr(curve, name, wrapper, raising=False)
     cases = [
         (classify_belyi, (9919, 1, 2, 9916), "DEFAULT"),
         (classify_belyi, (15, 4, 10, 1), "B.1"),
@@ -362,7 +369,8 @@ def test_classification_makes_one_unit_scan(monkeypatch):
     for classify, args, row in cases:
         calls.update(dict.fromkeys(calls, 0))
         assert classify(*args).row == row
-        assert calls == {"canonical_triple": 1, "involutory_units": 0, "omega_units": 0}, args
+        assert calls == {"canonical_triple": 1, "involutory_units": 0, "omega_units": 0,
+                         "units": 0}, args
 
 
 def test_lefschetz_isomorphic_examples():
@@ -530,6 +538,13 @@ def test_group_descriptor_validation():
         GroupDescriptor(6, "CYCLIC", (5,))
     with pytest.raises(DomainError):
         GroupDescriptor(6, "DIHEDRAL", (3,))
+    # a cyclic group is written from its order, so it needs no params
+    assert GroupDescriptor(12, "CYCLIC", ()).structure == "Z12"
+    # params that do not fill the kind's format are refused up front
+    with pytest.raises(DomainError, match="do not fill"):
+        GroupDescriptor(48, "NAMED", ())
+    with pytest.raises(DomainError, match="do not fill"):
+        GroupDescriptor(96, "DIRECT_SUM_SEMIDIRECT", (4, "S3"))
 
 
 def test_presentation_builders_print_their_text():

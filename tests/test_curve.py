@@ -23,7 +23,7 @@ from cyclicaut.curve import (
     signature_of,
     triple_orbit,
 )
-from cyclicaut.numtheory import DomainError, units
+from cyclicaut.numtheory import DomainError, gcd_many, units
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,7 @@ def test_canonical_triple_examples():
     assert canonical_triple(7, 2, 4, 1) == (1, 2, 4)
     assert canonical_triple(9, 2, 2, 5) == (1, 1, 7)
     assert canonical_triple(7, 1, 2, 4) == canonical_triple(7, 1, 4, 2)
+    assert canonical_triple(1000003, 1, 2, 1000000) == (1, 2, 1000000)
 
 
 def test_canonical_triple_validation():
@@ -204,19 +205,20 @@ def test_canonical_triple_validation():
 
 
 def test_canonical_triple_idempotent_and_orbit_constant():
-    for n in range(4, 21):
+    # the closed form against the orbit scanned in full; a class whose least
+    # entry g = min gcd(n, k) exceeds 1 first occurs at n = 30, since three
+    # pairwise coprime gcds >= 2 must divide n
+    for n in [*range(4, 21), 30, 42, 60]:
         for a in range(1, n):
             for b in range(a, n):
                 c = (-a - b) % n
-                if c < b or c == 0:
+                if c < b or c == 0 or gcd_many([n, a, b, c]) != 1:
                     continue
-                from cyclicaut.numtheory import gcd_many
-
-                if gcd_many([n, a, b, c]) != 1:
-                    continue
+                orbit = triple_orbit(n, a, b, c)
                 canon = canonical_triple(n, a, b, c)
+                assert canon == min(tuple(sorted(t)) for t in orbit)
                 assert canonical_triple(n, *canon) == canon
-                for t in triple_orbit(n, a, b, c):
+                for t in orbit:
                     assert canonical_triple(n, *t) == canon
 
 

@@ -8,14 +8,12 @@ from cyclicaut.grouptheory import (
     Presentation,
     abelianization,
     coset_enumerate,
-    dihedral_presentation,
     fingerprint,
     parse_permutations,
     parse_presentation,
     perm_order,
     presentation_to_text,
     smith_normal_form,
-    triangle_presentation,
 )
 from cyclicaut import grouptheory
 from cyclicaut.numtheory import DomainError
@@ -133,10 +131,10 @@ def test_coset_enumerate_cyclic():
 
 
 def test_coset_enumerate_known_orders():
-    assert coset_enumerate(dihedral_presentation(7)) == 14
-    assert coset_enumerate(triangle_presentation(2, 3, 4)) == 24
-    assert coset_enumerate(triangle_presentation(2, 3, 5)) == 60
-    assert coset_enumerate(triangle_presentation(2, 2, 2)) == 4
+    assert coset_enumerate(parse_presentation("<u,v | u^2, v^7, (u*v)^2>")) == 14
+    assert coset_enumerate(parse_presentation("<x,y | x^2, y^3, (x*y)^4>")) == 24
+    assert coset_enumerate(parse_presentation("<x,y | x^2, y^3, (x*y)^5>")) == 60
+    assert coset_enumerate(parse_presentation("<x,y | x^2, y^2, (x*y)^2>")) == 4
 
 
 @pytest.mark.parametrize(
@@ -160,7 +158,7 @@ def test_coset_enumerate_catalog(text, order):
 
 def test_coset_enumerate_budget_on_hyperbolic_triangle():
     with pytest.raises(BudgetExceeded) as exc:
-        coset_enumerate(triangle_presentation(2, 3, 7), max_cosets=10_000)
+        coset_enumerate(parse_presentation("<x,y | x^2, y^3, (x*y)^7>"), max_cosets=10_000)
     assert exc.value.budget == 10_000
 
 
@@ -170,7 +168,7 @@ def test_coset_enumerate_budget_on_free_group():
 
 
 def test_coset_enumerate_deterministic():
-    p = triangle_presentation(2, 2, 12)
+    p = parse_presentation("<x,y | x^2, y^2, (x*y)^12>")
     assert coset_enumerate(p) == coset_enumerate(p) == 24
 
 
@@ -216,8 +214,10 @@ def test_snf_matches_reference_implementation(rows):
 
 
 def test_abelianization_examples():
-    assert abelianization(triangle_presentation(4, 8, 8)) == AbelianInvariants((4, 8), 0)
-    assert abelianization(triangle_presentation(5, 5, 5)) == AbelianInvariants((5, 5), 0)
+    triangle_448 = parse_presentation("<x,y | x^4, y^8, (x*y)^8>")
+    triangle_555 = parse_presentation("<x,y | x^5, y^5, (x*y)^5>")
+    assert abelianization(triangle_448) == AbelianInvariants((4, 8), 0)
+    assert abelianization(triangle_555) == AbelianInvariants((5, 5), 0)
     assert abelianization(parse_presentation("<a,b | [a,b]>")) == AbelianInvariants((), 2)
     assert abelianization(parse_presentation("<a | a^5>")) == AbelianInvariants((5,), 0)
 
@@ -293,7 +293,7 @@ def test_fingerprint_permutations():
 
 def test_fingerprint_agrees_across_realizations():
     # symmetric group on four points, once presented and once permuted
-    by_pres = fingerprint(triangle_presentation(2, 3, 4))
+    by_pres = fingerprint(parse_presentation("<x,y | x^2, y^3, (x*y)^4>"))
     by_perm = fingerprint(parse_permutations("(1,2);(1,2,3,4)"))
     assert by_pres == by_perm == Fingerprint(24, (2,), False)
 
