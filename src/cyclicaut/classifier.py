@@ -187,22 +187,30 @@ def _make_report(
 # ---------------------------------------------------------------------------
 # Three-branch-point classification
 
-# Each rule is (row id, holds, build).  Every row's triple contains the
-# entry 1, so a triple lies in a row's class exactly when one of its unit-led
+# Each rule is (row id, fits, holds, build).  fits(n) says whether the row can
+# fire at degree n at all; rows that cannot are skipped before any form is
+# tested.  Every row's triple contains the entry 1, so at a degree the row
+# fits, a triple lies in the row's class exactly when one of its unit-led
 # forms (1, x, y) -- a unit multiple of a permutation of the triple -- has
 # holds(n, x, y).  The first such row in table order fires, with the least
 # such x as its twist, and build(n, twist) gives the group, the extension-chain
 # row ids and the genus column; a triple no row holds for is cyclic (DEFAULT).
+_Fits = Callable[[int], bool]
 _Holds = Callable[[int, int, int], bool]
 _Build = Callable[[int, int], tuple[GroupDescriptor, tuple[str, ...], int]]
 
 
+def _any_degree(n: int) -> bool:
+    return True
+
+
 def _exact(row: str, degree: int, triple: tuple[int, int, int], chain_row: str,
-           genus_column: int, group: GroupDescriptor) -> tuple[str, _Holds, _Build]:
+           genus_column: int, group: GroupDescriptor) -> tuple[str, _Fits, _Holds, _Build]:
     """An exceptional row: one literal triple, led by 1, at one degree."""
     return (
         row,
-        lambda n, x, y: n == degree and (1, x, y) == triple,
+        lambda n: n == degree,
+        lambda n, x, y: (1, x, y) == triple,
         lambda n, twist: (group, (chain_row,), genus_column),
     )
 
@@ -230,7 +238,7 @@ def _build_c1(n: int, twist: int):
     return group, ("1",), (n - 1) // 2
 
 
-_BELYI_RULES: tuple[tuple[str, _Holds, _Build], ...] = (
+_BELYI_RULES: tuple[tuple[str, _Fits, _Holds, _Build], ...] = (
     _exact("B.3", 8, (1, 2, 5), "7", 3,
            GroupDescriptor(96, "DIRECT_SUM_SEMIDIRECT", ((4, 4), "S3"))),
     _exact("C.2", 7, (1, 2, 4), "4", 3, GroupDescriptor(168, "NAMED", ("PSL(2,7)",))),
@@ -238,13 +246,13 @@ _BELYI_RULES: tuple[tuple[str, _Holds, _Build], ...] = (
     _exact("E.1", 8, (1, 3, 4), "11", 2, GroupDescriptor(48, "NAMED", ("GL(2,3)",))),
     _exact("E.2", 12, (1, 4, 7), "11", 4, GroupDescriptor(72, "CENTRAL_EXT", (3, "S4"))),
     _exact("E.3", 24, (1, 4, 19), "11", 10, GroupDescriptor(144, "CENTRAL_EXT", (6, "S4"))),
-    ("A.1", lambda n, x, y: n % 2 == 1 and x == 1,
+    ("A.1", lambda n: n % 2 == 1, lambda n, x, y: x == 1,
      lambda n, twist: (_cyclic(2 * n), ("3",), (n - 1) // 2)),
-    ("A.2", lambda n, x, y: n % 2 == 0 and x == 1, _build_a2),
-    ("B.2", lambda n, x, y: n % 8 == 0 and n > 8 and (x, y) == (n // 2 - 2, n // 2 + 1),
+    ("A.2", lambda n: n % 2 == 0, lambda n, x, y: x == 1, _build_a2),
+    ("B.2", lambda n: n % 8 == 0 and n > 8, lambda n, x, y: (x, y) == (n // 2 - 2, n // 2 + 1),
      _build_b2),
-    ("B.1", lambda n, x, y: x != 1 and x * x % n == 1, _build_b1),
-    ("C.1", lambda n, x, y: (1 + x + x * x) % n == 0, _build_c1),
+    ("B.1", _any_degree, lambda n, x, y: x != 1 and x * x % n == 1, _build_b1),
+    ("C.1", _any_degree, lambda n, x, y: (1 + x + x * x) % n == 0, _build_c1),
 )
 
 
@@ -268,7 +276,9 @@ def _three_point_report(kind: str, cover: CyclicCover, triple: tuple[int, int, i
     n = cover.n
     g = genus(cover)
     forms = _unit_led_forms(n, triple)
-    for row, holds, build in _BELYI_RULES:
+    for row, fits, holds, build in _BELYI_RULES:
+        if not fits(n):
+            continue
         twists = [x for x, y in forms if holds(n, x, y)]
         if twists:
             group, chain_rows, genus_column = build(n, min(twists))

@@ -8,12 +8,12 @@ monodromy-permutation genus oracle used to cross-check the genus formula.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .numtheory import DomainError, gcd_many, units
+from .numtheory import DomainError, units
 
 
 # ---------------------------------------------------------------------------
@@ -26,13 +26,25 @@ class BranchPoint:
 
     Roots of unity are stored as reduced index/order pairs; e^(2*pi*i*j/d)
     with d <= 2 normalizes to the rational 1 or -1, so equality of labels
-    coincides with equality of the underlying complex numbers.
+    coincides with equality of the underlying complex numbers.  The hash is
+    taken once, from the four integers of the label rather than from the
+    Fraction; a root of unity has rational 0 and order >= 3, a rational has
+    index 0 and order 1, so the kind needs no part in it.
     """
 
     kind: str  # "rational" or "root"
     rational: Fraction = Fraction(0)
     root_index: int = 0
     root_order: int = 1
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        r = self.rational
+        key = (r.numerator, r.denominator, self.root_index, self.root_order)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def at(value: Fraction | int) -> "BranchPoint":
@@ -46,9 +58,9 @@ class BranchPoint:
         g = gcd(index, order) if index else order
         index, order = index // g, order // g
         if order == 1:
-            return BranchPoint.at(1)
+            return ONE
         if order == 2:
-            return BranchPoint.at(-1)
+            return MINUS_ONE
         return BranchPoint("root", Fraction(0), index, order)
 
     def value(self) -> complex:
@@ -76,6 +88,12 @@ class BranchPoint:
             raise DomainError(f"bad point label {text!r}") from exc
 
 
+# The points a three-point (Belyi) cover branches over.
+ZERO = BranchPoint.at(0)
+ONE = BranchPoint.at(1)
+MINUS_ONE = BranchPoint.at(-1)
+
+
 # ---------------------------------------------------------------------------
 # Covers
 
@@ -93,6 +111,8 @@ class CyclicCover:
     branches: tuple[tuple[BranchPoint, int], ...]
     infinity_exponent: int = 0
     constant: Fraction = Fraction(1)
+    _exponents: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _all_exponents: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -101,29 +121,30 @@ class CyclicCover:
         object.__setattr__(self, "branches", branches)
         if not branches:
             raise DomainError("cover needs at least one finite branch point")
-        for _, k in branches:
+        exponents = tuple(k for _, k in branches)
+        for k in exponents:
             if not 1 <= k <= self.n - 1:
                 raise DomainError(f"branch exponent {k} outside [1, {self.n - 1}]")
-        points = [pt for pt, _ in branches]
-        if len(set(points)) != len(points):
+        if len({pt for pt, _ in branches}) != len(branches):
             raise DomainError("non-distinct roots")
         if not 0 <= self.infinity_exponent <= self.n - 1:
             raise DomainError("infinity exponent outside [0, n-1]")
-        total = sum(k for _, k in branches) + self.infinity_exponent
-        if total % self.n:
+        if (sum(exponents) + self.infinity_exponent) % self.n:
             raise DomainError("exponents do not sum to 0 mod n")
         if self.constant == 0:
             raise DomainError("constant must be nonzero")
+        object.__setattr__(self, "_exponents", exponents)
+        object.__setattr__(
+            self, "_all_exponents",
+            exponents + (self.infinity_exponent,) if self.infinity_exponent else exponents,
+        )
 
     def exponents(self) -> tuple[int, ...]:
-        return tuple(k for _, k in self.branches)
+        return self._exponents
 
     def all_exponents(self) -> tuple[int, ...]:
         """Finite exponents plus the infinity exponent when nonzero."""
-        out = self.exponents()
-        if self.infinity_exponent:
-            out += (self.infinity_exponent,)
-        return out
+        return self._all_exponents
 
 
 def _build_cover(
@@ -149,16 +170,14 @@ def belyi_cover(n: int, a: int, b: int, c: int) -> CyclicCover:
     """y^n = x^a (x-1)^b (x+1)^c with exponents reduced mod n."""
     if min(a, b, c) < 1:
         raise DomainError("exponents must be positive")
-    return _build_cover(
-        n, [(BranchPoint.at(0), a), (BranchPoint.at(1), b), (BranchPoint.at(-1), c)]
-    )
+    return _build_cover(n, ((ZERO, a), (ONE, b), (MINUS_ONE, c)))
 
 
 def lefschetz_cover(p: int, a: int) -> CyclicCover:
     """y^p = x^a (x+1)."""
     if a < 1:
         raise DomainError("exponent must be positive")
-    return _build_cover(p, [(BranchPoint.at(0), a), (BranchPoint.at(-1), 1)])
+    return _build_cover(p, ((ZERO, a), (MINUS_ONE, 1)))
 
 
 def fermat_cover(n: int, d: int) -> CyclicCover:
@@ -277,7 +296,7 @@ def parse_curve(text: str) -> CyclicCover:
             break
         if nxt == "x":
             cur.take("x")
-            factors.append((BranchPoint.at(0), _parse_exponent(cur)))
+            factors.append((ZERO, _parse_exponent(cur)))
         elif nxt == "(":
             cur.take("(")
             cur.take("x")
@@ -306,7 +325,7 @@ def parse_curve(text: str) -> CyclicCover:
 
 def is_irreducible(cover: CyclicCover) -> bool:
     """True iff gcd(n, k_1, ..., k_m) = 1 over the finite exponents."""
-    return gcd_many((cover.n,) + cover.exponents()) == 1
+    return gcd(cover.n, *cover.exponents()) == 1
 
 
 def _require_irreducible(cover: CyclicCover) -> None:
@@ -344,8 +363,9 @@ class Signature:
     def __post_init__(self) -> None:
         if self.genus < 0:
             raise DomainError("signature genus must be nonnegative")
-        object.__setattr__(self, "periods", tuple(sorted(int(p) for p in self.periods)))
-        if any(p < 2 for p in self.periods):
+        periods = tuple(sorted(map(int, self.periods)))
+        object.__setattr__(self, "periods", periods)
+        if periods and periods[0] < 2:
             raise DomainError("signature periods must be >= 2")
 
 
@@ -378,7 +398,7 @@ def _validate_triple(n: int, a: int, b: int, c: int) -> None:
             raise DomainError(f"triple entry {v} outside [1, {n - 1}]")
     if (a + b + c) % n:
         raise DomainError("triple does not sum to 0 mod n")
-    if gcd_many([n, a, b, c]) != 1:
+    if gcd(n, a, b, c) != 1:
         raise DomainError("triple shares a common factor with n")
 
 

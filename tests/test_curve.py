@@ -9,6 +9,7 @@ from cyclicaut.curve import (
     BranchPoint,
     CyclicCover,
     Signature,
+    _build_cover,
     belyi_cover,
     canonical_triple,
     cover_from_json_dict,
@@ -46,6 +47,52 @@ def test_branch_point_labels_round_trip():
         BranchPoint.root_of_unity(3, 7),
     ):
         assert BranchPoint.from_label(pt.label()) == pt
+
+
+def _equal_spellings(data, kind):
+    """A branch point and other spellings of the same point."""
+    k = data.draw(st.integers(min_value=1, max_value=12), label="scale")
+    if kind == "rational":
+        q = data.draw(st.fractions(min_value=-20, max_value=20, max_denominator=30), label="q")
+        other = Fraction(q.numerator * k, q.denominator * k)
+        pt = BranchPoint.at(q)
+        return pt, [BranchPoint.at(other), BranchPoint.from_label(pt.label())]
+    index = data.draw(st.integers(min_value=-60, max_value=60), label="index")
+    order = data.draw(st.integers(min_value=1, max_value=24), label="order")
+    pt = BranchPoint.root_of_unity(index, order)
+    return pt, [
+        BranchPoint.root_of_unity(index * k, order * k),
+        BranchPoint.root_of_unity(index + k * order, order),
+        BranchPoint.from_label(pt.label()),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_branch_point_hash_agrees_with_equality(data):
+    kinds = st.sampled_from(["rational", "root"])
+    pt, spellings = _equal_spellings(data, data.draw(kinds, label="kind"))
+    for same in spellings:
+        assert same == pt and hash(same) == hash(pt)
+        assert len({pt, same}) == 1
+    other, _ = _equal_spellings(data, data.draw(kinds, label="other kind"))
+    assert len({pt, other}) == (1 if other == pt else 2)
+    if other == pt:
+        assert hash(other) == hash(pt)
+    # a repeated point is refused, even where its exponent reduces to 0 mod n
+    n = data.draw(st.integers(min_value=2, max_value=12), label="n")
+    k = data.draw(st.integers(min_value=0, max_value=24), label="k")
+    with pytest.raises(DomainError, match="non-distinct roots"):
+        _build_cover(n, [(pt, k), (spellings[0], 1)])
+    # the roots of unity of order 1 and 2 are the rationals 1 and -1
+    assert BranchPoint.root_of_unity(0, 1) == BranchPoint.at(1)
+    assert hash(BranchPoint.root_of_unity(0, 1)) == hash(BranchPoint.at(1))
+    assert BranchPoint.root_of_unity(1, 2) == BranchPoint.at(-1)
+    assert hash(BranchPoint.root_of_unity(1, 2)) == hash(BranchPoint.at(-1))
+    with pytest.raises(DomainError, match="non-distinct roots"):
+        parse_curve("y^3 = x^3 x(x-1)")  # x^3 is a cube, dropped, but x repeats it
+    with pytest.raises(DomainError, match="non-distinct roots"):
+        _build_cover(4, [(BranchPoint.root_of_unity(2, 4), 2), (BranchPoint.at(-1), 1)])
 
 
 # ---------------------------------------------------------------------------

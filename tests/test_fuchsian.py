@@ -20,6 +20,7 @@ from cyclicaut.fuchsian import (
     harvey_admissible,
     skep_of_cover,
 )
+from cyclicaut.fuchsian import _TABLE, _bind, _parse_pattern
 from cyclicaut.numtheory import DomainError, gcd_many, lcm_many
 
 
@@ -53,6 +54,33 @@ def test_gs_extensions_examples():
     assert _ext_summary((3, 6, 6)) == [("3", (2, 6, 6), 2), ("12", (2, 4, 6), 4)]
     assert _ext_summary((2, 3, 6)) == []
     assert _ext_summary((2, 4, 8)) == [("14", (2, 3, 8), 3)]
+
+
+def _match_by_every_ordering(row, periods):
+    """A row's outer signature, trying every ordering of its inner pattern."""
+    terms, guards = _parse_pattern(row.inner)
+    outer_terms = _parse_pattern(row.outer)[0]
+    if len(terms) != len(periods):
+        return None
+    for ordering in itertools.permutations(terms):
+        env = _bind(ordering, periods)
+        if env is not None and all(
+            sum(c * env[v] for c, v in lhs) >= bound for lhs, bound in guards
+        ):
+            return Signature(0, tuple(c * env[v] for c, v in outer_terms))
+    return None
+
+
+def test_gs_row_match_agrees_with_every_ordering():
+    # match skips orderings sorted periods cannot bind and rows whose literals
+    # are missing; neither may change an answer
+    tuples = itertools.chain(
+        itertools.combinations_with_replacement(range(2, 21), 3),
+        itertools.combinations_with_replacement(range(2, 11), 4),
+    )
+    for periods in tuples:
+        for row in _TABLE:
+            assert row.match(periods) == _match_by_every_ordering(row, periods), (row.row_id, periods)
 
 
 def test_gs_extensions_literal_rows():

@@ -1,6 +1,7 @@
 """Tests for the numerical action checks and the enumeration cross-checks."""
 
 import cmath
+import hashlib
 import json
 
 import pytest
@@ -250,6 +251,22 @@ def test_enumerate_classes_validation():
     with pytest.raises(DomainError, match="above enumeration cap 60"):
         enumerate_classes(ENUMERATION_CAP + 1)
     assert enumerate_classes(ENUMERATION_CAP)
+
+
+# Made at commit 50e25ad, before the degree-gated rule table, by
+#   text = "".join(json.dumps(enumeration_to_json_dict(n, enumerate_classes(n))) + "\n"
+#                  for n in range(4, 31))
+#   hashlib.sha256(text.encode()).hexdigest()
+# The range holds every degree of an exact row: 7 (C.2), 8 (B.3, E.1), 12 (D.1,
+# E.2) and 24 (E.3).
+SWEEP_4_30_SHA256 = "790d6cca1e5a04fc18041b39465fa24a827467d14ba9573fc6e33ed16c1ef124"
+
+
+def test_sweep_answers_pinned():
+    text = "".join(
+        json.dumps(enumeration_to_json_dict(n, enumerate_classes(n))) + "\n" for n in range(4, 31)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_4_30_SHA256
 
 
 def test_enumeration_json_and_check():
