@@ -262,7 +262,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("perm-order", _cmd_perm_order, help="order of a permutation group")
     p.add_argument("--perms", required=True, help='e.g. "(1,2,3);(1,2)"')
     p.add_argument("--degree", type=int)
-    p.add_argument("--max-size", type=int, default=10_000_000)
+    p.add_argument(
+        "--max-size", type=int, default=10_000_000,
+        help="largest group order computed; a larger group prints BUDGET_EXCEEDED",
+    )
 
     p = add("verify-action", _cmd_verify_action, help="numerical map verification")
     p.add_argument(

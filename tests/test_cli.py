@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,34 @@ def test_perm_order_budget(capsys):
     big = "(1,2);(" + ",".join(str(i) for i in range(1, 16)) + ")"
     assert run(["perm-order", "--perms", big, "--max-size", "1000"]) == 0
     assert capsys.readouterr().out.strip() == "BUDGET_EXCEEDED"
+
+
+def _symmetric(n):
+    return "(" + ",".join(str(i) for i in range(1, n + 1)) + ");(1,2)"
+
+
+def test_perm_order_bounds_the_group_order_not_the_degree(capsys):
+    # the stabilizer chain holds O(degree) points per level, never the elements
+    start = time.perf_counter()
+    assert run(["perm-order", "--perms", _symmetric(200)]) == 0
+    assert capsys.readouterr().out.strip() == "BUDGET_EXCEEDED"
+    assert time.perf_counter() - start < 5
+    assert run(["perm-order", "--perms", _symmetric(12), "--max-size", "1000000000"]) == 0
+    assert capsys.readouterr().out.strip() == "479001600"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perm-order", "--perms", "(1,99999999999)"],
+        ["perm-order", "--perms", "(1,2)", "--degree", "99999999999"],
+    ],
+)
+def test_perm_order_huge_degree_is_a_domain_error(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from math import factorial
+
+from hypothesis import given, seed, settings, strategies as st
 
 from cyclicaut.grouptheory import (
     AbelianInvariants,
     BudgetExceeded,
     Fingerprint,
+    PermutationSet,
     Presentation,
     abelianization,
     coset_enumerate,
@@ -254,21 +257,111 @@ def test_parse_permutations_errors():
         parse_permutations("(1,2", degree=3)
     with pytest.raises(DomainError):
         parse_permutations("(1,9)", degree=3)
+    top = grouptheory.MAX_PERMUTATION_DEGREE
+    assert parse_permutations("(1,2)", degree=top).degree == top
+    for text, degree in [("(1,2)", top + 1), (f"(1,{top + 1})", None)]:
+        with pytest.raises(DomainError, match="degree"):
+            parse_permutations(text, degree=degree)
+    with pytest.raises(DomainError):
+        PermutationSet(top + 1, (tuple(range(top + 1)),))
 
 
 def test_perm_order_budget():
     s4 = parse_permutations("(1,2);(1,2,3,4)")
     with pytest.raises(BudgetExceeded):
         perm_order(s4, max_size=10)
+    with pytest.raises(DomainError):
+        perm_order(s4, max_size=0)
+
+
+def _symmetric(n: int) -> str:
+    """S_n, generated by an n-cycle and a transposition."""
+    return "(" + ",".join(str(i) for i in range(1, n + 1)) + ")" + (";(1,2)" if n > 1 else "")
+
+
+def _dihedral(n: int) -> str:
+    """The dihedral group of order 2n, by a rotation and a reflection of an n-gon."""
+    reflection = "".join(f"({i},{n + 2 - i})" for i in range(2, n) if i < n + 2 - i)
+    return "(" + ",".join(str(i) for i in range(1, n + 1)) + ");" + reflection
+
+
+G96 = (
+    "(1,4)(2,7)(3,10)(5,8)(6,11)(9,12);"
+    "(1,10,9,5)(2,4,11,3,7,12,6,8);"
+    "(1,2,3)(4,5,6)(7,8,9)(10,11,12)"
+)
+
+PINNED_ORDERS = {
+    **{f"S{n}": (_symmetric(n), factorial(n)) for n in range(1, 11)},
+    "A7": ("(1,2,3,4,5,6,7);(2,3)(5,6)", 2520),
+    "PSL(2,7)": ("(1,2,3,4,5,6,7);(2,3)(4,7)", 168),
+    "M11": ("(1,2,3,4,5,6,7,8,9,10,11);(3,7,11,8)(4,10,5,6)", 7920),
+    # Schreier trees deep enough to need shortcut labels
+    "D64": (_dihedral(64), 128),
+    # a residue opens a level that must be completed before the one above
+    "S4 by transpositions": ("(2,4);(1,3);(1,2)", 24),
+}
+
+
+@pytest.mark.parametrize("text,order", PINNED_ORDERS.values(), ids=PINNED_ORDERS)
+def test_perm_order_pinned(text, order):
+    g = parse_permutations(text)
+    assert perm_order(g, max_size=order) == order
+    if order > 1:
+        with pytest.raises(BudgetExceeded):
+            perm_order(g, max_size=order - 1)
 
 
 def test_order96_group_closure():
-    g = parse_permutations(
-        "(1,4)(2,7)(3,10)(5,8)(6,11)(9,12);"
-        "(1,10,9,5)(2,4,11,3,7,12,6,8);"
-        "(1,2,3)(4,5,6)(7,8,9)(10,11,12)"
-    )
-    assert perm_order(g) == 96
+    g = parse_permutations(G96)
+    assert perm_order(g) == perm_order(g, max_size=96) == 96
+    with pytest.raises(BudgetExceeded):
+        perm_order(g, max_size=95)
+
+
+def _closure_order(perms: PermutationSet) -> int:
+    """Reference order: every element, listed by breadth-first closure."""
+    identity = tuple(range(perms.degree))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        found = []
+        for e in frontier:
+            for g in perms.generators:
+                f = tuple(g[v] for v in e)
+                if f not in seen:
+                    seen.add(f)
+                    found.append(f)
+        frontier = found
+    return len(seen)
+
+
+@st.composite
+def _generator_sets(draw) -> PermutationSet:
+    """1-3 generators of degree at most 7: random permutations, identities and repeats."""
+    degree = draw(st.integers(min_value=1, max_value=7), label="degree")
+    gens: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3), label="count")):
+        kinds = ["random", "identity"] + (["repeat"] if gens else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "random":
+            gens.append(tuple(draw(st.permutations(range(degree)))))
+        elif kind == "identity":
+            gens.append(tuple(range(degree)))
+        else:
+            gens.append(draw(st.sampled_from(gens)))
+    return PermutationSet(degree, tuple(gens))
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(_generator_sets())
+def test_perm_order_matches_closure(perms):
+    order = _closure_order(perms)
+    assert perm_order(perms, max_size=order) == order
+    if order > 1:
+        with pytest.raises(BudgetExceeded):
+            perm_order(perms, max_size=order - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +376,24 @@ def test_fingerprint_presentation():
 
 
 def test_fingerprint_permutations():
-    g = parse_permutations(
-        "(1,4)(2,7)(3,10)(5,8)(6,11)(9,12);"
-        "(1,10,9,5)(2,4,11,3,7,12,6,8);"
-        "(1,2,3)(4,5,6)(7,8,9)(10,11,12)"
-    )
-    assert fingerprint(g) == Fingerprint(96, (2,), False)
+    assert fingerprint(parse_permutations(G96)) == Fingerprint(96, (2,), False)
+
+
+@pytest.mark.parametrize("wrong", [95, 97])
+def test_fingerprint_cross_checks_the_order(monkeypatch, wrong):
+    # the closure walk counts the order again, apart from the stabilizer chain
+    monkeypatch.setattr(grouptheory, "perm_order", lambda perms, max_size: wrong)
+    with pytest.raises(AssertionError, match="closure walk visited 96"):
+        fingerprint(parse_permutations(G96))
+
+
+def test_fingerprint_stops_at_the_budget_before_walking(monkeypatch):
+    def walk(perms, max_size):
+        raise AssertionError("closure walk started")
+
+    monkeypatch.setattr(grouptheory, "_perm_abelian_invariants", walk)
+    with pytest.raises(BudgetExceeded):
+        fingerprint(parse_permutations(_symmetric(12)), max_size=10**6)
 
 
 def test_fingerprint_agrees_across_realizations():

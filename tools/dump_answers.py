@@ -18,16 +18,24 @@ Input sets, in output order:
 - ``classify_fermat(n, d)`` for n < 70 and 0 <= d <= n + 1 (2,555 calls);
 - ``gs_extensions`` and ``extension_chains`` on every sorted period tuple of
   length 1 to 3 with entries 2..64, length 4 with entries 2..40 and length 5
-  with entries 2..14 (163,877 tuples).
+  with entries 2..14 (163,877 tuples);
+- ``perm_order`` and ``fingerprint`` on 3,000 seeded generator sets of degree
+  1 to 8 (random permutations, products of a few disjoint cycles, identities
+  and repeats), the README examples, and S_n for n <= 10, A_7, PSL(2,7),
+  M_11, the order-96 group of row B.3 and the dihedral group of order 128.
 
 A classification line holds ``report_to_json_dict`` of the report plus its
 ``kind``, ``group.kind`` and ``group.params``; any call that raises
-``DomainError`` writes the error text instead.
+``DomainError`` writes the error text instead.  A permutation line holds the
+order at ``max_size`` 100,000 and at 60, and the fingerprint at ``max_size``
+10,000, each as the value or the ``DomainError`` or ``BudgetExceeded`` text;
+the budgets keep the closure of the old implementation within reach.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import sys
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -42,6 +50,12 @@ from cyclicaut.classifier import (  # noqa: E402
 )
 from cyclicaut.curve import Signature  # noqa: E402
 from cyclicaut.fuchsian import extension_chains, gs_extensions  # noqa: E402
+from cyclicaut.grouptheory import (  # noqa: E402
+    BudgetExceeded,
+    fingerprint,
+    parse_permutations,
+    perm_order,
+)
 from cyclicaut.numtheory import DomainError, is_prime  # noqa: E402
 from cyclicaut.verify import ENUMERATION_CAP, _ordered_admissible  # noqa: E402
 
@@ -78,13 +92,89 @@ def _chains(sig: Signature) -> list:
 def _answer(fn, *args):
     try:
         return fn(*args)
-    except DomainError as exc:
+    except (DomainError, BudgetExceeded) as exc:
         return {"error": str(exc)}
 
 
 def _extension_answer(*periods: int) -> dict:
     sig = Signature(0, periods)
     return {"gs_extensions": _extensions(sig), "extension_chains": _answer(_chains, sig)}
+
+
+def _fingerprint(perms) -> list:
+    fp = fingerprint(perms, max_size=10**4)
+    return [fp.order, list(fp.abelian_invariants), fp.is_abelian]
+
+
+def _perm_answer(text: str, degree: int | None) -> dict:
+    perms = parse_permutations(text, degree)
+    return {
+        "order": _answer(perm_order, perms, 10**5),
+        "order_60": _answer(perm_order, perms, 60),
+        "fingerprint": _answer(_fingerprint, perms),
+    }
+
+
+def _cycle_text(images: list[int]) -> str:
+    """A 0-based image list as 1-based disjoint cycles, ``()`` for the identity."""
+    seen, cycles = set(), []
+    for start in range(len(images)):
+        if start in seen or images[start] == start:
+            continue
+        cycle, v = [], start
+        while v not in seen:
+            seen.add(v)
+            cycle.append(str(v + 1))
+            v = images[v]
+        cycles.append("(" + ",".join(cycle) + ")")
+    return "".join(cycles) or "()"
+
+
+def _generator_sets(count: int, seed: int):
+    """(text, degree) of seeded generator sets of degree 1 to 8."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        degree = rng.randint(1, 8)
+        gens: list[str] = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.1:
+                gens.append("()")
+            elif roll < 0.2 and gens:
+                gens.append(rng.choice(gens))
+            elif roll < 0.6:
+                # a few disjoint cycles on a random subset of the points
+                points = rng.sample(range(degree), rng.randint(1, degree))
+                images = list(range(degree))
+                while points:
+                    length = rng.randint(1, len(points))
+                    cycle, points = points[:length], points[length:]
+                    for i, v in enumerate(cycle):
+                        images[v] = cycle[(i + 1) % len(cycle)]
+                gens.append(_cycle_text(images))
+            else:
+                images = list(range(degree))
+                rng.shuffle(images)
+                gens.append(_cycle_text(images))
+        yield ";".join(gens), degree
+
+
+def _symmetric(n: int) -> str:
+    return "(" + ",".join(str(i) for i in range(1, n + 1)) + ")" + (";(1,2)" if n > 1 else "")
+
+
+PERM_EXAMPLES = [
+    "(1,2,3,4)(5,6);(2,3)(4,5)",  # README
+    _symmetric(12),  # README, S_12
+    *(_symmetric(n) for n in range(1, 11)),
+    "(1,2,3,4,5,6,7);(2,3)(5,6)",  # A_7
+    "(1,2,3,4,5,6,7);(2,3)(4,7)",  # PSL(2,7)
+    "(1,2,3,4,5,6,7,8,9,10,11);(3,7,11,8)(4,10,5,6)",  # M_11
+    "(1,4)(2,7)(3,10)(5,8)(6,11)(9,12);(1,10,9,5)(2,4,11,3,7,12,6,8);"
+    "(1,2,3)(4,5,6)(7,8,9)(10,11,12)",  # row B.3
+    "(" + ",".join(str(i) for i in range(1, 65)) + ");"
+    + "".join(f"({i},{66 - i})" for i in range(2, 33)),  # dihedral, order 128
+]
 
 
 def _calls():
@@ -101,6 +191,10 @@ def _calls():
     for length, top in ((1, 64), (2, 64), (3, 64), (4, 40), (5, 14)):
         for periods in combinations_with_replacement(range(2, top + 1), length):
             yield "extensions", _extension_answer, periods
+    for text, degree in _generator_sets(3000, seed=9):
+        yield "perm", _perm_answer, (text, degree)
+    for text in PERM_EXAMPLES:
+        yield "perm", _perm_answer, (text, None)
 
 
 def main() -> None:
