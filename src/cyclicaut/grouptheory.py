@@ -155,11 +155,13 @@ class _Lexer:
 # room left before it is built.
 MAX_RELATOR_LETTERS = 10**7
 
-# Largest degree a permutation group may have.  A stabilizer chain costs
-# O(degree) per stored permutation and per composition; at this bound the
-# slowest groups measured (dihedral of order 2000, and S_1000 up to its
-# budget stop) take 2 to 4 s on one core of a 2-core Xeon VM.
-MAX_PERMUTATION_DEGREE = 1000
+# Largest degree a permutation group may have.  A stabilizer chain stores
+# O(degree) points per base point and strong generator, and holds one level's
+# transversal, up to degree**2 points, while it sifts that level's Schreier
+# generators: about 140 MB at this bound, where the slowest groups measured
+# (dihedral of order 8192, S_4096 up to its budget stop) take 1.5 to 8.5 s on
+# one core of a 2-core Xeon VM.
+MAX_PERMUTATION_DEGREE = 4096
 
 
 def _check_length(length: int, room: int) -> None:
@@ -623,85 +625,42 @@ class _Level:
     that fix every earlier base point, and the basic orbit of the base point
     under them, kept as a Schreier vector."""
 
-    __slots__ = ("base", "gens", "labels", "invs", "label", "depth", "orbit", "checked")
+    __slots__ = ("base", "gens", "invs", "label", "orbit", "checked")
 
     def __init__(self, base: int, degree: int):
         self.base = base
         self.gens: list[tuple[int, ...]] = []
-        # the generators, and products of them added to keep the tree shallow
-        self.labels: list[tuple[int, ...]] = []
         self.invs: list[tuple[int, ...]] = []
-        # label[v]: index of the label whose edge first reached v in the
+        # label[v]: index of the generator whose edge first reached v in the
         # Schreier tree, -1 at the base point, None off the orbit
         self.label: list[int | None] = [None] * degree
-        self.depth = [0] * degree
-        self.orbit: list[int] = []
+        self.label[base] = -1
+        self.orbit = [base]
         # checked[k]: how many of gens have had their Schreier generator at
         # orbit[k] sifted
-        self.checked: list[int] = []
-        self._grow_tree()
+        self.checked = [0]
 
     def add(self, g: tuple[int, ...], inv: tuple[int, ...]) -> None:
         """Add a generator and close the orbit under the enlarged set."""
         self.gens.append(g)
-        self.labels.append(g)
         self.invs.append(inv)
-        old = len(self.orbit)
-        self._visit(old, len(self.labels) - 1)
-        self.checked.extend([0] * (len(self.orbit) - old))
-        # Sifting costs one composition per tree edge.  While the tree is
-        # deeper than twice log2 of the orbit, make the deepest point's
-        # transversal element a label of its own and grow the tree again;
-        # the Schreier generators then change, so each is sifted again.
-        bound = 2 * len(self.orbit).bit_length()
-        while True:
-            deepest = max(self.orbit, key=self.depth.__getitem__)
-            if self.depth[deepest] <= bound:
-                return
-            u = self.representative(deepest)
-            self.labels.append(u)
-            self.invs.append(_inverse(u))
-            self._grow_tree()
-
-    def _grow_tree(self) -> None:
-        """Grow the tree again from the base point under every label."""
-        for p in self.orbit:
-            self.label[p] = None
-        self.label[self.base] = -1
-        self.depth[self.base] = 0
-        self.orbit = [self.base]
-        self._visit(0, 0)
-        self.checked = [0] * len(self.orbit)
-
-    def _visit(self, first: int, new: int) -> None:
-        """Close the orbit: orbit[:first] under labels[new:], the rest under all labels."""
-        orbit, label, depth, labels = self.orbit, self.label, self.depth, self.labels
-        for k in range(first):
-            p = orbit[k]
-            for j in range(new, len(labels)):
-                q = labels[j][p]
-                if label[q] is None:
-                    label[q] = j
-                    depth[q] = depth[p] + 1
-                    orbit.append(q)
-        k = first
+        orbit, label, gens = self.orbit, self.label, self.gens
+        old = len(orbit)
+        for p in orbit[:old]:
+            q = g[p]
+            if label[q] is None:
+                label[q] = len(gens) - 1
+                orbit.append(q)
+        k = old
         while k < len(orbit):
             p = orbit[k]
-            for j, s in enumerate(labels):
+            for j, s in enumerate(gens):
                 q = s[p]
                 if label[q] is None:
                     label[q] = j
-                    depth[q] = depth[p] + 1
                     orbit.append(q)
             k += 1
-
-    def representative(self, p: int) -> tuple[int, ...]:
-        """The element of the transversal carrying the base point to p."""
-        u = None  # built from the last label on the path back to the base
-        while (j := self.label[p]) != -1:
-            u = self.labels[j] if u is None else _compose(self.labels[j], u)
-            p = self.invs[j][p]
-        return tuple(range(len(self.label))) if u is None else u
+        self.checked.extend([0] * (len(orbit) - old))
 
     def strip(self, h: tuple[int, ...]) -> tuple[int, ...] | None:
         """h times the inverse transversal element of h(base), which fixes the
@@ -733,17 +692,23 @@ def _next_residue(
     the first that does not sift to the identity: that residue and the level
     it drops out at, or None when every one sifts to the identity."""
     lev = levels[depth]
+    # the transversal, each element built from its parent's in the Schreier
+    # tree (earlier in the orbit) by one composition, so a deep tree costs no
+    # walk back to the base point per Schreier generator
+    reps = {lev.base: identity}
+    for p in lev.orbit[1:]:
+        j = lev.label[p]
+        reps[p] = _compose(reps[lev.invs[j][p]], lev.gens[j])
     for k, p in enumerate(lev.orbit):
-        u = None
         for j in range(lev.checked[k], len(lev.gens)):
             lev.checked[k] = j + 1
-            s = lev.gens[j]
-            q = s[p]
-            if q != lev.base and lev.labels[lev.label[q]] is s:
+            q = lev.gens[j][p]
+            if q != lev.base and lev.label[q] == j:
                 continue  # a tree edge: its Schreier generator is trivial
-            if u is None:
-                u = lev.representative(p)
-            residue, drop = _sift(levels, _compose(u, s), depth)
+            h = _compose(reps[p], lev.gens[j])
+            if h == reps[q]:
+                continue
+            residue, drop = _sift(levels, _compose(h, _inverse(reps[q])), depth + 1)
             if residue != identity:
                 return residue, drop
     return None
@@ -773,8 +738,8 @@ def perm_order(perms: PermutationSet, max_size: int = 10_000_000) -> int:
     exactly when the order does.  The chain is completed again after each
     input generator that is not already in the group it describes, and the
     others are skipped, so at most log2 of the order of them are used.
-    Memory is O(degree) per base point, strong generator and Schreier-tree
-    label, whatever the order.
+    Memory is O(degree) per base point and strong generator, plus the
+    transversal of the one level being checked, whatever the order.
     """
     if max_size < 1:
         raise DomainError("max_size must be positive")

@@ -6,11 +6,11 @@ import os
 import shutil
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
+from cyclicaut import grouptheory
 from cyclicaut.cli import run
 from cyclicaut.verify import ENUMERATION_CAP, check_enumeration
 
@@ -247,12 +247,20 @@ def _symmetric(n):
     return "(" + ",".join(str(i) for i in range(1, n + 1)) + ");(1,2)"
 
 
-def test_perm_order_bounds_the_group_order_not_the_degree(capsys):
-    # the stabilizer chain holds O(degree) points per level, never the elements
-    start = time.perf_counter()
+def test_perm_order_bounds_the_group_order_not_the_degree(capsys, monkeypatch):
+    # the stabilizer chain holds O(degree) points per level, never the
+    # elements, and reaches the budget after a few compositions per point
+    calls = [0]
+    compose = grouptheory._compose
+
+    def counted(p, q):
+        calls[0] += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(grouptheory, "_compose", counted)
     assert run(["perm-order", "--perms", _symmetric(200)]) == 0
     assert capsys.readouterr().out.strip() == "BUDGET_EXCEEDED"
-    assert time.perf_counter() - start < 5
+    assert calls[0] <= 6 * 200
     assert run(["perm-order", "--perms", _symmetric(12), "--max-size", "1000000000"]) == 0
     assert capsys.readouterr().out.strip() == "479001600"
 

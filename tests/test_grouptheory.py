@@ -296,10 +296,13 @@ PINNED_ORDERS = {
     "A7": ("(1,2,3,4,5,6,7);(2,3)(5,6)", 2520),
     "PSL(2,7)": ("(1,2,3,4,5,6,7);(2,3)(4,7)", 168),
     "M11": ("(1,2,3,4,5,6,7,8,9,10,11);(3,7,11,8)(4,10,5,6)", 7920),
-    # Schreier trees deep enough to need shortcut labels
+    # Schreier trees as deep as half the degree
     "D64": (_dihedral(64), 128),
     # a residue opens a level that must be completed before the one above
     "S4 by transpositions": ("(2,4);(1,3);(1,2)", 24),
+    # a scan that stops at a residue must resume at the next generator of
+    # the same orbit point, not at the next point
+    "S5 x C2": ("(1,2);(1,4,2,7,3)(5,6);(3,4)", 240),
 }
 
 
@@ -310,6 +313,27 @@ def test_perm_order_pinned(text, order):
     if order > 1:
         with pytest.raises(BudgetExceeded):
             perm_order(g, max_size=order - 1)
+
+
+@pytest.mark.parametrize(
+    "text,order",
+    [("(" + ",".join(str(i) for i in range(1, 1001)) + ")", 1000), (_dihedral(1000), 2000)],
+    ids=["C1000", "D1000"],
+)
+def test_perm_order_deep_trees_cost_a_few_operations_per_point(monkeypatch, text, order):
+    # Schreier trees of depth 999 and 500: each transversal element is built
+    # once from its parent's, never by a walk back to the base point
+    g = parse_permutations(text)
+    calls = [0]
+    for name in ("_compose", "_inverse"):
+
+        def counted(*args, op=getattr(grouptheory, name)):
+            calls[0] += 1
+            return op(*args)
+
+        monkeypatch.setattr(grouptheory, name, counted)
+    assert perm_order(g) == order
+    assert calls[0] <= 8 * g.degree
 
 
 def test_order96_group_closure():

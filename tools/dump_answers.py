@@ -22,7 +22,8 @@ Input sets, in output order:
 - ``perm_order`` and ``fingerprint`` on 3,000 seeded generator sets of degree
   1 to 8 (random permutations, products of a few disjoint cycles, identities
   and repeats), the README examples, and S_n for n <= 10, A_7, PSL(2,7),
-  M_11, the order-96 group of row B.3 and the dihedral group of order 128.
+  M_11, the order-96 group of row B.3, the dihedral group of order 128, and
+  the cyclic and dihedral groups of degree 1000.
 
 A classification line holds ``report_to_json_dict`` of the report plus its
 ``kind``, ``group.kind`` and ``group.params``; any call that raises
@@ -174,6 +175,9 @@ PERM_EXAMPLES = [
     "(1,2,3)(4,5,6)(7,8,9)(10,11,12)",  # row B.3
     "(" + ",".join(str(i) for i in range(1, 65)) + ");"
     + "".join(f"({i},{66 - i})" for i in range(2, 33)),  # dihedral, order 128
+    "(" + ",".join(str(i) for i in range(1, 1001)) + ")",  # cyclic, degree 1000
+    "(" + ",".join(str(i) for i in range(1, 1001)) + ");"
+    + "".join(f"({i},{1002 - i})" for i in range(2, 501)),  # dihedral, degree 1000
 ]
 
 
