@@ -5,6 +5,12 @@ classification table: Todd-Coxeter coset enumeration (HLT strategy with
 deterministic definition order, coincidence handling and a lookahead
 collapse pass), exact-integer Smith normal form, and permutation group
 orders by deterministic Schreier-Sims.
+
+The enumeration writes each relator as w^k with w primitive.  One scan of
+w^k that closes at a coset closes it at every coset of that coset's w-cycle,
+so those cosets skip the scan, and the final check asks that every cycle of
+w on the table have a length dividing k.  A relator thus costs about
+index * |w| letters rather than index * k * |w|.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from math import gcd, lcm, prod
 from string import ascii_lowercase
 from typing import Iterable, Sequence, Union
 
-from .numtheory import DomainError
+from .numtheory import DomainError, factorize
 
 
 class BudgetExceeded(Exception):
@@ -163,6 +169,11 @@ MAX_RELATOR_LETTERS = 10**7
 # one core of a 2-core Xeon VM.
 MAX_PERMUTATION_DEGREE = 4096
 
+# Most image points the distinct generators of a parsed permutation set may
+# hold together (distinct generators times degree): 8 MB of references at
+# this bound, 256 generators at the largest degree.
+MAX_GENERATOR_POINTS = 2**20
+
 
 def _check_length(length: int, room: int) -> None:
     if length > room:
@@ -257,13 +268,36 @@ class _NeedLookahead(Exception):
     pass
 
 
+def _root_length(word: Sequence[int]) -> int:
+    """Length of the primitive root w of ``word``, written as w^k."""
+    # the lengths d | len(word) with word == word[:d] * (len(word) // d) are
+    # the multiples of the root's length, so dividing out one prime at a
+    # time while the quotient still repeats ends at the root
+    p = len(word)
+    if p > 1:
+        for q, _ in factorize(p):
+            while p % q == 0 and word[p // q :] == word[: -(p // q)]:
+                p //= q
+    return p
+
+
 class _CosetTable:
     def __init__(self, generator_count: int, relators: Sequence[Sequence[int]], max_cosets: int):
         self.ncols = 2 * generator_count
         self.words = [tuple(self._col(x) for x in w) for w in relators]
+        # each relator is root^k with a primitive root; a proper power
+        # (k > 1) gets a bit in the closed masks, a relator with k = 1 none
+        self.roots = [w[: _root_length(w)] for w in self.words]
+        self.bits = [
+            1 << r if len(root) < len(w) else 0
+            for r, (w, root) in enumerate(zip(self.words, self.roots))
+        ]
         self.max_cosets = max_cosets
         self.table: list[list[int]] = [[0] * self.ncols, [0] * self.ncols]
         self.parent = [0, 1]
+        # closed[k]: the bits of the relators known to close at coset k;
+        # scanning one of them there again would change nothing
+        self.closed = [0, 0]
         self.alive = 1
 
     @staticmethod
@@ -283,6 +317,7 @@ class _CosetTable:
         beta = len(self.table)
         self.table.append([0] * self.ncols)
         self.parent.append(beta)
+        self.closed.append(0)
         self.alive += 1
         self.table[alpha][c] = beta
         self.table[beta][c ^ 1] = alpha
@@ -294,6 +329,8 @@ class _CosetTable:
             return
         lo, hi = (ra, rb) if ra < rb else (rb, ra)
         self.parent[hi] = lo
+        # a relator closed at either coset closes at the merged one
+        self.closed[lo] |= self.closed[hi]
         self.alive -= 1
         queue.append(hi)
 
@@ -321,7 +358,8 @@ class _CosetTable:
                     table[mu][c] = nu
                     table[nu][c ^ 1] = mu
 
-    def scan(self, alpha: int, word: Sequence[int], fill: bool) -> None:
+    def scan(self, alpha: int, r: int, fill: bool) -> None:
+        word = self.words[r]
         table = self.table
         f = alpha
         i = 0
@@ -337,6 +375,8 @@ class _CosetTable:
             if i > j:
                 if f != b:
                     self._coincidence(f, b)
+                elif self.bits[r]:
+                    self._mark(alpha, r)
                 return
             while j >= i:
                 nxt = table[b][word[j] ^ 1]
@@ -350,19 +390,38 @@ class _CosetTable:
             if j == i:
                 table[f][word[i]] = b
                 table[b][word[i] ^ 1] = f
+                if self.bits[r]:
+                    self._mark(alpha, r)
                 return
             if not fill:
                 return
             self._define(f, word[i])
 
+    def _mark(self, alpha: int, r: int) -> None:
+        """Relator r = root^k has just closed at alpha: mark it closed at
+        every alpha*root^j, walking the root until it returns to alpha."""
+        bit, root = self.bits[r], self.roots[r]
+        table, closed = self.table, self.closed
+        cur = alpha
+        while True:
+            closed[cur] |= bit
+            for c in root:
+                cur = table[cur][c]
+            if cur == alpha:
+                return
+
+    def scan_all(self, alpha: int, fill: bool) -> None:
+        """Scan every relator not known to close at alpha, while alpha lives."""
+        closed = self.closed
+        for r, bit in enumerate(self.bits):
+            if self.rep(alpha) != alpha:
+                return
+            if not closed[alpha] & bit:
+                self.scan(alpha, r, fill)
+
     def lookahead(self) -> None:
         for beta in range(1, len(self.table)):
-            if self.rep(beta) != beta:
-                continue
-            for w in self.words:
-                if self.rep(beta) != beta:
-                    break
-                self.scan(beta, w, fill=False)
+            self.scan_all(beta, fill=False)
 
     def live_cosets(self) -> list[int]:
         return [k for k in range(1, len(self.table)) if self.rep(k) == k]
@@ -376,6 +435,13 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     live-coset count reaches ``max_cosets`` a full lookahead pass (scans
     without definitions) tries to collapse the table; if that cannot reclaim
     at least 5% headroom the enumeration stops with :class:`BudgetExceeded`.
+
+    Each relator is written as w^k with w primitive.  A scan of w^k that
+    closes at a coset alpha without a coincidence proves it closed at every
+    alpha*w^j, so those cosets are marked and never scan it again; the final
+    check reads w^k from the cycles of w.  A relator costs about
+    index * |w| letters, not index * k * |w|, and the cosets defined and
+    coincidences found are those of scanning every relator everywhere.
     """
     if max_cosets < 1:
         raise DomainError("max_cosets must be positive")
@@ -386,10 +452,7 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
         if ct.rep(alpha) == alpha:
             while True:
                 try:
-                    for w in ct.words:
-                        if ct.rep(alpha) != alpha:
-                            break
-                        ct.scan(alpha, w, fill=True)
+                    ct.scan_all(alpha, fill=True)
                     if ct.rep(alpha) == alpha:
                         row = ct.table[alpha]
                         for c in range(ct.ncols):
@@ -410,18 +473,29 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
 def _validate_closed_table(ct: _CosetTable) -> None:
     live = ct.live_cosets()
     index = set(live)
+    table = ct.table
     for k in live:
-        row = ct.table[k]
+        row = table[k]
         for c in range(ct.ncols):
             target = row[c]
             assert target in index, "coset table left open or inconsistent"
-            assert ct.table[target][c ^ 1] == k, "coset table mirror broken"
-    for k in live:
-        for w in ct.words:
-            cur = k
-            for c in w:
-                cur = ct.table[cur][c]
-            assert cur == k, "relator does not close on the final table"
+            assert table[target][c ^ 1] == k, "coset table mirror broken"
+    # every column is now a permutation of the live cosets, and root^k closes
+    # at each of them exactly when every cycle of root has a length dividing k
+    for word, root in zip(ct.words, ct.roots):
+        k = len(word) // len(root)
+        seen = bytearray(len(table))
+        for x in live:
+            if seen[x]:
+                continue
+            length = 0
+            y = x
+            while not seen[y]:
+                seen[y] = 1
+                for c in root:
+                    y = table[y][c]
+                length += 1
+            assert y == x and k % length == 0, "relator does not close on the final table"
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +641,20 @@ def _check_degree(degree: int) -> None:
 
 
 def parse_permutations(text: str, degree: int | None = None) -> PermutationSet:
-    """Parse semicolon-separated products of cycles, e.g. ``(1,4)(2,7);(1,2,3)``."""
+    """Parse semicolon-separated products of cycles, e.g. ``(1,4)(2,7);(1,2,3)``.
+
+    A generator that moves every point as an earlier one does (a second
+    identity among them) is dropped before any image is built.
+    """
     chunks = [c.strip() for c in text.split(";") if c.strip()]
     if not chunks:
         raise DomainError("no permutations given")
-    cycles_per_gen: list[list[list[int]]] = []
+    # each distinct generator as its sorted (point, image) pairs, moved points
+    # only, in order of first appearance
+    distinct: dict[tuple[tuple[int, int], ...], None] = {}
     maxpt = 0
     for chunk in chunks:
-        cycles: list[list[int]] = []
+        moves: dict[int, int] = {}
         rest = chunk
         while rest:
             if not rest.startswith("("):
@@ -590,20 +670,25 @@ def parse_permutations(text: str, degree: int | None = None) -> PermutationSet:
                     raise DomainError(f"bad cycle {body!r}") from exc
                 if len(set(pts)) != len(pts) or any(p < 1 for p in pts):
                     raise DomainError(f"bad cycle {body!r}")
-                cycles.append(pts)
+                for i, p in enumerate(pts):
+                    moves[p - 1] = pts[(i + 1) % len(pts)] - 1
                 maxpt = max(maxpt, *pts)
             rest = rest[end + 1 :].strip()
-        cycles_per_gen.append(cycles)
+        distinct.setdefault(tuple(sorted((p, q) for p, q in moves.items() if p != q)))
     deg = degree if degree is not None else max(maxpt, 1)
     if maxpt > deg:
         raise DomainError(f"cycle point {maxpt} exceeds degree {deg}")
     _check_degree(deg)  # before any list of deg points is built
+    if len(distinct) * deg > MAX_GENERATOR_POINTS:
+        raise DomainError(
+            f"{len(distinct)} distinct generators of degree {deg} exceed "
+            f"{MAX_GENERATOR_POINTS} image points"
+        )
     gens = []
-    for cycles in cycles_per_gen:
+    for moves in distinct:
         img = list(range(deg))
-        for cyc in cycles:
-            for i, p in enumerate(cyc):
-                img[p - 1] = cyc[(i + 1) % len(cyc)] - 1
+        for p, q in moves:
+            img[p] = q
         gens.append(tuple(img))
     return PermutationSet(deg, tuple(gens))
 

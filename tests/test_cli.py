@@ -324,13 +324,13 @@ def _entry_point_argv():
     return [sys.executable, "-c", f"from {module} import {attr}; {attr}()"]
 
 
-def _run_entry_point(command, args):
+def _run_entry_point(command, args, timeout=60):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        command + args, capture_output=True, text=True, env=env, timeout=60
+        command + args, capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -352,3 +352,13 @@ def test_console_entry_point_exit_codes():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert _run_entry_point(command, ["classify"]).returncode == 2
+
+
+def test_coset_enum_long_power_relator_is_linear():
+    # one scan of a^100000 closes it at every coset; scanning it from each
+    # coset, and checking it letter by letter, took about 20 minutes
+    proc = _run_entry_point(
+        _entry_point_argv(), ["coset-enum", "--pres", "<a | a^100000>"], timeout=30
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "100000"

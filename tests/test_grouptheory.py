@@ -175,6 +175,175 @@ def test_coset_enumerate_deterministic():
     assert coset_enumerate(p) == coset_enumerate(p) == 24
 
 
+# counts of HLT scanning every relator at every coset, which skipping the
+# scans known to close must keep:
+# (text, max_cosets, _define calls, merges, order or None at a budget stop)
+PINNED_COUNTS = [
+    ("<u,v | u^2, v^1000, (u*v)^2>", 1_000_000, 2996, 997, 2000),
+    ("<a,b | a^100, b^100, [a,b]>", 1_000_000, 19603, 9604, 10000),
+    ("<x,y | x^2, y^3, (x*y)^7, [x,y]^4>", 1_000_000, 668, 501, 168),
+    ("<x,y | x^2, y^3, (x*y)^7>", 2000, 2298, 309, None),
+]
+
+
+@pytest.mark.parametrize("text,budget,defined,merges,order", PINNED_COUNTS)
+def test_skipped_scans_are_no_ops(monkeypatch, text, budget, defined, merges, order):
+    counts = {"defined": 0, "merges": 0}
+    define, merge = grouptheory._CosetTable._define, grouptheory._CosetTable._merge
+
+    def counted_define(self, alpha, c):
+        counts["defined"] += 1
+        return define(self, alpha, c)
+
+    def counted_merge(self, a, b, queue):
+        alive = self.alive
+        merge(self, a, b, queue)
+        counts["merges"] += alive - self.alive
+
+    monkeypatch.setattr(grouptheory._CosetTable, "_define", counted_define)
+    monkeypatch.setattr(grouptheory._CosetTable, "_merge", counted_merge)
+    pres = parse_presentation(text)
+    if order is None:
+        with pytest.raises(BudgetExceeded):
+            coset_enumerate(pres, max_cosets=budget)
+    else:
+        assert coset_enumerate(pres, max_cosets=budget) == order
+    assert counts == {"defined": defined, "merges": merges}
+
+
+@pytest.mark.parametrize(
+    "text,order",
+    [("<u,v | u^2, v^1000, (u*v)^2>", 2000), ("<a,b | a^100, b^100, [a,b]>", 10000)],
+    ids=["D1000", "Z100xZ100"],
+)
+def test_scans_cost_index_times_root(monkeypatch, text, order):
+    # each power is scanned from a few cosets of each cycle of its root, not
+    # from every coset, and a merged coset keeps what was known of both: a
+    # scan, or the walk that marks a closed power, reads at most its
+    # relator's letters
+    letters = [0]
+    scan, mark = grouptheory._CosetTable.scan, grouptheory._CosetTable._mark
+
+    def counted_scan(self, alpha, r, fill):
+        letters[0] += len(self.words[r])
+        return scan(self, alpha, r, fill)
+
+    def counted_mark(self, alpha, r):
+        letters[0] += len(self.words[r])
+        return mark(self, alpha, r)
+
+    monkeypatch.setattr(grouptheory._CosetTable, "scan", counted_scan)
+    monkeypatch.setattr(grouptheory._CosetTable, "_mark", counted_mark)
+    pres = parse_presentation(text)
+    assert coset_enumerate(pres) == order
+    roots = grouptheory._CosetTable(pres.generator_count, pres.relators, 1).roots
+    assert letters[0] <= 3 * order * sum(map(len, roots))
+
+
+def _relators(*words: str) -> str:
+    return "<x,y | " + ", ".join(words) + ">"
+
+
+CLOSED_FORMS = {
+    **{f"Z{m}xZ{n}": (f"<a,b | a^{m}, b^{n}, [a,b]>", m * n)
+       for m, n in ((1, 1), (2, 3), (4, 6), (7, 7), (12, 5), (30, 30))},
+    **{f"D{n}": (f"<u,v | u^2, v^{n}, (u*v)^2>", 2 * n) for n in (1, 2, 3, 8, 97, 360)},
+    **{f"(2,2,{m})": (_relators("x^2", "y^2", f"(x*y)^{m}"), 2 * m) for m in (2, 5, 64)},
+    "(2,3,3)": (_relators("x^2", "y^3", "(x*y)^3"), 12),
+    "(2,3,4)": (_relators("x^2", "y^3", "(x*y)^4"), 24),
+    "(2,3,5)": (_relators("x^2", "y^3", "(x*y)^5"), 60),
+    # powers of long roots: [x,y] = (x*y)^2 for involutions, and
+    # x*y*x*y^-1 = x*y*x*y when y is one
+    "[x,y]^k": (_relators("x^2", "y^2", "[x,y]^25"), 100),
+    "(x*y*x*y^-1)^k": (_relators("x^2", "y^2", "(x*y*x*y^-1)^9"), 36),
+    "(x*y)^k written out": (_relators("x^2", "y^3", "x*y*x*y*x*y*x*y*x*y"), 60),
+    "commuting, [x,y]^k": (_relators("x^4", "y^6", "[x,y]^1", "[x,y]^3"), 24),
+    # the same relators rotated or inverted
+    "D360 rotated": ("<u,v | u^2, v^360, v*u*v*u>", 720),
+    "D360 inverted": ("<u,v | u^-2, v^-360, (u*v)^-2>", 720),
+    "(2,3,5) rotated": (_relators("x^2", "y^3", "(y*x)^5"), 60),
+    "(2,3,5) inverted": (_relators("x^-2", "y^-3", "(y^-1*x^-1)^5"), 60),
+    "[x,y]^k rotated": (_relators("x^2", "y^2", "(y*x^-1*y^-1*x)^25"), 100),
+    "Z12xZ5 rotated": ("<a,b | a^12, b^5, b*a^-1*b^-1*a>", 60),
+}
+
+
+@pytest.mark.parametrize("text,order", CLOSED_FORMS.values(), ids=CLOSED_FORMS)
+def test_coset_enumerate_closed_forms(text, order):
+    assert coset_enumerate(parse_presentation(text)) == order
+
+
+def _closed_table(pres: Presentation) -> "grouptheory._CosetTable":
+    """The final coset table of an enumeration of pres."""
+    tables = []
+    validate = grouptheory._validate_closed_table
+
+    def keep(ct):
+        validate(ct)
+        tables.append(ct)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grouptheory, "_validate_closed_table", keep)
+        coset_enumerate(pres)
+    return tables[0]
+
+
+def _with_relators(ct, generator_count: int, relators) -> None:
+    """Give a closed table other relators to be checked against."""
+    other = grouptheory._CosetTable(generator_count, relators, 1)
+    ct.words, ct.roots = other.words, other.roots
+
+
+def test_final_check_rejects_a_cycle_not_dividing_the_exponent():
+    ct = _closed_table(parse_presentation("<a | a^6>"))
+    assert len(ct.live_cosets()) == 6
+    _with_relators(ct, 1, [(1,) * 4])  # a has one cycle, of length 6
+    with pytest.raises(AssertionError, match="relator does not close"):
+        grouptheory._validate_closed_table(ct)
+    _with_relators(ct, 1, [(1,) * 12, (-1,) * 6])
+    grouptheory._validate_closed_table(ct)
+
+
+def _closes_letter_by_letter(ct) -> bool:
+    """Reference: every relator, walked letter by letter from every live coset."""
+    for k in ct.live_cosets():
+        for w in ct.words:
+            cur = k
+            for c in w:
+                cur = ct.table[cur][c]
+            if cur != k:
+                return False
+    return True
+
+
+REFERENCE_TABLES = {
+    text: _closed_table(parse_presentation(text))
+    for text in ("<a,b | a^6, b^4, [a,b]>", "<x,y | x^2, y^3, (x*y)^4>", "<u,v | u^2, v^9, (u*v)^2>")
+}
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(REFERENCE_TABLES)),
+    st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=12),
+)
+def test_final_check_matches_letter_by_letter_reference(text, root, k):
+    ct = REFERENCE_TABLES[text]
+    words, roots = ct.words, ct.roots
+    try:
+        _with_relators(ct, 2, [tuple(root) * k])
+        try:
+            grouptheory._validate_closed_table(ct)
+            verdict = True
+        except AssertionError:
+            verdict = False
+        assert verdict == _closes_letter_by_letter(ct)
+    finally:
+        ct.words, ct.roots = words, roots
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form and abelianization
 
@@ -264,6 +433,30 @@ def test_parse_permutations_errors():
             parse_permutations(text, degree=degree)
     with pytest.raises(DomainError):
         PermutationSet(top + 1, (tuple(range(top + 1)),))
+
+
+def test_parse_permutations_drops_repeats_before_building_images():
+    # 20,000 copies of one transposition at degree 1000 build one image of
+    # 1000 points, not 20 million
+    gens = parse_permutations(";".join(["(1,2)"] * 20_000), degree=1000).generators
+    assert len(gens) == 1 and gens[0][:3] == (1, 0, 2)
+    # rotated cycles, cycles in another order, 1-cycles and a second
+    # identity are repeats; the first identity stays, in its place
+    text = "(); (1,2)(3,4,5); (4,5,3)(2,1); (1,2)(3,4,5)(6); ()"
+    gens = parse_permutations(text, degree=6).generators
+    assert gens == (tuple(range(6)), (1, 0, 3, 4, 2, 5))
+
+
+def test_parse_permutations_bounds_distinct_generators_times_degree(monkeypatch):
+    monkeypatch.setattr(grouptheory, "MAX_GENERATOR_POINTS", 12)
+    assert len(parse_permutations("(1,2);(2,3);(1,2)", degree=6).generators) == 2
+
+    def no_range(*args):
+        raise AssertionError("an image was built")
+
+    monkeypatch.setattr(grouptheory, "range", no_range, raising=False)
+    with pytest.raises(DomainError, match="3 distinct generators of degree 6"):
+        parse_permutations("(1,2);(2,3);(1,2);(3,4)", degree=6)
 
 
 def test_perm_order_budget():

@@ -23,14 +23,21 @@ Input sets, in output order:
   1 to 8 (random permutations, products of a few disjoint cycles, identities
   and repeats), the README examples, and S_n for n <= 10, A_7, PSL(2,7),
   M_11, the order-96 group of row B.3, the dihedral group of order 128, and
-  the cyclic and dihedral groups of degree 1000.
+  the cyclic and dihedral groups of degree 1000;
+- ``coset_enumerate`` on the distinct presentations of every Belyi,
+  Lefschetz and Fermat report of degree at most 60, the README example, the
+  presentations of the tests, Z_m x Z_n for m, n <= 30, the dihedral groups
+  of order 2n for n = 1, 10, ..., 1000, and the (2,3,7) triangle group and
+  the free groups of rank 1 and 2 at budgets 100 to 10,000 (2,902 calls).
 
 A classification line holds ``report_to_json_dict`` of the report plus its
 ``kind``, ``group.kind`` and ``group.params``; any call that raises
 ``DomainError`` writes the error text instead.  A permutation line holds the
 order at ``max_size`` 100,000 and at 60, and the fingerprint at ``max_size``
 10,000, each as the value or the ``DomainError`` or ``BudgetExceeded`` text;
-the budgets keep the closure of the old implementation within reach.
+the budgets keep the closure of the old implementation within reach.  A
+coset line holds the order at the budget given with it (1,000,000 where the
+input names none), or the ``DomainError`` or ``BudgetExceeded`` text.
 """
 
 from __future__ import annotations
@@ -53,8 +60,10 @@ from cyclicaut.curve import Signature  # noqa: E402
 from cyclicaut.fuchsian import extension_chains, gs_extensions  # noqa: E402
 from cyclicaut.grouptheory import (  # noqa: E402
     BudgetExceeded,
+    coset_enumerate,
     fingerprint,
     parse_permutations,
+    parse_presentation,
     perm_order,
 )
 from cyclicaut.numtheory import DomainError, is_prime  # noqa: E402
@@ -181,6 +190,70 @@ PERM_EXAMPLES = [
 ]
 
 
+COSET_EXAMPLES = [
+    "<u,v | u^4, v^16, u*v*u*v, u^2*v*u^2*v^7>",  # README
+    # tests
+    "<a | a^5>",
+    "<a | a^6>",
+    "<u,v | u^2, v^7, (u*v)^2>",
+    "<x,y | x^2, y^3, (x*y)^4>",
+    "<x,y | x^2, y^3, (x*y)^5>",
+    "<x,y | x^2, y^2, (x*y)^2>",
+    "<x,y | x^2, y^2, (x*y)^12>",
+    "<u,v | u^4, v^8, (u*v)^2, u^2*v*u^2*v^3>",
+    "<u,v | u^4, v^16, (u*v)^2, u^2*v*u^2*v^7>",
+    "<u,v | u^4, v^6, (u*v)^2, [u^2,v]>",
+    "<u,v | u^2, v^15, u*v*u*v^-4>",
+    "<s,t | s^3, t^13, s*t*s^-1*t^-3>",
+    "<s,t | s^4, t^5, [s,t]>",
+    "<s,t,u | s^4, t^16, u^2, [s,t], [s,u], (u*t)^2*s>",
+    "<s,t,u | s^4, t^8, u^2, [s,t], [s,u], u*t*u*t*s>",
+    "<a,b,u | a^6, b^6, (a*b)^2, [a,b], u^2, u*a*u*b^-1, u*b*u*a^-1>",
+    "<a,b,u | a^6, b^6, (a*b)^3, [a,b], u^2, u*a*u*b^-1, u*b*u*a^-1>",
+    "<x,y | x^2, y^3, x*(x*y)^3*x^-1*(x*y)^-3>",
+    "<x,y | x^2, y^3, (x*y)^7, [x,y]^4>",
+    "<x,y | x^4, y^8, (x*y)^8>",
+    "<x,y | x^2, y^2, [x,y]^25>",
+    "<x,y | x^2, y^2, (x*y*x*y^-1)^9>",
+    "<x,y | x^2, y^3, x*y*x*y*x*y*x*y*x*y>",
+    "<x,y | x^4, y^6, [x,y]^1, [x,y]^3>",
+    "<u,v | u^2, v^360, v*u*v*u>",
+    "<u,v | u^-2, v^-360, (u*v)^-2>",
+    "<x,y | x^-2, y^-3, (y^-1*x^-1)^5>",
+    "<x,y | x^2, y^2, (y*x^-1*y^-1*x)^25>",
+    '{"generators": 2, "relators": [[1,1],[2,2,2],[1,2,1,2]]}',
+    "<a | a^" + "9" * 5000 + ">",
+]
+
+
+def _report_presentations() -> list[str]:
+    """Distinct presentations of the reports of degree at most 60, in order."""
+    texts: dict[str, None] = {}
+
+    def keep(classify, *args) -> None:
+        try:
+            text = classify(*args).group.presentation_text
+        except DomainError:
+            return
+        if text is not None:
+            texts.setdefault(text)
+
+    for n in range(4, ENUMERATION_CAP + 1):
+        for triple in _ordered_admissible(n):
+            keep(classify_belyi, n, *triple)
+    for p in range(ENUMERATION_CAP + 1):
+        for a in range(p + 1):
+            keep(classify_lefschetz, p, a)
+    for n in range(ENUMERATION_CAP + 1):
+        for d in range(n + 2):
+            keep(classify_fermat, n, d)
+    return list(texts)
+
+
+def _coset_answer(text: str, budget: int):
+    return coset_enumerate(parse_presentation(text), budget)
+
+
 def _calls():
     """(name, function, args) of every call, in output order."""
     for n in range(4, ENUMERATION_CAP + 1):
@@ -199,6 +272,17 @@ def _calls():
         yield "perm", _perm_answer, (text, degree)
     for text in PERM_EXAMPLES:
         yield "perm", _perm_answer, (text, None)
+    default = 1_000_000
+    for text in _report_presentations() + COSET_EXAMPLES:
+        yield "coset", _coset_answer, (text, default)
+    for m in range(1, 31):
+        for n in range(1, 31):
+            yield "coset", _coset_answer, (f"<a,b | a^{m}, b^{n}, [a,b]>", default)
+    for n in range(1, 1001, 9):
+        yield "coset", _coset_answer, (f"<u,v | u^2, v^{n}, (u*v)^2>", default)
+    for text in ("<x,y | x^2, y^3, (x*y)^7>", "<a | >", "<a,b | >"):
+        for budget in (100, 200, 500, 1000, 2000, 5000, 10_000):
+            yield "coset", _coset_answer, (text, budget)
 
 
 def main() -> None:
