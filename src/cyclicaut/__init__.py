@@ -13,7 +13,6 @@ from .classifier import (
     classify_fermat,
     classify_lefschetz,
     lefschetz_isomorphic,
-    presentation_for,
 )
 from .curve import CyclicCover, belyi_cover, fermat_cover, genus, lefschetz_cover, parse_curve
 from .grouptheory import (
@@ -52,7 +51,6 @@ __all__ = [
     "parse_permutations",
     "parse_presentation",
     "perm_order",
-    "presentation_for",
     "run_scenario",
     "sample_curve",
     "__version__",

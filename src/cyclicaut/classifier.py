@@ -12,19 +12,23 @@ kept as the text reports print, parsed only when asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Callable, Optional, Sequence
 
 from .curve import (
+    MINUS_ONE,
+    ONE,
+    ZERO,
     CyclicCover,
     Signature,
-    belyi_cover,
     canonical_triple,
     cover_to_json_dict,
     fermat_cover,
     genus,
+    genus_and_periods,
     lefschetz_cover,
-    signature_of,
+    triple_gcds,
 )
 from .fuchsian import ChainStep, chain_steps
 from .grouptheory import Presentation, parse_presentation
@@ -256,12 +260,20 @@ _BELYI_RULES: tuple[tuple[str, _Fits, _Holds, _Build], ...] = (
 )
 
 
-def _unit_led_forms(n: int, triple: tuple[int, int, int]) -> list[tuple[int, int]]:
+@lru_cache(maxsize=256)
+def _rules_at(n: int) -> tuple[tuple[str, _Holds, _Build], ...]:
+    """The rows of ``_BELYI_RULES`` that fit degree n, in table order."""
+    return tuple((row, holds, build) for row, fits, holds, build in _BELYI_RULES if fits(n))
+
+
+def _unit_led_forms(n: int, triple: tuple[int, int, int],
+                    gcds: tuple[int, int, int]) -> list[tuple[int, int]]:
     """The pairs (x, y) with (1, x, y) a unit multiple of a permutation of the
-    triple: each unit entry k, scaled by k^-1 to 1, leads two of them."""
+    triple: each unit entry k (gcd(n, k) = 1), scaled by k^-1 to 1, leads two
+    of them."""
     forms = []
     for i, k in enumerate(triple):
-        if gcd(k, n) == 1:
+        if gcds[i] == 1:
             inv = pow(k, -1, n)
             x, y = (inv * t % n for j, t in enumerate(triple) if j != i)
             forms += [(x, y), (y, x)]
@@ -269,16 +281,21 @@ def _unit_led_forms(n: int, triple: tuple[int, int, int]) -> list[tuple[int, int
 
 
 def _three_point_report(kind: str, cover: CyclicCover, triple: tuple[int, int, int],
-                        canon: tuple[int, int, int],
+                        gcds: tuple[int, int, int],
                         row_names: Optional[dict[str, str]] = None) -> ClassificationReport:
-    """Report on a cover branched over three points with exponents `triple`:
-    the first row of ``_BELYI_RULES`` that fires, renamed by row_names."""
+    """Report on a cover branched over three points with exponents `triple`
+    and their gcds with n: the first row of ``_BELYI_RULES`` that fires,
+    renamed by row_names.
+
+    Genus and signature come from the gcds.  The canonical triple is
+    (1, x, y) for the least unit-led form (x, y) when an entry is a unit;
+    otherwise ``canonical_triple`` finds it.
+    """
     n = cover.n
-    g = genus(cover)
-    forms = _unit_led_forms(n, triple)
-    for row, fits, holds, build in _BELYI_RULES:
-        if not fits(n):
-            continue
+    g, periods = genus_and_periods(n, gcds)
+    forms = _unit_led_forms(n, triple, gcds)
+    canon = (1, *min(forms)) if forms else canonical_triple(n, *triple)
+    for row, holds, build in _rules_at(n):
         twists = [x for x, y in forms if holds(n, x, y)]
         if twists:
             group, chain_rows, genus_column = build(n, min(twists))
@@ -288,16 +305,22 @@ def _three_point_report(kind: str, cover: CyclicCover, triple: tuple[int, int, i
         row, group, chain_rows = "DEFAULT", _cyclic(n), ()
     if row_names is not None:
         row = row_names[row]
-    return _make_report(kind, cover, triple, canon, signature_of(cover), row, group, chain_rows,
-                        n, g)
+    return _make_report(kind, cover, triple, canon, Signature(0, periods), row, group,
+                        chain_rows, n, g)
 
 
 def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:
-    """Full automorphism group of y^n = x^a (x-1)^b (x+1)^c, by ``_BELYI_RULES``."""
+    """Full automorphism group of y^n = x^a (x-1)^b (x+1)^c, by ``_BELYI_RULES``.
+
+    The triple is validated once, as its gcds with n are taken; the cover
+    is built from it as given, since an admissible triple needs no reduction
+    and leaves infinity unbranched.
+    """
     if n < 4:
         raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
-    canon = canonical_triple(n, a, b, c)
-    return _three_point_report("belyi", belyi_cover(n, a, b, c), (a, b, c), canon)
+    gcds = triple_gcds(n, a, b, c)
+    cover = CyclicCover(n, ((ZERO, a), (ONE, b), (MINUS_ONE, c)))
+    return _three_point_report("belyi", cover, (a, b, c), gcds)
 
 
 def classify_cover(cover: CyclicCover) -> ClassificationReport:
@@ -342,7 +365,7 @@ def classify_lefschetz(p: int, a: int) -> ClassificationReport:
     a0 = lefschetz_canonical(p, a)
     triple = (a0, 1, p - 1 - a0)
     return _three_point_report("lefschetz", lefschetz_cover(p, a0), triple,
-                               canonical_triple(p, *triple), _LEFSCHETZ_ROWS)
+                               triple_gcds(p, *triple), _LEFSCHETZ_ROWS)
 
 
 def lefschetz_isomorphic(p: int, a: int, b: int) -> bool:
@@ -445,12 +468,7 @@ def stability_normal(p: int, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Presentations and serialization
-
-
-def presentation_for(report: ClassificationReport) -> Optional[Presentation]:
-    """The report's presentation, or None when its row ships none."""
-    return report.group.presentation
+# Serialization
 
 
 def report_to_json_dict(report: ClassificationReport) -> dict:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .numtheory import DomainError, units
+from .numtheory import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -115,28 +115,30 @@ class CyclicCover:
     _all_exponents: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError(f"cover degree must be >= 2, got {self.n}")
-        branches = tuple((pt, int(k)) for pt, k in self.branches)
-        object.__setattr__(self, "branches", branches)
+        n = self.n
+        if n < 2:
+            raise DomainError(f"cover degree must be >= 2, got {n}")
+        branches = tuple(self.branches)
         if not branches:
             raise DomainError("cover needs at least one finite branch point")
-        exponents = tuple(k for _, k in branches)
+        points, exponents = zip(*branches)
+        exponents = tuple(map(int, exponents))
+        object.__setattr__(self, "branches", tuple(zip(points, exponents)))
         for k in exponents:
-            if not 1 <= k <= self.n - 1:
-                raise DomainError(f"branch exponent {k} outside [1, {self.n - 1}]")
-        if len({pt for pt, _ in branches}) != len(branches):
+            if not 1 <= k <= n - 1:
+                raise DomainError(f"branch exponent {k} outside [1, {n - 1}]")
+        if len(set(points)) != len(points):
             raise DomainError("non-distinct roots")
-        if not 0 <= self.infinity_exponent <= self.n - 1:
+        infinity = self.infinity_exponent
+        if not 0 <= infinity <= n - 1:
             raise DomainError("infinity exponent outside [0, n-1]")
-        if (sum(exponents) + self.infinity_exponent) % self.n:
+        if (sum(exponents) + infinity) % n:
             raise DomainError("exponents do not sum to 0 mod n")
         if self.constant == 0:
             raise DomainError("constant must be nonzero")
         object.__setattr__(self, "_exponents", exponents)
         object.__setattr__(
-            self, "_all_exponents",
-            exponents + (self.infinity_exponent,) if self.infinity_exponent else exponents,
+            self, "_all_exponents", exponents + (infinity,) if infinity else exponents
         )
 
     def exponents(self) -> tuple[int, ...]:
@@ -333,21 +335,34 @@ def _require_irreducible(cover: CyclicCover) -> None:
         raise DomainError("cover is reducible (exponents share a factor with n)")
 
 
+def genus_and_periods(n: int, gcds: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Genus and sorted periods of an irreducible degree-n cyclic cover of the
+    sphere branched over len(gcds) points, read off the gcds g_i = gcd(n, k_i)
+    of its exponents (the exponent over infinity among them when nonzero).
+
+    The genus is (2 + (m-2)n - sum g_i) / 2 by Riemann-Hurwitz, and the
+    periods are the orders n/g_i of the branch-point stabilizers (Harvey 1966).
+    """
+    chi_term = 2 + (len(gcds) - 2) * n - sum(gcds)
+    assert chi_term % 2 == 0, "genus formula produced an odd numerator"
+    g = chi_term // 2
+    assert g >= 0, "genus formula produced a negative value"
+    return g, tuple(sorted(n // d for d in gcds))
+
+
+def _exponent_gcds(cover: CyclicCover) -> list[int]:
+    _require_irreducible(cover)
+    n = cover.n
+    return [gcd(n, k) for k in cover.all_exponents()]
+
+
 def genus(cover: CyclicCover) -> int:
     """Genus of the smooth model: (2 + (m-2)n - sum gcd(n, k_i)) / 2.
 
     Branching over infinity counts as an extra branch point with its own
     exponent.
     """
-    _require_irreducible(cover)
-    ks = cover.all_exponents()
-    m = len(ks)
-    n = cover.n
-    chi_term = 2 + (m - 2) * n - sum(gcd(n, k) for k in ks)
-    assert chi_term % 2 == 0, "genus formula produced an odd numerator"
-    g = chi_term // 2
-    assert g >= 0, "genus formula produced a negative value"
-    return g
+    return genus_and_periods(cover.n, _exponent_gcds(cover))[0]
 
 
 @dataclass(frozen=True)
@@ -370,11 +385,11 @@ class Signature:
 
 
 def signature_of(cover: CyclicCover) -> Signature:
-    """Genus-0 signature with one period n/gcd(n,k) per branch point, 1s dropped, sorted."""
-    _require_irreducible(cover)
-    n = cover.n
-    periods = sorted(n // gcd(n, k) for k in cover.all_exponents())
-    return Signature(0, tuple(p for p in periods if p > 1))
+    """Genus-0 signature with one period n/gcd(n,k) per branch point, sorted.
+
+    Every exponent lies in [1, n-1], so no period is 1.
+    """
+    return Signature(0, genus_and_periods(cover.n, _exponent_gcds(cover))[1])
 
 
 def scale_exponents(cover: CyclicCover, l: int) -> CyclicCover:
@@ -390,7 +405,10 @@ def scale_exponents(cover: CyclicCover, l: int) -> CyclicCover:
 # Triple equivalence
 
 
-def _validate_triple(n: int, a: int, b: int, c: int) -> None:
+def triple_gcds(n: int, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """gcd(n, k) for each entry k of the triple; a DomainError unless the
+    triple is admissible: entries in [1, n-1], summing to 0 mod n, with no
+    factor common to all of them and n."""
     if n < 2:
         raise DomainError(f"cover degree must be >= 2, got {n}")
     for v in (a, b, c):
@@ -398,8 +416,10 @@ def _validate_triple(n: int, a: int, b: int, c: int) -> None:
             raise DomainError(f"triple entry {v} outside [1, {n - 1}]")
     if (a + b + c) % n:
         raise DomainError("triple does not sum to 0 mod n")
-    if gcd(n, a, b, c) != 1:
+    gcds = (gcd(n, a), gcd(n, b), gcd(n, c))
+    if gcd(*gcds) != 1:
         raise DomainError("triple shares a common factor with n")
+    return gcds
 
 
 def canonical_triple(n: int, a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -414,29 +434,17 @@ def canonical_triple(n: int, a: int, b: int, c: int) -> tuple[int, int, int]:
     coprime (a common factor of two divides the third entry, and the triple
     is irreducible), so g <= n^(1/3) and at most 3g units are tried.
     """
-    _validate_triple(n, a, b, c)
     triple = (a, b, c)
-    g = min(gcd(n, k) for k in triple)
+    gcds = triple_gcds(n, a, b, c)
+    g = min(gcds)
     step = n // g
     return min(
         tuple(sorted(u * t % n for t in triple))
-        for k in triple
-        if gcd(n, k) == g
+        for k, gk in zip(triple, gcds)
+        if gk == g
         for u in range(pow(k // g, -1, step), n, step)
         if gcd(u, n) == 1
     )
-
-
-def triple_orbit(n: int, a: int, b: int, c: int) -> set[tuple[int, int, int]]:
-    """All ordered triples equivalent to (a, b, c): unit rescalings and permutations."""
-    from itertools import permutations
-
-    _validate_triple(n, a, b, c)
-    out: set[tuple[int, int, int]] = set()
-    for k in units(n):
-        scaled = ((k * a) % n, (k * b) % n, (k * c) % n)
-        out.update(permutations(scaled))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -643,8 +643,11 @@ def _check_degree(degree: int) -> None:
 def parse_permutations(text: str, degree: int | None = None) -> PermutationSet:
     """Parse semicolon-separated products of cycles, e.g. ``(1,4)(2,7);(1,2,3)``.
 
-    A generator that moves every point as an earlier one does (a second
-    identity among them) is dropped before any image is built.
+    The cycles of one generator compose from left to right: the leftmost
+    acts first, so ``(1,2)(2,3)`` sends 1 to 2 and then to 3, and is the
+    3-cycle ``(1,3,2)``; cycles may share points.  A generator that moves
+    every point as an earlier one does (a second identity among them) is
+    dropped before any image is built.
     """
     chunks = [c.strip() for c in text.split(";") if c.strip()]
     if not chunks:
@@ -654,7 +657,10 @@ def parse_permutations(text: str, degree: int | None = None) -> PermutationSet:
     distinct: dict[tuple[tuple[int, int], ...], None] = {}
     maxpt = 0
     for chunk in chunks:
+        # the product of the cycles read so far, on the points they touch,
+        # and its inverse
         moves: dict[int, int] = {}
+        preimage: dict[int, int] = {}
         rest = chunk
         while rest:
             if not rest.startswith("("):
@@ -670,8 +676,13 @@ def parse_permutations(text: str, degree: int | None = None) -> PermutationSet:
                     raise DomainError(f"bad cycle {body!r}") from exc
                 if len(set(pts)) != len(pts) or any(p < 1 for p in pts):
                     raise DomainError(f"bad cycle {body!r}")
-                for i, p in enumerate(pts):
-                    moves[p - 1] = pts[(i + 1) % len(pts)] - 1
+                # what the earlier cycles sent to p, this one sends on to
+                # p's successor
+                steps = [(preimage.get(p - 1, p - 1), pts[(i + 1) % len(pts)] - 1)
+                         for i, p in enumerate(pts)]
+                for source, q in steps:
+                    moves[source] = q
+                    preimage[q] = source
                 maxpt = max(maxpt, *pts)
             rest = rest[end + 1 :].strip()
         distinct.setdefault(tuple(sorted((p, q) for p, q in moves.items() if p != q)))

@@ -17,14 +17,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .classifier import ClassificationReport, classify_belyi
-from .curve import (
-    BranchPoint,
-    CyclicCover,
-    genus,
-    monodromy_genus,
-    parse_curve,
-    signature_of,
-)
+from .curve import BranchPoint, CyclicCover, monodromy_genus, parse_curve
 from .fuchsian import cb_extendable, harvey_admissible, skep_of_cover
 from .numtheory import DomainError
 
@@ -471,15 +464,11 @@ def cross_check(n_max: int) -> CrossCheckReport:
         reps: dict[tuple[int, int, int], ClassificationReport] = {}
         for triple in _ordered_admissible(n):
             r = classify_belyi(n, *triple)
-            if genus(r.cover) != monodromy_genus(r.cover):
+            monodromy = monodromy_genus(r.cover)
+            if r.genus != monodromy:
                 fail(
                     "genus_matches_monodromy",
-                    {
-                        "n": n,
-                        "triple": list(triple),
-                        "formula": genus(r.cover),
-                        "monodromy": monodromy_genus(r.cover),
-                    },
+                    {"n": n, "triple": list(triple), "formula": r.genus, "monodromy": monodromy},
                 )
             canon = r.canonical
             assert canon is not None
@@ -493,7 +482,7 @@ def cross_check(n_max: int) -> CrossCheckReport:
                 )
         for canon, r in reps.items():
             witness = {"n": n, "triple": list(canon), "row": r.row, "order": r.group.order}
-            if not harvey_admissible(signature_of(r.cover), n):
+            if not harvey_admissible(r.signature, n):
                 fail("harvey_condition", witness)
             if r.genus < 2:
                 continue

@@ -1,9 +1,11 @@
 """Tests for the automorphism-group classifier."""
 
 import json
+from itertools import permutations
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from cyclicaut import classifier
 from cyclicaut.classifier import (
@@ -16,15 +18,17 @@ from cyclicaut.classifier import (
     dihedral_four_branch,
     lefschetz_canonical,
     lefschetz_isomorphic,
-    presentation_for,
     report_to_json_dict,
     stability_normal,
 )
 from cyclicaut.curve import (
+    belyi_cover,
     canonical_triple,
+    genus,
     monodromy_genus,
     parse_curve,
-    triple_orbit,
+    signature_of,
+    triple_gcds,
 )
 from cyclicaut.fuchsian import cb_extendable, skep_of_cover
 from cyclicaut.grouptheory import (
@@ -34,7 +38,16 @@ from cyclicaut.grouptheory import (
     parse_presentation,
     presentation_to_text,
 )
-from cyclicaut.numtheory import DomainError, is_prime
+from cyclicaut.numtheory import DomainError, is_prime, units
+
+
+def triple_orbit(n, a, b, c):
+    """All ordered triples equivalent to (a, b, c): unit rescalings and permutations."""
+    triple_gcds(n, a, b, c)
+    out = set()
+    for k in units(n):
+        out.update(permutations(((k * a) % n, (k * b) % n, (k * c) % n)))
+    return out
 
 
 def admissible_triples(n):
@@ -225,7 +238,7 @@ def test_presentations_enumerate_to_claimed_order():
     seen = set()
     checked = 0
     for r in reports:
-        pres = presentation_for(r)
+        pres = r.group.presentation
         if pres is None:
             continue
         key = (pres.generator_count, pres.relators)
@@ -240,9 +253,9 @@ def test_presentations_enumerate_to_claimed_order():
 def test_presentation_absent_on_named_rows():
     for n, a, b, c in [(8, 1, 2, 5), (7, 1, 2, 4), (12, 1, 3, 8), (8, 1, 3, 4),
                        (12, 1, 4, 7), (24, 1, 4, 19)]:
-        assert presentation_for(classify_belyi(n, a, b, c)) is None
-    assert presentation_for(classify_fermat(4, 4)) is None
-    assert presentation_for(classify_lefschetz(7, 2)) is None
+        assert classify_belyi(n, a, b, c).group.presentation is None
+    assert classify_fermat(4, 4).group.presentation is None
+    assert classify_lefschetz(7, 2).group.presentation is None
 
 
 def test_classify_cover_routes():
@@ -255,15 +268,68 @@ def test_classify_cover_routes():
         classify_cover(parse_curve("y^5 + x^3 = 1"))
 
 
+# invalid Belyi inputs and the exact DomainError text each must keep
+BELYI_INVALID = [
+    ((3, 1, 1, 1), "three-branch-point classification needs degree >= 4, got 3"),
+    ((0, 1, 1, 1), "three-branch-point classification needs degree >= 4, got 0"),
+    ((-5, 1, 1, 1), "three-branch-point classification needs degree >= 4, got -5"),
+    ((7, 0, 3, 4), "triple entry 0 outside [1, 6]"),
+    ((7, 1, 2, 7), "triple entry 7 outside [1, 6]"),
+    ((7, 1, 1, 12), "triple entry 12 outside [1, 6]"),
+    ((7, -1, 4, 4), "triple entry -1 outside [1, 6]"),
+    ((7, 1, -2, 1), "triple entry -2 outside [1, 6]"),
+    ((7, 1, 2, 3), "triple does not sum to 0 mod n"),
+    ((6, 2, 2, 2), "triple shares a common factor with n"),
+    ((8, 4, 2, 2), "triple shares a common factor with n"),
+]
+
+
 def test_belyi_validation():
-    with pytest.raises(DomainError, match="degree >= 4"):
-        classify_belyi(3, 1, 1, 1)
-    with pytest.raises(DomainError):
-        classify_belyi(6, 2, 2, 2)  # reducible
-    with pytest.raises(DomainError):
-        classify_belyi(7, 1, 2, 3)  # sum not 0 mod n
-    with pytest.raises(DomainError):
-        classify_belyi(7, 0, 3, 4)
+    for args, text in BELYI_INVALID:
+        with pytest.raises(DomainError) as info:
+            classify_belyi(*args)
+        assert str(info.value) == text, args
+
+
+def _assert_report_matches_cover_functions(n, a, b, c):
+    r = classify_belyi(n, a, b, c)
+    cover = belyi_cover(n, a, b, c)
+    assert r.cover == cover
+    assert r.genus == genus(cover)
+    assert r.signature == signature_of(cover)
+    assert r.canonical == canonical_triple(n, a, b, c)
+
+
+@st.composite
+def _admissible(draw):
+    n = draw(st.integers(min_value=4, max_value=10**6), label="n")
+    a = draw(st.integers(min_value=1, max_value=n - 1), label="a")
+    b = draw(st.integers(min_value=1, max_value=n - 1), label="b")
+    c = (-a - b) % n
+    assume(c != 0 and gcd(n, a, b, c) == 1)
+    return n, a, b, c
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(_admissible())
+@example((30, 2, 3, 25))  # no unit entry: the closed form gives the canonical triple
+@example((210, 2, 3, 205))
+@example((8, 1, 2, 5))
+def test_belyi_report_matches_cover_functions(triple):
+    # genus, signature and canonical triple come from the triple's gcds and
+    # unit-led forms; the cover functions compute each on their own
+    _assert_report_matches_cover_functions(*triple)
+
+
+def test_belyi_report_matches_cover_functions_without_unit_entries():
+    # every ordered triple at the degrees below 61 where a class has no unit entry
+    for n in (30, 42, 60):
+        for a in range(1, n):
+            for b in range(1, n):
+                c = (-a - b) % n
+                if c and gcd(n, a, b, c) == 1 and min(gcd(n, k) for k in (a, b, c)) > 1:
+                    _assert_report_matches_cover_functions(n, a, b, c)
 
 
 # -- prime-degree family ----------------------------------------------------
@@ -299,7 +365,7 @@ def test_lefschetz_instances(p, a, row, order, structure):
 
 def test_lefschetz_nonabelian_without_presentation_gap():
     r = classify_lefschetz(13, 3)
-    pres = presentation_for(r)
+    pres = r.group.presentation
     assert pres is not None
     assert coset_enumerate(pres) == 39
 
@@ -338,8 +404,9 @@ def test_lefschetz_agrees_with_triple_classifier():
 
 
 def test_classification_makes_one_unit_scan(monkeypatch):
-    # each classification canonicalises its triple once, in closed form, and
-    # scans no residues: the table rows test the triple's unit-led forms
+    # no classification scans residues: the table rows test the triple's
+    # unit-led forms, which also give the canonical triple when an entry is
+    # a unit; only a triple without one runs the closed form, once
     import cyclicaut.classifier as classifier
     import cyclicaut.curve as curve
     import cyclicaut.numtheory as numtheory
@@ -360,17 +427,18 @@ def test_classification_makes_one_unit_scan(monkeypatch):
         monkeypatch.setattr(classifier, name, wrapper, raising=False)
         monkeypatch.setattr(curve, name, wrapper, raising=False)
     cases = [
-        (classify_belyi, (9919, 1, 2, 9916), "DEFAULT"),
-        (classify_belyi, (15, 4, 10, 1), "B.1"),
-        (classify_belyi, (91, 9, 81, 1), "C.1"),
-        (classify_lefschetz, (43, 6), "L.3"),
-        (classify_lefschetz, (43, 5), "L.4"),
+        (classify_belyi, (9919, 1, 2, 9916), "DEFAULT", 0),
+        (classify_belyi, (15, 4, 10, 1), "B.1", 0),
+        (classify_belyi, (91, 9, 81, 1), "C.1", 0),
+        (classify_belyi, (30, 2, 3, 25), "DEFAULT", 1),
+        (classify_lefschetz, (43, 6), "L.3", 0),
+        (classify_lefschetz, (43, 5), "L.4", 0),
     ]
-    for classify, args, row in cases:
+    for classify, args, row, closed_forms in cases:
         calls.update(dict.fromkeys(calls, 0))
         assert classify(*args).row == row
-        assert calls == {"canonical_triple": 1, "involutory_units": 0, "omega_units": 0,
-                         "units": 0}, args
+        assert calls == {"canonical_triple": closed_forms, "involutory_units": 0,
+                         "omega_units": 0, "units": 0}, args
 
 
 def test_lefschetz_isomorphic_examples():
@@ -474,8 +542,8 @@ def test_fermat_quadratic_matches_triple_classifier():
             assert rf.group.structure == rb.group.structure
         else:
             # same order-4n group printed in two frames; compare fingerprints
-            fa = fingerprint(presentation_for(rf))
-            fb = fingerprint(presentation_for(rb))
+            fa = fingerprint(rf.group.presentation)
+            fb = fingerprint(rb.group.presentation)
             assert fa == fb
 
 
@@ -589,5 +657,5 @@ def test_classification_builds_no_presentation(monkeypatch):
     for r in reports:
         report_to_json_dict(r)
     assert built == []
-    assert presentation_for(classify_belyi(15, 1, 4, 10)) is not None
+    assert classify_belyi(15, 1, 4, 10).group.presentation is not None
     assert len(built) == 1

@@ -22,9 +22,9 @@ from cyclicaut.curve import (
     parse_curve,
     scale_exponents,
     signature_of,
-    triple_orbit,
 )
 from cyclicaut.numtheory import DomainError, gcd_many, units
+from test_classifier import triple_orbit
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from math import factorial
+from math import factorial, prod
 
 from hypothesis import given, seed, settings, strategies as st
 
@@ -579,6 +579,47 @@ def test_perm_order_matches_closure(perms):
     if order > 1:
         with pytest.raises(BudgetExceeded):
             perm_order(perms, max_size=order - 1)
+
+
+def test_parse_permutations_composes_cycles_left_to_right():
+    # the leftmost cycle acts first; cycles may share points
+    assert parse_permutations("(1,2)(2,3)").generators == ((2, 0, 1),)  # (1,3,2)
+    for text in ("(1,2,3)(1,3,2)", "(1,2)(1,2)", "(1,2)(2,3)(2,3)(1,2)"):
+        assert perm_order(parse_permutations(text)) == 1, text
+    assert perm_order(parse_permutations("(1,2)(2,3)(3,4)")) == 4
+
+
+@st.composite
+def _overlapping_cycle_products(draw) -> tuple[str, int, list[list[list[int]]]]:
+    """1-3 generators of degree at most 7, each a product of 1-4 cycles drawn
+    independently, so that cycles of one generator share points."""
+    degree = draw(st.integers(min_value=1, max_value=7), label="degree")
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3), label="count")):
+        cycles = []
+        for _ in range(draw(st.integers(min_value=1, max_value=4), label="cycles")):
+            points = draw(st.permutations(range(1, degree + 1)))
+            cycles.append(points[: draw(st.integers(min_value=1, max_value=degree))])
+        gens.append(cycles)
+    text = ";".join(
+        "".join("(" + ",".join(map(str, cycle)) + ")" for cycle in cycles) for cycles in gens
+    )
+    return text, degree, gens
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(_overlapping_cycle_products())
+def test_perm_order_of_overlapping_cycles_matches_sympy(case):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    text, degree, gens = case
+    # sympy multiplies left to right: p * q applies p first
+    reference = combinatorics.PermutationGroup([
+        prod((combinatorics.Permutation([[v - 1 for v in cycle]], size=degree)
+              for cycle in cycles), start=combinatorics.Permutation(degree - 1))
+        for cycles in gens
+    ])
+    assert perm_order(parse_permutations(text, degree)) == reference.order(), text
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ for a checkout that predates it, copy it into that checkout's ``tools/``.
 Input sets, in output order:
 
 - ``classify_belyi(n, a, b, c)`` on every ordered admissible triple with
-  4 <= n <= 60 (57,750 calls);
+  4 <= n <= 60 (57,750 calls), then on the fixed invalid inputs of
+  ``INVALID_BELYI``: degrees below 4, entries of 0, of n or more and
+  negative ones, sums that are not 0 mod n, reducible triples, and inputs
+  with several of these faults at once (26 calls);
 - ``classify_lefschetz(p, a)`` for 0 <= a <= p at every prime p < 400 and at
   the non-primes 4, 6, 9, 15 and 21 (14,025 calls);
 - ``classify_fermat(n, d)`` for n < 70 and 0 <= d <= n + 1 (2,555 calls);
@@ -190,6 +193,21 @@ PERM_EXAMPLES = [
 ]
 
 
+INVALID_BELYI = [
+    # degree below 4, also with bad entries
+    (3, 1, 1, 1), (2, 1, 1, 0), (1, 0, 0, 0), (0, 1, 1, 1), (-5, 1, 1, 1), (3, 0, 0, 0),
+    # an entry of 0, of n or more, or negative
+    (7, 0, 3, 4), (7, 3, 0, 4), (7, 3, 4, 0), (7, 1, 2, 7), (7, 8, 3, 3), (7, 1, 1, 12),
+    (7, -1, 4, 4), (7, 1, -2, 1), (7, 1, 1, -2),
+    # entries in range that do not sum to 0 mod n
+    (7, 1, 2, 3), (60, 1, 1, 1), (10**6, 1, 2, 3),
+    # reducible: a factor common to n and every entry
+    (6, 2, 2, 2), (8, 4, 2, 2), (30, 6, 10, 14), (10**6, 2, 4, 999994),
+    # several faults: the first check that fails names the error
+    (7, 0, 1, 2), (7, 8, 1, 1), (6, 2, 2, 4), (6, 3, 3, 6),
+]
+
+
 COSET_EXAMPLES = [
     "<u,v | u^4, v^16, u*v*u*v, u^2*v*u^2*v^7>",  # README
     # tests
@@ -259,6 +277,8 @@ def _calls():
     for n in range(4, ENUMERATION_CAP + 1):
         for triple in _ordered_admissible(n):
             yield "belyi", _reported(classify_belyi), (n, *triple)
+    for args in INVALID_BELYI:
+        yield "belyi", _reported(classify_belyi), args
     for p in [q for q in range(400) if is_prime(q)] + [4, 6, 9, 15, 21]:
         for a in range(p + 1):
             yield "lefschetz", _reported(classify_lefschetz), (p, a)
