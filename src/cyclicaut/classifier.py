@@ -32,7 +32,7 @@ from .curve import (
 )
 from .fuchsian import ChainStep, chain_steps
 from .grouptheory import Presentation, parse_presentation
-from .numtheory import DomainError, gcd_many, is_prime
+from .numtheory import DomainError, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -433,38 +433,6 @@ def classify_fermat(n: int, d: int) -> ClassificationReport:
     group = GroupDescriptor(2 * d * n, "CENTRAL_EXT", (d, f"D{2 * n}"),
                             fermat_divisor_presentation(d, n))
     return report("F.3", group, ["3"])
-
-
-# ---------------------------------------------------------------------------
-# Corollaries
-
-
-def dihedral_four_branch(n: int, k1: int, k2: int, k3: int, k4: int) -> bool:
-    """Does the dihedral group of order 2n act on y^n = prod (x-a_i)^{k_i}?
-
-    True iff the four exponents pair up with equal gcd(n, k) within each pair.
-    """
-    ks = (k1, k2, k3, k4)
-    if n < 2:
-        raise DomainError(f"cover degree must be >= 2, got {n}")
-    for k in ks:
-        if not 1 <= k <= n - 1:
-            raise DomainError(f"exponent {k} outside [1, {n - 1}]")
-    if sum(ks) % n:
-        raise DomainError("exponents do not sum to 0 mod n")
-    if gcd_many([n, *ks]) != 1:
-        raise DomainError("cover is reducible")
-    g1, g2, g3, g4 = sorted(gcd(n, k) for k in ks)
-    return g1 == g2 and g3 == g4
-
-
-def stability_normal(p: int, r: int) -> bool:
-    """Is the deck Z_p automatically normal in the full group: true iff r > 2p."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if r < 1:
-        raise DomainError("branch point count must be positive")
-    return r > 2 * p
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+from .cursor import Cursor
 from .numtheory import DomainError
 
 
@@ -194,63 +195,22 @@ def fermat_cover(n: int, d: int) -> CyclicCover:
 # Parsing
 
 
-class _CurveCursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str) -> DomainError:
-        return DomainError(f"curve syntax error at position {self.pos}: {msg}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self, token: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def try_take(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def take_uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an integer")
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # more digits than int() converts
-            raise self.error(f"integer of {self.pos - start} digits is too long") from None
-
-    def take_rational(self) -> Fraction:
-        sign = 1
-        if self.try_take("-"):
-            sign = -1
-        elif self.try_take("+"):
-            pass
-        num = self.take_uint()
-        if self.try_take("/"):
-            den = self.take_uint()
-            if den == 0:
-                raise self.error("zero denominator")
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+def _take_rational(cur: Cursor) -> Fraction:
+    sign = 1
+    if cur.try_take("-"):
+        sign = -1
+    else:
+        cur.try_take("+")
+    num = cur.take_uint()
+    if cur.try_take("/"):
+        den = cur.take_uint()
+        if den == 0:
+            raise cur.error("zero denominator")
+        return Fraction(sign * num, den)
+    return Fraction(sign * num)
 
 
-def _parse_exponent(cur: _CurveCursor) -> int:
+def _parse_exponent(cur: Cursor) -> int:
     if cur.try_take("^"):
         e = cur.take_uint()
         if e < 1:
@@ -266,7 +226,7 @@ def parse_curve(text: str) -> CyclicCover:
     N-th power and is dropped); the infinity exponent is the mod-N complement
     of the finite exponent sum.
     """
-    cur = _CurveCursor(text)
+    cur = Cursor(text, "curve")
     cur.take("y")
     cur.take("^")
     n = cur.take_uint()
@@ -287,7 +247,7 @@ def parse_curve(text: str) -> CyclicCover:
     constant = Fraction(1)
     nxt = cur.peek()
     if nxt is not None and (nxt.isdecimal() or nxt in "+-"):
-        constant = cur.take_rational()
+        constant = _take_rational(cur)
         if constant == 0:
             raise cur.error("constant must be nonzero")
         cur.try_take("*")
@@ -308,7 +268,7 @@ def parse_curve(text: str) -> CyclicCover:
                 sign = -1
             else:
                 raise cur.error("expected '-' or '+' after x")
-            root = cur.take_rational()
+            root = _take_rational(cur)
             if root <= 0:
                 raise cur.error("root literal must be positive")
             cur.take(")")

@@ -21,6 +21,7 @@ from math import gcd, lcm, prod
 from string import ascii_lowercase
 from typing import Iterable, Sequence, Union
 
+from .cursor import Cursor
 from .numtheory import DomainError, factorize
 
 
@@ -97,69 +98,15 @@ def presentation_to_text(pres: Presentation) -> str:
     return f"<{gens} | {rels}>"
 
 
-class _Lexer:
-    SYMBOLS = set("<>|,^()[]*")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str) -> DomainError:
-        return DomainError(f"presentation syntax error at position {self.pos}: {msg}")
-
-    def peek(self) -> str | None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def take_symbol(self, sym: str) -> None:
-        c = self.peek()
-        if c != sym:
-            raise self.error(f"expected {sym!r}")
-        self.pos += 1
-
-    def try_symbol(self, sym: str) -> bool:
-        if self.peek() == sym:
-            self.pos += 1
-            return True
-        return False
-
-    def take_name(self) -> str:
-        c = self.peek()
-        if c is None or not (c.isalpha() or c == "_"):
-            raise self.error("expected a generator name")
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def take_int(self) -> int:
-        c = self.peek()
-        neg = False
-        if c == "-":
-            neg = True
-            self.pos += 1
-            c = self.peek()
-        if c is None or not c.isdecimal():
-            raise self.error("expected an integer")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        try:
-            value = int(self.text[start : self.pos])
-        except ValueError:  # more digits than int() converts
-            raise self.error(f"integer of {self.pos - start} digits is too long") from None
-        return -value if neg else value
-
-
 # Most letters the text parser expands a presentation's relators to, all
 # together; each power, commutator and concatenation is checked against the
 # room left before it is built.
 MAX_RELATOR_LETTERS = 10**7
+
+# Deepest nesting of parenthesized subwords and commutators the text parser
+# reads; it recurses once per level, so this stays far below the
+# interpreter's recursion limit.
+MAX_NESTING_DEPTH = 100
 
 # Largest degree a permutation group may have.  A stabilizer chain stores
 # O(degree) points per base point and strong generator, and holds one level's
@@ -180,22 +127,30 @@ def _check_length(length: int, room: int) -> None:
         raise DomainError(f"relators expand to more than {MAX_RELATOR_LETTERS} letters")
 
 
-def _parse_word(lx: _Lexer, index: dict[str, int], room: int) -> tuple[int, ...]:
+def _take_int(lx: Cursor) -> int:
+    neg = lx.try_take("-")
+    value = lx.take_uint()
+    return -value if neg else value
+
+
+def _parse_word(lx: Cursor, index: dict[str, int], room: int, depth: int = 0) -> tuple[int, ...]:
     out: list[int] = []
     while True:
         c = lx.peek()
         if c is None:
             raise lx.error("unterminated word")
+        if c in "([" and depth == MAX_NESTING_DEPTH:
+            raise lx.error(f"subwords nested deeper than {MAX_NESTING_DEPTH}")
         if c == "(":
-            lx.take_symbol("(")
-            inner = _parse_word(lx, index, room)
-            lx.take_symbol(")")
+            lx.take("(")
+            inner = _parse_word(lx, index, room, depth + 1)
+            lx.take(")")
         elif c == "[":
-            lx.take_symbol("[")
-            u = _parse_word(lx, index, room)
-            lx.take_symbol(",")
-            v = _parse_word(lx, index, room)
-            lx.take_symbol("]")
+            lx.take("[")
+            u = _parse_word(lx, index, room, depth + 1)
+            lx.take(",")
+            v = _parse_word(lx, index, room, depth + 1)
+            lx.take("]")
             _check_length(2 * (len(u) + len(v)), room)
             inner = u + v + inverse_word(u) + inverse_word(v)
         elif c.isalpha() or c == "_":
@@ -205,15 +160,15 @@ def _parse_word(lx: _Lexer, index: dict[str, int], room: int) -> tuple[int, ...]
             inner = (index[name],)
         else:
             raise lx.error("expected a factor")
-        if lx.try_symbol("^"):
-            e = lx.take_int()
+        if lx.try_take("^"):
+            e = _take_int(lx)
             _check_length(len(inner) * abs(e), room)
             inner = (inner if e >= 0 else inverse_word(inner)) * abs(e)
         _check_length(len(out) + len(inner), room)
         out.extend(inner)
         nxt = lx.peek()
         if nxt == "*":
-            lx.take_symbol("*")
+            lx.take("*")
             continue
         if nxt is not None and (nxt.isalpha() or nxt in "([_"):
             continue
@@ -225,21 +180,21 @@ def parse_presentation(text: str) -> Presentation:
     stripped = text.strip()
     if stripped.startswith("{"):
         return _presentation_from_json(stripped)
-    lx = _Lexer(text)
-    lx.take_symbol("<")
+    lx = Cursor(text, "presentation")
+    lx.take("<")
     names = [lx.take_name()]
-    while lx.try_symbol(","):
+    while lx.try_take(","):
         names.append(lx.take_name())
-    lx.take_symbol("|")
+    lx.take("|")
     index = {nm: i + 1 for i, nm in enumerate(names)}
     relators: list[tuple[int, ...]] = []
     room = MAX_RELATOR_LETTERS
     if lx.peek() != ">":
         relators.append(_parse_word(lx, index, room))
-        while lx.try_symbol(","):
+        while lx.try_take(","):
             room -= len(relators[-1])
             relators.append(_parse_word(lx, index, room))
-    lx.take_symbol(">")
+    lx.take(">")
     if lx.peek() is not None:
         raise lx.error("trailing input")
     return Presentation(len(names), tuple(relators), tuple(names))

@@ -14,7 +14,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .classifier import ClassificationReport, classify_belyi
 from .curve import BranchPoint, CyclicCover, monodromy_genus, parse_curve
@@ -127,24 +127,30 @@ def accola_maclachlan(n: int) -> MapScenario:
 
 
 def periodthree(n: int, k: int) -> MapScenario:
-    """The order-3 symmetry S = (j x, j^alpha y^k (x - j^2)^-beta) of
-    y^n = (x-1) (x-j)^k (x-j^2)^(k^2 mod n), where j = exp(2 pi i / 3)."""
+    """The order-3 symmetry S = (j x, j^(alpha-q) y^k (x - j^2)^-beta (x - j)^-q) of
+    y^n = (x-1) (x-j)^k (x-j^2)^r, where j = exp(2 pi i / 3), k^2 = q n + r with
+    0 <= r < n, alpha = (1 + k + k^2)/n and beta = (k r - 1)/n.
+
+    x -> j x carries the right-hand side to j^(1+k+r) (x-j^2) (x-1)^k (x-j)^r,
+    and the n-th power of the y-component matches it exactly when n | 1 + k + k^2.
+    When n = 1 + k + k^2, q = 0 and the (x - j) factor drops out.
+    """
     if n < 4:
         raise DomainError(f"cover degree must be >= 4, got {n}")
     if not 2 <= k <= n - 2 or (1 + k + k * k) % n:
         raise DomainError(f"need 1 + k + k^2 = 0 mod {n}, got k={k}")
     alpha = (1 + k + k * k) // n
-    beta = (k ** 3 - 1) // n
+    q, r = divmod(k * k, n)
+    beta = (k * r - 1) // n
     pts = [
         (BranchPoint.root_of_unity(0, 3), 1),
         (BranchPoint.root_of_unity(1, 3), k),
-        (BranchPoint.root_of_unity(2, 3), k * k % n),
+        (BranchPoint.root_of_unity(2, 3), r),
     ]
     cover = CyclicCover(n, tuple(pts), 0)
     j = cmath.exp(2j * cmath.pi / 3)
-    s = RationalMap(
-        "S", ProductForm(j, 1, 0), ProductForm(j ** alpha, 0, k, ((j * j, -beta),))
-    )
+    factors = ((j * j, -beta),) + (((j, -q),) if q else ())
+    s = RationalMap("S", ProductForm(j, 1, 0), ProductForm(j ** (alpha - q), 0, k, factors))
     return MapScenario(
         "periodthree",
         cover,
@@ -378,33 +384,59 @@ def _ordered_admissible(n: int):
 ENUMERATION_CAP = 60
 
 
+Triple = tuple[int, int, int]
+
+
+def _require_degree(n: int, needs: str) -> None:
+    """The sweeps' degree range, 4 to ENUMERATION_CAP; ``needs`` opens the
+    error text for a degree below it."""
+    if n < 4:
+        raise DomainError(f"{needs} >= 4, got {n}")
+    if n > ENUMERATION_CAP:
+        raise DomainError(f"degree {n} above enumeration cap {ENUMERATION_CAP}")
+
+
+def _walk_orbits(
+    n: int, on_triple: Optional[Callable[[Triple, ClassificationReport], None]] = None
+) -> tuple[list[TripleClass], Optional[tuple[Triple, Triple]]]:
+    """Classify every admissible ordered triple of degree n once, bucketed by
+    its canonical triple.
+
+    Returns the classes in canonical order, each with its first member's
+    report, and the first (triple, canonical triple) whose report differs
+    from its class's first report in row, group, chain or genus, or None.
+    ``on_triple``, when given, sees each (triple, report) in walk order.
+    """
+    reports: dict[Triple, ClassificationReport] = {}
+    sizes: dict[Triple, int] = {}
+    stray = None
+    for triple in _ordered_admissible(n):
+        rep = classify_belyi(n, *triple)
+        if on_triple is not None:
+            on_triple(triple, rep)
+        canon = rep.canonical
+        assert canon is not None
+        base = reports.get(canon)
+        if base is None:
+            reports[canon] = rep
+            sizes[canon] = 1
+            continue
+        sizes[canon] += 1
+        if stray is None and (rep.row, rep.group, rep.chain, rep.genus) != (
+            base.row, base.group, base.chain, base.genus,
+        ):
+            stray = (triple, canon)
+    return [TripleClass(canon, sizes[canon], reports[canon]) for canon in sorted(reports)], stray
+
+
 def enumerate_classes(n: int) -> list[TripleClass]:
     """All equivalence classes of admissible triples at degree n, each with its
     ordered-triple orbit size and classification; asserts every orbit member
     classifies identically to the representative."""
-    if n < 4:
-        raise DomainError(f"enumeration needs degree >= 4, got {n}")
-    if n > ENUMERATION_CAP:
-        raise DomainError(f"degree {n} above enumeration cap {ENUMERATION_CAP}")
-    buckets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    reports: dict[tuple[int, int, int], ClassificationReport] = {}
-    for triple in _ordered_admissible(n):
-        rep = classify_belyi(n, *triple)
-        canon = rep.canonical
-        assert canon is not None
-        if canon in buckets:
-            base = reports[canon]
-            assert (rep.row, rep.group, rep.chain, rep.genus) == (
-                base.row, base.group, base.chain, base.genus,
-            ), f"orbit member {triple} disagrees with class {canon} at degree {n}"
-            buckets[canon].append(triple)
-        else:
-            buckets[canon] = [triple]
-            reports[canon] = rep
-    return [
-        TripleClass(canon, len(members), reports[canon])
-        for canon, members in sorted(buckets.items())
-    ]
+    _require_degree(n, "enumeration needs degree")
+    classes, stray = _walk_orbits(n)
+    assert stray is None, f"orbit member {stray[0]} disagrees with class {stray[1]} at degree {n}"
+    return classes
 
 
 def enumeration_to_json_dict(n: int, classes: Sequence[TripleClass]) -> dict:
@@ -447,41 +479,43 @@ class CrossCheckReport:
         return all(c.passed for c in self.checks)
 
 
+# The invariants cross_check replays, in the order it reports them.
+CROSS_CHECKS = (
+    "genus_matches_monodromy",
+    "equivalence_invariance",
+    "order_law",
+    "hurwitz_bound",
+    "harvey_condition",
+    "default_not_extendable",
+)
+
+
 def cross_check(n_max: int) -> CrossCheckReport:
     """Replay the classifier over every admissible triple with n <= n_max
     (at most ``ENUMERATION_CAP``) and test each invariant against an
     independent oracle."""
-    if n_max < 4:
-        raise DomainError(f"cross-check needs n_max >= 4, got {n_max}")
-    if n_max > ENUMERATION_CAP:
-        raise DomainError(f"degree {n_max} above enumeration cap {ENUMERATION_CAP}")
+    _require_degree(n_max, "cross-check needs n_max")
     failures: dict[str, dict] = {}
 
     def fail(name: str, witness: dict) -> None:
         failures.setdefault(name, witness)
 
+    def check_genus(triple: Triple, r: ClassificationReport) -> None:
+        monodromy = monodromy_genus(r.cover)
+        if r.genus != monodromy:
+            fail(
+                "genus_matches_monodromy",
+                {"n": r.cover.n, "triple": list(triple), "formula": r.genus, "monodromy": monodromy},
+            )
+
     for n in range(4, n_max + 1):
-        reps: dict[tuple[int, int, int], ClassificationReport] = {}
-        for triple in _ordered_admissible(n):
-            r = classify_belyi(n, *triple)
-            monodromy = monodromy_genus(r.cover)
-            if r.genus != monodromy:
-                fail(
-                    "genus_matches_monodromy",
-                    {"n": n, "triple": list(triple), "formula": r.genus, "monodromy": monodromy},
-                )
-            canon = r.canonical
-            assert canon is not None
-            base = reps.get(canon)
-            if base is None:
-                reps[canon] = r
-            elif (r.row, r.group, r.chain) != (base.row, base.group, base.chain):
-                fail(
-                    "equivalence_invariance",
-                    {"n": n, "triple": list(triple), "canonical": list(canon)},
-                )
-        for canon, r in reps.items():
-            witness = {"n": n, "triple": list(canon), "row": r.row, "order": r.group.order}
+        classes, stray = _walk_orbits(n, check_genus)
+        if stray is not None:
+            triple, canon = stray
+            fail("equivalence_invariance", {"n": n, "triple": list(triple), "canonical": list(canon)})
+        for c in classes:
+            r = c.report
+            witness = {"n": n, "triple": list(c.canonical), "row": r.row, "order": r.group.order}
             if not harvey_admissible(r.signature, n):
                 fail("harvey_condition", witness)
             if r.genus < 2:
@@ -497,17 +531,9 @@ def cross_check(n_max: int) -> CrossCheckReport:
             if r.row == "DEFAULT" and cb_extendable(skep_of_cover(r.cover)).extendable:
                 fail("default_not_extendable", witness)
 
-    names = [
-        "genus_matches_monodromy",
-        "equivalence_invariance",
-        "order_law",
-        "hurwitz_bound",
-        "harvey_condition",
-        "default_not_extendable",
-    ]
     checks = tuple(
         CheckResult(name, (4, n_max), name not in failures, failures.get(name))
-        for name in names
+        for name in CROSS_CHECKS
     )
     return CrossCheckReport(n_max, checks)
 

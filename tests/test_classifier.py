@@ -15,11 +15,9 @@ from cyclicaut.classifier import (
     classify_cover,
     classify_fermat,
     classify_lefschetz,
-    dihedral_four_branch,
     lefschetz_canonical,
     lefschetz_isomorphic,
     report_to_json_dict,
-    stability_normal,
 )
 from cyclicaut.curve import (
     belyi_cover,
@@ -545,32 +543,6 @@ def test_fermat_quadratic_matches_triple_classifier():
             fa = fingerprint(rf.group.presentation)
             fb = fingerprint(rb.group.presentation)
             assert fa == fb
-
-
-# -- corollaries ------------------------------------------------------------
-
-
-def test_dihedral_four_branch():
-    assert dihedral_four_branch(6, 1, 1, 2, 2) is True
-    assert dihedral_four_branch(6, 1, 5, 2, 4) is True
-    assert dihedral_four_branch(7, 1, 1, 2, 3) is True
-    assert dihedral_four_branch(8, 1, 1, 2, 4) is False
-    with pytest.raises(DomainError):
-        dihedral_four_branch(6, 1, 1, 2, 3)  # bad sum
-    with pytest.raises(DomainError):
-        dihedral_four_branch(6, 2, 4, 2, 4)  # reducible
-    with pytest.raises(DomainError):
-        dihedral_four_branch(6, 0, 1, 2, 3)
-
-
-def test_stability_normal():
-    assert stability_normal(3, 7) is True
-    assert stability_normal(5, 10) is False
-    assert stability_normal(2, 5) is True
-    with pytest.raises(DomainError):
-        stability_normal(4, 10)
-    with pytest.raises(DomainError):
-        stability_normal(3, 0)
 
 
 # -- serialization ----------------------------------------------------------

@@ -190,6 +190,8 @@ def test_coset_enum_parse_error(capsys):
         "(a^100000)^100000",
         "[" * 23 + "a" + ",a]" * 23,
         pytest.param("a^" + "9" * 5000, id="a^(5000 digits)"),
+        # far deeper than the parser reads: an error, not a RecursionError
+        pytest.param("(" * 3000 + "a" + ")" * 3000, id="3000 nested parentheses"),
     ],
 )
 def test_coset_enum_overlong_relator(capsys, word):
@@ -284,6 +286,9 @@ def test_perm_order_huge_degree_is_a_domain_error(capsys, argv):
     [
         ["verify-action", "--family", "accola-maclachlan", "--n", "6"],
         ["verify-action", "--family", "periodthree", "--n", "7", "--k", "2"],
+        # n divides 1 + k + k^2 but is smaller than it
+        ["verify-action", "--family", "periodthree", "--n", "19", "--k", "7"],
+        ["verify-action", "--family", "periodthree", "--n", "13", "--k", "9"],
         ["verify-action", "--family", "twistedz2", "--n", "15", "--b", "4"],
     ],
 )

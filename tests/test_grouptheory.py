@@ -81,6 +81,21 @@ def test_overlong_relator_is_a_domain_error(word):
         parse_presentation(f"<a | {word}>")
 
 
+def test_nesting_depth_is_bounded():
+    depth = grouptheory.MAX_NESTING_DEPTH
+    deepest = "<a | " + "(" * depth + "a" + ")" * depth + ">"
+    assert parse_presentation(deepest).relators == ((1,),)
+    # one level more, by a parenthesis or a commutator, is refused at its opener
+    position = 5 + depth
+    for opener in "([":
+        text = "<a | " + "(" * depth + opener + "a" + ")" * (depth + 1) + ">"
+        with pytest.raises(
+            DomainError,
+            match=f"position {position}: subwords nested deeper than {depth}$",
+        ):
+            parse_presentation(text)
+
+
 def test_relator_letter_bound_is_checked_before_each_expansion(monkeypatch):
     monkeypatch.setattr(grouptheory, "MAX_RELATOR_LETTERS", 100)
     assert len(parse_presentation("<a | a^-100>").relators[0]) == 100

@@ -121,6 +121,23 @@ def test_periodthree_checks(n, k, beta, seed):
     assert all(o.passed for o in outcomes), outcomes
 
 
+PERIODTHREE_PAIRS = [
+    (n, k) for n in range(4, 61) for k in range(2, n - 1) if (1 + k + k * k) % n == 0
+]
+
+
+@pytest.mark.parametrize("n,k", PERIODTHREE_PAIRS)
+def test_periodthree_every_pair(n, k):
+    sc = periodthree(n, k)
+    q, r = divmod(k * k, n)
+    assert sc.cover.exponents() == (1, k, r)
+    # (x - j^2)^-beta, then (x - j)^-q only when n < 1 + k + k^2
+    assert [e for _, e in sc.maps["S"].y_form.factors] == [-((k * r - 1) // n)] + ([-q] if q else [])
+    assert all(abs(e) <= k for _, e in sc.maps["S"].y_form.factors)
+    outcomes = run_scenario(sc, 50, 0)
+    assert all(o.passed for o in outcomes), outcomes
+
+
 def test_periodthree_commutation_with_deck():
     sc = periodthree(7, 2)
     samples = sample_curve(sc.cover, 100, seed=5)
@@ -323,6 +340,26 @@ def test_cross_check_fault_injection(monkeypatch):
     assert byname["order_law"].passed and byname["hurwitz_bound"].passed
     out = cross_check_to_json_dict(report)
     assert any("witness" in entry for entry in out["checks"])
+
+
+def test_orbit_disagreement_names_the_triple(monkeypatch):
+    # (2,4,1) is a later member of the class of (1,2,4) at n = 7; its report
+    # alone moves to another row
+    def classify(n, *triple):
+        report = classify_belyi(n, *triple)
+        if (n, triple) == (7, (2, 4, 1)):
+            return dataclasses.replace(report, row="A.1")
+        return report
+
+    monkeypatch.setattr(verify, "classify_belyi", classify)
+    report = cross_check(9)
+    byname = {c.name: c for c in report.checks}
+    failed = byname["equivalence_invariance"]
+    assert not failed.passed
+    assert failed.witness == {"n": 7, "triple": [2, 4, 1], "canonical": [1, 2, 4]}
+    assert [c.name for c in report.checks if not c.passed] == ["equivalence_invariance"]
+    with pytest.raises(AssertionError, match=r"orbit member \(2, 4, 1\) disagrees with class \(1, 2, 4\)"):
+        enumerate_classes(7)
 
 
 def test_cross_check_below_range():

@@ -31,7 +31,17 @@ Input sets, in output order:
   Lefschetz and Fermat report of degree at most 60, the README example, the
   presentations of the tests, Z_m x Z_n for m, n <= 30, the dihedral groups
   of order 2n for n = 1, 10, ..., 1000, and the (2,3,7) triangle group and
-  the free groups of rank 1 and 2 at budgets 100 to 10,000 (2,902 calls).
+  the free groups of rank 1 and 2 at budgets 100 to 10,000 (2,902 calls);
+- ``enumeration_to_json_dict(n, enumerate_classes(n))`` for 4 <= n <= 60
+  (57 calls), then ``cross_check_to_json_dict(cross_check(60))`` (1 call);
+- ``parse_curve`` on the valid and malformed curves of ``CURVE_TEXTS`` and
+  ``parse_presentation`` on those of ``PRESENTATION_TEXTS``: bad tokens,
+  truncations, zero denominators, 5000-digit integers and nesting within
+  the parser's depth bound (79 calls);
+- ``run_scenario(build_scenario(...))`` at its default sample count and seed
+  on accola-maclachlan for every even n from 4 to 60, twistedz2 for every
+  n <= 60 not divisible by 8 and every b with b^2 = 1 mod n, 2 <= b <= n - 2,
+  and periodthree on the pairs with n = 1 + k + k^2 <= 60 (75 calls).
 
 A classification line holds ``report_to_json_dict`` of the report plus its
 ``kind``, ``group.kind`` and ``group.params``; any call that raises
@@ -59,7 +69,7 @@ from cyclicaut.classifier import (  # noqa: E402
     classify_lefschetz,
     report_to_json_dict,
 )
-from cyclicaut.curve import Signature  # noqa: E402
+from cyclicaut.curve import Signature, cover_to_json_dict, parse_curve  # noqa: E402
 from cyclicaut.fuchsian import extension_chains, gs_extensions  # noqa: E402
 from cyclicaut.grouptheory import (  # noqa: E402
     BudgetExceeded,
@@ -68,9 +78,19 @@ from cyclicaut.grouptheory import (  # noqa: E402
     parse_permutations,
     parse_presentation,
     perm_order,
+    presentation_to_text,
 )
 from cyclicaut.numtheory import DomainError, is_prime  # noqa: E402
-from cyclicaut.verify import ENUMERATION_CAP, _ordered_admissible  # noqa: E402
+from cyclicaut.verify import (  # noqa: E402
+    ENUMERATION_CAP,
+    _ordered_admissible,
+    build_scenario,
+    cross_check,
+    cross_check_to_json_dict,
+    enumerate_classes,
+    enumeration_to_json_dict,
+    run_scenario,
+)
 
 
 def _reported(classify):
@@ -272,6 +292,134 @@ def _coset_answer(text: str, budget: int):
     return coset_enumerate(parse_presentation(text), budget)
 
 
+LONG = "9" * 5000  # more digits than int() converts
+
+CURVE_TEXTS = [
+    # valid
+    "y^7 = x(x-1)^2(x+1)^4",
+    "y^8 = x(x-1)^2(x+1)^5",
+    "y^6 = (x-1)(x+1)",
+    "y^4 + x^4 = 1",
+    "  y ^ 9 = 2 x (x - 1)^4 * (x + 1)^4  ",
+    "y^12 = -3/4 * x^2 (x-1/2)^3 (x+5)",
+    "y^10 = +7 (x-1)^10 (x+2)^3",
+    "y^5=x^2*(x-3)",
+    "y^\u0667 = x(x-1)^2(x+1)^4",
+    "y^6 = x^6 (x-2)",
+    "y^5 + x^1 = 1",
+    # malformed
+    "",
+    "y",
+    "y^",
+    "z^5 = x",
+    "y^1 = x",
+    "y^0 = x",
+    "y^-5 = x",
+    "y^5 = ",
+    "y^5 = 0 x",
+    "y^5 = 0/3 x",
+    "y^5 = 1/0 x",
+    "y^5 = x(x-1/0)",
+    "y^5 = x(x*1)",
+    "y^5 = x(x-0)",
+    "y^5 = x(x--1)",
+    "y^5 = x(x-1",
+    "y^5 = x^0",
+    "y^5 = x^",
+    "y^5 = x(x-1)(x-1)",
+    "y^5 = x x",
+    "y^5 = x @",
+    "y^5 = x(x-1)^2 junk",
+    "y^5 + x^0 = 1",
+    "y^5 + x^3 = 2",
+    "y^5 + x^3 = 1 junk",
+    "y^5 + y^3 = 1",
+    f"y^{LONG} = x",
+    f"y^5 = x^{LONG}",
+    f"y^5 = x(x-{LONG})",
+    f"y^5 = x(x-1/{LONG})",
+    f"y^5 = {LONG}/7 x",
+]
+
+PRESENTATION_TEXTS = [
+    # valid
+    "<a | a^5>",
+    "<a,b | a^2, b^3, (a*b)^7>",
+    "<x,y | x^-2, [x,y]^3>",
+    "<a | >",
+    "< a , b | a b a^-1 b^-1 >",
+    "<g_1, h2 | g_1^4, h2^2, (g_1 h2)^2>",
+    "<a | ((a^2)^3)^-1>",
+    "<a | a^- 3>",
+    "<a | [[a,a],[a,a^2]]>",
+    "<a | " + "(" * 50 + "a" + ")" * 50 + ">",
+    '{"generators": 2, "relators": [[1,1],[2,2,2],[1,2,1,2]]}',
+    # malformed
+    "",
+    "<",
+    "<a",
+    "<a |",
+    "<a | a",
+    "<a | b>",
+    "<1 | a>",
+    "<a | a^>",
+    "<a | a^x>",
+    "<a | a^+2>",
+    "<a | a^5> junk",
+    "<a | a^5,>",
+    "<a | a*>",
+    "<a | (a>",
+    "<a | [a,a>",
+    "<a | [a]>",
+    "<a | %>",
+    "<a,a | a>",
+    "<a | a^10000001>",
+    f"<a | a^{LONG}>",
+    f"<a | a^-{LONG}>",
+    '{"generators": 0, "relators": []}',
+    '{"generators": 1, "relators": [[2]]}',
+    '{"generators": 1, "relators": [[]]}',
+    "{bad json",
+    '{"generators": ' + LONG + "}",
+]
+
+
+def _curve_answer(text: str) -> dict:
+    return cover_to_json_dict(parse_curve(text))
+
+
+def _presentation_answer(text: str) -> str:
+    return presentation_to_text(parse_presentation(text))
+
+
+def _enumeration_answer(n: int) -> dict:
+    return enumeration_to_json_dict(n, enumerate_classes(n))
+
+
+def _cross_check_answer(n_max: int) -> dict:
+    return cross_check_to_json_dict(cross_check(n_max))
+
+
+def _scenario_answer(family: str, n: int, k: int | None, b: int | None) -> list:
+    outcomes = run_scenario(build_scenario(family, n, k=k, b=b))
+    return [[o.label, o.value, o.passed] for o in outcomes]
+
+
+def _scenarios():
+    """(family, n, k, b) of every scenario call, in order."""
+    for n in range(4, ENUMERATION_CAP + 1, 2):
+        yield "accola-maclachlan", n, None, None
+    for n in range(5, ENUMERATION_CAP + 1):
+        if n % 8:
+            for b in range(2, n - 1):
+                if b * b % n == 1:
+                    yield "twistedz2", n, None, b
+    for k in range(2, ENUMERATION_CAP):
+        n = 1 + k + k * k
+        if n <= ENUMERATION_CAP:
+            yield "periodthree", n, k, None
+
+
 def _calls():
     """(name, function, args) of every call, in output order."""
     for n in range(4, ENUMERATION_CAP + 1):
@@ -303,6 +451,15 @@ def _calls():
     for text in ("<x,y | x^2, y^3, (x*y)^7>", "<a | >", "<a,b | >"):
         for budget in (100, 200, 500, 1000, 2000, 5000, 10_000):
             yield "coset", _coset_answer, (text, budget)
+    for n in range(4, ENUMERATION_CAP + 1):
+        yield "enumerate", _enumeration_answer, (n,)
+    yield "cross_check", _cross_check_answer, (ENUMERATION_CAP,)
+    for text in CURVE_TEXTS:
+        yield "parse_curve", _curve_answer, (text,)
+    for text in PRESENTATION_TEXTS:
+        yield "parse_presentation", _presentation_answer, (text,)
+    for args in _scenarios():
+        yield "scenario", _scenario_answer, args
 
 
 def main() -> None:
