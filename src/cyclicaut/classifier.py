@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .curve import (
     MINUS_ONE,
@@ -156,8 +156,23 @@ def octahedral_times_c4_presentation() -> str:
 # Report assembly
 
 
+# The descriptors and chains below depend only on the degree or on the
+# periods, and are frozen values, so each is built once and shared by every
+# report that needs it; the caches are bounded.
+
+
+@lru_cache(maxsize=256)
 def _cyclic(m: int) -> GroupDescriptor:
     return GroupDescriptor(m, "CYCLIC", (m,), cyclic_presentation(m))
+
+
+@lru_cache(maxsize=1024)
+def _signature_and_chain(periods: tuple[int, ...],
+                         chain_rows: tuple[str, ...]) -> tuple[Signature, tuple[ChainStep, ...]]:
+    """The genus-0 signature with these periods and the extension chain from
+    it through chain_rows."""
+    sig = Signature(0, periods)
+    return sig, chain_steps(sig, chain_rows)
 
 
 def _make_report(
@@ -165,17 +180,18 @@ def _make_report(
     cover: CyclicCover,
     triple: Optional[tuple[int, int, int]],
     canonical: Optional[tuple[int, int, int]],
-    sig: Signature,
+    periods: tuple[int, ...],
     row: str,
     group: GroupDescriptor,
-    chain_rows: Sequence[str],
+    chain_rows: tuple[str, ...],
     base_order: int,
     g: int,
     notes: str = "",
 ) -> ClassificationReport:
-    """Walk the extension chain from sig through chain_rows, then check the
-    order law group.order = base_order x chain indices (for genus >= 2)."""
-    steps = chain_steps(sig, chain_rows)
+    """Walk the extension chain from the signature with these periods through
+    chain_rows, then check the order law group.order = base_order x chain
+    indices (for genus >= 2)."""
+    sig, steps = _signature_and_chain(periods, chain_rows)
     if g >= 2:
         expected = base_order * prod(step.index for step in steps)
         assert group.order == expected, (
@@ -271,12 +287,15 @@ def _unit_led_forms(n: int, triple: tuple[int, int, int],
     """The pairs (x, y) with (1, x, y) a unit multiple of a permutation of the
     triple: each unit entry k (gcd(n, k) = 1), scaled by k^-1 to 1, leads two
     of them."""
+    a, b, c = triple
     forms = []
-    for i, k in enumerate(triple):
-        if gcds[i] == 1:
+    for k, gk, s, t in ((a, gcds[0], b, c), (b, gcds[1], a, c), (c, gcds[2], a, b)):
+        if gk == 1:
             inv = pow(k, -1, n)
-            x, y = (inv * t % n for j, t in enumerate(triple) if j != i)
-            forms += [(x, y), (y, x)]
+            x = inv * s % n
+            y = inv * t % n
+            forms.append((x, y))
+            forms.append((y, x))
     return forms
 
 
@@ -305,8 +324,7 @@ def _three_point_report(kind: str, cover: CyclicCover, triple: tuple[int, int, i
         row, group, chain_rows = "DEFAULT", _cyclic(n), ()
     if row_names is not None:
         row = row_names[row]
-    return _make_report(kind, cover, triple, canon, Signature(0, periods), row, group,
-                        chain_rows, n, g)
+    return _make_report(kind, cover, triple, canon, periods, row, group, chain_rows, n, g)
 
 
 def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:
@@ -400,39 +418,40 @@ def classify_fermat(n: int, d: int) -> ClassificationReport:
     if g < 2:
         raise DomainError(f"below hyperbolic range: y^{n} + x^{d} = 1 has genus {g}")
     base = d * n
-    sig = Signature(0, (d, n, lcm(d, n)))
+    periods = (d, n, lcm(d, n))
 
     def report(row, group, chain_rows, notes=""):
-        return _make_report("fermat", cover, None, None, sig, row, group, chain_rows, base, g, notes)
+        return _make_report("fermat", cover, None, None, periods, row, group, chain_rows, base, g,
+                            notes)
 
     if d == 2:
         if n % 2:
-            return report("F.4", _cyclic(2 * n), [])
+            return report("F.4", _cyclic(2 * n), ())
         group = GroupDescriptor(4 * n, "DIRECT_SUM_SEMIDIRECT", ((2, n), "Z2"),
                                 fermat_quadratic_presentation(n))
-        return report("F.5", group, ["3"])
+        return report("F.5", group, ("3",))
     if d == 3:
         if n == 4:
             group = GroupDescriptor(48, "CENTRAL_EXT", (4, "A4"),
                                     octahedral_times_c4_presentation())
-            return report("F.8", group, ["13"])
+            return report("F.8", group, ("13",))
         if n % 3 == 0:
             group = GroupDescriptor(6 * n, "DIRECT_SUM_SEMIDIRECT", ((3, n), "Z2"),
                                     fermat_cubic_presentation(n))
-            return report("F.6", group, ["3"])
+            return report("F.6", group, ("3",))
         return report(
-            "F.7", _cyclic(3 * n), [],
+            "F.7", _cyclic(3 * n), (),
             notes="signature admits an extension but no compatible epimorphism survives it",
         )
     if d == n:
         return report("F.1", GroupDescriptor(6 * n * n, "DIRECT_SUM_SEMIDIRECT", ((n, n), "S3")),
-                      ["2"])
+                      ("2",))
     if n % d:
         return report("F.2", GroupDescriptor(d * n, "ABELIAN", (d, n), abelian_presentation(d, n)),
-                      [])
+                      ())
     group = GroupDescriptor(2 * d * n, "CENTRAL_EXT", (d, f"D{2 * n}"),
                             fermat_divisor_presentation(d, n))
-    return report("F.3", group, ["3"])
+    return report("F.3", group, ("3",))
 
 
 # ---------------------------------------------------------------------------

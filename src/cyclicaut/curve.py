@@ -119,24 +119,31 @@ class CyclicCover:
         n = self.n
         if n < 2:
             raise DomainError(f"cover degree must be >= 2, got {n}")
-        branches = tuple(self.branches)
+        # one pass over the branches normalizes each exponent, checks its
+        # range, and collects the points and the exponent sum
+        branches = []
+        points = set()
+        total = 0
+        for pt, k in self.branches:
+            k = int(k)
+            if not 0 < k < n:
+                raise DomainError(f"branch exponent {k} outside [1, {n - 1}]")
+            branches.append((pt, k))
+            points.add(pt)
+            total += k
         if not branches:
             raise DomainError("cover needs at least one finite branch point")
-        points, exponents = zip(*branches)
-        exponents = tuple(map(int, exponents))
-        object.__setattr__(self, "branches", tuple(zip(points, exponents)))
-        for k in exponents:
-            if not 1 <= k <= n - 1:
-                raise DomainError(f"branch exponent {k} outside [1, {n - 1}]")
-        if len(set(points)) != len(points):
+        if len(points) != len(branches):
             raise DomainError("non-distinct roots")
         infinity = self.infinity_exponent
-        if not 0 <= infinity <= n - 1:
+        if not 0 <= infinity < n:
             raise DomainError("infinity exponent outside [0, n-1]")
-        if (sum(exponents) + infinity) % n:
+        if (total + infinity) % n:
             raise DomainError("exponents do not sum to 0 mod n")
-        if self.constant == 0:
+        if not self.constant:
             raise DomainError("constant must be nonzero")
+        exponents = tuple([k for _, k in branches])
+        object.__setattr__(self, "branches", tuple(branches))
         object.__setattr__(self, "_exponents", exponents)
         object.__setattr__(
             self, "_all_exponents", exponents + (infinity,) if infinity else exponents

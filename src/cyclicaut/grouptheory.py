@@ -243,9 +243,19 @@ class _CosetTable:
         # each relator is root^k with a primitive root; a proper power
         # (k > 1) gets a bit in the closed masks, a relator with k = 1 none
         self.roots = [w[: _root_length(w)] for w in self.words]
+        # each root read backward, letter by letter inverted
+        self.inverse_roots = [tuple(c ^ 1 for c in reversed(root)) for root in self.roots]
         self.bits = [
             1 << r if len(root) < len(w) else 0
             for r, (w, root) in enumerate(zip(self.words, self.roots))
+        ]
+        # a no-fill scan of a proper power that walks two roots on one side
+        # proves cosets worth skipping (see _prove_open); recording a
+        # shorter walk costs about what skipping would save.  A scan of a
+        # relator with k = 1 walks fewer than len(w) letters on each side.
+        self.proof_walk = [
+            2 * len(root) if bit else len(w)
+            for w, root, bit in zip(self.words, self.roots, self.bits)
         ]
         self.max_cosets = max_cosets
         self.table: list[list[int]] = [[0] * self.ncols, [0] * self.ncols]
@@ -253,6 +263,10 @@ class _CosetTable:
         # closed[k]: the bits of the relators known to close at coset k;
         # scanning one of them there again would change nothing
         self.closed = [0, 0]
+        # proven[k]: during a lookahead pass, the bits of the relators whose
+        # no-fill scan at coset k would change nothing until the table next
+        # changes (see _prove_open)
+        self.proven: dict[int, int] = {}
         self.alive = 1
 
     @staticmethod
@@ -290,6 +304,7 @@ class _CosetTable:
         queue.append(hi)
 
     def _coincidence(self, a: int, b: int) -> None:
+        self.proven.clear()
         queue: list[int] = []
         self._merge(a, b, queue)
         qi = 0
@@ -343,12 +358,17 @@ class _CosetTable:
                 self._coincidence(f, b)
                 return
             if j == i:
+                self.proven.clear()
                 table[f][word[i]] = b
                 table[b][word[i] ^ 1] = f
                 if self.bits[r]:
                     self._mark(alpha, r)
                 return
             if not fill:
+                behind = len(word) - 1 - j
+                least = self.proof_walk[r]
+                if i >= least or behind >= least:
+                    self._prove_open(alpha, r, i, behind)
                 return
             self._define(f, word[i])
 
@@ -365,18 +385,45 @@ class _CosetTable:
             if cur == alpha:
                 return
 
-    def scan_all(self, alpha: int, fill: bool) -> None:
-        """Scan every relator not known to close at alpha, while alpha lives."""
+    def _prove_open(self, alpha: int, r: int, ahead: int, behind: int) -> None:
+        """A no-fill scan of relator r = root^k at alpha has stopped at a gap
+        ``ahead`` letters forward and ``behind`` letters backward, changing
+        nothing.  Scanned from alpha*root^m, for m*|root| up to ``ahead``, or
+        from alpha*root^-m, for m*|root| up to ``behind``, the relator reads
+        the same letters between the same two gaps, so it would change
+        nothing there either: record those cosets in ``proven``."""
+        bit, root = self.bits[r], self.roots[r]
+        table, proven = self.table, self.proven
+        for steps, cols in ((ahead, root), (behind, self.inverse_roots[r])):
+            cur = alpha
+            for _ in range(steps // len(root)):
+                for c in cols:
+                    cur = table[cur][c]
+                proven[cur] = proven.get(cur, 0) | bit
+
+    def scan_all(self, alpha: int) -> None:
+        """Scan, filling, every relator not known to close at alpha, while
+        alpha lives."""
         closed = self.closed
         for r, bit in enumerate(self.bits):
             if self.rep(alpha) != alpha:
                 return
             if not closed[alpha] & bit:
-                self.scan(alpha, r, fill)
+                self.scan(alpha, r, True)
 
     def lookahead(self) -> None:
+        """Scan every live coset without definitions, skipping the scans
+        proven to change nothing: a pass over a long open chain of a power
+        relator costs about one walk along it, not one per coset."""
+        closed, proven = self.closed, self.proven
         for beta in range(1, len(self.table)):
-            self.scan_all(beta, fill=False)
+            for r, bit in enumerate(self.bits):
+                if self.rep(beta) != beta:
+                    break
+                if closed[beta] & bit or proven and proven.get(beta, 0) & bit:
+                    continue
+                self.scan(beta, r, False)
+        proven.clear()
 
     def live_cosets(self) -> list[int]:
         return [k for k in range(1, len(self.table)) if self.rep(k) == k]
@@ -407,7 +454,7 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
         if ct.rep(alpha) == alpha:
             while True:
                 try:
-                    ct.scan_all(alpha, fill=True)
+                    ct.scan_all(alpha)
                     if ct.rep(alpha) == alpha:
                         row = ct.table[alpha]
                         for c in range(ct.ncols):

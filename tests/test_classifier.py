@@ -631,3 +631,23 @@ def test_classification_builds_no_presentation(monkeypatch):
     assert built == []
     assert classify_belyi(15, 1, 4, 10).group.presentation is not None
     assert len(built) == 1
+
+
+def test_shared_descriptors_stay_values():
+    # group descriptors, signatures and chains that depend only on the
+    # degree or the periods are built once and shared between reports; each
+    # report still reads as its own
+    cases = [(7, (1, 2, 4)), (9, (1, 1, 7)), (15, (1, 4, 10)), (16, (1, 6, 9)),
+             (30, (2, 3, 25)), (9919, (1, 2, 9916))]
+    for n, triple in cases:
+        first, second = classify_belyi(n, *triple), classify_belyi(n, *triple)
+        assert first == second
+        assert json.dumps(report_to_json_dict(first)) == json.dumps(report_to_json_dict(second))
+    for n in list(range(4, 40)) + list(range(39, 3, -1)):
+        defaults = [classify_belyi(n, *t) for t in admissible_triples(n)]
+        defaults = [r for r in defaults if r.row == "DEFAULT"]
+        for r in defaults:
+            assert r.group.order == n and r.group.params == (n,)
+            assert r.group.structure == f"Z{n}"
+            assert r.group.presentation_text == f"<a | a^{n}>"
+            assert r.base_order == n and r.chain == ()

@@ -367,3 +367,15 @@ def test_coset_enum_long_power_relator_is_linear():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "100000"
+
+
+def test_coset_enum_long_power_budget_stop_is_linear():
+    # nothing closes before the budget, so each lookahead scan of a^400000
+    # walked the whole open chain: a pass cost budget x chain length
+    proc = _run_entry_point(
+        _entry_point_argv(),
+        ["coset-enum", "--pres", "<a | a^400000>", "--max-cosets", "200000"],
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "BUDGET_EXCEEDED"

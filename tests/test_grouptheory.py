@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from math import factorial, prod
 
@@ -224,6 +226,51 @@ def test_skipped_scans_are_no_ops(monkeypatch, text, budget, defined, merges, or
     else:
         assert coset_enumerate(pres, max_cosets=budget) == order
     assert counts == {"defined": defined, "merges": merges}
+
+
+@pytest.mark.parametrize(
+    "text,budgets",
+    [
+        ("<x,y | x^2, y^3, (x*y)^7, [x,y]^4>", range(150, 351, 3)),
+        ("<a,b | b^-6, b^5>", [30]),
+        ("<a,b | (a*a^-1*a^-1)^4, (b*a*b^-1)^8>", [100]),
+        ("<a | a^100>", [50]),
+    ],
+)
+def test_lookahead_skips_only_scans_that_change_nothing(monkeypatch, text, budgets):
+    # each lookahead pass leaves the table, the merges and the closed marks
+    # of a pass that scans every relator not known to close at every coset,
+    # with fewer scans
+    lookahead, scan = grouptheory._CosetTable.lookahead, grouptheory._CosetTable.scan
+    scans, skipped = [0], [0]
+
+    def counted(self, alpha, r, fill):
+        scans[0] += 1
+        return scan(self, alpha, r, fill)
+
+    def checked(self):
+        reference = copy.deepcopy(self)
+        start = scans[0]
+        for beta in range(1, len(reference.table)):
+            for r, bit in enumerate(reference.bits):
+                if reference.rep(beta) == beta and not reference.closed[beta] & bit:
+                    reference.scan(beta, r, False)
+        middle = scans[0]
+        lookahead(self)
+        skipped[0] += (middle - start) - (scans[0] - middle)
+        assert (self.table, self.parent, self.alive, self.closed) == (
+            reference.table, reference.parent, reference.alive, reference.closed
+        )
+
+    monkeypatch.setattr(grouptheory._CosetTable, "scan", counted)
+    monkeypatch.setattr(grouptheory._CosetTable, "lookahead", checked)
+    pres = parse_presentation(text)
+    for budget in budgets:
+        try:
+            coset_enumerate(pres, max_cosets=budget)
+        except BudgetExceeded:
+            pass
+    assert skipped[0] > 0
 
 
 @pytest.mark.parametrize(

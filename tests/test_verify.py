@@ -9,7 +9,7 @@ import pytest
 
 from cyclicaut import verify
 from cyclicaut.classifier import classify_belyi
-from cyclicaut.curve import parse_curve
+from cyclicaut.curve import monodromy_genus, parse_curve
 from cyclicaut.numtheory import DomainError
 from cyclicaut.verify import (
     ENUMERATION_CAP,
@@ -360,6 +360,54 @@ def test_orbit_disagreement_names_the_triple(monkeypatch):
     assert [c.name for c in report.checks if not c.passed] == ["equivalence_invariance"]
     with pytest.raises(AssertionError, match=r"orbit member \(2, 4, 1\) disagrees with class \(1, 2, 4\)"):
         enumerate_classes(7)
+
+
+def test_cycle_table_genus_matches_monodromy():
+    # the genus cross_check reads from one cycle count per (n, k) is the
+    # genus of the monodromy oracle, which traverses every triple's own
+    # permutations
+    for n in range(4, 25):
+        cycles = verify._cycle_counts(n)
+        for triple in verify._ordered_admissible(n):
+            cover = classify_belyi(n, *triple).cover
+            assert verify._twice_monodromy_genus(n, cycles, cover.all_exponents()) == (
+                2 * monodromy_genus(cover)
+            ), (n, triple)
+
+
+def test_cycle_table_fault_injection(monkeypatch):
+    # one miscounted translation, s -> s + 3 at n = 9, must fail the genus
+    # check on a triple with that exponent and no other check
+    count = verify._translation_cycles
+
+    def miscount(n, k):
+        return count(n, k) + ((n, k) == (9, 3))
+
+    monkeypatch.setattr(verify, "_translation_cycles", miscount)
+    report = cross_check(12)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["genus_matches_monodromy"]
+    witness = failed[0].witness
+    assert witness["n"] == 9 and 3 in witness["triple"]
+    assert witness["monodromy"] != witness["formula"]
+    json.dumps(cross_check_to_json_dict(report))
+
+
+def test_cross_check_traverses_each_translation_once(monkeypatch):
+    # a count, not a clock: a degree costs at most n traversals, one per
+    # (n, k), however many triples read them
+    calls = []
+    count = verify._translation_cycles
+
+    def counted(n, k):
+        calls.append((n, k))
+        return count(n, k)
+
+    monkeypatch.setattr(verify, "_translation_cycles", counted)
+    assert cross_check(30).all_passed
+    assert len(calls) == len(set(calls))
+    for n in range(4, 31):
+        assert 0 < sum(1 for m, _ in calls if m == n) <= n
 
 
 def test_cross_check_below_range():

@@ -30,8 +30,9 @@ Input sets, in output order:
 - ``coset_enumerate`` on the distinct presentations of every Belyi,
   Lefschetz and Fermat report of degree at most 60, the README example, the
   presentations of the tests, Z_m x Z_n for m, n <= 30, the dihedral groups
-  of order 2n for n = 1, 10, ..., 1000, and the (2,3,7) triangle group and
-  the free groups of rank 1 and 2 at budgets 100 to 10,000 (2,902 calls);
+  of order 2n for n = 1, 10, ..., 1000, the (2,3,7) triangle group and
+  the free groups of rank 1 and 2 at budgets 100 to 10,000, and the long
+  powers <a | a^(2m)> at budget m for m = 10, 100, 1000 (2,905 calls);
 - ``enumeration_to_json_dict(n, enumerate_classes(n))`` for 4 <= n <= 60
   (57 calls), then ``cross_check_to_json_dict(cross_check(60))`` (1 call);
 - ``parse_curve`` on the valid and malformed curves of ``CURVE_TEXTS`` and
@@ -451,6 +452,8 @@ def _calls():
     for text in ("<x,y | x^2, y^3, (x*y)^7>", "<a | >", "<a,b | >"):
         for budget in (100, 200, 500, 1000, 2000, 5000, 10_000):
             yield "coset", _coset_answer, (text, budget)
+    for m in (10, 100, 1000):
+        yield "coset", _coset_answer, (f"<a | a^{2 * m}>", m)
     for n in range(4, ENUMERATION_CAP + 1):
         yield "enumerate", _enumeration_answer, (n,)
     yield "cross_check", _cross_check_answer, (ENUMERATION_CAP,)
