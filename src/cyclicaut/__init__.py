@@ -2,7 +2,7 @@
 
 Classifies the full automorphism group of curves y^n = f(x) branched over
 three points, with independent verification through coset enumeration,
-abelianization, monodromy genus counts, and numerical orbit checks.
+abelianization, monodromy genus counts, and exact map checks over prime fields.
 """
 
 from .classifier import (

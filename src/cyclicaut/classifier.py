@@ -313,13 +313,18 @@ def _three_point_report(kind: str, cover: CyclicCover, triple: tuple[int, int, i
     n = cover.n
     g, periods = genus_and_periods(n, gcds)
     forms = _unit_led_forms(n, triple, gcds)
-    canon = (1, *min(forms)) if forms else canonical_triple(n, *triple)
+    # ascending, so the first form a rule holds on carries its least twist
+    forms.sort()
+    canon = (1, *forms[0]) if forms else canonical_triple(n, *triple)
     for row, holds, build in _rules_at(n):
-        twists = [x for x, y in forms if holds(n, x, y)]
-        if twists:
-            group, chain_rows, genus_column = build(n, min(twists))
-            assert g == genus_column, f"row {row} genus column mismatch"
-            break
+        for x, y in forms:
+            if holds(n, x, y):
+                break
+        else:
+            continue
+        group, chain_rows, genus_column = build(n, x)
+        assert g == genus_column, f"row {row} genus column mismatch"
+        break
     else:
         row, group, chain_rows = "DEFAULT", _cyclic(n), ()
     if row_names is not None:

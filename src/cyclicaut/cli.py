@@ -31,6 +31,7 @@ from .grouptheory import (
 )
 from .numtheory import DomainError
 from .verify import (
+    FAMILIES,
     build_scenario,
     check_enumeration,
     check_to_json_dict,
@@ -209,7 +210,7 @@ def _cmd_verify_action(ns, parser) -> int:
         )
     else:
         for o in outcomes:
-            print(f"{'PASS' if o.passed else 'FAIL'} {o.label}  ({o.value:.3e})")
+            print(f"{'PASS' if o.passed else 'FAIL'} {o.label}  ({o.value} points)")
     return 0 if all(o.passed for o in outcomes) else 1
 
 
@@ -267,12 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="largest group order computed; a larger group prints BUDGET_EXCEEDED",
     )
 
-    p = add("verify-action", _cmd_verify_action, help="numerical map verification")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=["accola-maclachlan", "periodthree", "twistedz2"],
-    )
+    p = add("verify-action", _cmd_verify_action, help="exact map verification over a prime field")
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--b", type=int)

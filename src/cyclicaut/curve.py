@@ -7,7 +7,6 @@ monodromy-permutation genus oracle used to cross-check the genus formula.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -63,11 +62,6 @@ class BranchPoint:
         if order == 2:
             return MINUS_ONE
         return BranchPoint("root", Fraction(0), index, order)
-
-    def value(self) -> complex:
-        if self.kind == "rational":
-            return complex(self.rational)
-        return cmath.exp(2j * cmath.pi * self.root_index / self.root_order)
 
     def label(self) -> str:
         if self.kind == "rational":
@@ -297,7 +291,7 @@ def is_irreducible(cover: CyclicCover) -> bool:
     return gcd(cover.n, *cover.exponents()) == 1
 
 
-def _require_irreducible(cover: CyclicCover) -> None:
+def require_irreducible(cover: CyclicCover) -> None:
     if not is_irreducible(cover):
         raise DomainError("cover is reducible (exponents share a factor with n)")
 
@@ -318,7 +312,7 @@ def genus_and_periods(n: int, gcds: Sequence[int]) -> tuple[int, tuple[int, ...]
 
 
 def _exponent_gcds(cover: CyclicCover) -> list[int]:
-    _require_irreducible(cover)
+    require_irreducible(cover)
     n = cover.n
     return [gcd(n, k) for k in cover.all_exponents()]
 
@@ -426,7 +420,7 @@ def monodromy_genus(cover: CyclicCover) -> int:
     identity, counts cycles by traversal, and reads the genus off the
     Euler characteristic 2 - 2g = 2n - sum (n - c_j).
     """
-    _require_irreducible(cover)
+    require_irreducible(cover)
     n = cover.n
     ks = cover.all_exponents()
     perms = [[(s + k) % n for s in range(n)] for k in ks]
@@ -478,7 +472,7 @@ def cover_from_json_dict(obj: dict) -> CyclicCover:
             for b in obj["branches"]
         )
         infinity = int(obj.get("infinity_exponent", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        constant = Fraction(str(obj.get("constant", "1")))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad cover JSON: {exc}") from exc
-    constant = Fraction(str(obj.get("constant", "1")))
     return CyclicCover(n, branches, infinity, constant)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import prod
 from string import ascii_lowercase
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .cursor import Cursor
 from .numtheory import DomainError, factorize
@@ -573,12 +573,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
         if not fixed:
             continue
         t += 1
-    diag = [abs(a[k][k]) if k < t else 0 for k in range(size)]
-    for k in range(len(diag) - 1):
-        if diag[k] and diag[k + 1] % diag[k]:
-            g = gcd(diag[k], diag[k + 1])
-            diag[k], diag[k + 1] = g, diag[k] * diag[k + 1] // g
-    return diag
+    # t advances only once the pivot divides the whole remaining block, so
+    # each later pivot is its multiple: the diagonal is a divisibility chain
+    return [abs(a[k][k]) if k < t else 0 for k in range(size)]
 
 
 @dataclass(frozen=True)

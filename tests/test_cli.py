@@ -296,6 +296,8 @@ def test_verify_action_families(argv, capsys):
     assert run(argv + ["--samples", "50"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and out.count("PASS") >= 3
+    # each check reports the number of points it checked
+    assert all(line.endswith("  (50 points)") for line in out.splitlines())
 
 
 def test_verify_action_json_and_seed(capsys):
@@ -305,6 +307,7 @@ def test_verify_action_json_and_seed(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["seed"] == 2 and obj["n"] == 13
     assert all(c["pass"] for c in obj["checks"])
+    assert [c["value"] for c in obj["checks"]] == [100] * 4
 
 
 def test_verify_action_errors(capsys):

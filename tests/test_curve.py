@@ -35,7 +35,7 @@ def test_branch_point_normalization():
     assert BranchPoint.root_of_unity(0, 4) == BranchPoint.at(1)
     assert BranchPoint.root_of_unity(2, 4) == BranchPoint.at(-1)
     assert BranchPoint.root_of_unity(2, 8) == BranchPoint.root_of_unity(1, 4)
-    assert abs(BranchPoint.root_of_unity(1, 3).value() ** 3 - 1) < 1e-12
+    assert BranchPoint.root_of_unity(4, 3) == BranchPoint.root_of_unity(1, 3)
 
 
 def test_branch_point_labels_round_trip():
@@ -349,6 +349,15 @@ def test_json_bad_input():
         cover_from_json_dict({"n": 5})
     with pytest.raises(DomainError):
         cover_from_json_dict({"n": 5, "branches": [{"point": "??", "exponent": 1}]})
+
+
+@pytest.mark.parametrize("constant", ["1/0", "abc", "", "1/"])
+def test_json_bad_constant(constant):
+    # a malformed constant ends in the same DomainError as a malformed key
+    blob = cover_to_json_dict(belyi_cover(7, 1, 2, 4))
+    blob["constant"] = constant
+    with pytest.raises(DomainError, match="^bad cover JSON: "):
+        cover_from_json_dict(blob)
 
 
 @settings(max_examples=80, deadline=None)

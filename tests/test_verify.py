@@ -1,33 +1,34 @@
-"""Tests for the numerical action checks and the enumeration cross-checks."""
+"""Tests for the exact map checks and the enumeration cross-checks."""
 
-import cmath
 import dataclasses
 import hashlib
 import json
+from math import gcd, lcm
 
 import pytest
 
 from cyclicaut import verify
 from cyclicaut.classifier import classify_belyi
-from cyclicaut.curve import monodromy_genus, parse_curve
-from cyclicaut.numtheory import DomainError
+from cyclicaut.curve import MINUS_ONE, ONE, BranchPoint, fermat_cover, monodromy_genus, parse_curve
+from cyclicaut.numtheory import DomainError, factorize, is_prime
 from cyclicaut.verify import (
     ENUMERATION_CAP,
-    CurveSample,
+    FAMILIES,
+    FIELD_FLOOR,
     ProductForm,
     RationalMap,
     accola_maclachlan,
-    action_residual,
-    apply_sequence,
     build_scenario,
     check_enumeration,
+    composite,
+    cover_field,
     cross_check,
     cross_check_to_json_dict,
+    curve_rhs,
     deck_map,
     enumerate_classes,
     enumeration_to_json_dict,
-    half_turn_map,
-    on_curve_residual,
+    on_curve,
     periodthree,
     run_scenario,
     sample_curve,
@@ -37,20 +38,84 @@ from cyclicaut.verify import (
     verify_relation,
 )
 
-TOL = 1e-8
+
+def passed(outcomes):
+    return all(o.passed for o in outcomes)
+
+
+# -- prime fields -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(4, 61))
+def test_prime_field_facts(n):
+    for cover in (parse_curve(f"y^{n} = (x-1)(x+1)"), fermat_cover(n, 3)):
+        order = lcm(n, 6, *(pt.root_order for pt, _ in cover.branches))
+        field = cover_field(cover)
+        p, z = field.p, field.z
+        m = (p - 1) // n
+        assert field.order == order
+        assert is_prime(p) and p == n * m + 1
+        assert m >= FIELD_FLOOR and gcd(m, n) == 1
+        assert (p - 1) % order == 0
+        # z has exact multiplicative order L
+        assert pow(z, order, p) == 1
+        assert all(pow(z, order // q, p) != 1 for q, _ in factorize(order))
+        # it is the least such prime: no smaller m >= FIELD_FLOOR qualifies
+        assert not any(
+            gcd(k, n) == 1 and (n * k) % order == 0 and is_prime(n * k + 1)
+            for k in range(FIELD_FLOOR, m)
+        )
+
+
+def test_prime_field_primality_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in (4, 7, 12, 57, 60, 1000):
+        assert sympy.isprime(cover_field(parse_curve(f"y^{n} = (x-1)(x+1)")).p)
+
+
+def test_prime_field_elements():
+    field = cover_field(parse_curve("y^12 = (x-1)(x+1)"))
+    assert field.order == 12
+    p = field.p
+    zeta = field.element(BranchPoint.root_of_unity(1, 12))
+    assert pow(zeta, 12, p) == 1 and pow(zeta, 6, p) == p - 1 and pow(zeta, 4, p) != 1
+    assert field.element(BranchPoint.root_of_unity(5, 12)) == pow(zeta, 5, p)
+    assert field.element(MINUS_ONE) == p - 1
+    assert field.element(BranchPoint.from_label("3/2")) * 2 % p == 3
+    assert field.element(BranchPoint.from_label("-1/3")) * 3 % p == p - 1
+    with pytest.raises(DomainError):
+        field.element(BranchPoint.root_of_unity(1, 5))
+    with pytest.raises(DomainError):
+        field.element(BranchPoint.from_label(f"1/{p}"))
+
+
+def test_prime_field_needs_m_coprime_to_n():
+    # y^4 + x^8 = 1 needs zeta_8, so 8 | 4m while m stays odd: no such field
+    with pytest.raises(DomainError, match="no prime p = 4 m"):
+        cover_field(fermat_cover(4, 8))
 
 
 # -- sampling ---------------------------------------------------------------
 
 
 def test_sample_curve_basics():
-    cover = parse_curve("y^6 = (x-1)(x+1)")
-    samples = sample_curve(cover, 10, seed=1)
-    assert len(samples) == 10
-    for x, y in samples:
-        assert 0.5 <= abs(x) <= 2.0
-        assert abs(x - 1) >= 0.1 and abs(x + 1) >= 0.1
-        assert on_curve_residual(cover, x, y) <= 1e-12
+    for text in ["y^6 = (x-1)(x+1)", "y^7 = x(x-1)^2(x+1)^4", "y^5 + x^3 = 1", "y^9 = 3/2 x(x-1/2)^4"]:
+        cover = parse_curve(text)
+        field = cover_field(cover)
+        p = field.p
+        f = curve_rhs(cover).over(field)
+        branch_values = {field.element(pt) for pt, _ in cover.branches}
+        for count in [1, 2, 3, 5, 6, 9, 100]:
+            samples = sample_curve(cover, count, seed=count)
+            assert len(samples) == count and len(set(samples)) == count
+            for x, y in samples:
+                assert 0 <= x < p and 0 <= y < p
+                assert x not in branch_values
+                assert pow(y, cover.n, p) == f(x, 0) != 0
+            xs = [x for x, _ in samples]
+            assert len(set(xs)) >= min(count, 4)
+            assert max(xs.count(x) for x in xs) <= max(1, count // 4)
+            assert on_curve(cover, samples)
 
 
 def test_sample_curve_deterministic_and_seed_sensitive():
@@ -59,8 +124,8 @@ def test_sample_curve_deterministic_and_seed_sensitive():
     b = sample_curve(cover, 100, seed=7)
     c = sample_curve(cover, 100, seed=8)
     assert len(a) == 100
-    assert a.points == b.points
-    assert a.points != c.points
+    assert a == b
+    assert a != c
 
 
 def test_sample_curve_count_validation():
@@ -69,13 +134,28 @@ def test_sample_curve_count_validation():
         sample_curve(cover, 0)
     with pytest.raises(DomainError):
         sample_curve(cover, -3)
+    # where f(x) may never be an n-th power, sampling refuses rather than
+    # drawing forever: a reducible cover, and branch points that meet mod p
+    with pytest.raises(DomainError, match="reducible"):
+        sample_curve(parse_curve("y^4 = 2(x-1)^2(x+1)^2"), 5)
+    p = cover_field(parse_curve("y^2 = x(x-1)")).p
+    with pytest.raises(DomainError, match=f"two branch points meet mod {p}"):
+        sample_curve(parse_curve(f"y^2 = 3x(x-{p})"), 5)
+
+
+def test_on_curve_detects_an_off_curve_point():
+    cover = parse_curve("y^6 = (x-1)(x+1)")
+    samples = sample_curve(cover, 10, seed=0)
+    (x, y), rest = samples[0], samples[1:]
+    moved = ((x, 2 * y % cover_field(cover).p),) + rest
+    assert not on_curve(cover, moved)
 
 
 def test_deck_map_preserves_curve_with_exact_order():
     cover = parse_curve("y^7 = x(x-1)^2(x+1)^4")
     samples = sample_curve(cover, 50, seed=0)
     t = deck_map(cover)
-    assert action_residual(cover, t, samples) <= TOL
+    assert on_curve(cover, samples, [t])
     assert verify_map_order(cover, t, 7, samples)
     assert not verify_map_order(cover, t, 14, samples)  # smaller iterate closes
     assert not verify_map_order(cover, t, 3, samples)
@@ -84,21 +164,56 @@ def test_deck_map_preserves_curve_with_exact_order():
 # -- the three map families -------------------------------------------------
 
 
+def _dump_scenarios():
+    """The scenarios of tools/dump_answers.py."""
+    for n in range(4, ENUMERATION_CAP + 1, 2):
+        yield accola_maclachlan(n)
+    for n in range(5, ENUMERATION_CAP + 1):
+        if n % 8:
+            for b in range(2, n - 1):
+                if b * b % n == 1:
+                    yield twistedz2(n, b)
+    for k in range(2, ENUMERATION_CAP):
+        if 1 + k + k * k <= ENUMERATION_CAP:
+            yield periodthree(1 + k + k * k, k)
+
+
+PERIODTHREE_PAIRS = [
+    (n, k) for n in range(4, 61) for k in range(2, n - 1) if (1 + k + k * k) % n == 0
+]
+
+GENERAL_PHASES = [(12, 5, 0), (16, 7, 2), (24, 5, 4), (24, 7, 0), (24, 11, 2), (24, 17, 0)]
+
+
+def test_every_scenario_passes_at_three_seeds():
+    scenarios = list(_dump_scenarios())
+    assert len(scenarios) == 75
+    scenarios += [periodthree(n, k) for n, k in PERIODTHREE_PAIRS]
+    scenarios += [twisted_involution_general(n, b) for n, b, _ in GENERAL_PHASES]
+    for sc in scenarios:
+        for seed in (0, 1, 2):
+            outcomes = run_scenario(sc, 100, seed)
+            assert passed(outcomes), (sc.family, sc.cover.n, seed, outcomes)
+            # each value is the number of points checked
+            assert [o.value for o in outcomes] == [100] * len(outcomes)
+
+
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_accola_maclachlan_checks(n, seed):
     sc = accola_maclachlan(n)
     outcomes = run_scenario(sc, 100, seed)
-    assert all(o.passed for o in outcomes), outcomes
-    assert all(o.value <= TOL for o in outcomes)
+    assert [o.label for o in outcomes] == [
+        "on_curve_samples", "preserves_curve[u]", "order[u]=4", "u^2 = (-x, y)"
+    ]
+    assert passed(outcomes), outcomes
 
 
 def test_accola_maclachlan_square_is_half_turn():
     sc = accola_maclachlan(6)
     samples = sample_curve(sc.cover, 100, seed=0)
     u = sc.maps["u"]
-    dev = verify_relation(sc.cover, [u, u], [half_turn_map()], samples)
-    assert dev <= TOL
+    assert verify_relation(sc.cover, [u, u], [sc.maps["half_turn"]], samples)
     assert verify_map_order(sc.cover, u, 4, samples)
     assert not verify_map_order(sc.cover, u, 2, samples)
     assert not verify_map_order(sc.cover, u, 8, samples)
@@ -116,14 +231,8 @@ def test_accola_maclachlan_validation():
 def test_periodthree_checks(n, k, beta, seed):
     sc = periodthree(n, k)
     # the y-component carries (x - j^2)^-beta with the stated beta
-    assert sc.maps["S"].y_form.factors[0][1] == -beta
-    outcomes = run_scenario(sc, 100, seed)
-    assert all(o.passed for o in outcomes), outcomes
-
-
-PERIODTHREE_PAIRS = [
-    (n, k) for n in range(4, 61) for k in range(2, n - 1) if (1 + k + k * k) % n == 0
-]
+    assert sc.maps["S"].y_form.factors[0] == (BranchPoint.root_of_unity(2, 3), -beta)
+    assert passed(run_scenario(sc, 100, seed))
 
 
 @pytest.mark.parametrize("n,k", PERIODTHREE_PAIRS)
@@ -134,8 +243,6 @@ def test_periodthree_every_pair(n, k):
     # (x - j^2)^-beta, then (x - j)^-q only when n < 1 + k + k^2
     assert [e for _, e in sc.maps["S"].y_form.factors] == [-((k * r - 1) // n)] + ([-q] if q else [])
     assert all(abs(e) <= k for _, e in sc.maps["S"].y_form.factors)
-    outcomes = run_scenario(sc, 50, 0)
-    assert all(o.passed for o in outcomes), outcomes
 
 
 def test_periodthree_commutation_with_deck():
@@ -143,10 +250,9 @@ def test_periodthree_commutation_with_deck():
     samples = sample_curve(sc.cover, 100, seed=5)
     s, t = sc.maps["S"], sc.maps["T"]
     # pipeline [T, S] applies T first: the composite S.T
-    dev = verify_relation(sc.cover, [t, s], [s, t, t], samples)
-    assert dev <= TOL
+    assert verify_relation(sc.cover, [t, s], [s, t, t], samples)
     # and the relation really is twisted: plain commutation fails
-    assert verify_relation(sc.cover, [t, s], [s, t], samples) > 1e-2
+    assert not verify_relation(sc.cover, [t, s], [s, t], samples)
 
 
 def test_periodthree_validation():
@@ -161,16 +267,15 @@ def test_periodthree_validation():
 def test_twistedz2_checks(n, b, seed):
     sc = twistedz2(n, b)
     # sign (-1)^l with l = 1 for both printed instances
-    assert abs(sc.maps["u"].y_form.constant - (-1.0)) < 1e-15
-    outcomes = run_scenario(sc, 100, seed)
-    assert all(o.passed for o in outcomes), outcomes
+    assert sc.maps["u"].y_form.constant == MINUS_ONE
+    assert passed(run_scenario(sc, 100, seed))
 
 
 def test_twistedz2_conjugation_relation():
     sc = twistedz2(15, 4)
     samples = sample_curve(sc.cover, 100, seed=2)
     u, t = sc.maps["u"], sc.maps["T"]
-    assert verify_relation(sc.cover, [u, t, u], [t] * 4, samples) <= TOL
+    assert verify_relation(sc.cover, [u, t, u], [t] * 4, samples)
     assert verify_map_order(sc.cover, u, 2, samples)
 
 
@@ -181,30 +286,25 @@ def test_twistedz2_validation():
         twistedz2(15, 5)  # 5^2 != 1 mod 15
 
 
-GENERAL_PHASES = [(12, 5, 0), (16, 7, 2), (24, 5, 4), (24, 7, 0), (24, 11, 2), (24, 17, 0)]
-
-
 @pytest.mark.parametrize("n,b,t_expected", GENERAL_PHASES)
 def test_twisted_involution_general(n, b, t_expected):
     # composite degrees where the +-1 sign cannot work still admit the
-    # involution with a root-of-unity phase
+    # involution with a root-of-unity phase exp(i pi t / n)
     sc = twisted_involution_general(n, b)
-    eta = sc.maps["u"].y_form.constant
-    t = round(cmath.phase(eta) * n / cmath.pi) % (2 * n)
-    assert t == t_expected
-    outcomes = run_scenario(sc, 60, 3)
-    assert all(o.passed for o in outcomes), (n, b, outcomes)
+    assert sc.maps["u"].y_form.constant == BranchPoint.root_of_unity(t_expected, 2 * n)
+    assert passed(run_scenario(sc, 60, 3))
 
 
 def test_build_scenario_dispatch():
+    assert list(FAMILIES) == ["accola-maclachlan", "periodthree", "twistedz2"]
     assert build_scenario("accola-maclachlan", 6).family == "accola-maclachlan"
     assert build_scenario("periodthree", 7, k=2).order == 3
     assert build_scenario("twistedz2", 15, b=4).order == 2
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^periodthree needs the twist exponent k$"):
         build_scenario("periodthree", 7)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^twistedz2 needs the involutory exponent b$"):
         build_scenario("twistedz2", 15)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="unknown map family 'klein'"):
         build_scenario("klein", 7)
 
 
@@ -222,27 +322,67 @@ def test_verify_relation_detects_mismatch():
     cover = parse_curve("y^6 = (x-1)(x+1)")
     samples = sample_curve(cover, 30, seed=0)
     t = deck_map(cover)
-    assert verify_relation(cover, [t], [t, t], samples) > 1e-2
+    assert not verify_relation(cover, [t], [t, t], samples)
 
 
-def test_action_residual_resamples_pole_hits():
+def test_wrong_maps_fail():
+    # accola-maclachlan's u with zeta_n^2 in place of zeta_n squares to the
+    # identity, so its order and its relation fail while the curve is kept
+    sc = accola_maclachlan(8)
+    u = sc.maps["u"]
+    wrong = dataclasses.replace(
+        u, y_form=dataclasses.replace(u.y_form, constant=BranchPoint.root_of_unity(2, 8))
+    )
+    bad = dataclasses.replace(sc, maps={**sc.maps, "u": wrong})
+    verdicts = {o.label: o.passed for o in run_scenario(bad, 100, 0)}
+    assert verdicts == {
+        "on_curve_samples": True,
+        "preserves_curve[u]": True,
+        "order[u]=4": False,
+        "u^2 = (-x, y)": False,
+    }
+    # (x, 2y) leaves the curve
+    stretch = RationalMap(ProductForm(ONE, 1, 0), ProductForm(BranchPoint.at(2), 0, 1))
+    samples = sample_curve(sc.cover, 100, seed=0)
+    assert not on_curve(sc.cover, samples, [stretch])
+    # a deck map claimed to have order 14 or 3 at n = 7, and S.T = T.S
+    three = periodthree(7, 2)
+    samples = sample_curve(three.cover, 100, seed=1)
+    s, t = three.maps["S"], three.maps["T"]
+    assert not verify_map_order(three.cover, t, 14, samples)
+    assert not verify_map_order(three.cover, t, 3, samples)
+    assert not verify_relation(three.cover, [s, t], [t, s], samples)
+    claimed = dataclasses.replace(three, relations=((("S", "T"), ("T", "S"), "S.T = T.S"),))
+    assert [o.passed for o in run_scenario(claimed, 100, 1)] == [True, True, True, False]
+
+
+def test_pole_fails_its_point():
+    # a synthetic point with y = 0, where u's 1/y has no value: the point
+    # fails every check that applies u, and nothing is resampled
     sc = accola_maclachlan(6)
-    # a synthetic sample sitting on the y = 0 pole of u
-    poisoned = CurveSample(((0.7 + 0j, 0j),))
-    res = action_residual(sc.cover, sc.maps["u"], poisoned)
-    assert res <= TOL
+    good = sample_curve(sc.cover, 20, seed=0)
+    poisoned = good + ((1, 0),)
+    u = sc.maps["u"]
+    assert on_curve(sc.cover, poisoned)  # x = 1 is a branch value: 0^6 = 0
+    assert not on_curve(sc.cover, poisoned, [u])
+    assert not verify_map_order(sc.cover, u, 4, poisoned)
+    assert not verify_relation(sc.cover, [u, u], [sc.maps["half_turn"]], poisoned)
+    assert on_curve(sc.cover, good, [u])
 
 
-def test_apply_sequence_order():
+def test_composite_order():
     cover = parse_curve("y^6 = (x-1)(x+1)")
+    field = cover_field(cover)
+    p = field.p
     t = deck_map(cover)
-    sq = RationalMap("sq", ProductForm(1, 2, 0), ProductForm(1, 0, 1))
-    x, y = 1.3 + 0.2j, 0.5 + 0.1j
+    sq = RationalMap(ProductForm(ONE, 2, 0), ProductForm(ONE, 0, 1))
+    x, y = 12345, 678
     # t first, then squaring: (x^2, zeta y) expected
-    zeta = cmath.exp(2j * cmath.pi / 6)
-    got = apply_sequence([t, sq], x, y)
-    assert abs(got[0] - x * x) < 1e-12
-    assert abs(got[1] - zeta * y) < 1e-12
+    zeta = field.element(BranchPoint.root_of_unity(1, 6))
+    assert composite([t, sq], field)(x, y) == (x * x % p, zeta * y % p)
+    assert composite([sq, t], field)(x, y) == (x * x % p, zeta * y % p)
+    assert composite([t] * 6, field)(x, y) == (x, y)
+    assert composite([], field)(x, y) == (x, y)
 
 
 # -- enumeration ------------------------------------------------------------
