@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .curve import (
     MINUS_ONE,
@@ -167,12 +167,28 @@ def _cyclic(m: int) -> GroupDescriptor:
 
 
 @lru_cache(maxsize=1024)
-def _signature_and_chain(periods: tuple[int, ...],
-                         chain_rows: tuple[str, ...]) -> tuple[Signature, tuple[ChainStep, ...]]:
-    """The genus-0 signature with these periods and the extension chain from
-    it through chain_rows."""
+def _signature_and_chain(
+    periods: tuple[int, ...], chain_rows: tuple[str, ...]
+) -> tuple[Signature, tuple[ChainStep, ...], int]:
+    """The genus-0 signature with these periods, the extension chain from it
+    through chain_rows, and the product of the chain's indices."""
     sig = Signature(0, periods)
-    return sig, chain_steps(sig, chain_rows)
+    steps = chain_steps(sig, chain_rows)
+    return sig, steps, prod(step.index for step in steps)
+
+
+def _walk_chain(periods: tuple[int, ...], row: str, group: GroupDescriptor,
+                chain_rows: tuple[str, ...], base_order: int,
+                g: int) -> tuple[Signature, tuple[ChainStep, ...]]:
+    """Walk the extension chain from the signature with these periods through
+    chain_rows, then check the order law group.order = base_order x chain
+    indices (for genus >= 2)."""
+    sig, steps, index = _signature_and_chain(periods, chain_rows)
+    if g >= 2:
+        assert group.order == base_order * index, (
+            f"order law broken on row {row}: {group.order} != {base_order} x chain"
+        )
+    return sig, steps
 
 
 def _make_report(
@@ -180,24 +196,16 @@ def _make_report(
     cover: CyclicCover,
     triple: Optional[tuple[int, int, int]],
     canonical: Optional[tuple[int, int, int]],
-    periods: tuple[int, ...],
+    g: int,
+    sig: Signature,
     row: str,
     group: GroupDescriptor,
-    chain_rows: tuple[str, ...],
+    steps: tuple[ChainStep, ...],
     base_order: int,
-    g: int,
     notes: str = "",
 ) -> ClassificationReport:
-    """Walk the extension chain from the signature with these periods through
-    chain_rows, then check the order law group.order = base_order x chain
-    indices (for genus >= 2)."""
-    sig, steps = _signature_and_chain(periods, chain_rows)
-    if g >= 2:
-        expected = base_order * prod(step.index for step in steps)
-        assert group.order == expected, (
-            f"order law broken on row {row}: {group.order} != {base_order} x chain"
-        )
-    elif not notes:
+    """The report; below genus 2 it notes that no extension chain applies."""
+    if g < 2 and not notes:
         notes = "genus below 2: table row reported verbatim, extension chain not applicable"
     return ClassificationReport(
         kind, cover, cover.n, triple, canonical, g, sig, row, group, steps, base_order, notes
@@ -299,23 +307,36 @@ def _unit_led_forms(n: int, triple: tuple[int, int, int],
     return forms
 
 
-def _three_point_report(kind: str, cover: CyclicCover, triple: tuple[int, int, int],
-                        gcds: tuple[int, int, int],
-                        row_names: Optional[dict[str, str]] = None) -> ClassificationReport:
-    """Report on a cover branched over three points with exponents `triple`
-    and their gcds with n: the first row of ``_BELYI_RULES`` that fires,
-    renamed by row_names.
+class Verdict(NamedTuple):
+    """What ``_BELYI_RULES`` says of one admissible triple: everything a
+    three-point report holds except the cover."""
 
-    Genus and signature come from the gcds.  The canonical triple is
-    (1, x, y) for the least unit-led form (x, y) when an entry is a unit;
-    otherwise ``canonical_triple`` finds it.
+    canonical: tuple[int, int, int]
+    row: str
+    group: GroupDescriptor
+    chain: tuple[ChainStep, ...]
+    genus: int
+    signature: Signature
+
+
+def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
+    """The verdict on the triple (a, b, c) at degree n: the first row of
+    ``_BELYI_RULES`` that fires, with the order law checked.
+
+    The triple is validated once, as its gcds with n are taken; genus and
+    signature come from the gcds.  The canonical triple is (1, x, y) for the
+    least unit-led form (x, y) when an entry is a unit; otherwise
+    ``canonical_triple`` finds it.
     """
-    n = cover.n
+    if n < 4:
+        raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
+    triple = (a, b, c)
+    gcds = triple_gcds(n, a, b, c)
     g, periods = genus_and_periods(n, gcds)
     forms = _unit_led_forms(n, triple, gcds)
     # ascending, so the first form a rule holds on carries its least twist
     forms.sort()
-    canon = (1, *forms[0]) if forms else canonical_triple(n, *triple)
+    canon = (1, *forms[0]) if forms else canonical_triple(n, a, b, c)
     for row, holds, build in _rules_at(n):
         for x, y in forms:
             if holds(n, x, y):
@@ -327,33 +348,42 @@ def _three_point_report(kind: str, cover: CyclicCover, triple: tuple[int, int, i
         break
     else:
         row, group, chain_rows = "DEFAULT", _cyclic(n), ()
+    sig, steps = _walk_chain(periods, row, group, chain_rows, n, g)
+    return Verdict(canon, row, group, steps, g, sig)
+
+
+def _three_point_report(kind: str, cover: CyclicCover, triple: tuple[int, int, int],
+                        verdict: Verdict,
+                        row_names: Optional[dict[str, str]] = None) -> ClassificationReport:
+    """The report on a cover branched over three points with exponents
+    `triple`, from their verdict, its row renamed by row_names."""
+    canon, row, group, steps, g, sig = verdict
     if row_names is not None:
         row = row_names[row]
-    return _make_report(kind, cover, triple, canon, periods, row, group, chain_rows, n, g)
+    return _make_report(kind, cover, triple, canon, g, sig, row, group, steps, cover.n)
 
 
 def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:
     """Full automorphism group of y^n = x^a (x-1)^b (x+1)^c, by ``_BELYI_RULES``.
 
-    The triple is validated once, as its gcds with n are taken; the cover
-    is built from it as given, since an admissible triple needs no reduction
-    and leaves infinity unbranched.
+    The cover is built from the triple as given, since an admissible triple
+    needs no reduction and leaves infinity unbranched.
     """
-    if n < 4:
-        raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
-    gcds = triple_gcds(n, a, b, c)
+    verdict = belyi_verdict(n, a, b, c)
     cover = CyclicCover(n, ((ZERO, a), (ONE, b), (MINUS_ONE, c)))
-    return _three_point_report("belyi", cover, (a, b, c), gcds)
+    return _three_point_report("belyi", cover, (a, b, c), verdict)
 
 
 def classify_cover(cover: CyclicCover) -> ClassificationReport:
-    """Classify a parsed cover; the cover must branch over exactly three points."""
+    """Classify a parsed cover; the cover must branch over exactly three
+    points, infinity among them when its exponent there is nonzero.  The
+    report holds the cover as parsed."""
     ks = cover.all_exponents()
     if len(ks) != 3:
         raise DomainError(
             f"classification needs exactly three branch points, this cover has {len(ks)}"
         )
-    return classify_belyi(cover.n, *ks)
+    return _three_point_report("belyi", cover, ks, belyi_verdict(cover.n, *ks))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +418,7 @@ def classify_lefschetz(p: int, a: int) -> ClassificationReport:
     a0 = lefschetz_canonical(p, a)
     triple = (a0, 1, p - 1 - a0)
     return _three_point_report("lefschetz", lefschetz_cover(p, a0), triple,
-                               triple_gcds(p, *triple), _LEFSCHETZ_ROWS)
+                               belyi_verdict(p, *triple), _LEFSCHETZ_ROWS)
 
 
 def lefschetz_isomorphic(p: int, a: int, b: int) -> bool:
@@ -426,8 +456,8 @@ def classify_fermat(n: int, d: int) -> ClassificationReport:
     periods = (d, n, lcm(d, n))
 
     def report(row, group, chain_rows, notes=""):
-        return _make_report("fermat", cover, None, None, periods, row, group, chain_rows, base, g,
-                            notes)
+        sig, steps = _walk_chain(periods, row, group, chain_rows, base, g)
+        return _make_report("fermat", cover, None, None, g, sig, row, group, steps, base, notes)
 
     if d == 2:
         if n % 2:

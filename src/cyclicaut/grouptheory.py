@@ -404,9 +404,9 @@ class _CosetTable:
     def scan_all(self, alpha: int) -> None:
         """Scan, filling, every relator not known to close at alpha, while
         alpha lives."""
-        closed = self.closed
+        closed, parent = self.closed, self.parent
         for r, bit in enumerate(self.bits):
-            if self.rep(alpha) != alpha:
+            if parent[alpha] != alpha:
                 return
             if not closed[alpha] & bit:
                 self.scan(alpha, r, True)
@@ -418,6 +418,8 @@ class _CosetTable:
         closed, proven = self.closed, self.proven
         for beta in range(1, len(self.table)):
             for r, bit in enumerate(self.bits):
+                # rep, not a parent lookup: its path halving leaves the parent
+                # array a pass that scans every relator would leave
                 if self.rep(beta) != beta:
                     break
                 if closed[beta] & bit or proven and proven.get(beta, 0) & bit:
@@ -426,7 +428,8 @@ class _CosetTable:
         proven.clear()
 
     def live_cosets(self) -> list[int]:
-        return [k for k in range(1, len(self.table)) if self.rep(k) == k]
+        parent = self.parent
+        return [k for k in range(1, len(self.table)) if parent[k] == k]
 
 
 def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
@@ -449,16 +452,19 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
         raise DomainError("max_cosets must be positive")
     ct = _CosetTable(pres.generator_count, pres.relators, max_cosets)
     headroom = max(1, max_cosets // 20)
+    # a merge points a coset only at a lower one, so k lives exactly when
+    # parent[k] == k
+    parent = ct.parent
     alpha = 1
     while alpha < len(ct.table):
-        if ct.rep(alpha) == alpha:
+        if parent[alpha] == alpha:
             while True:
                 try:
                     ct.scan_all(alpha)
-                    if ct.rep(alpha) == alpha:
+                    if parent[alpha] == alpha:
                         row = ct.table[alpha]
                         for c in range(ct.ncols):
-                            if ct.rep(alpha) != alpha:
+                            if parent[alpha] != alpha:
                                 break
                             if not row[c]:
                                 ct._define(alpha, c)

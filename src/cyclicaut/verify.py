@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
-from .classifier import ClassificationReport, classify_belyi
+from .classifier import ClassificationReport, Verdict, belyi_verdict, classify_belyi
 from .curve import MINUS_ONE, ONE, BranchPoint, CyclicCover, parse_curve, require_irreducible
 from .fuchsian import cb_extendable, harvey_admissible, skep_of_cover
 from .numtheory import DomainError, factorize, is_prime
@@ -402,36 +402,41 @@ def _require_degree(n: int, needs: str) -> None:
 
 
 def _walk_orbits(
-    n: int, on_triple: Optional[Callable[[Triple, ClassificationReport], None]] = None
+    n: int, on_triple: Optional[Callable[[Triple, Verdict], None]] = None
 ) -> tuple[list[TripleClass], Optional[tuple[Triple, Triple]]]:
-    """Classify every admissible ordered triple of degree n once, bucketed by
-    its canonical triple.
+    """Take the verdict of every admissible ordered triple of degree n once,
+    bucketed by its canonical triple.
 
-    Returns the classes in canonical order, each with its first member's
-    report, and the first (triple, canonical triple) whose report differs
-    from its class's first report in row, group, chain or genus, or None.
-    ``on_triple``, when given, sees each (triple, report) in walk order.
+    Returns the classes in canonical order, each with the report on its
+    first member (one ``classify_belyi`` call per class), and the first
+    (triple, canonical triple) whose verdict differs from its class's first
+    verdict in row, group, chain or genus, or None.  ``on_triple``, when
+    given, sees each (triple, verdict) in walk order.
     """
-    reports: dict[Triple, ClassificationReport] = {}
+    firsts: dict[Triple, tuple[Triple, Verdict]] = {}
     sizes: dict[Triple, int] = {}
     stray = None
     for triple in _ordered_admissible(n):
-        rep = classify_belyi(n, *triple)
+        verdict = belyi_verdict(n, *triple)
         if on_triple is not None:
-            on_triple(triple, rep)
-        canon = rep.canonical
-        assert canon is not None
-        base = reports.get(canon)
-        if base is None:
-            reports[canon] = rep
+            on_triple(triple, verdict)
+        canon = verdict.canonical
+        first = firsts.get(canon)
+        if first is None:
+            firsts[canon] = (triple, verdict)
             sizes[canon] = 1
             continue
         sizes[canon] += 1
-        if stray is None and (rep.row, rep.group, rep.chain, rep.genus) != (
+        base = first[1]
+        if stray is None and (verdict.row, verdict.group, verdict.chain, verdict.genus) != (
             base.row, base.group, base.chain, base.genus,
         ):
             stray = (triple, canon)
-    return [TripleClass(canon, sizes[canon], reports[canon]) for canon in sorted(reports)], stray
+    classes = [
+        TripleClass(canon, sizes[canon], classify_belyi(n, *firsts[canon][0]))
+        for canon in sorted(firsts)
+    ]
+    return classes, stray
 
 
 def enumerate_classes(n: int) -> list[TripleClass]:
@@ -551,14 +556,16 @@ def cross_check(n_max: int) -> CrossCheckReport:
     for n in range(4, n_max + 1):
         cycles = _cycle_counts(n)
 
-        def check_genus(triple: Triple, r: ClassificationReport) -> None:
-            twice = _twice_monodromy_genus(n, cycles, r.cover.all_exponents())
-            if twice != 2 * r.genus:
+        def check_genus(triple: Triple, verdict: Verdict) -> None:
+            # a Belyi cover is unbranched over infinity: its exponents are the triple
+            twice = _twice_monodromy_genus(n, cycles, triple)
+            if twice != 2 * verdict.genus:
                 # an odd Euler characteristic reads as a half-integer genus
                 monodromy = twice // 2 if twice % 2 == 0 else f"{twice}/2"
                 fail(
                     "genus_matches_monodromy",
-                    {"n": n, "triple": list(triple), "formula": r.genus, "monodromy": monodromy},
+                    {"n": n, "triple": list(triple), "formula": verdict.genus,
+                     "monodromy": monodromy},
                 )
 
         classes, stray = _walk_orbits(n, check_genus)

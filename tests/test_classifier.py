@@ -11,6 +11,7 @@ from cyclicaut import classifier
 from cyclicaut.classifier import (
     ClassificationReport,
     GroupDescriptor,
+    belyi_verdict,
     classify_belyi,
     classify_cover,
     classify_fermat,
@@ -259,11 +260,32 @@ def test_presentation_absent_on_named_rows():
 def test_classify_cover_routes():
     r = classify_cover(parse_curve("y^7 = x(x-1)^2(x+1)^4"))
     assert r.row == "C.2" and r.group.order == 168
+    # the report holds the cover as parsed, not a model over 0, 1 and -1
+    cover = parse_curve("y^7 = 3x(x-2)^2")
+    r = classify_cover(cover)
+    assert r.cover == cover and r.triple == (1, 2, 4)
+    assert (r.row, r.canonical) == (classify_belyi(7, 1, 2, 4).row, (1, 2, 4))
     # the point at infinity counts as the third branch point
     r = classify_cover(parse_curve("y^5 = x^6(x-1)"))
     assert r.row == "A.1" and r.group.structure == "Z10"
     with pytest.raises(DomainError, match="three branch points"):
         classify_cover(parse_curve("y^5 + x^3 = 1"))
+
+
+def test_verdict_is_the_report():
+    # the sweep reads verdicts and the public API reports; on every
+    # admissible ordered triple with 4 <= n <= 40 they must agree
+    for n in range(4, 41):
+        for a in range(1, n):
+            for b in range(1, n):
+                c = (-a - b) % n
+                if c == 0 or gcd(gcd(gcd(n, a), b), c) != 1:
+                    continue
+                v = belyi_verdict(n, a, b, c)
+                r = classify_belyi(n, a, b, c)
+                assert (v.canonical, v.row, v.group, v.chain, v.genus, v.signature) == (
+                    r.canonical, r.row, r.group, r.chain, r.genus, r.signature
+                ), (n, a, b, c)
 
 
 # invalid Belyi inputs and the exact DomainError text each must keep

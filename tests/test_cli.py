@@ -31,6 +31,30 @@ def test_classify_curve_text(capsys):
     assert "row 4 -> (2,3,7) index 24" in out
 
 
+def test_classify_curve_echoes_its_input(capsys):
+    # the report holds the parsed cover: its points, its constant and its
+    # branching over infinity, not the model over 0, 1 and -1
+    assert run(["classify", "--curve", "y^7 = 3x(x-2)^2(x-5)^4", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["input"] == {
+        "n": 7,
+        "branches": [{"point": "0", "exponent": 1}, {"point": "2", "exponent": 2},
+                     {"point": "5", "exponent": 4}],
+        "infinity_exponent": 0,
+        "constant": "3",
+    }
+    assert (obj["row"], obj["order"], obj["canonical_triple"]) == ("C.2", 168, [1, 2, 4])
+    assert run(["classify", "--curve", "y^7 = x(x-2)^2", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["input"] == {
+        "n": 7,
+        "branches": [{"point": "0", "exponent": 1}, {"point": "2", "exponent": 2}],
+        "infinity_exponent": 4,
+    }
+    assert (obj["row"], obj["order"], obj["canonical_triple"]) == ("C.2", 168, [1, 2, 4])
+    assert [step["index"] for step in obj["chain"]] == [24]
+
+
 def test_classify_triple_json_key_order(capsys):
     assert run(["classify", "--n", "15", "--a", "1", "--b", "4", "--c", "10", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)

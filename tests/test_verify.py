@@ -7,9 +7,17 @@ from math import gcd, lcm
 
 import pytest
 
-from cyclicaut import verify
-from cyclicaut.classifier import classify_belyi
-from cyclicaut.curve import MINUS_ONE, ONE, BranchPoint, fermat_cover, monodromy_genus, parse_curve
+from cyclicaut import classifier, verify
+from cyclicaut.classifier import belyi_verdict, classify_belyi
+from cyclicaut.curve import (
+    MINUS_ONE,
+    ONE,
+    BranchPoint,
+    canonical_triple,
+    fermat_cover,
+    monodromy_genus,
+    parse_curve,
+)
 from cyclicaut.numtheory import DomainError, factorize, is_prime
 from cyclicaut.verify import (
     ENUMERATION_CAP,
@@ -464,12 +472,12 @@ def test_cross_check_passes():
 
 
 def test_cross_check_fault_injection(monkeypatch):
-    # the report's own genus goes wrong at n = 9; the check must read it
-    def classify(n, *triple):
-        report = classify_belyi(n, *triple)
-        return dataclasses.replace(report, genus=report.genus + (n == 9))
+    # the verdict's own genus goes wrong at n = 9; the check must read it
+    def verdict(n, *triple):
+        v = belyi_verdict(n, *triple)
+        return v._replace(genus=v.genus + (n == 9))
 
-    monkeypatch.setattr(verify, "classify_belyi", classify)
+    monkeypatch.setattr(verify, "belyi_verdict", verdict)
     report = cross_check(9)
     byname = {c.name: c for c in report.checks}
     failed = byname["genus_matches_monodromy"]
@@ -483,15 +491,15 @@ def test_cross_check_fault_injection(monkeypatch):
 
 
 def test_orbit_disagreement_names_the_triple(monkeypatch):
-    # (2,4,1) is a later member of the class of (1,2,4) at n = 7; its report
+    # (2,4,1) is a later member of the class of (1,2,4) at n = 7; its verdict
     # alone moves to another row
-    def classify(n, *triple):
-        report = classify_belyi(n, *triple)
+    def verdict(n, *triple):
+        v = belyi_verdict(n, *triple)
         if (n, triple) == (7, (2, 4, 1)):
-            return dataclasses.replace(report, row="A.1")
-        return report
+            return v._replace(row="A.1")
+        return v
 
-    monkeypatch.setattr(verify, "classify_belyi", classify)
+    monkeypatch.setattr(verify, "belyi_verdict", verdict)
     report = cross_check(9)
     byname = {c.name: c for c in report.checks}
     failed = byname["equivalence_invariance"]
@@ -500,6 +508,28 @@ def test_orbit_disagreement_names_the_triple(monkeypatch):
     assert [c.name for c in report.checks if not c.passed] == ["equivalence_invariance"]
     with pytest.raises(AssertionError, match=r"orbit member \(2, 4, 1\) disagrees with class \(1, 2, 4\)"):
         enumerate_classes(7)
+
+
+def test_one_report_per_class(monkeypatch):
+    # every ordered triple gets a verdict, but only each class's first member
+    # gets a cover and a report
+    made = [0]
+    build = classifier.ClassificationReport
+
+    def counted(*args):
+        made[0] += 1
+        return build(*args)
+
+    def class_count(n):
+        return len({canonical_triple(n, *t) for t in verify._ordered_admissible(n)})
+
+    monkeypatch.setattr(classifier, "ClassificationReport", counted)
+    for n in (7, 12, 24, 30):
+        made[0] = 0
+        assert len(enumerate_classes(n)) == made[0] == class_count(n)
+    made[0] = 0
+    assert cross_check(24).all_passed
+    assert made[0] == sum(class_count(n) for n in range(4, 25))
 
 
 def test_cycle_table_genus_matches_monodromy():
