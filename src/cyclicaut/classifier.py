@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .curve import (
     MINUS_ONE,
@@ -153,7 +153,7 @@ def octahedral_times_c4_presentation() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Report assembly
+# Verdicts and reports
 
 
 # The descriptors and chains below depend only on the degree or on the
@@ -177,55 +177,87 @@ def _signature_and_chain(
     return sig, steps, prod(step.index for step in steps)
 
 
-def _walk_chain(periods: tuple[int, ...], row: str, group: GroupDescriptor,
-                chain_rows: tuple[str, ...], base_order: int,
-                g: int) -> tuple[Signature, tuple[ChainStep, ...]]:
-    """Walk the extension chain from the signature with these periods through
-    chain_rows, then check the order law group.order = base_order x chain
+# Each rule is (row id, fits, holds, build).  fits(n) says whether the row can
+# fire at degree n at all; rows that cannot are skipped before any form is
+# tested.  A verdict tries holds(n, form) on each of its forms in turn: the
+# unit-led forms (x, y) of a triple, or the one form (d,) of a Fermat curve.
+# The first row in table order that holds on some form fires, with the first
+# entry of the first such form as its twist, and build(n, twist) gives the
+# group, the extension-chain row ids and the genus column (None on Fermat
+# rows, whose genus has a closed form); where no row holds, the group is
+# cyclic (DEFAULT).
+_Fits = Callable[[int], bool]
+_Holds = Callable[[int, tuple[int, ...]], bool]
+_Build = Callable[[int, int], tuple[GroupDescriptor, tuple[str, ...], Optional[int]]]
+_Rule = tuple[str, _Fits, _Holds, _Build]
+
+
+class Verdict(NamedTuple):
+    """What a rule table says of one admissible triple or Fermat curve:
+    everything a report holds except the cover (a Fermat verdict has no
+    canonical triple)."""
+
+    canonical: Optional[tuple[int, int, int]]
+    row: str
+    group: GroupDescriptor
+    chain: tuple[ChainStep, ...]
+    genus: int
+    signature: Signature
+
+
+def _verdict(family: str, n: int, forms: Sequence[tuple[int, ...]],
+             canonical: Optional[tuple[int, int, int]], g: int,
+             periods: tuple[int, ...], base_order: int) -> Verdict:
+    """The verdict of the family's rule table on these forms at degree n, for
+    a cover of genus g whose genus-0 signature has these periods.  Checks the
+    row's genus column and the order law group.order = base_order x chain
     indices (for genus >= 2)."""
+    for row, holds, build in _rules_at(n)[family]:
+        for form in forms:
+            if holds(n, form):
+                break
+        else:
+            continue
+        group, chain_rows, genus_column = build(n, form[0])
+        assert genus_column in (None, g), f"row {row} genus column mismatch"
+        break
+    else:
+        row, group, chain_rows = "DEFAULT", _cyclic(n), ()
     sig, steps, index = _signature_and_chain(periods, chain_rows)
     if g >= 2:
         assert group.order == base_order * index, (
             f"order law broken on row {row}: {group.order} != {base_order} x chain"
         )
-    return sig, steps
+    return Verdict(canonical, row, group, steps, g, sig)
 
 
-def _make_report(
-    kind: str,
-    cover: CyclicCover,
-    triple: Optional[tuple[int, int, int]],
-    canonical: Optional[tuple[int, int, int]],
-    g: int,
-    sig: Signature,
-    row: str,
-    group: GroupDescriptor,
-    steps: tuple[ChainStep, ...],
-    base_order: int,
-    notes: str = "",
-) -> ClassificationReport:
-    """The report; below genus 2 it notes that no extension chain applies."""
+# The notes a report carries on its row.
+_ROW_NOTES = {"F.7": "signature admits an extension but no compatible epimorphism survives it"}
+
+
+def _report(kind: str, cover: CyclicCover, triple: Optional[tuple[int, int, int]],
+            verdict: Verdict, base_order: int,
+            row_names: Optional[dict[str, str]] = None) -> ClassificationReport:
+    """The report on a cover from its verdict, its row renamed by row_names;
+    below genus 2 it notes that no extension chain applies."""
+    canon, row, group, steps, g, sig = verdict
+    if row_names is not None:
+        row = row_names[row]
+    notes = _ROW_NOTES.get(row, "")
     if g < 2 and not notes:
         notes = "genus below 2: table row reported verbatim, extension chain not applicable"
     return ClassificationReport(
-        kind, cover, cover.n, triple, canonical, g, sig, row, group, steps, base_order, notes
+        kind, cover, cover.n, triple, canon, g, sig, row, group, steps, base_order, notes
     )
 
 
 # ---------------------------------------------------------------------------
 # Three-branch-point classification
 
-# Each rule is (row id, fits, holds, build).  fits(n) says whether the row can
-# fire at degree n at all; rows that cannot are skipped before any form is
-# tested.  Every row's triple contains the entry 1, so at a degree the row
-# fits, a triple lies in the row's class exactly when one of its unit-led
-# forms (1, x, y) -- a unit multiple of a permutation of the triple -- has
-# holds(n, x, y).  The first such row in table order fires, with the least
-# such x as its twist, and build(n, twist) gives the group, the extension-chain
-# row ids and the genus column; a triple no row holds for is cyclic (DEFAULT).
-_Fits = Callable[[int], bool]
-_Holds = Callable[[int, int, int], bool]
-_Build = Callable[[int, int], tuple[GroupDescriptor, tuple[str, ...], int]]
+# Every row's triple contains the entry 1, so at a degree the row fits, a
+# triple lies in the row's class exactly when one of its unit-led forms
+# (1, x, y) -- a unit multiple of a permutation of the triple -- has
+# holds(n, (x, y)); the least such x is the twist.
 
 
 def _any_degree(n: int) -> bool:
@@ -233,12 +265,13 @@ def _any_degree(n: int) -> bool:
 
 
 def _exact(row: str, degree: int, triple: tuple[int, int, int], chain_row: str,
-           genus_column: int, group: GroupDescriptor) -> tuple[str, _Fits, _Holds, _Build]:
+           genus_column: int, group: GroupDescriptor) -> _Rule:
     """An exceptional row: one literal triple, led by 1, at one degree."""
+    x_y = triple[1:]
     return (
         row,
         lambda n: n == degree,
-        lambda n, x, y: (1, x, y) == triple,
+        lambda n, form: form == x_y,
         lambda n, twist: (group, (chain_row,), genus_column),
     )
 
@@ -266,7 +299,7 @@ def _build_c1(n: int, twist: int):
     return group, ("1",), (n - 1) // 2
 
 
-_BELYI_RULES: tuple[tuple[str, _Fits, _Holds, _Build], ...] = (
+_BELYI_RULES: tuple[_Rule, ...] = (
     _exact("B.3", 8, (1, 2, 5), "7", 3,
            GroupDescriptor(96, "DIRECT_SUM_SEMIDIRECT", ((4, 4), "S3"))),
     _exact("C.2", 7, (1, 2, 4), "4", 3, GroupDescriptor(168, "NAMED", ("PSL(2,7)",))),
@@ -274,20 +307,14 @@ _BELYI_RULES: tuple[tuple[str, _Fits, _Holds, _Build], ...] = (
     _exact("E.1", 8, (1, 3, 4), "11", 2, GroupDescriptor(48, "NAMED", ("GL(2,3)",))),
     _exact("E.2", 12, (1, 4, 7), "11", 4, GroupDescriptor(72, "CENTRAL_EXT", (3, "S4"))),
     _exact("E.3", 24, (1, 4, 19), "11", 10, GroupDescriptor(144, "CENTRAL_EXT", (6, "S4"))),
-    ("A.1", lambda n: n % 2 == 1, lambda n, x, y: x == 1,
+    ("A.1", lambda n: n % 2 == 1, lambda n, form: form[0] == 1,
      lambda n, twist: (_cyclic(2 * n), ("3",), (n - 1) // 2)),
-    ("A.2", lambda n: n % 2 == 0, lambda n, x, y: x == 1, _build_a2),
-    ("B.2", lambda n: n % 8 == 0 and n > 8, lambda n, x, y: (x, y) == (n // 2 - 2, n // 2 + 1),
+    ("A.2", lambda n: n % 2 == 0, lambda n, form: form[0] == 1, _build_a2),
+    ("B.2", lambda n: n % 8 == 0 and n > 8, lambda n, form: form == (n // 2 - 2, n // 2 + 1),
      _build_b2),
-    ("B.1", _any_degree, lambda n, x, y: x != 1 and x * x % n == 1, _build_b1),
-    ("C.1", _any_degree, lambda n, x, y: (1 + x + x * x) % n == 0, _build_c1),
+    ("B.1", _any_degree, lambda n, form: form[0] != 1 and form[0] * form[0] % n == 1, _build_b1),
+    ("C.1", _any_degree, lambda n, form: (1 + form[0] + form[0] * form[0]) % n == 0, _build_c1),
 )
-
-
-@lru_cache(maxsize=256)
-def _rules_at(n: int) -> tuple[tuple[str, _Holds, _Build], ...]:
-    """The rows of ``_BELYI_RULES`` that fit degree n, in table order."""
-    return tuple((row, holds, build) for row, fits, holds, build in _BELYI_RULES if fits(n))
 
 
 def _unit_led_forms(n: int, triple: tuple[int, int, int],
@@ -307,21 +334,8 @@ def _unit_led_forms(n: int, triple: tuple[int, int, int],
     return forms
 
 
-class Verdict(NamedTuple):
-    """What ``_BELYI_RULES`` says of one admissible triple: everything a
-    three-point report holds except the cover."""
-
-    canonical: tuple[int, int, int]
-    row: str
-    group: GroupDescriptor
-    chain: tuple[ChainStep, ...]
-    genus: int
-    signature: Signature
-
-
 def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
-    """The verdict on the triple (a, b, c) at degree n: the first row of
-    ``_BELYI_RULES`` that fires, with the order law checked.
+    """The verdict of ``_BELYI_RULES`` on the triple (a, b, c) at degree n.
 
     The triple is validated once, as its gcds with n are taken; genus and
     signature come from the gcds.  The canonical triple is (1, x, y) for the
@@ -337,30 +351,7 @@ def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
     # ascending, so the first form a rule holds on carries its least twist
     forms.sort()
     canon = (1, *forms[0]) if forms else canonical_triple(n, a, b, c)
-    for row, holds, build in _rules_at(n):
-        for x, y in forms:
-            if holds(n, x, y):
-                break
-        else:
-            continue
-        group, chain_rows, genus_column = build(n, x)
-        assert g == genus_column, f"row {row} genus column mismatch"
-        break
-    else:
-        row, group, chain_rows = "DEFAULT", _cyclic(n), ()
-    sig, steps = _walk_chain(periods, row, group, chain_rows, n, g)
-    return Verdict(canon, row, group, steps, g, sig)
-
-
-def _three_point_report(kind: str, cover: CyclicCover, triple: tuple[int, int, int],
-                        verdict: Verdict,
-                        row_names: Optional[dict[str, str]] = None) -> ClassificationReport:
-    """The report on a cover branched over three points with exponents
-    `triple`, from their verdict, its row renamed by row_names."""
-    canon, row, group, steps, g, sig = verdict
-    if row_names is not None:
-        row = row_names[row]
-    return _make_report(kind, cover, triple, canon, g, sig, row, group, steps, cover.n)
+    return _verdict("belyi", n, forms, canon, g, periods, n)
 
 
 def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:
@@ -371,7 +362,7 @@ def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:
     """
     verdict = belyi_verdict(n, a, b, c)
     cover = CyclicCover(n, ((ZERO, a), (ONE, b), (MINUS_ONE, c)))
-    return _three_point_report("belyi", cover, (a, b, c), verdict)
+    return _report("belyi", cover, (a, b, c), verdict, n)
 
 
 def classify_cover(cover: CyclicCover) -> ClassificationReport:
@@ -383,7 +374,7 @@ def classify_cover(cover: CyclicCover) -> ClassificationReport:
         raise DomainError(
             f"classification needs exactly three branch points, this cover has {len(ks)}"
         )
-    return _three_point_report("belyi", cover, ks, belyi_verdict(cover.n, *ks))
+    return _report("belyi", cover, ks, belyi_verdict(cover.n, *ks), cover.n)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +408,8 @@ def classify_lefschetz(p: int, a: int) -> ClassificationReport:
     three-point answer for exponents (a0, 1, p-1-a0) over 0, -1 and infinity."""
     a0 = lefschetz_canonical(p, a)
     triple = (a0, 1, p - 1 - a0)
-    return _three_point_report("lefschetz", lefschetz_cover(p, a0), triple,
-                               belyi_verdict(p, *triple), _LEFSCHETZ_ROWS)
+    return _report("lefschetz", lefschetz_cover(p, a0), triple, belyi_verdict(p, *triple), p,
+                   _LEFSCHETZ_ROWS)
 
 
 def lefschetz_isomorphic(p: int, a: int, b: int) -> bool:
@@ -437,9 +428,47 @@ def lefschetz_isomorphic(p: int, a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 # Fermat curves
 
+# Rows F.1-F.8 on the form (d,) of y^n + x^d = 1, in the order they are
+# decided: the quadratic and cubic rows, then the diagonal d = n, then by
+# whether d divides n.
+_FERMAT_RULES: tuple[_Rule, ...] = (
+    ("F.4", lambda n: n % 2 == 1, lambda n, form: form == (2,),
+     lambda n, d: (_cyclic(2 * n), (), None)),
+    ("F.5", lambda n: n % 2 == 0, lambda n, form: form == (2,),
+     lambda n, d: (GroupDescriptor(4 * n, "DIRECT_SUM_SEMIDIRECT", ((2, n), "Z2"),
+                                   fermat_quadratic_presentation(n)), ("3",), None)),
+    ("F.8", lambda n: n == 4, lambda n, form: form == (3,),
+     lambda n, d: (GroupDescriptor(48, "CENTRAL_EXT", (4, "A4"),
+                                   octahedral_times_c4_presentation()), ("13",), None)),
+    ("F.6", lambda n: n % 3 == 0, lambda n, form: form == (3,),
+     lambda n, d: (GroupDescriptor(6 * n, "DIRECT_SUM_SEMIDIRECT", ((3, n), "Z2"),
+                                   fermat_cubic_presentation(n)), ("3",), None)),
+    ("F.7", _any_degree, lambda n, form: form == (3,), lambda n, d: (_cyclic(3 * n), (), None)),
+    ("F.1", _any_degree, lambda n, form: form == (n,),
+     lambda n, d: (GroupDescriptor(6 * n * n, "DIRECT_SUM_SEMIDIRECT", ((n, n), "S3")),
+                   ("2",), None)),
+    ("F.2", _any_degree, lambda n, form: n % form[0] != 0,
+     lambda n, d: (GroupDescriptor(d * n, "ABELIAN", (d, n), abelian_presentation(d, n)),
+                   (), None)),
+    ("F.3", _any_degree, lambda n, form: True,
+     lambda n, d: (GroupDescriptor(2 * d * n, "CENTRAL_EXT", (d, f"D{2 * n}"),
+                                   fermat_divisor_presentation(d, n)), ("3",), None)),
+)
+
+_RULES = {"belyi": _BELYI_RULES, "fermat": _FERMAT_RULES}
+
+
+@lru_cache(maxsize=256)
+def _rules_at(n: int) -> dict[str, tuple[tuple[str, _Holds, _Build], ...]]:
+    """The rows of each family's rule table that fit degree n, in table order."""
+    return {
+        family: tuple((row, holds, build) for row, fits, holds, build in rules if fits(n))
+        for family, rules in _RULES.items()
+    }
+
 
 def classify_fermat(n: int, d: int) -> ClassificationReport:
-    """Full automorphism group of y^n + x^d = 1.
+    """Full automorphism group of y^n + x^d = 1, by ``_FERMAT_RULES``.
 
     The reported signature is (d, n, lcm(d, n)): that of the Z_d x Z_n
     action (x, y) -> (zeta x, omega y), whose quotient map is (x, y) -> x^d.
@@ -452,41 +481,8 @@ def classify_fermat(n: int, d: int) -> ClassificationReport:
     assert 2 * g == 2 - d - gcd(d, n) + (d - 1) * n, "genus closed form mismatch"
     if g < 2:
         raise DomainError(f"below hyperbolic range: y^{n} + x^{d} = 1 has genus {g}")
-    base = d * n
-    periods = (d, n, lcm(d, n))
-
-    def report(row, group, chain_rows, notes=""):
-        sig, steps = _walk_chain(periods, row, group, chain_rows, base, g)
-        return _make_report("fermat", cover, None, None, g, sig, row, group, steps, base, notes)
-
-    if d == 2:
-        if n % 2:
-            return report("F.4", _cyclic(2 * n), ())
-        group = GroupDescriptor(4 * n, "DIRECT_SUM_SEMIDIRECT", ((2, n), "Z2"),
-                                fermat_quadratic_presentation(n))
-        return report("F.5", group, ("3",))
-    if d == 3:
-        if n == 4:
-            group = GroupDescriptor(48, "CENTRAL_EXT", (4, "A4"),
-                                    octahedral_times_c4_presentation())
-            return report("F.8", group, ("13",))
-        if n % 3 == 0:
-            group = GroupDescriptor(6 * n, "DIRECT_SUM_SEMIDIRECT", ((3, n), "Z2"),
-                                    fermat_cubic_presentation(n))
-            return report("F.6", group, ("3",))
-        return report(
-            "F.7", _cyclic(3 * n), (),
-            notes="signature admits an extension but no compatible epimorphism survives it",
-        )
-    if d == n:
-        return report("F.1", GroupDescriptor(6 * n * n, "DIRECT_SUM_SEMIDIRECT", ((n, n), "S3")),
-                      ("2",))
-    if n % d:
-        return report("F.2", GroupDescriptor(d * n, "ABELIAN", (d, n), abelian_presentation(d, n)),
-                      ())
-    group = GroupDescriptor(2 * d * n, "CENTRAL_EXT", (d, f"D{2 * n}"),
-                            fermat_divisor_presentation(d, n))
-    return report("F.3", group, ("3",))
+    verdict = _verdict("fermat", n, ((d,),), None, g, (d, n, lcm(d, n)), d * n)
+    return _report("fermat", cover, None, verdict, d * n)
 
 
 # ---------------------------------------------------------------------------

@@ -68,20 +68,6 @@ class BranchPoint:
             return str(self.rational)
         return f"zeta_{self.root_order}^{self.root_index}"
 
-    @staticmethod
-    def from_label(text: str) -> "BranchPoint":
-        text = text.strip()
-        if text.startswith("zeta_"):
-            try:
-                order_s, index_s = text[5:].split("^")
-                return BranchPoint.root_of_unity(int(index_s), int(order_s))
-            except (ValueError, DomainError) as exc:
-                raise DomainError(f"bad point label {text!r}") from exc
-        try:
-            return BranchPoint.at(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"bad point label {text!r}") from exc
-
 
 # The points a three-point (Belyi) cover branches over.
 ZERO = BranchPoint.at(0)
@@ -353,15 +339,6 @@ def signature_of(cover: CyclicCover) -> Signature:
     return Signature(0, genus_and_periods(cover.n, _exponent_gcds(cover))[1])
 
 
-def scale_exponents(cover: CyclicCover, l: int) -> CyclicCover:
-    """Multiply every exponent by a unit l mod n; an equivalent model of the same cover."""
-    n = cover.n
-    if gcd(l, n) != 1:
-        raise DomainError(f"scale factor {l} is not a unit mod {n}")
-    branches = tuple((pt, (l * k) % n) for pt, k in cover.branches)
-    return CyclicCover(n, branches, (l * cover.infinity_exponent) % n, cover.constant)
-
-
 # ---------------------------------------------------------------------------
 # Triple equivalence
 
@@ -412,35 +389,37 @@ def canonical_triple(n: int, a: int, b: int, c: int) -> tuple[int, int, int]:
 # Monodromy oracle
 
 
+def _count_cycles(perm: Sequence[int]) -> int:
+    """The number of cycles of a permutation of range(len(perm)), counted by
+    traversal."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for s in range(len(perm)):
+        if not seen[s]:
+            cycles += 1
+            t = s
+            while not seen[t]:
+                seen[t] = True
+                t = perm[t]
+    return cycles
+
+
 def monodromy_genus(cover: CyclicCover) -> int:
     """Genus recomputed from the cycle decomposition of the sheet monodromy.
 
     Builds the actual permutation s -> s + k mod n for every branch point
     (infinity included), checks that the product of all of them is the
-    identity, counts cycles by traversal, and reads the genus off the
-    Euler characteristic 2 - 2g = 2n - sum (n - c_j).
+    identity, counts each one's cycles by traversal, and reads the genus off
+    the Euler characteristic 2 - 2g = 2n - sum (n - c_j).
     """
     require_irreducible(cover)
     n = cover.n
-    ks = cover.all_exponents()
-    perms = [[(s + k) % n for s in range(n)] for k in ks]
+    perms = [[(s + k) % n for s in range(n)] for k in cover.all_exponents()]
     product = list(range(n))
     for perm in perms:
         product = [perm[s] for s in product]
     assert product == list(range(n)), "monodromy product is not the identity"
-    deficiency = 0
-    for perm in perms:
-        seen = [False] * n
-        cycles = 0
-        for s in range(n):
-            if not seen[s]:
-                cycles += 1
-                t = s
-                while not seen[t]:
-                    seen[t] = True
-                    t = perm[t]
-        deficiency += n - cycles
-    chi = 2 * n - deficiency
+    chi = 2 * n - sum(n - _count_cycles(perm) for perm in perms)
     assert chi % 2 == 0, "odd Euler characteristic from monodromy"
     g = (2 - chi) // 2
     assert g >= 0, "negative genus from monodromy"
@@ -462,17 +441,3 @@ def cover_to_json_dict(cover: CyclicCover) -> dict:
     if cover.constant != 1:
         out["constant"] = str(cover.constant)
     return out
-
-
-def cover_from_json_dict(obj: dict) -> CyclicCover:
-    try:
-        n = int(obj["n"])
-        branches = tuple(
-            (BranchPoint.from_label(str(b["point"])), int(b["exponent"]))
-            for b in obj["branches"]
-        )
-        infinity = int(obj.get("infinity_exponent", 0))
-        constant = Fraction(str(obj.get("constant", "1")))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad cover JSON: {exc}") from exc
-    return CyclicCover(n, branches, infinity, constant)

@@ -2,12 +2,10 @@
 
 The table of non-finitely-maximal genus-0 signatures is written once, as the
 text of its rows (inner ``"(t,t,m), t>=3, t+m>=7"``, outer ``"(2,t,2m)"``);
-each row parses its text into its matcher.  The catalogue of two-step
-extension chains names only row ids and an equivalent single row; where a
-chain applies and the signatures it passes through are derived from the
-table.  Also here: the lcm admissibility test for surface-kernel epimorphisms
-onto Z_n, and the cyclic-action extension criteria for triangle and
-quadrilateral signatures, which are computed independently of the table.
+each row parses its text into its matcher, and an extension chain walks
+named rows of it.  Also here: the lcm admissibility test for surface-kernel
+epimorphisms onto Z_n, and the cyclic-action extension criteria for triangle
+and quadrilateral signatures, which are computed independently of the table.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from math import gcd, prod
+from math import gcd
 from string import ascii_lowercase
 from typing import Optional, Sequence
 
@@ -371,17 +369,6 @@ class ChainStep:
     index: int
 
 
-@dataclass(frozen=True)
-class ExtensionChain:
-    """A two-step composite of table rows, equivalent to a single row; dead
-    chains are composites along which no cyclic skep survives."""
-
-    item: int
-    steps: tuple[ChainStep, ...]
-    equivalent_row_id: str
-    live: bool
-
-
 def chain_steps(sig: Signature, row_ids: Sequence[str]) -> tuple[ChainStep, ...]:
     """Walk from sig through the named rows in turn, matching only the named
     row at each step."""
@@ -395,35 +382,3 @@ def chain_steps(sig: Signature, row_ids: Sequence[str]) -> tuple[ChainStep, ...]
         steps.append(ChainStep(rid, outer, row.index))
         cur = outer
     return tuple(steps)
-
-
-# The chain catalogue: (item, row ids, equivalent row, live).  A chain applies
-# exactly where its equivalent row matches, and its steps come from the table.
-_CHAINS: tuple[tuple[int, tuple[str, ...], str, bool], ...] = (
-    (1, ("1", "3"), "2", False),
-    (2, ("1", "6"), "4", True),
-    (3, ("1", "13"), "9", False),
-    (4, ("3", "3"), "12", True),
-    (5, ("3", "11"), "7", True),
-    (6, ("3", "14"), "2", False),
-    (7, ("3", "14"), "11", True),
-    (8, ("12", "14"), "7", True),
-)
-
-
-def extension_chains(sig: Signature) -> list[ExtensionChain]:
-    """All catalogued two-step extension chains starting at a triangle signature."""
-    _require_genus0(sig)
-    if len(sig.periods) != 3:
-        raise DomainError("chains are catalogued for triangle signatures only")
-    out: list[ExtensionChain] = []
-    for item, row_ids, equiv, live in _CHAINS:
-        row = _ROWS[equiv]
-        outer = row.match(sig.periods)
-        if outer is None:
-            continue
-        steps = chain_steps(sig, row_ids)
-        assert steps[-1].signature == outer, "chain does not end at the equivalent row's outer"
-        assert prod(s.index for s in steps) == row.index, "chain indices do not compose to the row"
-        out.append(ExtensionChain(item, steps, equiv, live))
-    return out

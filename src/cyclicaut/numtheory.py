@@ -20,21 +20,6 @@ class DomainError(ValueError):
 Factorization = list[tuple[int, int]]
 
 
-def gcd_many(values: Iterable[int]) -> int:
-    """Greatest common divisor of a nonempty collection of nonnegative integers."""
-    vals = list(values)
-    if not vals:
-        raise DomainError("undefined gcd: empty input")
-    g = 0
-    for v in vals:
-        if v < 0:
-            raise DomainError(f"undefined gcd: negative value {v}")
-        g = gcd(g, v)
-    if g == 0:
-        raise DomainError("undefined gcd: all values zero")
-    return g
-
-
 def lcm_many(values: Iterable[int]) -> int:
     """Least common multiple of a nonempty collection of positive integers."""
     vals = list(values)

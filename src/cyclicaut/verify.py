@@ -14,10 +14,18 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .classifier import ClassificationReport, Verdict, belyi_verdict, classify_belyi
-from .curve import MINUS_ONE, ONE, BranchPoint, CyclicCover, parse_curve, require_irreducible
+from .curve import (
+    MINUS_ONE,
+    ONE,
+    BranchPoint,
+    CyclicCover,
+    _count_cycles,
+    parse_curve,
+    require_irreducible,
+)
 from .fuchsian import cb_extendable, harvey_admissible, skep_of_cover
 from .numtheory import DomainError, factorize, is_prime
 
@@ -201,42 +209,32 @@ def periodthree(n: int, k: int) -> MapScenario:
     )
 
 
-def _twisted_involution(n: int, b: int, phases: Iterable[int], family: str) -> MapScenario:
-    """The involution u = (-x, eta y^b (x+1)^-beta) of y^n = (x+1)^b (x-1), with
-    eta = exp(i pi t / n) for the first t in phases that solves the sign conditions."""
+def twistedz2(n: int, b: int) -> MapScenario:
+    """The involution u = (-x, eta y^b (x+1)^-beta) of y^n = (x+1)^b (x-1), for
+    b^2 = 1 mod n, 2 <= b <= n-2 and beta = (b^2 - 1)/n, with
+    eta = exp(i pi t / n) for the least t in [0, 2n) that solves the sign
+    conditions t = b + 1 mod 2 and t (b + 1) = beta n mod 2n.
+
+    Such a t exists for every admissible b: gcd(b + 1, 2n) divides
+    (b + 1)(b - 1) = beta n, so the second condition is solvable, and some
+    solution in [0, 2n) has the parity of b + 1.
+    """
     if not 2 <= b <= n - 2 or (b * b - 1) % n:
         raise DomainError(f"need b^2 = 1 mod {n} with 2 <= b <= {n - 2}, got b={b}")
     beta = (b * b - 1) // n
-    for t in phases:
-        if (t - (b + 1)) % 2 == 0 and (t * (1 + b) - beta * n) % (2 * n) == 0:
-            break
-    else:
-        raise DomainError(f"no phase solution for n={n}, b={b}")
+    t = next(t for t in range(2 * n)
+             if (t - b - 1) % 2 == 0 and (t * (b + 1) - beta * n) % (2 * n) == 0)
     eta = BranchPoint.root_of_unity(t, 2 * n)
     cover = parse_curve(f"y^{n} = (x+1)^{b}(x-1)")
     u = RationalMap(ProductForm(MINUS_ONE, 1, 0), ProductForm(eta, 0, b, ((MINUS_ONE, -beta),)))
     return MapScenario(
-        family,
+        "twistedz2",
         cover,
         {"T": deck_map(cover), "u": u},
         "u",
         2,
         ((("u", "T", "u"), ("T",) * b, f"u.T.u = T^{b}"),),
     )
-
-
-def twistedz2(n: int, b: int) -> MapScenario:
-    """The involution u = (-x, (-1)^l y^b (x+1)^-beta) of y^n = (x+1)^b (x-1),
-    defined when n is not a multiple of 8: the phases t = l n, l in {0, 1}."""
-    if n % 8 == 0:
-        raise DomainError(f"this construction needs n not divisible by 8, got {n}")
-    return _twisted_involution(n, b, (0, n), "twistedz2")
-
-
-def twisted_involution_general(n: int, b: int) -> MapScenario:
-    """Involution with sign eta = exp(i pi t / n): works for every admissible b,
-    including degrees where the plain +-1 sign fails."""
-    return _twisted_involution(n, b, range(2 * n), "twisted-general")
 
 
 # The map families by name: each one's builder, and the keyword and the
@@ -501,19 +499,8 @@ CROSS_CHECKS = (
 
 
 def _translation_cycles(n: int, k: int) -> int:
-    """The number of cycles of the sheet permutation s -> s + k mod n,
-    counted by traversal."""
-    perm = [(s + k) % n for s in range(n)]
-    seen = [False] * n
-    cycles = 0
-    for s in range(n):
-        if not seen[s]:
-            cycles += 1
-            t = s
-            while not seen[t]:
-                seen[t] = True
-                t = perm[t]
-    return cycles
+    """The number of cycles of the sheet permutation s -> s + k mod n."""
+    return _count_cycles([(s + k) % n for s in range(n)])
 
 
 def _cycle_counts(n: int) -> list[int]:

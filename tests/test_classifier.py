@@ -567,6 +567,27 @@ def test_fermat_quadratic_matches_triple_classifier():
             assert fa == fb
 
 
+def test_fermat_coprime_matches_triple_classifier():
+    # for gcd(d, n) = 1, y^n + x^d = 1 is the cyclic dn-fold cover with the
+    # triple (n, d, dn - n - d), so both classifiers apply; this ties F.8's
+    # typed order 48 to D.1's
+    rows = {}
+    for n in range(3, 61):
+        for d in range(2, n):
+            if gcd(d, n) != 1 or (d - 1) * (n - 1) < 4:  # genus (d-1)(n-1)/2 below 2
+                continue
+            rf = classify_fermat(n, d)
+            rb = classify_belyi(d * n, n, d, d * n - n - d)
+            assert (rf.group.order, rf.genus, rf.chain, rf.signature) == (
+                rb.group.order, rb.genus, rb.chain, rb.signature
+            ), (n, d)
+            rows[rf.row, rb.row] = rows.get((rf.row, rb.row), 0) + 1
+    assert set(rows) == {("F.2", "DEFAULT"), ("F.4", "DEFAULT"), ("F.7", "DEFAULT"),
+                         ("F.8", "D.1")}
+    assert rows["F.8", "D.1"] == 1
+    assert sum(rows.values()) == 1041
+
+
 # -- serialization ----------------------------------------------------------
 
 

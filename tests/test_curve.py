@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from math import gcd
 
@@ -12,7 +11,6 @@ from cyclicaut.curve import (
     _build_cover,
     belyi_cover,
     canonical_triple,
-    cover_from_json_dict,
     cover_to_json_dict,
     fermat_cover,
     genus,
@@ -20,10 +18,10 @@ from cyclicaut.curve import (
     lefschetz_cover,
     monodromy_genus,
     parse_curve,
-    scale_exponents,
     signature_of,
 )
-from cyclicaut.numtheory import DomainError, gcd_many, units
+from cyclicaut.classifier import belyi_verdict, classify_cover
+from cyclicaut.numtheory import DomainError, units
 from test_classifier import triple_orbit
 
 
@@ -38,6 +36,14 @@ def test_branch_point_normalization():
     assert BranchPoint.root_of_unity(4, 3) == BranchPoint.root_of_unity(1, 3)
 
 
+def _from_label(text):
+    """The point a label names: ``zeta_d^j`` or a rational."""
+    if text.startswith("zeta_"):
+        order, index = text[5:].split("^")
+        return BranchPoint.root_of_unity(int(index), int(order))
+    return BranchPoint.at(Fraction(text))
+
+
 def test_branch_point_labels_round_trip():
     for pt in (
         BranchPoint.at(0),
@@ -46,7 +52,7 @@ def test_branch_point_labels_round_trip():
         BranchPoint.root_of_unity(1, 5),
         BranchPoint.root_of_unity(3, 7),
     ):
-        assert BranchPoint.from_label(pt.label()) == pt
+        assert _from_label(pt.label()) == pt
 
 
 def _equal_spellings(data, kind):
@@ -56,14 +62,14 @@ def _equal_spellings(data, kind):
         q = data.draw(st.fractions(min_value=-20, max_value=20, max_denominator=30), label="q")
         other = Fraction(q.numerator * k, q.denominator * k)
         pt = BranchPoint.at(q)
-        return pt, [BranchPoint.at(other), BranchPoint.from_label(pt.label())]
+        return pt, [BranchPoint.at(other), _from_label(pt.label())]
     index = data.draw(st.integers(min_value=-60, max_value=60), label="index")
     order = data.draw(st.integers(min_value=1, max_value=24), label="order")
     pt = BranchPoint.root_of_unity(index, order)
     return pt, [
         BranchPoint.root_of_unity(index * k, order * k),
         BranchPoint.root_of_unity(index + k * order, order),
-        BranchPoint.from_label(pt.label()),
+        _from_label(pt.label()),
     ]
 
 
@@ -216,22 +222,39 @@ def test_signature_validation():
 # scaling and triples
 
 
+def _unit_multiple_curve(n, triple, l):
+    """The curve y^n = x^(l a) (x-1)^(l b) (x+1)^(l c), exponents reduced mod n."""
+    a, b, c = (l * k % n for k in triple)
+    return parse_curve(f"y^{n} = x^{a}(x-1)^{b}(x+1)^{c}")
+
+
+def _answer(report):
+    return (report.row, report.group, report.chain, report.genus, report.signature,
+            report.canonical)
+
+
 def test_scale_exponents_examples():
-    assert scale_exponents(belyi_cover(7, 1, 2, 4), 2).exponents() == (2, 4, 1)
-    assert scale_exponents(belyi_cover(15, 1, 4, 10), 4).exponents() == (4, 1, 10)
+    # a unit multiple of a triple is an equivalent model of the same cover
+    assert _unit_multiple_curve(7, (1, 2, 4), 2).exponents() == (2, 4, 1)
+    assert _unit_multiple_curve(15, (1, 4, 10), 4).exponents() == (4, 1, 10)
+    assert belyi_verdict(7, 2, 4, 1) == belyi_verdict(7, 1, 2, 4)
+    assert belyi_verdict(15, 4, 1, 10) == belyi_verdict(15, 1, 4, 10)
     c = belyi_cover(9, 2, 2, 5)
-    assert scale_exponents(c, 1) == c
-    with pytest.raises(DomainError):
-        scale_exponents(c, 3)
+    assert _unit_multiple_curve(9, (2, 2, 5), 1) == c
 
 
 def test_scale_preserves_invariants():
+    # every unit multiple of a triple gets the same verdict, and its curve the
+    # same classification
     for n, a, b, c in ((7, 1, 2, 4), (9, 2, 2, 5), (15, 1, 4, 10), (16, 1, 6, 9)):
-        cover = belyi_cover(n, a, b, c)
+        verdict = belyi_verdict(n, a, b, c)
+        report = classify_cover(belyi_cover(n, a, b, c))
         for l in units(n):
-            scaled = scale_exponents(cover, l)
-            assert genus(scaled) == genus(cover)
-            assert signature_of(scaled) == signature_of(cover)
+            scaled = _unit_multiple_curve(n, (a, b, c), l)
+            assert belyi_verdict(n, *scaled.exponents()) == verdict
+            assert _answer(classify_cover(scaled)) == _answer(report)
+            assert genus(scaled) == genus(report.cover)
+            assert signature_of(scaled) == report.signature
             assert is_irreducible(scaled)
 
 
@@ -259,7 +282,7 @@ def test_canonical_triple_idempotent_and_orbit_constant():
         for a in range(1, n):
             for b in range(a, n):
                 c = (-a - b) % n
-                if c < b or c == 0 or gcd_many([n, a, b, c]) != 1:
+                if c < b or c == 0 or gcd(n, a, b, c) != 1:
                     continue
                 orbit = triple_orbit(n, a, b, c)
                 canon = canonical_triple(n, a, b, c)
@@ -326,17 +349,6 @@ def test_belyi_unit_exponent_genus():
 # serialization
 
 
-def test_json_round_trip():
-    for cover in (
-        belyi_cover(7, 1, 2, 4),
-        lefschetz_cover(5, 1),
-        fermat_cover(4, 4),
-        parse_curve("y^3 = -2 x (x-1/2)^2"),
-    ):
-        blob = json.dumps(cover_to_json_dict(cover))
-        assert cover_from_json_dict(json.loads(blob)) == cover
-
-
 def test_json_schema_keys():
     d = cover_to_json_dict(belyi_cover(7, 1, 2, 4))
     assert set(d) == {"n", "branches", "infinity_exponent"}
@@ -344,30 +356,15 @@ def test_json_schema_keys():
     assert "constant" in cover_to_json_dict(fermat_cover(4, 4))
 
 
-def test_json_bad_input():
-    with pytest.raises(DomainError):
-        cover_from_json_dict({"n": 5})
-    with pytest.raises(DomainError):
-        cover_from_json_dict({"n": 5, "branches": [{"point": "??", "exponent": 1}]})
-
-
-@pytest.mark.parametrize("constant", ["1/0", "abc", "", "1/"])
-def test_json_bad_constant(constant):
-    # a malformed constant ends in the same DomainError as a malformed key
-    blob = cover_to_json_dict(belyi_cover(7, 1, 2, 4))
-    blob["constant"] = constant
-    with pytest.raises(DomainError, match="^bad cover JSON: "):
-        cover_from_json_dict(blob)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=2, max_value=40), st.data())
 def test_random_covers_round_trip_and_oracle(n, data):
     m = data.draw(st.integers(min_value=1, max_value=4))
     ks = [data.draw(st.integers(min_value=1, max_value=n - 1)) for _ in range(m)]
+    factors = ("x", "(x-1)", "(x+1)", "(x-2)")[:m]
     pts = [BranchPoint.at(v) for v in (0, 1, -1, 2)][:m]
     cover = CyclicCover(n, tuple(zip(pts, ks)), (-sum(ks)) % n)
-    blob = cover_to_json_dict(cover)
-    assert cover_from_json_dict(blob) == cover
+    text = f"y^{n} = " + "".join(f"{f}^{k}" for f, k in zip(factors, ks))
+    assert parse_curve(text) == cover
     if is_irreducible(cover):
         assert genus(cover) == monodromy_genus(cover)

@@ -8,12 +8,10 @@ from cyclicaut.fuchsian import (
     CbMatch,
     CbVerdict,
     ChainStep,
-    ExtensionChain,
     GsExtension,
     SkepSpec,
     cb_extendable,
     chain_steps,
-    extension_chains,
     gs_extensions,
     gs_row,
     gs_table_json,
@@ -21,7 +19,7 @@ from cyclicaut.fuchsian import (
     skep_of_cover,
 )
 from cyclicaut.fuchsian import _TABLE, _bind, _parse_pattern
-from cyclicaut.numtheory import DomainError, gcd_many, lcm_many
+from cyclicaut.numtheory import DomainError, lcm_many
 
 
 def _ext_summary(periods):
@@ -180,7 +178,7 @@ def test_harvey_holds_for_all_belyi_covers():
                 c = (-a - b) % n
                 if c < b or c == 0:
                     continue
-                if gcd_many([n, a, b, c]) != 1:
+                if gcd(n, a, b, c) != 1:
                     continue
                 cover = belyi_cover(n, a, b, c)
                 if cover.infinity_exponent == 0:
@@ -271,40 +269,56 @@ def test_cb_period_count_validation():
 # chains
 
 
+# The two-step chains of Conder-Bujalance: (item, row ids, equivalent row).
+# A chain applies where its equivalent row matches, and walks to that row's
+# outer signature with the product of its steps' indices as that row's index.
+CHAINS = (
+    (1, ("1", "3"), "2"),
+    (2, ("1", "6"), "4"),
+    (3, ("1", "13"), "9"),
+    (4, ("3", "3"), "12"),
+    (5, ("3", "11"), "7"),
+    (6, ("3", "14"), "2"),
+    (7, ("3", "14"), "11"),
+    (8, ("12", "14"), "7"),
+)
+
+
+def _chains(periods):
+    """item -> steps of every chain whose equivalent row matches periods."""
+    sig = Signature(0, periods)
+    return {
+        item: chain_steps(sig, rows)
+        for item, rows, equivalent in CHAINS
+        if gs_row(equivalent).match(periods) is not None
+    }
+
+
 def test_chains_all_equal_triple():
-    chains = {c.item: c for c in extension_chains(Signature(0, (7, 7, 7)))}
+    chains = _chains((7, 7, 7))
     assert set(chains) == {1, 2, 6}
-    assert chains[2].live
-    assert chains[2].equivalent_row_id == "4"
-    assert [s.signature.periods for s in chains[2].steps] == [(3, 3, 7), (2, 3, 7)]
-    assert not chains[1].live and chains[1].equivalent_row_id == "2"
-    assert not chains[6].live and chains[6].equivalent_row_id == "2"
+    assert [s.signature.periods for s in chains[2]] == [(3, 3, 7), (2, 3, 7)]
+    assert chains[1][-1].signature == chains[6][-1].signature == Signature(0, (2, 3, 14))
 
 
 def test_chains_nine():
-    chains = {c.item: c for c in extension_chains(Signature(0, (9, 9, 9)))}
+    chains = _chains((9, 9, 9))
     assert set(chains) == {1, 3, 6}
-    assert not chains[3].live
-    assert chains[3].equivalent_row_id == "9"
+    assert chains[3][-1].signature == gs_row("9").match((9, 9, 9))
 
 
 def test_chains_488():
-    chains = {c.item: c for c in extension_chains(Signature(0, (4, 8, 8)))}
+    chains = _chains((4, 8, 8))
     assert set(chains) == {4, 5, 8}
-    assert all(chains[i].live for i in (4, 5, 8))
-    assert chains[5].equivalent_row_id == "7"
-    assert chains[8].equivalent_row_id == "7"
-    assert [s.row_id for s in chains[8].steps] == ["12", "14"]
+    assert chains[5][-1].signature == chains[8][-1].signature == gs_row("7").match((4, 8, 8))
+    assert [s.row_id for s in chains[8]] == ["12", "14"]
 
 
 def test_chains_t_2t_2t():
     for t in (3, 5, 6):
-        chains = extension_chains(Signature(0, (t, 2 * t, 2 * t)))
-        items = {c.item for c in chains}
-        assert 4 in items
-        ch = next(c for c in chains if c.item == 4)
-        assert ch.live and ch.equivalent_row_id == "12"
-        assert ch.steps[-1].signature.periods == (2, 4, 2 * t)
+        chains = _chains((t, 2 * t, 2 * t))
+        assert 4 in chains
+        assert chains[4][-1].signature.periods == (2, 4, 2 * t)
 
 
 # One start signature per catalogue item, with its steps as (row, outer, index).
@@ -323,20 +337,27 @@ CHAIN_STEPS = {
 @pytest.mark.parametrize("item", sorted(CHAIN_STEPS))
 def test_chain_steps_pinned(item):
     periods, expected = CHAIN_STEPS[item]
-    chain = next(c for c in extension_chains(Signature(0, periods)) if c.item == item)
-    assert [(s.row_id, s.signature.periods, s.index) for s in chain.steps] == expected
-    assert chain_steps(Signature(0, periods), [row for row, _, _ in expected]) == chain.steps
+    steps = _chains(periods)[item]
+    assert [(s.row_id, s.signature.periods, s.index) for s in steps] == expected
+    assert chain_steps(Signature(0, periods), [row for row, _, _ in expected]) == steps
 
 
 def test_chains_indices_compose():
-    for periods in ((7, 7, 7), (9, 9, 9), (4, 8, 8), (5, 10, 10), (2, 8, 8), (6, 6, 6)):
-        for ch in extension_chains(Signature(0, periods)):
+    # each chain ends where its equivalent row ends, at that row's index
+    equivalents = {item: gs_row(row) for item, _, row in CHAINS}
+    starts = [periods for periods, _ in CHAIN_STEPS.values()]
+    for periods in starts + [(2, 8, 8), (6, 6, 6)]:
+        for item, steps in _chains(periods).items():
+            equivalent = equivalents[item]
+            assert steps[-1].signature == equivalent.match(periods)
             prod = 1
-            for step in ch.steps:
+            for step in steps:
                 prod *= step.index
-            assert prod == gs_row(ch.equivalent_row_id).index
+            assert prod == equivalent.index
 
 
 def test_chains_triangle_only():
-    with pytest.raises(DomainError):
-        extension_chains(Signature(0, (2, 2, 3, 3)))
+    # every chain's equivalent row is a triangle row, so none applies to a
+    # quadrilateral signature
+    assert _chains((2, 2, 3, 3)) == {}
+    assert all(gs_row(equivalent).outer.count(",") == 2 for _, _, equivalent in CHAINS)

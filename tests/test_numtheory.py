@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from cyclicaut.numtheory import (
     DomainError,
     factorize,
-    gcd_many,
     inverse_mod,
     involutory_units,
     is_prime,
@@ -12,23 +11,6 @@ from cyclicaut.numtheory import (
     omega_units,
     units,
 )
-
-
-def test_gcd_many_values():
-    assert gcd_many([24, 4, 19]) == 1
-    assert gcd_many([12, 8]) == 4
-    assert gcd_many([8, 1, 2, 5]) == 1
-    assert gcd_many([6]) == 6
-    assert gcd_many([0, 9, 6]) == 3
-
-
-def test_gcd_many_rejects_empty_and_all_zero():
-    with pytest.raises(DomainError, match="undefined gcd"):
-        gcd_many([])
-    with pytest.raises(DomainError, match="undefined gcd"):
-        gcd_many([0, 0, 0])
-    with pytest.raises(DomainError):
-        gcd_many([4, -2])
 
 
 def test_lcm_many_values():

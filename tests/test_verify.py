@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -40,7 +41,6 @@ from cyclicaut.verify import (
     periodthree,
     run_scenario,
     sample_curve,
-    twisted_involution_general,
     twistedz2,
     verify_map_order,
     verify_relation,
@@ -89,12 +89,12 @@ def test_prime_field_elements():
     assert pow(zeta, 12, p) == 1 and pow(zeta, 6, p) == p - 1 and pow(zeta, 4, p) != 1
     assert field.element(BranchPoint.root_of_unity(5, 12)) == pow(zeta, 5, p)
     assert field.element(MINUS_ONE) == p - 1
-    assert field.element(BranchPoint.from_label("3/2")) * 2 % p == 3
-    assert field.element(BranchPoint.from_label("-1/3")) * 3 % p == p - 1
+    assert field.element(BranchPoint.at(Fraction(3, 2))) * 2 % p == 3
+    assert field.element(BranchPoint.at(Fraction(-1, 3))) * 3 % p == p - 1
     with pytest.raises(DomainError):
         field.element(BranchPoint.root_of_unity(1, 5))
     with pytest.raises(DomainError):
-        field.element(BranchPoint.from_label(f"1/{p}"))
+        field.element(BranchPoint.at(Fraction(1, p)))
 
 
 def test_prime_field_needs_m_coprime_to_n():
@@ -197,7 +197,7 @@ def test_every_scenario_passes_at_three_seeds():
     scenarios = list(_dump_scenarios())
     assert len(scenarios) == 75
     scenarios += [periodthree(n, k) for n, k in PERIODTHREE_PAIRS]
-    scenarios += [twisted_involution_general(n, b) for n, b, _ in GENERAL_PHASES]
+    scenarios += [twistedz2(n, b) for n, b, _ in GENERAL_PHASES]
     for sc in scenarios:
         for seed in (0, 1, 2):
             outcomes = run_scenario(sc, 100, seed)
@@ -274,8 +274,10 @@ def test_periodthree_validation():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_twistedz2_checks(n, b, seed):
     sc = twistedz2(n, b)
-    # sign (-1)^l with l = 1 for both printed instances
-    assert sc.maps["u"].y_form.constant == MINUS_ONE
+    # the least phase exp(i pi t / n): t = 3 and t = 7, where the sign -1
+    # (t = n) also solves the conditions
+    t = {15: 3, 21: 7}[n]
+    assert sc.maps["u"].y_form.constant == BranchPoint.root_of_unity(t, 2 * n)
     assert passed(run_scenario(sc, 100, seed))
 
 
@@ -288,8 +290,8 @@ def test_twistedz2_conjugation_relation():
 
 
 def test_twistedz2_validation():
-    with pytest.raises(DomainError, match="not divisible by 8"):
-        twistedz2(16, 7)
+    # a degree divisible by 8 takes a phase of its own
+    assert passed(run_scenario(twistedz2(16, 7)))
     with pytest.raises(DomainError):
         twistedz2(15, 5)  # 5^2 != 1 mod 15
 
@@ -298,7 +300,7 @@ def test_twistedz2_validation():
 def test_twisted_involution_general(n, b, t_expected):
     # composite degrees where the +-1 sign cannot work still admit the
     # involution with a root-of-unity phase exp(i pi t / n)
-    sc = twisted_involution_general(n, b)
+    sc = twistedz2(n, b)
     assert sc.maps["u"].y_form.constant == BranchPoint.root_of_unity(t_expected, 2 * n)
     assert passed(run_scenario(sc, 60, 3))
 

@@ -19,9 +19,9 @@ Input sets, in output order:
 - ``classify_lefschetz(p, a)`` for 0 <= a <= p at every prime p < 400 and at
   the non-primes 4, 6, 9, 15 and 21 (14,025 calls);
 - ``classify_fermat(n, d)`` for n < 70 and 0 <= d <= n + 1 (2,555 calls);
-- ``gs_extensions`` and ``extension_chains`` on every sorted period tuple of
-  length 1 to 3 with entries 2..64, length 4 with entries 2..40 and length 5
-  with entries 2..14 (163,877 tuples);
+- ``gs_extensions`` on every sorted period tuple of length 1 to 3 with
+  entries 2..64, length 4 with entries 2..40 and length 5 with entries 2..14
+  (163,877 tuples);
 - ``perm_order`` and ``fingerprint`` on 3,000 seeded generator sets of degree
   1 to 8 (random permutations, products of a few disjoint cycles, identities
   and repeats), the README examples, and S_n for n <= 10, A_7, PSL(2,7),
@@ -71,7 +71,7 @@ from cyclicaut.classifier import (  # noqa: E402
     report_to_json_dict,
 )
 from cyclicaut.curve import Signature, cover_to_json_dict, parse_curve  # noqa: E402
-from cyclicaut.fuchsian import extension_chains, gs_extensions  # noqa: E402
+from cyclicaut.fuchsian import gs_extensions  # noqa: E402
 from cyclicaut.grouptheory import (  # noqa: E402
     BudgetExceeded,
     coset_enumerate,
@@ -115,14 +115,6 @@ def _extensions(sig: Signature) -> list:
     ]
 
 
-def _chains(sig: Signature) -> list:
-    return [
-        [chain.item, [[s.row_id, list(s.signature.periods), s.index] for s in chain.steps],
-         chain.equivalent_row_id, chain.live]
-        for chain in extension_chains(sig)
-    ]
-
-
 def _answer(fn, *args):
     try:
         return fn(*args)
@@ -131,8 +123,7 @@ def _answer(fn, *args):
 
 
 def _extension_answer(*periods: int) -> dict:
-    sig = Signature(0, periods)
-    return {"gs_extensions": _extensions(sig), "extension_chains": _answer(_chains, sig)}
+    return {"gs_extensions": _extensions(Signature(0, periods))}
 
 
 def _fingerprint(perms) -> list:
