@@ -11,11 +11,22 @@ w^k that closes at a coset closes it at every coset of that coset's w-cycle,
 so those cosets skip the scan, and the final check asks that every cycle of
 w on the table have a length dividing k.  A relator thus costs about
 index * |w| letters rather than index * k * |w|.
+
+The coset table is stored by column, as in Cannon, Dimino, Havas and Watson
+(Math. Comp. 27, 1973) and Holt, Eick and O'Brien (*Handbook of
+Computational Group Theory*, ch. 5): one list per generator and per inverse,
+indexed by coset, beside per-coset lists of parents, closed marks and
+lookahead proofs.  A coset takes one 8-byte slot in each of these
+2 * generators + 4 lists and one int object for its index: about 80 bytes
+with one generator.  Each relator's letters are resolved to the column lists
+they read once per enumeration, so a scan makes one lookup per letter, and
+the table reports the cosets it defined and the merges it made.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from math import prod
 from string import ascii_lowercase
@@ -227,51 +238,104 @@ def _root_length(word: Sequence[int]) -> int:
     """Length of the primitive root w of ``word``, written as w^k."""
     # the lengths d | len(word) with word == word[:d] * (len(word) // d) are
     # the multiples of the root's length, so dividing out one prime at a
-    # time while the quotient still repeats ends at the root
+    # time while the quotient still repeats ends at the root.  Once word is
+    # word[:p] repeated, d | p is a period of word exactly when it is one of
+    # word[:p]; views of one array of the letters compare without a copy.
     p = len(word)
     if p > 1:
+        letters = memoryview(array("q", word))
         for q, _ in factorize(p):
-            while p % q == 0 and word[p // q :] == word[: -(p // q)]:
+            while p % q == 0 and letters[p // q : p] == letters[: p - p // q]:
                 p //= q
     return p
 
 
+# Most cosets a table makes room for at once; a smaller table doubles.
+_GROWTH = 1024
+
+
 class _CosetTable:
+    """A coset table stored by column.
+
+    Coset 0 stands for an undefined entry and coset 1 is the subgroup.
+    Generator x reads column 2(x - 1) and its inverse column 2(x - 1) + 1,
+    so columns c and c ^ 1 mirror each other.  Each column is one list
+    indexed by coset, beside the per-coset lists parent, closed, proven and
+    proven_at; all of them grow together by chunks, so defining a coset is
+    a few stores.
+    """
+
     def __init__(self, generator_count: int, relators: Sequence[Sequence[int]], max_cosets: int):
-        self.ncols = 2 * generator_count
-        self.words = [tuple(self._col(x) for x in w) for w in relators]
+        self.cols: list[list[int]] = [[0, 0] for _ in range(2 * generator_count)]
+        # each column with its mirror
+        self.pairs = [(col, self.cols[c ^ 1]) for c, col in enumerate(self.cols)]
+        # the column read by each letter and by its inverse: indexing wraps
+        # a negative letter -x round to 2 * generator_count + 1 - x
+        gens, invs = self.cols[0::2], self.cols[1::2]
+        by_letter = [None, *gens, *reversed(invs)]
+        by_inverse = [None, *invs, *reversed(gens)]
         # each relator is root^k with a primitive root; a proper power
-        # (k > 1) gets a bit in the closed masks, a relator with k = 1 none
-        self.roots = [w[: _root_length(w)] for w in self.words]
+        # (k > 1) gets a bit in the closed masks, a relator with k = 1 none.
+        # fwd[r][i] is the column letter i of relator r reads forward,
+        # bwd[r][i] the one it reads backward.
+        self.fwd: list[tuple[list[int], ...]] = []
+        self.bwd: list[tuple[list[int], ...]] = []
+        self.roots: list[tuple[list[int], ...]] = []
         # each root read backward, letter by letter inverted
-        self.inverse_roots = [tuple(c ^ 1 for c in reversed(root)) for root in self.roots]
-        self.bits = [
-            1 << r if len(root) < len(w) else 0
-            for r, (w, root) in enumerate(zip(self.words, self.roots))
-        ]
+        self.inverse_roots: list[tuple[list[int], ...]] = []
+        self.bits: list[int] = []
+        for r, word in enumerate(relators):
+            m = _root_length(word)
+            k = len(word) // m
+            root = tuple(map(by_letter.__getitem__, word[:m]))
+            back = tuple(map(by_inverse.__getitem__, word[:m]))
+            self.fwd.append(root * k)
+            self.bwd.append(back * k)
+            self.roots.append(root)
+            self.inverse_roots.append(back[::-1])
+            self.bits.append(1 << r if k > 1 else 0)
         # a no-fill scan of a proper power that walks two roots on one side
         # proves cosets worth skipping (see _prove_open); recording a
         # shorter walk costs about what skipping would save.  A scan of a
         # relator with k = 1 walks fewer than len(w) letters on each side.
         self.proof_walk = [
-            2 * len(root) if bit else len(w)
-            for w, root, bit in zip(self.words, self.roots, self.bits)
+            2 * len(root) if bit else len(word)
+            for word, root, bit in zip(self.fwd, self.roots, self.bits)
         ]
         self.max_cosets = max_cosets
-        self.table: list[list[int]] = [[0] * self.ncols, [0] * self.ncols]
+        # cosets 1 .. size - 1 have been defined; the lists hold room beyond
+        self.size = 2
         self.parent = [0, 1]
         # closed[k]: the bits of the relators known to close at coset k;
         # scanning one of them there again would change nothing
         self.closed = [0, 0]
         # proven[k]: during a lookahead pass, the bits of the relators whose
         # no-fill scan at coset k would change nothing until the table next
-        # changes (see _prove_open)
-        self.proven: dict[int, int] = {}
+        # changes (see _prove_open).  It counts only while proven_at[k] is
+        # the current epoch, which each change of the table and the end of
+        # each pass advance.
+        self.proven = [0, 0]
+        self.proven_at = [0, 0]
+        self.epoch = 1
         self.alive = 1
 
-    @staticmethod
-    def _col(x: int) -> int:
-        return 2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1
+    # every coset defined takes the next index and every merge kills one, so
+    # the table counts both without a store of its own
+
+    @property
+    def defined(self) -> int:
+        """Cosets defined so far."""
+        return self.size - 2
+
+    @property
+    def merges(self) -> int:
+        """Merges made so far."""
+        return self.size - 1 - self.alive
+
+    def _grow(self) -> None:
+        room = [0] * min(self.size, _GROWTH)
+        for column in (*self.cols, self.parent, self.closed, self.proven, self.proven_at):
+            column.extend(room)
 
     def rep(self, k: int) -> int:
         parent = self.parent
@@ -280,64 +344,74 @@ class _CosetTable:
             k = parent[k]
         return k
 
-    def _define(self, alpha: int, c: int) -> int:
+    def _define(self, alpha: int, c: int) -> None:
+        """Define alpha * column c as a new coset."""
         if self.alive >= self.max_cosets:
             raise _NeedLookahead
-        beta = len(self.table)
-        self.table.append([0] * self.ncols)
-        self.parent.append(beta)
-        self.closed.append(0)
+        beta = self.size
+        if beta == len(self.parent):
+            self._grow()
+        self.size = beta + 1
         self.alive += 1
-        self.table[alpha][c] = beta
-        self.table[beta][c ^ 1] = alpha
-        return beta
-
-    def _merge(self, a: int, b: int, queue: list[int]) -> None:
-        ra, rb = self.rep(a), self.rep(b)
-        if ra == rb:
-            return
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[hi] = lo
-        # a relator closed at either coset closes at the merged one
-        self.closed[lo] |= self.closed[hi]
-        self.alive -= 1
-        queue.append(hi)
+        self.parent[beta] = beta
+        self.cols[c][alpha] = beta
+        self.cols[c ^ 1][beta] = alpha
 
     def _coincidence(self, a: int, b: int) -> None:
-        self.proven.clear()
-        queue: list[int] = []
-        self._merge(a, b, queue)
-        qi = 0
-        table = self.table
-        while qi < len(queue):
-            gamma = queue[qi]
-            qi += 1
-            row = table[gamma]
-            for c in range(self.ncols):
-                delta = row[c]
+        """Identify the distinct live cosets a and b, and then every pair of
+        cosets that forces."""
+        self.epoch += 1
+        parent, closed = self.parent, self.closed
+        # a merge points the higher representative at the lower, which keeps
+        # the relators known to close at either
+        if b < a:
+            a, b = b, a
+        parent[b] = a
+        closed[a] |= closed[b]
+        # the cosets merged away, in order; each hands its entries on to the
+        # representatives, merging again where two of them collide
+        dying = [b]
+        for gamma in dying:
+            for col, mirror in self.pairs:
+                delta = col[gamma]
                 if not delta:
                     continue
-                table[delta][c ^ 1] = 0
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
-                if table[mu][c]:
-                    self._merge(nu, table[mu][c], queue)
-                elif table[nu][c ^ 1]:
-                    self._merge(mu, table[nu][c ^ 1], queue)
+                mirror[delta] = 0
+                # representatives, found by path halving
+                mu, nu = gamma, delta
+                while parent[mu] != mu:
+                    parent[mu] = parent[parent[mu]]
+                    mu = parent[mu]
+                while parent[nu] != nu:
+                    parent[nu] = parent[parent[nu]]
+                    nu = parent[nu]
+                if col[mu]:
+                    a, b = nu, col[mu]
+                elif mirror[nu]:
+                    a, b = mu, mirror[nu]
                 else:
-                    table[mu][c] = nu
-                    table[nu][c ^ 1] = mu
+                    col[mu] = nu
+                    mirror[nu] = mu
+                    continue
+                while parent[b] != b:
+                    parent[b] = parent[parent[b]]
+                    b = parent[b]
+                if a != b:
+                    if b < a:
+                        a, b = b, a
+                    parent[b] = a
+                    closed[a] |= closed[b]
+                    dying.append(b)
+        self.alive -= len(dying)
 
     def scan(self, alpha: int, r: int, fill: bool) -> None:
-        word = self.words[r]
-        table = self.table
-        f = alpha
+        fwd, bwd = self.fwd[r], self.bwd[r]
+        f = b = alpha
         i = 0
-        b = alpha
-        j = len(word) - 1
+        j = len(fwd) - 1
         while True:
             while i <= j:
-                nxt = table[f][word[i]]
+                nxt = fwd[i][f]
                 if not nxt:
                     break
                 f = nxt
@@ -349,7 +423,7 @@ class _CosetTable:
                     self._mark(alpha, r)
                 return
             while j >= i:
-                nxt = table[b][word[j] ^ 1]
+                nxt = bwd[j][b]
                 if not nxt:
                     break
                 b = nxt
@@ -358,30 +432,42 @@ class _CosetTable:
                 self._coincidence(f, b)
                 return
             if j == i:
-                self.proven.clear()
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
+                self.epoch += 1
+                fwd[i][f] = b
+                bwd[i][b] = f
                 if self.bits[r]:
                     self._mark(alpha, r)
                 return
             if not fill:
-                behind = len(word) - 1 - j
+                behind = len(fwd) - 1 - j
                 least = self.proof_walk[r]
                 if i >= least or behind >= least:
                     self._prove_open(alpha, r, i, behind)
                 return
-            self._define(f, word[i])
+            # define f times letter i as a new coset, as _define does, and
+            # step to it
+            if self.alive >= self.max_cosets:
+                raise _NeedLookahead
+            beta = self.size
+            if beta == len(self.parent):
+                self._grow()
+            self.size = beta + 1
+            self.alive += 1
+            self.parent[beta] = beta
+            fwd[i][f] = beta
+            bwd[i][beta] = f
+            f = beta
+            i += 1
 
     def _mark(self, alpha: int, r: int) -> None:
         """Relator r = root^k has just closed at alpha: mark it closed at
         every alpha*root^j, walking the root until it returns to alpha."""
-        bit, root = self.bits[r], self.roots[r]
-        table, closed = self.table, self.closed
+        bit, root, closed = self.bits[r], self.roots[r], self.closed
         cur = alpha
         while True:
             closed[cur] |= bit
-            for c in root:
-                cur = table[cur][c]
+            for col in root:
+                cur = col[cur]
             if cur == alpha:
                 return
 
@@ -393,13 +479,17 @@ class _CosetTable:
         the same letters between the same two gaps, so it would change
         nothing there either: record those cosets in ``proven``."""
         bit, root = self.bits[r], self.roots[r]
-        table, proven = self.table, self.proven
+        proven, proven_at, epoch = self.proven, self.proven_at, self.epoch
         for steps, cols in ((ahead, root), (behind, self.inverse_roots[r])):
             cur = alpha
             for _ in range(steps // len(root)):
-                for c in cols:
-                    cur = table[cur][c]
-                proven[cur] = proven.get(cur, 0) | bit
+                for col in cols:
+                    cur = col[cur]
+                if proven_at[cur] == epoch:
+                    proven[cur] |= bit
+                else:
+                    proven_at[cur] = epoch
+                    proven[cur] = bit
 
     def scan_all(self, alpha: int) -> None:
         """Scan, filling, every relator not known to close at alpha, while
@@ -415,21 +505,22 @@ class _CosetTable:
         """Scan every live coset without definitions, skipping the scans
         proven to change nothing: a pass over a long open chain of a power
         relator costs about one walk along it, not one per coset."""
-        closed, proven = self.closed, self.proven
-        for beta in range(1, len(self.table)):
+        parent, closed, proven, proven_at = self.parent, self.closed, self.proven, self.proven_at
+        for beta in range(1, self.size):
             for r, bit in enumerate(self.bits):
-                # rep, not a parent lookup: its path halving leaves the parent
-                # array a pass that scans every relator would leave
-                if self.rep(beta) != beta:
+                if parent[beta] != beta:
+                    # its path halving leaves the parent array a pass that
+                    # scans every relator would leave
+                    self.rep(beta)
                     break
-                if closed[beta] & bit or proven and proven.get(beta, 0) & bit:
+                if closed[beta] & bit or proven_at[beta] == self.epoch and proven[beta] & bit:
                     continue
                 self.scan(beta, r, False)
-        proven.clear()
+        self.epoch += 1
 
     def live_cosets(self) -> list[int]:
         parent = self.parent
-        return [k for k in range(1, len(self.table)) if parent[k] == k]
+        return [k for k in range(1, self.size) if parent[k] == k]
 
 
 def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
@@ -456,18 +547,16 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     # parent[k] == k
     parent = ct.parent
     alpha = 1
-    while alpha < len(ct.table):
+    while alpha < ct.size:
         if parent[alpha] == alpha:
             while True:
                 try:
                     ct.scan_all(alpha)
-                    if parent[alpha] == alpha:
-                        row = ct.table[alpha]
-                        for c in range(ct.ncols):
-                            if parent[alpha] != alpha:
-                                break
-                            if not row[c]:
-                                ct._define(alpha, c)
+                    for c, col in enumerate(ct.cols):
+                        if parent[alpha] != alpha:
+                            break
+                        if not col[alpha]:
+                            ct._define(alpha, c)
                     break
                 except _NeedLookahead:
                     ct.lookahead()
@@ -481,18 +570,16 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
 def _validate_closed_table(ct: _CosetTable) -> None:
     live = ct.live_cosets()
     index = set(live)
-    table = ct.table
-    for k in live:
-        row = table[k]
-        for c in range(ct.ncols):
-            target = row[c]
+    for col, mirror in ct.pairs:
+        for k in live:
+            target = col[k]
             assert target in index, "coset table left open or inconsistent"
-            assert table[target][c ^ 1] == k, "coset table mirror broken"
+            assert mirror[target] == k, "coset table mirror broken"
     # every column is now a permutation of the live cosets, and root^k closes
     # at each of them exactly when every cycle of root has a length dividing k
-    for word, root in zip(ct.words, ct.roots):
+    for word, root in zip(ct.fwd, ct.roots):
         k = len(word) // len(root)
-        seen = bytearray(len(table))
+        seen = bytearray(ct.size)
         for x in live:
             if seen[x]:
                 continue
@@ -500,8 +587,8 @@ def _validate_closed_table(ct: _CosetTable) -> None:
             y = x
             while not seen[y]:
                 seen[y] = 1
-                for c in root:
-                    y = table[y][c]
+                for col in root:
+                    y = col[y]
                 length += 1
             assert y == x and k % length == 0, "relator does not close on the final table"
 

@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from cyclicaut import classifier
 from cyclicaut.classifier import (
-    ClassificationReport,
     GroupDescriptor,
     belyi_verdict,
     classify_belyi,

@@ -3,12 +3,9 @@ from math import gcd
 
 import pytest
 
-from cyclicaut.curve import Signature, belyi_cover, canonical_triple, signature_of
+from cyclicaut.curve import Signature, belyi_cover, signature_of
 from cyclicaut.fuchsian import (
     CbMatch,
-    CbVerdict,
-    ChainStep,
-    GsExtension,
     SkepSpec,
     cb_extendable,
     chain_steps,
@@ -19,7 +16,7 @@ from cyclicaut.fuchsian import (
     skep_of_cover,
 )
 from cyclicaut.fuchsian import _TABLE, _bind, _parse_pattern
-from cyclicaut.numtheory import DomainError, lcm_many
+from cyclicaut.numtheory import DomainError
 
 
 def _ext_summary(periods):

@@ -1,7 +1,10 @@
 import copy
+import random
+import tracemalloc
+from itertools import islice
+from math import factorial, prod
 
 import pytest
-from math import factorial, prod
 
 from hypothesis import given, seed, settings, strategies as st
 
@@ -194,38 +197,39 @@ def test_coset_enumerate_deterministic():
 
 # counts of HLT scanning every relator at every coset, which skipping the
 # scans known to close must keep:
-# (text, max_cosets, _define calls, merges, order or None at a budget stop)
+# (text, max_cosets, cosets defined, merges, order or None at a budget stop)
 PINNED_COUNTS = [
     ("<u,v | u^2, v^1000, (u*v)^2>", 1_000_000, 2996, 997, 2000),
     ("<a,b | a^100, b^100, [a,b]>", 1_000_000, 19603, 9604, 10000),
     ("<x,y | x^2, y^3, (x*y)^7, [x,y]^4>", 1_000_000, 668, 501, 168),
-    ("<x,y | x^2, y^3, (x*y)^7>", 2000, 2298, 309, None),
+    ("<x,y | x^2, y^3, (x*y)^7>", 2000, 2296, 309, None),
 ]
+
+
+def _tables_made(monkeypatch) -> list:
+    """Every coset table that enumerations make from here on, in order."""
+    tables = []
+
+    class Kept(grouptheory._CosetTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(grouptheory, "_CosetTable", Kept)
+    return tables
 
 
 @pytest.mark.parametrize("text,budget,defined,merges,order", PINNED_COUNTS)
 def test_skipped_scans_are_no_ops(monkeypatch, text, budget, defined, merges, order):
-    counts = {"defined": 0, "merges": 0}
-    define, merge = grouptheory._CosetTable._define, grouptheory._CosetTable._merge
-
-    def counted_define(self, alpha, c):
-        counts["defined"] += 1
-        return define(self, alpha, c)
-
-    def counted_merge(self, a, b, queue):
-        alive = self.alive
-        merge(self, a, b, queue)
-        counts["merges"] += alive - self.alive
-
-    monkeypatch.setattr(grouptheory._CosetTable, "_define", counted_define)
-    monkeypatch.setattr(grouptheory._CosetTable, "_merge", counted_merge)
+    tables = _tables_made(monkeypatch)
     pres = parse_presentation(text)
     if order is None:
         with pytest.raises(BudgetExceeded):
             coset_enumerate(pres, max_cosets=budget)
     else:
         assert coset_enumerate(pres, max_cosets=budget) == order
-    assert counts == {"defined": defined, "merges": merges}
+    (ct,) = tables
+    assert (ct.defined, ct.merges) == (defined, merges)
 
 
 @pytest.mark.parametrize(
@@ -251,15 +255,15 @@ def test_lookahead_skips_only_scans_that_change_nothing(monkeypatch, text, budge
     def checked(self):
         reference = copy.deepcopy(self)
         start = scans[0]
-        for beta in range(1, len(reference.table)):
+        for beta in range(1, reference.size):
             for r, bit in enumerate(reference.bits):
                 if reference.rep(beta) == beta and not reference.closed[beta] & bit:
                     reference.scan(beta, r, False)
         middle = scans[0]
         lookahead(self)
         skipped[0] += (middle - start) - (scans[0] - middle)
-        assert (self.table, self.parent, self.alive, self.closed) == (
-            reference.table, reference.parent, reference.alive, reference.closed
+        assert (self.cols, self.parent, self.alive, self.closed) == (
+            reference.cols, reference.parent, reference.alive, reference.closed
         )
 
     monkeypatch.setattr(grouptheory._CosetTable, "scan", counted)
@@ -287,11 +291,11 @@ def test_scans_cost_index_times_root(monkeypatch, text, order):
     scan, mark = grouptheory._CosetTable.scan, grouptheory._CosetTable._mark
 
     def counted_scan(self, alpha, r, fill):
-        letters[0] += len(self.words[r])
+        letters[0] += len(self.fwd[r])
         return scan(self, alpha, r, fill)
 
     def counted_mark(self, alpha, r):
-        letters[0] += len(self.words[r])
+        letters[0] += len(self.fwd[r])
         return mark(self, alpha, r)
 
     monkeypatch.setattr(grouptheory._CosetTable, "scan", counted_scan)
@@ -300,6 +304,98 @@ def test_scans_cost_index_times_root(monkeypatch, text, order):
     assert coset_enumerate(pres) == order
     roots = grouptheory._CosetTable(pres.generator_count, pres.relators, 1).roots
     assert letters[0] <= 3 * order * sum(map(len, roots))
+
+
+def test_table_holds_under_90_bytes_per_coset():
+    # <a | a^40000> defines one long chain of cosets up to the budget, and
+    # the lookahead pass before the stop proves every one of them open, so
+    # the growth of the peak between two budgets is what a coset costs
+    pres = parse_presentation("<a | a^40000>")
+    peaks = []
+    for budget in (10_000, 20_000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                coset_enumerate(pres, max_cosets=budget)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 90 * 10_000
+
+
+def _letter_column(x: int) -> int:
+    """The column letter x reads: 2(x - 1) for generator x, 2(x - 1) + 1 for its inverse."""
+    return 2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1
+
+
+@st.composite
+def _relator_words(draw) -> tuple[int, tuple[int, ...]]:
+    """A generator count and a word over it: a root repeated, then perhaps a
+    few letters more, so that proper powers and primitive words both occur."""
+    count = draw(st.integers(min_value=1, max_value=4), label="generators")
+    letters = st.sampled_from([s * x for x in range(1, count + 1) for s in (1, -1)])
+    root = draw(st.lists(letters, min_size=1, max_size=6), label="root")
+    k = draw(st.integers(min_value=1, max_value=12), label="k")
+    tail = draw(st.lists(letters, max_size=2), label="tail")
+    return count, tuple(root) * k + tuple(tail)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(_relator_words())
+def test_columns_and_roots_match_their_letter_by_letter_definitions(case):
+    count, word = case
+    # the root: the shortest prefix that word repeats
+    m = next(d for d in range(1, len(word) + 1) if word == word[:d] * (len(word) // d))
+    assert grouptheory._root_length(word) == m
+    ct = grouptheory._CosetTable(count, [word], 1)
+
+    def read(columns, letters, inverted):
+        return len(columns) == len(letters) and all(
+            col is ct.cols[_letter_column(x) ^ inverted] for col, x in zip(columns, letters)
+        )
+
+    assert read(ct.fwd[0], word, 0) and read(ct.bwd[0], word, 1)
+    assert read(ct.roots[0], word[:m], 0) and read(ct.inverse_roots[0], word[:m][::-1], 1)
+    assert ct.bits == [1 if m < len(word) else 0]
+
+
+def _small_presentations(rng: random.Random):
+    """Relators of two generators: a power of each, of exponent 2 to 7, and
+    a random word of 2 to 8 letters."""
+    while True:
+        word = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(2, 8)))
+        yield (1,) * rng.randint(2, 7), (2,) * rng.randint(2, 7), word
+
+
+def test_orders_match_sympy_coset_enumeration():
+    # seeded presentations of order 4 to 60 here, enumerated again by
+    # sympy's HLT; a budget stop on either side gives no verdict
+    free_groups = pytest.importorskip("sympy.combinatorics.free_groups")
+    from sympy.combinatorics.coset_table import coset_enumeration_r
+    from sympy.combinatorics.fp_groups import FpGroup
+
+    free, a, b = free_groups.free_group("a, b")
+    element = {1: a, -1: a**-1, 2: b, -2: b**-1}
+    compared = 0
+    for relators in islice(_small_presentations(random.Random(20261019)), 400):
+        try:
+            order = coset_enumerate(Presentation(2, relators), max_cosets=2000)
+        except BudgetExceeded:
+            continue
+        if not 4 <= order <= 60:
+            continue
+        words = [prod((element[x] for x in w), start=free.identity) for w in relators]
+        try:
+            table = coset_enumeration_r(FpGroup(free, words), [], max_cosets=1000)
+        except ValueError:  # sympy's budget stop
+            continue
+        table.compress()
+        assert len(table.table) == order, relators
+        compared += 1
+        if compared == 30:
+            break
+    assert compared == 30
 
 
 def _relators(*words: str) -> str:
@@ -350,29 +446,31 @@ def _closed_table(pres: Presentation) -> "grouptheory._CosetTable":
     return tables[0]
 
 
-def _with_relators(ct, generator_count: int, relators) -> None:
-    """Give a closed table other relators to be checked against."""
+def _with_relators(ct, generator_count: int, relators) -> "grouptheory._CosetTable":
+    """The cosets of a closed table, with other relators to be checked against."""
     other = grouptheory._CosetTable(generator_count, relators, 1)
-    ct.words, ct.roots = other.words, other.roots
+    for mine, theirs in zip(other.cols, ct.cols):
+        mine[:] = theirs
+    other.parent, other.size = ct.parent, ct.size
+    return other
 
 
 def test_final_check_rejects_a_cycle_not_dividing_the_exponent():
     ct = _closed_table(parse_presentation("<a | a^6>"))
     assert len(ct.live_cosets()) == 6
-    _with_relators(ct, 1, [(1,) * 4])  # a has one cycle, of length 6
+    # a has one cycle, of length 6
     with pytest.raises(AssertionError, match="relator does not close"):
-        grouptheory._validate_closed_table(ct)
-    _with_relators(ct, 1, [(1,) * 12, (-1,) * 6])
-    grouptheory._validate_closed_table(ct)
+        grouptheory._validate_closed_table(_with_relators(ct, 1, [(1,) * 4]))
+    grouptheory._validate_closed_table(_with_relators(ct, 1, [(1,) * 12, (-1,) * 6]))
 
 
 def _closes_letter_by_letter(ct) -> bool:
     """Reference: every relator, walked letter by letter from every live coset."""
     for k in ct.live_cosets():
-        for w in ct.words:
+        for word in ct.fwd:
             cur = k
-            for c in w:
-                cur = ct.table[cur][c]
+            for col in word:
+                cur = col[cur]
             if cur != k:
                 return False
     return True
@@ -392,18 +490,13 @@ REFERENCE_TABLES = {
     st.integers(min_value=1, max_value=12),
 )
 def test_final_check_matches_letter_by_letter_reference(text, root, k):
-    ct = REFERENCE_TABLES[text]
-    words, roots = ct.words, ct.roots
+    ct = _with_relators(REFERENCE_TABLES[text], 2, [tuple(root) * k])
     try:
-        _with_relators(ct, 2, [tuple(root) * k])
-        try:
-            grouptheory._validate_closed_table(ct)
-            verdict = True
-        except AssertionError:
-            verdict = False
-        assert verdict == _closes_letter_by_letter(ct)
-    finally:
-        ct.words, ct.roots = words, roots
+        grouptheory._validate_closed_table(ct)
+        verdict = True
+    except AssertionError:
+        verdict = False
+    assert verdict == _closes_letter_by_letter(ct)
 
 
 # ---------------------------------------------------------------------------
