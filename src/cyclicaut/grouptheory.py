@@ -3,8 +3,19 @@
 Certifies group orders and abelian invariants independently of any
 classification table: Todd-Coxeter coset enumeration (HLT strategy with
 deterministic definition order, coincidence handling and a lookahead
-collapse pass), exact-integer Smith normal form, and permutation group
-orders by deterministic Schreier-Sims.
+collapse pass), Smith normal form modulo a maximal minor, and permutation
+group orders by deterministic Schreier-Sims.
+
+The Smith normal form takes the rank and a nonzero maximal minor D from one
+fraction-free elimination (Bareiss, Math. Comp. 22, 1968) and then
+diagonalizes modulo D (Domich, Kannan and Trotter, Math. Oper. Res. 12,
+1987), so its numbers stay polynomial in the input's bit size.  The same
+elimination of the relation matrix runs before any coset is defined, when
+it would take fewer steps than the coset budget: the group's order is at
+least its abelianization's, so a rank below the generator count (an
+infinite group), or an abelianization larger than the budget, ends the
+enumeration with BudgetExceeded at once, as HLT would end after outgrowing
+the budget.  The check holds only over the trivial subgroup.
 
 The enumeration writes each relator as w^k with w primitive.  One scan of
 w^k that closes at a coset closes it at every coset of that coset's w-cycle,
@@ -27,8 +38,9 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from string import ascii_lowercase
 from typing import Sequence, Union
 
@@ -71,12 +83,16 @@ class Presentation:
         if self.generator_count < 1:
             raise DomainError("presentation needs at least one generator")
         object.__setattr__(self, "relators", tuple(tuple(w) for w in self.relators))
+        g = self.generator_count
         for w in self.relators:
             if not w:
                 raise DomainError("relator words must be nonempty")
-            for x in w:
-                if x == 0 or abs(x) > self.generator_count:
-                    raise DomainError(f"relator letter {x} out of range")
+            # the set of letters is built at C speed; only a bad word is
+            # walked, to name its first bad letter
+            letters = set(w)
+            if min(letters) < -g or max(letters) > g or 0 in letters:
+                bad = next(x for x in w if x == 0 or abs(x) > g)
+                raise DomainError(f"relator letter {bad} out of range")
         names = tuple(self.names) or _default_names(self.generator_count)
         if len(names) != self.generator_count or len(set(names)) != len(names):
             raise DomainError("generator names must be distinct and match the count")
@@ -222,6 +238,8 @@ def _presentation_from_json(text: str) -> Presentation:
     rels = obj.get("relators")
     if not isinstance(gens, int) or not isinstance(rels, list):
         raise DomainError("presentation JSON needs integer 'generators' and list 'relators'")
+    if not all(isinstance(w, list) and set(map(type, w)) <= {int} for w in rels):
+        raise DomainError("presentation JSON relators must be lists of integers")
     names = tuple(obj.get("names", ())) or ()
     return Presentation(gens, tuple(tuple(w) for w in rels), names)
 
@@ -526,6 +544,35 @@ class _CosetTable:
 def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     """Order of the presented group by coset enumeration over the trivial subgroup.
 
+    The order is at least that of the abelianization, which the relation
+    matrix bounds before any coset is defined: the group is infinite when
+    the matrix's rank is below the generator count, and otherwise its
+    abelianization's order divides each nonzero maximal minor.  HLT never
+    holds more than ``max_cosets`` live cosets, so when the abelianization
+    is larger than that the enumeration stops at once with
+    :class:`BudgetExceeded`, as it would have after outgrowing the budget;
+    the invariant factors are computed only when the minor found exceeds
+    the budget.  The elimination of r relators over g generators takes up
+    to r * g * min(r, g) steps and the table at least one per coset before
+    it outgrows the budget, so a check dearer than ``max_cosets`` steps is
+    left to the table.  Otherwise the order comes from :func:`_enumerate_hlt`.
+    """
+    if max_cosets < 1:
+        raise DomainError("max_cosets must be positive")
+    g, r = pres.generator_count, len(pres.relators)
+    if r * g * min(r, g) <= max_cosets:
+        rows = _relation_matrix(pres)
+        rank, minor = _eliminate(rows)
+        if rank < g or (
+            minor > max_cosets and prod(_invariant_factors(rows, g, rank, minor)) > max_cosets
+        ):
+            raise BudgetExceeded("coset enumeration", max_cosets)
+    return _enumerate_hlt(pres, max_cosets)
+
+
+def _enumerate_hlt(pres: Presentation, max_cosets: int) -> int:
+    """Order of the presented group by HLT coset enumeration.
+
     HLT strategy: cosets are processed in ascending index order, each scanned
     against every relator, remaining columns filled by definition.  When the
     live-coset count reaches ``max_cosets`` a full lookahead pass (scans
@@ -539,8 +586,6 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     index * |w| letters, not index * k * |w|, and the cosets defined and
     coincidences found are those of scanning every relator everywhere.
     """
-    if max_cosets < 1:
-        raise DomainError("max_cosets must be positive")
     ct = _CosetTable(pres.generator_count, pres.relators, max_cosets)
     headroom = max(1, max_cosets // 20)
     # a merge points a coset only at a lower one, so k lives exactly when
@@ -600,75 +645,145 @@ def _validate_closed_table(ct: _CosetTable) -> None:
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal of the Smith normal form, invariant-ordered (d1 | d2 | ...).
 
-    Exact integer row/column reduction with pivoting by least absolute
-    value; returns min(rows, cols) nonnegative diagonal entries.
+    Returns min(rows, cols) nonnegative diagonal entries, the zeros last:
+    the rank and a nonzero maximal minor come from a fraction-free
+    elimination, and the nonzero entries from a diagonalization modulo
+    that minor (see _invariant_factors).
     """
     a = [[int(v) for v in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
+    n = len(a[0]) if a else 0
     if any(len(row) != n for row in a):
         raise DomainError("matrix rows must have equal length")
-    size = min(m, n)
-    t = 0
-    while t < size:
-        pi, pj = -1, -1
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pi, pj = i, j
-        if best is None:
-            break
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            # Row and column clearing with division; a nonzero remainder is
-            # strictly smaller than the pivot, so promoting it and restarting
-            # terminates.
-            restart = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        restart = True
-                        break
-            if restart:
+    rank, minor = _eliminate(a)
+    return _invariant_factors(a, n, rank, minor) + [0] * (min(len(a), n) - rank)
+
+
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Rank of an integer matrix and the absolute value of one of its nonzero
+    maximal minors (1 at rank 0).
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): after k
+    pivots every entry left is a (k + 1)-minor of the input, so the numbers
+    stay within the Hadamard bound and each division is exact.  Rows with a
+    unit entry are taken first, which keeps the minor small, and each pivot
+    row is negated if need be to make its pivot positive, so while the
+    pivots are 1 a row that is 0 in the pivot column stays as it is.
+    """
+    work = [list(row) for row in rows if any(row)]
+    rank, last = 0, 1
+    while work:
+        pivot_row = work.pop(next((i for i, row in enumerate(work) if 1 in row or -1 in row), 0))
+        c = min((j for j, v in enumerate(pivot_row) if v), key=lambda j: abs(pivot_row[j]))
+        if pivot_row[c] < 0:
+            pivot_row = [-v for v in pivot_row]
+        p = pivot_row[c]
+        rest = []
+        for row in work:
+            f = row[c]
+            if f:
+                row = [(p * x - f * y) // last for x, y in zip(row, pivot_row)]
+                if not any(row):
+                    continue
+            elif p != last:
+                row = [p * x // last for x in row]
+            rest.append(row)
+        work = rest
+        rank, last = rank + 1, p
+    return rank, last
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """g = gcd(a, b) and u, v with u*a + v*b == g, for positive a and b."""
+    g = gcd(a, b)
+    u = pow(a // g, -1, b // g)
+    return g, u, (g - u * a) // b
+
+
+def _clear_cross(rows: list[list[int]], d: int) -> int:
+    """Clear column 0 of rows[1:] by unimodular row and column operations
+    modulo d until the pivot rows[0][0] divides every entry of row 0, and
+    return the pivot.  Column operations would then clear row 0 but for the
+    pivot without changing another row, so they are left out.  When the
+    pivot does not divide an entry it clears, it is replaced by their gcd,
+    which is smaller, so the clearing ends."""
+    while True:
+        for i in range(1, len(rows)):
+            a, b = rows[0][0], rows[i][0]
+            if not b:
                 continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(t, m):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        restart = True
-                        break
-            if not restart:
-                break
-        pivot = a[t][t]
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % pivot:
-                    for jj in range(t, n):
-                        a[t][jj] += a[i][jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        t += 1
-    # t advances only once the pivot divides the whole remaining block, so
-    # each later pivot is its multiple: the diagonal is a divisibility chain
-    return [abs(a[k][k]) if k < t else 0 for k in range(size)]
+            if b % a == 0:
+                q = b // a
+                rows[i] = [(y - q * x) % d for x, y in zip(rows[0], rows[i])]
+            else:
+                g, u, v = _bezout(a, b)
+                s, t = b // g, a // g
+                rows[0], rows[i] = (
+                    [(u * x + v * y) % d for x, y in zip(rows[0], rows[i])],
+                    [(t * y - s * x) % d for x, y in zip(rows[0], rows[i])],
+                )
+        others = [j for j, x in enumerate(rows[0]) if x % rows[0][0]]
+        if not others:
+            return rows[0][0]
+        for j in others:
+            a, b = rows[0][0], rows[0][j]
+            g, u, v = _bezout(a, b)
+            s, t = b // g, a // g
+            # column 0 becomes u * (column 0) + v * (column j), and column j
+            # becomes t * (column j) - s * (column 0)
+            for row in rows:
+                x, y = row[0], row[j]
+                row[0], row[j] = (u * x + v * y) % d, (t * y - s * x) % d
+
+
+def _diagonalize(work: list[list[int]], d: int) -> list[int]:
+    """Diagonal entries of a dense matrix diagonalized by unimodular row and
+    column operations modulo d: each pivot, from the first nonzero row, is
+    moved to row 0 and column 0 and cleared round, and its row and column
+    are then dropped.  The pivot is a unit modulo d where the row has one,
+    its row scaled to make it 1, which clears its column in one pass;
+    otherwise it is the row's least entry."""
+    diagonal: list[int] = []
+    while work := [row for row in work if any(row)]:
+        first = work[0]
+        c = next((j for j, v in enumerate(first) if gcd(v, d) == 1), None)
+        if c is None:
+            c = min((j for j, v in enumerate(first) if v), key=first.__getitem__)
+        else:
+            inverse = pow(first[c], -1, d)
+            work[0] = [v * inverse % d for v in first]
+        for row in work:
+            row[0], row[c] = row[c], row[0]
+        diagonal.append(_clear_cross(work, d))
+        work = [row[1:] for row in work[1:]]
+    return diagonal
+
+
+def _invariant_factors(
+    rows: Sequence[Sequence[int]], columns: int, rank: int, minor: int
+) -> list[int]:
+    """The nonzero invariant factors of an integer matrix with this many
+    columns, given its rank and a nonzero maximal minor (from _eliminate).
+
+    Each nonzero invariant factor divides every maximal minor, so they are
+    those of the rows together with ``minor`` times each unit vector
+    (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987): the rank-many
+    smallest of the ``columns`` invariant factors of that lattice, whose
+    others equal ``minor``.  Its cokernel is read off a diagonalization
+    modulo ``minor``, so no entry outgrows the minor.
+    """
+    d = minor
+    diagonal = _diagonalize([[v % d for v in row] for row in rows], d)
+    # the lattice's cokernel is the sum of Z/gcd(e, d) over the diagonal and
+    # of Z/d once for each column left without a pivot; gcd and lcm of two
+    # entries at a time sort it into a divisibility chain
+    factors = [gcd(e, d) for e in diagonal if gcd(e, d) > 1]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            factors[i] = gcd(a, b)
+            factors[j] = a // factors[i] * b
+    chain = [1] * (len(diagonal) - len(factors)) + factors + [d] * (columns - len(diagonal))
+    return chain[:rank]
 
 
 @dataclass(frozen=True)
@@ -687,21 +802,24 @@ class AbelianInvariants:
         return out
 
 
+def _relation_matrix(pres: Presentation) -> list[list[int]]:
+    """Each relator's exponent sums by generator.  A relator root^k sums to
+    k times its root, so a long power costs the letters of its root."""
+    rows = []
+    for word in pres.relators:
+        m = _root_length(word)
+        k = len(word) // m
+        row = [0] * pres.generator_count
+        for x, count in Counter(word[:m]).items():
+            row[abs(x) - 1] += k * count if x > 0 else -k * count
+        rows.append(row)
+    return rows
+
+
 def abelianization(pres: Presentation) -> AbelianInvariants:
     """Abelian invariants of the presented group via Smith normal form."""
-    g = pres.generator_count
-    rows = []
-    for w in pres.relators:
-        row = [0] * g
-        for x in w:
-            row[abs(x) - 1] += 1 if x > 0 else -1
-        rows.append(row)
-    if not rows:
-        return AbelianInvariants((), g)
-    diag = smith_normal_form(rows)
-    nonzero = [d for d in diag if d]
-    factors = tuple(d for d in nonzero if d > 1)
-    return AbelianInvariants(factors, g - len(nonzero))
+    nonzero = [d for d in smith_normal_form(_relation_matrix(pres)) if d]
+    return AbelianInvariants(tuple(d for d in nonzero if d > 1), pres.generator_count - len(nonzero))
 
 
 # ---------------------------------------------------------------------------

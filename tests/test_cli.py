@@ -2,7 +2,9 @@
 
 import io
 import json
+import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -402,11 +404,51 @@ def test_coset_enum_long_power_relator_is_linear():
 
 def test_coset_enum_long_power_budget_stop_is_linear():
     # nothing closes before the budget, so each lookahead scan of a^400000
-    # walked the whole open chain: a pass cost budget x chain length
-    proc = _run_entry_point(
-        _entry_point_argv(),
-        ["coset-enum", "--pres", "<a | a^400000>", "--max-cosets", "200000"],
-        timeout=30,
+    # walked the whole open chain: a pass cost budget x chain length.  The
+    # bare HLT loop runs here, in a fresh interpreter: coset-enum itself stops
+    # before any table, since Z_400000 outgrows the budget.
+    script = (
+        "from cyclicaut import grouptheory as g\n"
+        "try:\n"
+        "    print(g._enumerate_hlt(g.parse_presentation('<a | a^400000>'), 200000))\n"
+        "except g.BudgetExceeded:\n"
+        "    print('BUDGET_EXCEEDED')\n"
     )
+    proc = _run_entry_point([sys.executable, "-c", script], [], timeout=30)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "BUDGET_EXCEEDED"
+
+
+def test_abelianize_dense_48_by_48_ends_within_the_guard():
+    # 48 relators, each a random power of every one of 48 generators: the
+    # elimination without a modulus was still running after 60 s
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(48)
+    names = [f"g{i}" for i in range(1, 49)]
+    rows = [[rng.choice((-1, 1)) * rng.randint(1, 50) for _ in names] for _ in names]
+    relators = ", ".join("*".join(f"{x}^{e}" for x, e in zip(names, row)) for row in rows)
+    text = f"<{','.join(names)} | {relators}>"
+    proc = _run_entry_point(
+        _entry_point_argv(), ["abelianize", "--pres", text, "--json"], timeout=30
+    )
+    assert proc.returncode == 0
+    got = json.loads(proc.stdout)
+    det = DomainMatrix.from_list_sympy(48, 48, rows).convert_to(sympy.ZZ).det()
+    assert det != 0 and got["free_rank"] == 0
+    assert math.prod(got["factors"]) == abs(int(det))
+    assert all(b % a == 0 for a, b in zip(got["factors"], got["factors"][1:]))
+
+
+def test_coset_enum_square_chain_of_2000_generators_ends_within_the_guard():
+    # <g1..g2000 | g_i^2, g_i * g_(i+1)^-1> has order 2, but its squares
+    # alone give a maximal minor of 2^2000; eliminating its 3,999 x 2,000
+    # relation matrix before the table would outlast the table many times
+    names = [f"g{i}" for i in range(1, 2001)]
+    squares = [f"{x}^2" for x in names]
+    steps = [f"{x}*{y}^-1" for x, y in zip(names, names[1:])]
+    text = f"<{','.join(names)} | {', '.join(squares + steps)}>"
+    proc = _run_entry_point(_entry_point_argv(), ["coset-enum", "--pres", text], timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "2"

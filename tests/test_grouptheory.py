@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 import tracemalloc
 from itertools import islice
@@ -145,6 +146,28 @@ def test_presentation_validation():
         Presentation(2, ((1,),), names=("a", "a"))
 
 
+@pytest.mark.parametrize(
+    "relators,bad",
+    [
+        ([[1, 2, -3, 0]], -3),
+        ([[1, -2], [2, 0, 5]], 0),
+        ([[-1, -1], [2, 1, 3, -4]], 3),
+        ([[2] * 1000 + [10**20]], 10**20),
+    ],
+)
+def test_json_relator_letter_error_names_the_first_bad_letter(relators, bad):
+    text = json.dumps({"generators": 2, "relators": relators})
+    with pytest.raises(DomainError, match=f"^relator letter {bad} out of range$"):
+        parse_presentation(text)
+
+
+@pytest.mark.parametrize("relators", [[["a"]], [[1.0]], [[True, 1]], [1], [[1, None]]])
+def test_json_relator_letters_must_be_integers(relators):
+    text = json.dumps({"generators": 2, "relators": relators})
+    with pytest.raises(DomainError, match="relators must be lists of integers"):
+        parse_presentation(text)
+
+
 # ---------------------------------------------------------------------------
 # coset enumeration
 
@@ -232,6 +255,104 @@ def test_skipped_scans_are_no_ops(monkeypatch, text, budget, defined, merges, or
     assert (ct.defined, ct.merges) == (defined, merges)
 
 
+def _square_chain(count: int) -> Presentation:
+    """<g1..g_count | g_i^2, g_i * g_(i+1)^-1>: the group of order 2, whose
+    squares alone give a maximal minor of 2^count."""
+    squares = tuple((i, i) for i in range(1, count + 1))
+    return Presentation(count, squares + tuple((i, -i - 1) for i in range(1, count)))
+
+
+@pytest.mark.parametrize(
+    "pres,budget",
+    [
+        (parse_presentation("<a,b | [a,b]>"), 1_000_000),  # free abelian
+        (parse_presentation("<a | >"), 1_000_000),
+        (parse_presentation("<a,b | a^2>"), 1_000_000),
+        (parse_presentation("<a,b | b^-6, b^5>"), 30),
+        (parse_presentation("<a | a^2000000>"), 1_000_000),  # abelianization too large
+        (parse_presentation("<a | a^100>"), 50),
+        (parse_presentation("<a,b | a^40, b^40, [a,b]>"), 1000),
+    ],
+    ids=["[a,b]", "<a|>", "a^2", "b^-6,b^5", "a^2000000", "a^100", "Z40xZ40"],
+)
+def test_abelianization_too_large_stops_before_any_table(monkeypatch, pres, budget):
+    tables = _tables_made(monkeypatch)
+    with pytest.raises(BudgetExceeded) as exc:
+        coset_enumerate(pres, max_cosets=budget)
+    assert (exc.value.what, exc.value.budget) == ("coset enumeration", budget)
+    assert tables == []
+
+
+def test_relation_matrix_sums_roots_and_eliminates_to_a_maximal_minor():
+    triangle = parse_presentation("<x,y | x^2, y^3, (x*y)^7, [x,y]>")
+    rows = grouptheory._relation_matrix(triangle)
+    assert rows == [[2, 0], [0, 3], [7, 7], [0, 0]]
+    assert grouptheory._eliminate(rows) == (2, 6)  # rank 2, from the first two rows
+    # a long power is summed from its root
+    assert grouptheory._relation_matrix(parse_presentation("<a,b | (a*b^-1*a)^500000>")) == [
+        [1_000_000, -500_000]
+    ]
+    # the second row depends on the first, whose least entry is the minor
+    assert grouptheory._eliminate([[6, 4], [3, 2]]) == (1, 4)
+    assert grouptheory._eliminate([[0, 0], [0, 0]]) == (0, 1)
+    # rows with a unit entry are taken first, so the squares of the chain
+    # give the minor 2, not 2^12
+    assert grouptheory._eliminate(grouptheory._relation_matrix(_square_chain(12))) == (12, 2)
+
+
+def test_a_large_minor_with_a_small_abelianization_still_enumerates(monkeypatch):
+    # no row has a unit entry and the first two give the minor 1600, past
+    # the budget, but the abelianization is Z_2 x Z_40, so the table decides
+    pres = parse_presentation("<x,y | x^40, y^40, x^2*y^2, [x,y]>")
+    assert grouptheory._eliminate(grouptheory._relation_matrix(pres)) == (2, 1600)
+    tables = _tables_made(monkeypatch)
+    assert coset_enumerate(pres, max_cosets=1000) == 80
+    assert len(tables) == 1
+
+
+@pytest.mark.parametrize("count,budget,checked", [(12, 1_000_000, True), (30, 1000, False)])
+def test_a_check_dearer_than_the_budget_is_left_to_the_table(monkeypatch, count, budget, checked):
+    # 2 * count - 1 relators over count generators: the elimination may take
+    # (2 * count - 1) * count^2 steps, 3,312 for 12 and 53,100 for 30
+    calls = []
+    eliminate = grouptheory._eliminate
+    monkeypatch.setattr(grouptheory, "_eliminate", lambda rows: calls.append(1) or eliminate(rows))
+    tables = _tables_made(monkeypatch)
+    assert coset_enumerate(_square_chain(count), max_cosets=budget) == 2
+    assert (len(calls), len(tables)) == (int(checked), 1)
+
+
+@st.composite
+def _presentations_and_budgets(draw) -> tuple[Presentation, int]:
+    """Up to three generators and four relators, each a short word or a
+    power of one, and a budget of up to 300 cosets."""
+    count = draw(st.integers(min_value=1, max_value=3), label="generators")
+    letters = st.sampled_from([s * x for x in range(1, count + 1) for s in (1, -1)])
+    words = st.tuples(
+        st.lists(letters, min_size=1, max_size=5), st.integers(min_value=1, max_value=40)
+    ).map(lambda pair: tuple(pair[0]) * pair[1])
+    relators = draw(st.lists(words, max_size=4), label="relators")
+    budget = draw(st.integers(min_value=1, max_value=300), label="budget")
+    return Presentation(count, tuple(relators)), budget
+
+
+def _outcome(enumerate_, pres: Presentation, budget: int):
+    try:
+        return enumerate_(pres, budget)
+    except BudgetExceeded as exc:
+        return "BudgetExceeded", exc.what, exc.budget
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_presentations_and_budgets())
+def test_abelianization_check_ends_like_the_bare_loop(case):
+    # the check before the table only ever stops where HLT would stop too
+    pres, budget = case
+    assert _outcome(coset_enumerate, pres, budget) == _outcome(
+        grouptheory._enumerate_hlt, pres, budget
+    )
+
+
 @pytest.mark.parametrize(
     "text,budgets",
     [
@@ -270,8 +391,11 @@ def test_lookahead_skips_only_scans_that_change_nothing(monkeypatch, text, budge
     monkeypatch.setattr(grouptheory._CosetTable, "lookahead", checked)
     pres = parse_presentation(text)
     for budget in budgets:
+        # the bare HLT loop: coset_enumerate stops the last three before any
+        # table is built, since their abelianizations are infinite or
+        # outgrow the budget
         try:
-            coset_enumerate(pres, max_cosets=budget)
+            grouptheory._enumerate_hlt(pres, budget)
         except BudgetExceeded:
             pass
     assert skipped[0] > 0
@@ -310,13 +434,15 @@ def test_table_holds_under_90_bytes_per_coset():
     # <a | a^40000> defines one long chain of cosets up to the budget, and
     # the lookahead pass before the stop proves every one of them open, so
     # the growth of the peak between two budgets is what a coset costs
+    # (the bare HLT loop: coset_enumerate stops at once, as Z_40000 outgrows
+    # both budgets)
     pres = parse_presentation("<a | a^40000>")
     peaks = []
     for budget in (10_000, 20_000):
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded):
-                coset_enumerate(pres, max_cosets=budget)
+                grouptheory._enumerate_hlt(pres, budget)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -518,26 +644,57 @@ def test_snf_divisibility_chain():
             assert b % a == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=3),
-        min_size=1,
-        max_size=4,
-    )
-)
-def test_snf_matches_reference_implementation(rows):
+@st.composite
+def _snf_matrices(draw) -> tuple[list[list[int]], int]:
+    """A matrix of up to 8 x 8 with entries up to 10^6 in size, and a bound
+    on its rank: rank-deficient by construction (a product through fewer
+    columns) half the time, with some rows and columns zeroed, and often
+    scaled so that no entry is a unit modulo a maximal minor."""
+    m = draw(st.integers(min_value=1, max_value=8), label="rows")
+    n = draw(st.integers(min_value=1, max_value=8), label="columns")
+    bound = draw(st.sampled_from([9, 50, 10**6]), label="entry bound")
+    entries = st.integers(min_value=-bound, max_value=bound)
+
+    def matrix(rows: int, cols: int) -> list[list[int]]:
+        row = st.lists(entries, min_size=cols, max_size=cols)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    rank = min(m, n)
+    if draw(st.booleans(), label="rank-deficient"):
+        rank = draw(st.integers(min_value=0, max_value=rank - 1), label="inner")
+        left, right = matrix(m, rank), matrix(rank, n)
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+        a = [row or [0] * n for row in a]
+    else:
+        a = matrix(m, n)
+    factor = draw(st.sampled_from([1, 1, 2, 6, 12]), label="common factor")
+    a = [[factor * v for v in row] for row in a]
+    for i in draw(st.sets(st.integers(min_value=0, max_value=m - 1), max_size=2), label="zero rows"):
+        a[i] = [0] * n
+    for j in draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=2), label="zero cols"):
+        for row in a:
+            row[j] = 0
+    return a, rank
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_snf_matrices())
+def test_snf_matches_reference_implementation(case):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as ref_snf
 
+    rows, rank = case
     got = smith_normal_form(rows)
     ref = ref_snf(sympy.Matrix(rows), domain=sympy.ZZ)
     want = [abs(int(ref[i, i])) for i in range(min(ref.shape))]
     # reference may order zero entries differently; compare multisets and chain
     assert sorted(got) == sorted(want)
-    for a, b in zip(got, got[1:]):
-        if a and b:
-            assert b % a == 0
+    assert len(got) == min(len(rows), len(rows[0]))
+    nonzero = [d for d in got if d]
+    assert got == nonzero + [0] * (len(got) - len(nonzero))
+    assert len(nonzero) <= rank
+    for a, b in zip(nonzero, nonzero[1:]):
+        assert b % a == 0
 
 
 def test_abelianization_examples():

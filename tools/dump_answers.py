@@ -42,7 +42,12 @@ Input sets, in output order:
 - ``run_scenario(build_scenario(...))`` at its default sample count and seed
   on accola-maclachlan for every even n from 4 to 60, twistedz2 for every
   n <= 60 not divisible by 8 and every b with b^2 = 1 mod n, 2 <= b <= n - 2,
-  and periodthree on the pairs with n = 1 + k + k^2 <= 60 (75 calls).
+  and periodthree on the pairs with n = 1 + k + k^2 <= 60 (75 calls);
+- ``abelianization`` of each distinct presentation of the coset lines, in
+  their order (2,882 calls);
+- ``smith_normal_form`` on seeded matrices with entries in -50..50 of every
+  shape from 1 x 1 to 10 x 10: one dense, one singular and one with a zero
+  column of each (300 calls).
 
 A classification line holds ``report_to_json_dict`` of the report plus its
 ``kind``, ``group.kind`` and ``group.params``; any call that raises
@@ -51,7 +56,9 @@ order at ``max_size`` 100,000 and at 60, and the fingerprint at ``max_size``
 10,000, each as the value or the ``DomainError`` or ``BudgetExceeded`` text;
 the budgets keep the closure of the old implementation within reach.  A
 coset line holds the order at the budget given with it (1,000,000 where the
-input names none), or the ``DomainError`` or ``BudgetExceeded`` text.
+input names none), or the ``DomainError`` or ``BudgetExceeded`` text.  An
+abelianization line holds the invariant factors and the free rank, or the
+``DomainError`` text.
 """
 
 from __future__ import annotations
@@ -74,12 +81,14 @@ from cyclicaut.curve import Signature, cover_to_json_dict, parse_curve  # noqa: 
 from cyclicaut.fuchsian import gs_extensions  # noqa: E402
 from cyclicaut.grouptheory import (  # noqa: E402
     BudgetExceeded,
+    abelianization,
     coset_enumerate,
     fingerprint,
     parse_permutations,
     parse_presentation,
     perm_order,
     presentation_to_text,
+    smith_normal_form,
 )
 from cyclicaut.numtheory import DomainError, is_prime  # noqa: E402
 from cyclicaut.verify import (  # noqa: E402
@@ -280,8 +289,45 @@ def _report_presentations() -> list[str]:
     return list(texts)
 
 
+def _coset_inputs():
+    """(text, budget) of every coset enumeration, in order."""
+    default = 1_000_000
+    for text in _report_presentations() + COSET_EXAMPLES:
+        yield text, default
+    for m in range(1, 31):
+        for n in range(1, 31):
+            yield f"<a,b | a^{m}, b^{n}, [a,b]>", default
+    for n in range(1, 1001, 9):
+        yield f"<u,v | u^2, v^{n}, (u*v)^2>", default
+    for text in ("<x,y | x^2, y^3, (x*y)^7>", "<a | >", "<a,b | >"):
+        for budget in (100, 200, 500, 1000, 2000, 5000, 10_000):
+            yield text, budget
+    for m in (10, 100, 1000):
+        yield f"<a | a^{2 * m}>", m
+
+
 def _coset_answer(text: str, budget: int):
     return coset_enumerate(parse_presentation(text), budget)
+
+
+def _abelianization_answer(text: str) -> list:
+    invariants = abelianization(parse_presentation(text))
+    return [list(invariants.factors), invariants.free_rank]
+
+
+def _snf_matrices(seed: int):
+    """Seeded matrices with entries in -50..50, three of each shape from
+    1 x 1 to 10 x 10: dense, singular (the last row a combination of the
+    others, or zero for one row) and with its first column zeroed."""
+    rng = random.Random(seed)
+    for rows in range(1, 11):
+        for cols in range(1, 11):
+            dense = [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(rows)]
+            weights = [rng.randint(-3, 3) for _ in range(rows - 1)]
+            last = [sum(w * row[j] for w, row in zip(weights, dense)) for j in range(cols)]
+            yield dense
+            yield dense[:-1] + [last]
+            yield [[0] + row[1:] for row in dense]
 
 
 LONG = "9" * 5000  # more digits than int() converts
@@ -432,19 +478,9 @@ def _calls():
         yield "perm", _perm_answer, (text, degree)
     for text in PERM_EXAMPLES:
         yield "perm", _perm_answer, (text, None)
-    default = 1_000_000
-    for text in _report_presentations() + COSET_EXAMPLES:
-        yield "coset", _coset_answer, (text, default)
-    for m in range(1, 31):
-        for n in range(1, 31):
-            yield "coset", _coset_answer, (f"<a,b | a^{m}, b^{n}, [a,b]>", default)
-    for n in range(1, 1001, 9):
-        yield "coset", _coset_answer, (f"<u,v | u^2, v^{n}, (u*v)^2>", default)
-    for text in ("<x,y | x^2, y^3, (x*y)^7>", "<a | >", "<a,b | >"):
-        for budget in (100, 200, 500, 1000, 2000, 5000, 10_000):
-            yield "coset", _coset_answer, (text, budget)
-    for m in (10, 100, 1000):
-        yield "coset", _coset_answer, (f"<a | a^{2 * m}>", m)
+    coset_inputs = list(_coset_inputs())
+    for args in coset_inputs:
+        yield "coset", _coset_answer, args
     for n in range(4, ENUMERATION_CAP + 1):
         yield "enumerate", _enumeration_answer, (n,)
     yield "cross_check", _cross_check_answer, (ENUMERATION_CAP,)
@@ -454,6 +490,10 @@ def _calls():
         yield "parse_presentation", _presentation_answer, (text,)
     for args in _scenarios():
         yield "scenario", _scenario_answer, args
+    for text in dict.fromkeys(text for text, _ in coset_inputs):
+        yield "abelianization", _abelianization_answer, (text,)
+    for matrix in _snf_matrices(seed=18):
+        yield "smith_normal_form", smith_normal_form, (matrix,)
 
 
 def main() -> None:
