@@ -2,7 +2,9 @@
 
 Models the covers with exact branch-point labels, computes irreducibility,
 genus and the genus-0 uniformizing signature, and houses the independent
-monodromy-permutation genus oracle used to cross-check the genus formula.
+monodromy genus oracle used to cross-check the genus formula: one counter of
+the cycles of the sheet translations and one Euler-characteristic formula,
+read by ``monodromy_genus`` and by the sweep's cross-check alike.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cursor import Cursor
 from .numtheory import DomainError
@@ -142,6 +144,8 @@ def _build_cover(
     points_exponents: Iterable[tuple[BranchPoint, int]],
     constant: Fraction = Fraction(1),
 ) -> CyclicCover:
+    if n < 2:  # before the exponents are reduced mod n
+        raise DomainError(f"cover degree must be >= 2, got {n}")
     reduced: list[tuple[BranchPoint, int]] = []
     seen: set[BranchPoint] = set()
     total = 0
@@ -389,41 +393,56 @@ def canonical_triple(n: int, a: int, b: int, c: int) -> tuple[int, int, int]:
 # Monodromy oracle
 
 
-def _count_cycles(perm: Sequence[int]) -> int:
-    """The number of cycles of a permutation of range(len(perm)), counted by
-    traversal."""
-    seen = [False] * len(perm)
+def translation_cycles(n: int, k: int) -> int:
+    """The number of cycles of the sheet permutation s -> s + k mod n,
+    counted by traversal."""
+    seen = bytearray(n)
     cycles = 0
-    for s in range(len(perm)):
+    for s in range(n):
         if not seen[s]:
             cycles += 1
             t = s
             while not seen[t]:
-                seen[t] = True
-                t = perm[t]
+                seen[t] = 1
+                t = (t + k) % n
     return cycles
+
+
+def cycle_counts(n: int) -> list[int]:
+    """cycles[k] for k in [0, n): the cycle counts of the translations
+    s -> s + k mod n, each traversed once."""
+    return [n] + [translation_cycles(n, k) for k in range(1, n)]
+
+
+def twice_monodromy_genus(
+    n: int, cycles: Mapping[int, int] | Sequence[int], ks: Sequence[int]
+) -> int:
+    """Twice the genus of the degree-n cover with branch exponents ks, read
+    off the Euler characteristic 2 - 2g = 2n - sum (n - cycles[k]) of its
+    sheet monodromy, where cycles[k] counts the cycles of s -> s + k.
+
+    The monodromy of each branch point is the translation by its exponent,
+    so their product is the translation by sum(ks): the identity exactly
+    when the sum is 0 mod n.
+    """
+    assert sum(ks) % n == 0, "monodromy product is not the identity"
+    return 2 - 2 * n + sum(n - cycles[k] for k in ks)
 
 
 def monodromy_genus(cover: CyclicCover) -> int:
     """Genus recomputed from the cycle decomposition of the sheet monodromy.
 
-    Builds the actual permutation s -> s + k mod n for every branch point
-    (infinity included), checks that the product of all of them is the
-    identity, counts each one's cycles by traversal, and reads the genus off
-    the Euler characteristic 2 - 2g = 2n - sum (n - c_j).
+    The monodromy of a branch point with exponent k (infinity included) is
+    the translation s -> s + k mod n.  The cycles of each distinct one are
+    counted by traversal, and the genus is read off the Euler
+    characteristic, which must be even (``twice_monodromy_genus``).
     """
     require_irreducible(cover)
-    n = cover.n
-    perms = [[(s + k) % n for s in range(n)] for k in cover.all_exponents()]
-    product = list(range(n))
-    for perm in perms:
-        product = [perm[s] for s in product]
-    assert product == list(range(n)), "monodromy product is not the identity"
-    chi = 2 * n - sum(n - _count_cycles(perm) for perm in perms)
-    assert chi % 2 == 0, "odd Euler characteristic from monodromy"
-    g = (2 - chi) // 2
-    assert g >= 0, "negative genus from monodromy"
-    return g
+    n, ks = cover.n, cover.all_exponents()
+    twice = twice_monodromy_genus(n, {k: translation_cycles(n, k) for k in set(ks)}, ks)
+    assert twice % 2 == 0, "odd Euler characteristic from monodromy"
+    assert twice >= 0, "negative genus from monodromy"
+    return twice // 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The table of non-finitely-maximal genus-0 signatures is written once, as the
 text of its rows (inner ``"(t,t,m), t>=3, t+m>=7"``, outer ``"(2,t,2m)"``);
 each row parses its text into its matcher, and an extension chain walks
 named rows of it.  Also here: the lcm admissibility test for surface-kernel
-epimorphisms onto Z_n, and the cyclic-action extension criteria for triangle
-and quadrilateral signatures, which are computed independently of the table.
+epimorphisms onto Z_n, and the extension criteria of three-point covers,
+which are computed independently of the table.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, lcm
 from string import ascii_lowercase
 from typing import Optional, Sequence
 
-from .curve import CyclicCover, Signature, signature_of
-from .numtheory import DomainError, inverse_mod, lcm_many, units
+from .curve import CyclicCover, Signature, require_irreducible
+from .numtheory import DomainError, units
 
 
 # ---------------------------------------------------------------------------
@@ -192,55 +192,13 @@ def harvey_admissible(sig: Signature, n: int) -> bool:
     periods = sig.periods
     if len(periods) < 2:
         return False
-    if lcm_many(periods) != n:
+    if lcm(*periods) != n:
         return False
     for i in range(len(periods)):
         rest = periods[:i] + periods[i + 1 :]
-        if lcm_many(rest) != n:
+        if lcm(*rest) != n:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Surface-kernel epimorphism data
-
-
-@dataclass(frozen=True)
-class SkepSpec:
-    """A surface-kernel epimorphism onto Z_n: x_i -> T^{z_i} with matching periods."""
-
-    signature: Signature
-    n: int
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _require_genus0(self.signature)
-        if self.n < 2:
-            raise DomainError(f"target order must be >= 2, got {self.n}")
-        images = tuple(int(z) % self.n for z in self.images)
-        object.__setattr__(self, "images", images)
-        periods = self.signature.periods
-        if len(images) != len(periods):
-            raise DomainError("one image required per period")
-        for z, m in zip(images, periods):
-            if z == 0 or self.n // gcd(self.n, z) != m:
-                raise DomainError(
-                    f"image T^{z} has order {self.n // gcd(self.n, z) if z else 1}, expected period {m}"
-                )
-        if sum(images) % self.n:
-            raise DomainError("images do not multiply to the identity")
-
-
-def skep_of_cover(cover: CyclicCover) -> SkepSpec:
-    """The epimorphism induced by a cover: each branch exponent k maps x_i to T^k.
-
-    Period/image pairs are sorted by (period, image) so equal covers give
-    equal specs.
-    """
-    sig = signature_of(cover)
-    n = cover.n
-    pairs = sorted((n // gcd(n, k), k) for k in cover.all_exponents())
-    return SkepSpec(sig, n, tuple(z for _, z in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -256,104 +214,43 @@ class CbMatch:
     multiplier: int
 
 
-@dataclass(frozen=True)
-class CbVerdict:
-    extendable: bool
-    matches: tuple[CbMatch, ...]
+def cb_extendable(cover: CyclicCover) -> tuple[CbMatch, ...]:
+    """The extension criteria that apply to the deck action of a three-point
+    cover, in ascending case order.
 
-    @property
-    def case(self) -> int | None:
-        return self.matches[0].case if self.matches else None
-
-
-def _quad_case1(n: int, images: tuple[int, ...]) -> bool:
-    for pivot in range(4):
-        z = images[pivot]
-        if gcd(z, n) != 1:
-            continue
-        s = inverse_mod(z, n)
-        rest = [images[i] * s % n for i in range(4) if i != pivot]
-        a, b, c = rest
-        if (
-            (a * b * c) % n == 1 % n
-            and (a * a) % n == 1 % n
-            and (b * b) % n == 1 % n
-            and (c * c) % n == 1 % n
-            and (1 + a + b + c) % n == 0
-        ):
-            return True
-    return False
-
-
-def _triangle_case3(n: int, images: tuple[int, ...]) -> bool:
-    target = sorted(images)
-    for j in units(n):
-        if j != 1 and (j * j * j) % n == 1 % n:
-            if sorted(z * j % n for z in images) == target:
-                return True
-    return False
-
-
-def _swap_exists(n: int, z1: int, z2: int) -> bool:
-    if z1 == z2:
-        return True
-    if gcd(z1, n) != 1:
-        return False
-    u = z2 * inverse_mod(z1, n) % n
-    return (u * u) % n == 1 % n
-
-
-def cb_extendable(skep: SkepSpec) -> CbVerdict:
-    """Which extension criteria apply to a cyclic action with 3 or 4 periods.
-
-    Cases: (1) all-n quadrilateral with the exponent congruences, multiplier 4;
-    (2) (n,n,m,m) quadrilateral, n+m>=5, multiplier 2; (3) all-n triangle with
-    an order-3 unit permuting the images, multiplier 3; (4) (n,n,m) triangle,
-    m | n, n+m>=7, equal or involution-swapped n-period images, multiplier 2;
-    (5) the (3,4,12) triangle with images a unit multiple of (8,3,1),
-    multiplier 4.  All matching cases are reported in ascending case order;
-    for triangle signatures the empty verdict is exact: the cyclic action is
-    the full automorphism group.
+    Branch point i has period m_i = n / gcd(n, k_i), and its generator maps
+    to T^(k_i).  Cases: (3) all-n triangle with an order-3 unit permuting the
+    images, multiplier 3; (4) (n,n,m) triangle, n+m>=7, equal or
+    involution-swapped n-period images, multiplier 2; (5) the (3,4,12)
+    triangle with images a unit multiple of (8,3,1), multiplier 4.  The
+    empty tuple is exact: the cyclic deck group is the full automorphism
+    group (Singerman's triangle inclusions).
     """
-    sig = skep.signature
-    n = skep.n
-    periods = sig.periods
-    images = skep.images
-    if len(periods) not in (3, 4):
-        raise DomainError("extension criteria need 3 or 4 periods")
+    require_irreducible(cover)
+    n = cover.n
+    pairs = sorted((n // gcd(n, k), k) for k in cover.all_exponents())
+    if len(pairs) != 3:
+        raise DomainError("extension criteria need a three-point cover")
+    periods = tuple(m for m, _ in pairs)
+    images = tuple(k for _, k in pairs)
     matches: list[CbMatch] = []
-    if len(periods) == 4:
-        if periods == (n, n, n, n) and _quad_case1(n, images):
-            matches.append(CbMatch(1, Signature(0, (2, 2, 2, n)), 4))
-        if periods[0] == periods[1] and periods[2] == periods[3] and periods[3] == n:
-            m = periods[0]
-            if m + n >= 5:
-                matches.append(CbMatch(2, Signature(0, (2, 2, m, n)), 2))
-    else:
-        if periods == (n, n, n) and n >= 4 and _triangle_case3(n, images):
-            matches.append(CbMatch(3, Signature(0, (3, 3, n)), 3))
-        # case 4 scans every choice of the (n, n) pair
-        case4 = None
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if periods[i] == periods[j] == n:
-                    k = 3 - i - j
-                    m = periods[k]
-                    if n % m == 0 and n + m >= 7 and _swap_exists(n, images[i], images[j]):
-                        case4 = CbMatch(4, Signature(0, (2, n, 2 * m)), 2)
-        if case4 is not None:
-            matches.append(case4)
-        if periods == (3, 4, 12) and n == 12:
-            by_period = dict(zip(periods, images))
-            for k in units(12):
-                if (
-                    by_period[12] == k
-                    and by_period[4] == 3 * k % 12
-                    and by_period[3] == 8 * k % 12
-                ):
-                    matches.append(CbMatch(5, Signature(0, (2, 3, 12)), 4))
-                    break
-    return CbVerdict(bool(matches), tuple(matches))
+    if periods == (n, n, n) and n >= 4 and any(
+        j != 1 and j * j * j % n == 1 and sorted(z * j % n for z in images) == list(images)
+        for j in units(n)
+    ):
+        matches.append(CbMatch(3, Signature(0, (3, 3, n)), 3))
+    # the images of period n are units; two of them are swapped by an
+    # involution when their quotient squares to 1
+    m = periods[0]
+    if periods[1] == n and n + m >= 7 and any(
+        a == b or (b * pow(a, -1, n)) ** 2 % n == 1
+        for a, b in combinations(images[periods.index(n):], 2)
+    ):
+        matches.append(CbMatch(4, Signature(0, (2, n, 2 * m)), 2))
+    k = images[2]
+    if periods == (3, 4, 12) and images == (8 * k % 12, 3 * k % 12, k):
+        matches.append(CbMatch(5, Signature(0, (2, 3, 12)), 4))
+    return tuple(matches)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,16 @@ def _default_names(count: int) -> tuple[str, ...]:
     return tuple(f"g{i}" for i in range(1, count + 1))
 
 
+def _is_name(value: object) -> bool:
+    """True iff value is a string the text form reads as one generator name."""
+    if not isinstance(value, str):
+        return False
+    try:
+        return Cursor(value, "presentation").take_name() == value
+    except DomainError:
+        return False
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A finite presentation: relator words over signed 1-based generator indices."""
@@ -82,6 +92,8 @@ class Presentation:
     def __post_init__(self) -> None:
         if self.generator_count < 1:
             raise DomainError("presentation needs at least one generator")
+        if self.generator_count > MAX_GENERATORS:
+            raise DomainError(f"presentation has more than {MAX_GENERATORS} generators")
         object.__setattr__(self, "relators", tuple(tuple(w) for w in self.relators))
         g = self.generator_count
         for w in self.relators:
@@ -93,8 +105,13 @@ class Presentation:
             if min(letters) < -g or max(letters) > g or 0 in letters:
                 bad = next(x for x in w if x == 0 or abs(x) > g)
                 raise DomainError(f"relator letter {bad} out of range")
-        names = tuple(self.names) or _default_names(self.generator_count)
-        if len(names) != self.generator_count or len(set(names)) != len(names):
+        names = tuple(self.names)
+        if not all(map(_is_name, names)):
+            raise DomainError(
+                "generator names must be a letter or underscore, then letters, digits and underscores"
+            )
+        names = names or _default_names(g)
+        if len(names) != g or len(set(names)) != g:
             raise DomainError("generator names must be distinct and match the count")
         object.__setattr__(self, "names", names)
 
@@ -129,6 +146,12 @@ def presentation_to_text(pres: Presentation) -> str:
 # together; each power, commutator and concatenation is checked against the
 # room left before it is built.
 MAX_RELATOR_LETTERS = 10**7
+
+# Most generators a presentation may have.  Each coset of the table takes a
+# slot in 2 * generators + 4 lists, and each relator is a row of the relation
+# matrix with one entry per generator (32 KB of references at this bound);
+# unbounded, a count that costs the input a few digits would size both.
+MAX_GENERATORS = 4096
 
 # Deepest nesting of parenthesized subwords and commutators the text parser
 # reads; it recurses once per level, so this stays far below the
@@ -236,12 +259,15 @@ def _presentation_from_json(text: str) -> Presentation:
         raise DomainError("presentation syntax error: an integer is too long") from None
     gens = obj.get("generators")
     rels = obj.get("relators")
-    if not isinstance(gens, int) or not isinstance(rels, list):
-        raise DomainError("presentation JSON needs integer 'generators' and list 'relators'")
+    names = obj.get("names", [])
+    # a JSON integer; bool is a subclass of int
+    if type(gens) is not int or not isinstance(rels, list) or not isinstance(names, list):
+        raise DomainError(
+            "presentation JSON needs integer 'generators', list 'relators' and list 'names'"
+        )
     if not all(isinstance(w, list) and set(map(type, w)) <= {int} for w in rels):
         raise DomainError("presentation JSON relators must be lists of integers")
-    names = tuple(obj.get("names", ())) or ()
-    return Presentation(gens, tuple(tuple(w) for w in rels), names)
+    return Presentation(gens, tuple(tuple(w) for w in rels), tuple(names))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +294,20 @@ def _root_length(word: Sequence[int]) -> int:
     return p
 
 
+# A relator w^k as (w, k), with w primitive.
+_Power = tuple[tuple[int, ...], int]
+
+
+def _powers(relators: Sequence[tuple[int, ...]]) -> list[_Power]:
+    """Each relator as its power; the relation matrix and the coset table
+    both read relators so, and one enumeration splits each relator once."""
+    powers = []
+    for word in relators:
+        m = _root_length(word)
+        powers.append((word[:m], len(word) // m))
+    return powers
+
+
 # Most cosets a table makes room for at once; a smaller table doubles.
 _GROWTH = 1024
 
@@ -283,7 +323,7 @@ class _CosetTable:
     a few stores.
     """
 
-    def __init__(self, generator_count: int, relators: Sequence[Sequence[int]], max_cosets: int):
+    def __init__(self, generator_count: int, powers: Sequence[_Power], max_cosets: int):
         self.cols: list[list[int]] = [[0, 0] for _ in range(2 * generator_count)]
         # each column with its mirror
         self.pairs = [(col, self.cols[c ^ 1]) for c, col in enumerate(self.cols)]
@@ -292,8 +332,9 @@ class _CosetTable:
         gens, invs = self.cols[0::2], self.cols[1::2]
         by_letter = [None, *gens, *reversed(invs)]
         by_inverse = [None, *invs, *reversed(gens)]
-        # each relator is root^k with a primitive root; a proper power
-        # (k > 1) gets a bit in the closed masks, a relator with k = 1 none.
+        # each relator is root^k with a primitive root (see _powers); a
+        # proper power (k > 1) gets a bit in the closed masks, a relator with
+        # k = 1 none.
         # fwd[r][i] is the column letter i of relator r reads forward,
         # bwd[r][i] the one it reads backward.
         self.fwd: list[tuple[list[int], ...]] = []
@@ -302,11 +343,9 @@ class _CosetTable:
         # each root read backward, letter by letter inverted
         self.inverse_roots: list[tuple[list[int], ...]] = []
         self.bits: list[int] = []
-        for r, word in enumerate(relators):
-            m = _root_length(word)
-            k = len(word) // m
-            root = tuple(map(by_letter.__getitem__, word[:m]))
-            back = tuple(map(by_inverse.__getitem__, word[:m]))
+        for r, (word, k) in enumerate(powers):
+            root = tuple(map(by_letter.__getitem__, word))
+            back = tuple(map(by_inverse.__getitem__, word))
             self.fwd.append(root * k)
             self.bwd.append(back * k)
             self.roots.append(root)
@@ -560,18 +599,20 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     if max_cosets < 1:
         raise DomainError("max_cosets must be positive")
     g, r = pres.generator_count, len(pres.relators)
+    powers = _powers(pres.relators)
     if r * g * min(r, g) <= max_cosets:
-        rows = _relation_matrix(pres)
+        rows = _relation_matrix(powers, g)
         rank, minor = _eliminate(rows)
         if rank < g or (
             minor > max_cosets and prod(_invariant_factors(rows, g, rank, minor)) > max_cosets
         ):
             raise BudgetExceeded("coset enumeration", max_cosets)
-    return _enumerate_hlt(pres, max_cosets)
+    return _enumerate_hlt(g, powers, max_cosets)
 
 
-def _enumerate_hlt(pres: Presentation, max_cosets: int) -> int:
-    """Order of the presented group by HLT coset enumeration.
+def _enumerate_hlt(generator_count: int, powers: Sequence[_Power], max_cosets: int) -> int:
+    """Order of the group on generator_count generators whose relators are
+    the (root, k) powers (see _powers), by HLT coset enumeration.
 
     HLT strategy: cosets are processed in ascending index order, each scanned
     against every relator, remaining columns filled by definition.  When the
@@ -586,7 +627,7 @@ def _enumerate_hlt(pres: Presentation, max_cosets: int) -> int:
     index * |w| letters, not index * k * |w|, and the cosets defined and
     coincidences found are those of scanning every relator everywhere.
     """
-    ct = _CosetTable(pres.generator_count, pres.relators, max_cosets)
+    ct = _CosetTable(generator_count, powers, max_cosets)
     headroom = max(1, max_cosets // 20)
     # a merge points a coset only at a lower one, so k lives exactly when
     # parent[k] == k
@@ -802,15 +843,14 @@ class AbelianInvariants:
         return out
 
 
-def _relation_matrix(pres: Presentation) -> list[list[int]]:
-    """Each relator's exponent sums by generator.  A relator root^k sums to
-    k times its root, so a long power costs the letters of its root."""
+def _relation_matrix(powers: Sequence[_Power], generator_count: int) -> list[list[int]]:
+    """Each relator's exponent sums by generator, from its (root, k) power
+    (see _powers).  A relator root^k sums to k times its root, so a long
+    power costs the letters of its root."""
     rows = []
-    for word in pres.relators:
-        m = _root_length(word)
-        k = len(word) // m
-        row = [0] * pres.generator_count
-        for x, count in Counter(word[:m]).items():
+    for root, k in powers:
+        row = [0] * generator_count
+        for x, count in Counter(root).items():
             row[abs(x) - 1] += k * count if x > 0 else -k * count
         rows.append(row)
     return rows
@@ -818,7 +858,8 @@ def _relation_matrix(pres: Presentation) -> list[list[int]]:
 
 def abelianization(pres: Presentation) -> AbelianInvariants:
     """Abelian invariants of the presented group via Smith normal form."""
-    nonzero = [d for d in smith_normal_form(_relation_matrix(pres)) if d]
+    rows = _relation_matrix(_powers(pres.relators), pres.generator_count)
+    nonzero = [d for d in smith_normal_form(rows) if d]
     return AbelianInvariants(tuple(d for d in nonzero if d > 1), pres.generator_count - len(nonzero))
 
 

@@ -9,8 +9,7 @@ and its table rows test congruences on the triple's unit-led forms.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
-from typing import Iterable
+from math import gcd, isqrt
 
 
 class DomainError(ValueError):
@@ -18,19 +17,6 @@ class DomainError(ValueError):
 
 
 Factorization = list[tuple[int, int]]
-
-
-def lcm_many(values: Iterable[int]) -> int:
-    """Least common multiple of a nonempty collection of positive integers."""
-    vals = list(values)
-    if not vals:
-        raise DomainError("lcm of empty input")
-    acc = 1
-    for v in vals:
-        if v < 1:
-            raise DomainError(f"lcm requires positive values, got {v}")
-        acc = lcm(acc, v)
-    return acc
 
 
 def is_prime(p: int) -> bool:
@@ -87,11 +73,3 @@ def units(n: int) -> list[int]:
         raise DomainError(f"modulus must be >= 2, got {n}")
     return [k for k in range(1, n) if gcd(k, n) == 1]
 
-
-def inverse_mod(k: int, n: int) -> int:
-    """Multiplicative inverse of k modulo n."""
-    if n < 2:
-        raise DomainError(f"modulus must be >= 2, got {n}")
-    if gcd(k, n) != 1:
-        raise DomainError(f"{k} is not a unit modulo {n}")
-    return pow(k, -1, n)

@@ -22,11 +22,12 @@ from .curve import (
     ONE,
     BranchPoint,
     CyclicCover,
-    _count_cycles,
+    cycle_counts,
     parse_curve,
     require_irreducible,
+    twice_monodromy_genus,
 )
-from .fuchsian import cb_extendable, harvey_admissible, skep_of_cover
+from .fuchsian import cb_extendable, harvey_admissible
 from .numtheory import DomainError, factorize, is_prime
 
 # The least m of a field size p = n m + 1.  A map that differs from its
@@ -498,41 +499,15 @@ CROSS_CHECKS = (
 )
 
 
-def _translation_cycles(n: int, k: int) -> int:
-    """The number of cycles of the sheet permutation s -> s + k mod n."""
-    return _count_cycles([(s + k) % n for s in range(n)])
-
-
-def _cycle_counts(n: int) -> list[int]:
-    """cycles[k] for k in [0, n): the cycle counts of the translations
-    s -> s + k mod n, each traversed once."""
-    return [n] + [_translation_cycles(n, k) for k in range(1, n)]
-
-
-def _twice_monodromy_genus(n: int, cycles: Sequence[int], ks: Sequence[int]) -> int:
-    """Twice the genus of the degree-n cover with branch exponents ks, read
-    off the Euler characteristic 2 - 2g = 2n - sum (n - cycles[k]) of its
-    sheet monodromy, as ``monodromy_genus`` reads it.
-
-    The monodromy of each branch point is the translation by its exponent,
-    so their product is the translation by sum(ks): the identity exactly
-    when the sum is 0 mod n.
-    """
-    assert sum(ks) % n == 0, "monodromy product is not the identity"
-    deficiency = 0
-    for k in ks:
-        deficiency += n - cycles[k]
-    return 2 - 2 * n + deficiency
-
-
 def cross_check(n_max: int) -> CrossCheckReport:
     """Replay the classifier over every admissible triple with n <= n_max
     (at most ``ENUMERATION_CAP``) and test each invariant against an
     independent oracle.
 
     The monodromy genus of each triple is read from the cycle counts of the
-    translations s -> s + k, traversed once per (n, k), so a degree costs
-    O(n^2) sheet steps rather than O(n) for each of its triples.
+    translations s -> s + k (``curve.cycle_counts``), traversed once per
+    (n, k), so a degree costs O(n^2) sheet steps rather than O(n) for each of
+    its triples.
     """
     _require_degree(n_max, "cross-check needs n_max")
     failures: dict[str, dict] = {}
@@ -541,11 +516,11 @@ def cross_check(n_max: int) -> CrossCheckReport:
         failures.setdefault(name, witness)
 
     for n in range(4, n_max + 1):
-        cycles = _cycle_counts(n)
+        cycles = cycle_counts(n)
 
         def check_genus(triple: Triple, verdict: Verdict) -> None:
             # a Belyi cover is unbranched over infinity: its exponents are the triple
-            twice = _twice_monodromy_genus(n, cycles, triple)
+            twice = twice_monodromy_genus(n, cycles, triple)
             if twice != 2 * verdict.genus:
                 # an odd Euler characteristic reads as a half-integer genus
                 monodromy = twice // 2 if twice % 2 == 0 else f"{twice}/2"
@@ -574,7 +549,7 @@ def cross_check(n_max: int) -> CrossCheckReport:
             bound = 84 * (r.genus - 1)
             if r.group.order > bound or (r.group.order == bound and r.row != "C.2"):
                 fail("hurwitz_bound", witness)
-            if r.row == "DEFAULT" and cb_extendable(skep_of_cover(r.cover)).extendable:
+            if r.row == "DEFAULT" and cb_extendable(r.cover):
                 fail("default_not_extendable", witness)
 
     checks = tuple(

@@ -28,7 +28,7 @@ from cyclicaut.curve import (
     signature_of,
     triple_gcds,
 )
-from cyclicaut.fuchsian import cb_extendable, skep_of_cover
+from cyclicaut.fuchsian import cb_extendable
 from cyclicaut.grouptheory import (
     Presentation,
     coset_enumerate,
@@ -37,6 +37,7 @@ from cyclicaut.grouptheory import (
     presentation_to_text,
 )
 from cyclicaut.numtheory import DomainError, is_prime, units
+from cyclicaut.verify import ENUMERATION_CAP, enumerate_classes
 
 
 def triple_orbit(n, a, b, c):
@@ -130,8 +131,8 @@ def test_composite_degree_involution_classes(n, a, b, c, twist, g):
     assert r.genus == g
     assert r.group.params == (n, twist)
     # and each carries a genuinely larger action: the signature extends
-    verdict = cb_extendable(skep_of_cover(r.cover))
-    assert verdict.extendable and verdict.case == 4
+    matches = cb_extendable(r.cover)
+    assert matches and matches[0].case == 4
 
 
 def test_b2_takes_precedence_over_b1():
@@ -220,7 +221,22 @@ def test_default_rows_not_extendable():
             r = classify_belyi(n, a, b, c)
             if r.row != "DEFAULT" or r.genus < 2:
                 continue
-            assert not cb_extendable(skep_of_cover(r.cover)).extendable
+            assert not cb_extendable(r.cover)
+
+
+def test_extension_criteria_apply_exactly_off_default():
+    # two-sided: a class of genus >= 2 is DEFAULT (Z_n only) exactly when no
+    # extension criterion applies to its cover
+    sides = {True: 0, False: 0}
+    for n in range(4, ENUMERATION_CAP + 1):
+        for c in enumerate_classes(n):
+            r = c.report
+            if r.genus < 2:
+                continue
+            extendable = bool(cb_extendable(r.cover))
+            assert extendable == (r.row != "DEFAULT"), (n, c.canonical, r.row)
+            sides[extendable] += 1
+    assert sides == {False: 366, True: 137}
 
 
 def test_presentations_enumerate_to_claimed_order():

@@ -410,7 +410,7 @@ def test_coset_enum_long_power_budget_stop_is_linear():
     script = (
         "from cyclicaut import grouptheory as g\n"
         "try:\n"
-        "    print(g._enumerate_hlt(g.parse_presentation('<a | a^400000>'), 200000))\n"
+        "    print(g._enumerate_hlt(1, g._powers([(1,) * 400000]), 200000))\n"
         "except g.BudgetExceeded:\n"
         "    print('BUDGET_EXCEEDED')\n"
     )
@@ -452,3 +452,63 @@ def test_coset_enum_square_chain_of_2000_generators_ends_within_the_guard():
     proc = _run_entry_point(_entry_point_argv(), ["coset-enum", "--pres", text], timeout=30)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+_WIDE = json.dumps({"generators": 1_000_000, "relators": [[i] for i in range(1, 301)]})
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # a list as a name was an unhashable-type traceback
+        (["coset-enum", "--pres", '{"generators": 1, "relators": [[1]], "names": [[1]]}'],
+         "generator names"),
+        # default names for 10^8 generators were built before any check:
+        # a MemoryError after 12 s at 2.9 GB
+        (["coset-enum", "--pres", '{"generators": 100000000, "relators": [[1]]}'],
+         "more than"),
+        (["abelianize", "--pres", '{"generators": 100000000, "relators": [[1]]}'],
+         "more than"),
+        # a dense 300 x 10^6 relation matrix: a MemoryError after 10 s
+        (["abelianize", "--pres", _WIDE], "more than"),
+    ],
+    ids=["list-name", "coset-enum-1e8-generators", "abelianize-1e8-generators",
+         "abelianize-300x1e6"],
+)
+def test_json_presentation_faults_end_in_a_domain_error(argv, message):
+    proc = _run_entry_point(_entry_point_argv(), argv, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"generators": true, "relators": [[1]]}',
+        '{"generators": 1.0, "relators": [[1]]}',
+        '{"generators": 2, "relators": [[1]], "names": ["a", "a"]}',
+        '{"generators": 2, "relators": [[1]], "names": ["a"]}',
+        '{"generators": 1, "relators": [[1]], "names": ["1a"]}',
+        '{"generators": 1, "relators": [[1]], "names": ["a b"]}',
+        '{"generators": 1, "relators": [[1]], "names": [" a"]}',
+        '{"generators": 1, "relators": [[1]], "names": [""]}',
+        '{"generators": 1, "relators": [[1]], "names": "a"}',
+        '{"generators": 1, "relators": [[1]], "names": [null]}',
+        '{"generators": 4097, "relators": []}',
+    ],
+)
+def test_json_presentation_is_validated_like_text(capsys, text):
+    for command in ("coset-enum", "abelianize"):
+        assert run([command, "--pres", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), command
+
+
+def test_json_presentation_names_in_the_text_grammar(capsys):
+    text = '{"generators": 2, "relators": [[1,1],[2,2,2],[1,2,1,2]], "names": ["_s1", "t"]}'
+    assert run(["coset-enum", "--pres", text]) == 0
+    assert capsys.readouterr().out.strip() == "6"
+    # 4096 generators, the most a presentation may have
+    assert run(["abelianize", "--pres", '{"generators": 4096, "relators": [[1]]}', "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"factors": [], "free_rank": 4095}

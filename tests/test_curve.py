@@ -12,6 +12,7 @@ from cyclicaut.curve import (
     belyi_cover,
     canonical_triple,
     cover_to_json_dict,
+    cycle_counts,
     fermat_cover,
     genus,
     is_irreducible,
@@ -19,6 +20,7 @@ from cyclicaut.curve import (
     monodromy_genus,
     parse_curve,
     signature_of,
+    translation_cycles,
 )
 from cyclicaut.classifier import belyi_verdict, classify_cover
 from cyclicaut.numtheory import DomainError, units
@@ -183,6 +185,18 @@ def test_is_irreducible():
     assert is_irreducible(belyi_cover(12, 3, 4, 5))
 
 
+def test_cover_builders_reject_degrees_below_two():
+    # a degree of 0 reduced the exponents mod 0: a ZeroDivisionError
+    for build in (
+        lambda n: belyi_cover(n, 1, 1, 1),
+        lambda n: lefschetz_cover(n, 1),
+        lambda n: fermat_cover(n, 1),
+    ):
+        for n in (-3, 0, 1):
+            with pytest.raises(DomainError, match=f"cover degree must be >= 2, got {n}"):
+                build(n)
+
+
 def test_genus_examples():
     assert genus(belyi_cover(7, 1, 2, 4)) == 3
     assert genus(belyi_cover(24, 1, 4, 19)) == 10
@@ -306,6 +320,46 @@ def test_monodromy_examples():
     assert monodromy_genus(belyi_cover(8, 1, 3, 4)) == 2
     two = CyclicCover(2, ((BranchPoint.at(0), 1), (BranchPoint.at(1), 1)))
     assert monodromy_genus(two) == 0
+
+
+def test_translation_cycles_is_gcd():
+    # s -> s + k mod n splits the n sheets into gcd(n, k) cycles
+    for n in range(1, 61):
+        assert [translation_cycles(n, k) for k in range(n)] == [gcd(n, k) for k in range(n)]
+        assert cycle_counts(n) == [gcd(n, k) for k in range(n)]
+
+
+def _cycles_of(perm):
+    """Cycles of a permutation of range(len(perm)), as the orbits it moves
+    each point through."""
+    orbits = set()
+    for s in range(len(perm)):
+        orbit, t = {s}, perm[s]
+        while t != s:
+            orbit.add(t)
+            t = perm[t]
+        orbits.add(frozenset(orbit))
+    return len(orbits)
+
+
+def test_monodromy_genus_matches_composed_permutations():
+    # brute force: the sheet permutation of each branch point as a list,
+    # their product composed point by point, and the Euler characteristic
+    # of the monodromy read off the cycles of each list
+    covers = [
+        belyi_cover(n, *t) for n in (4, 7, 9, 12, 30) for t in ((1, 1, n - 2), (1, 2, n - 3))
+    ] + [lefschetz_cover(7, 3), fermat_cover(6, 4), parse_curve("y^10 = x^2 (x-1)^3 (x-2)^4")]
+    for cover in covers:
+        n = cover.n
+        perms = [[(s + k) % n for s in range(n)] for k in cover.all_exponents()]
+        product = list(range(n))
+        for perm in perms:
+            product = [perm[s] for s in product]
+        assert product == list(range(n))
+        for k, perm in zip(cover.all_exponents(), perms):
+            assert translation_cycles(n, k) == _cycles_of(perm)
+        chi = 2 * n - sum(n - _cycles_of(perm) for perm in perms)
+        assert monodromy_genus(cover) == genus(cover) == (2 - chi) // 2, cover
 
 
 def test_monodromy_agrees_with_genus_formula_sweep():

@@ -3,17 +3,15 @@ from math import gcd
 
 import pytest
 
-from cyclicaut.curve import Signature, belyi_cover, signature_of
+from cyclicaut.curve import CyclicCover, Signature, belyi_cover, parse_curve, signature_of
 from cyclicaut.fuchsian import (
     CbMatch,
-    SkepSpec,
     cb_extendable,
     chain_steps,
     gs_extensions,
     gs_row,
     gs_table_json,
     harvey_admissible,
-    skep_of_cover,
 )
 from cyclicaut.fuchsian import _TABLE, _bind, _parse_pattern
 from cyclicaut.numtheory import DomainError
@@ -183,83 +181,49 @@ def test_harvey_holds_for_all_belyi_covers():
 
 
 # ---------------------------------------------------------------------------
-# skeps
-
-
-def test_skep_of_cover_orders_pairs():
-    s = skep_of_cover(belyi_cover(12, 1, 3, 8))
-    assert s.signature.periods == (3, 4, 12)
-    assert s.images == (8, 3, 1)
-    assert s.n == 12
-
-
-def test_skep_validation():
-    with pytest.raises(DomainError, match="period"):
-        SkepSpec(Signature(0, (5, 5, 5)), 5, (1, 1, 2, 1))
-    with pytest.raises(DomainError, match="order"):
-        SkepSpec(Signature(0, (5, 5, 10)), 10, (2, 2, 6))
-    with pytest.raises(DomainError, match="identity"):
-        SkepSpec(Signature(0, (5, 5, 5)), 5, (1, 1, 1))
-
-
-# ---------------------------------------------------------------------------
 # extension criteria
 
 
 def test_cb_case3_triangle():
-    v = cb_extendable(skep_of_cover(belyi_cover(7, 1, 2, 4)))
-    assert v.extendable and v.case == 3
-    assert v.matches[0].outer.periods == (3, 3, 7)
-    assert v.matches[0].multiplier == 3
+    matches = cb_extendable(belyi_cover(7, 1, 2, 4))
+    assert [m.case for m in matches] == [3]
+    assert matches[0].outer.periods == (3, 3, 7)
+    assert matches[0].multiplier == 3
 
 
 def test_cb_case5_triangle():
-    v = cb_extendable(skep_of_cover(belyi_cover(12, 1, 3, 8)))
-    assert v.case == 5
-    assert v.matches == (CbMatch(5, Signature(0, (2, 3, 12)), 4),)
-    # a unit rescaling of the same action still matches
-    v2 = cb_extendable(SkepSpec(Signature(0, (3, 4, 12)), 12, (40 % 12, 15 % 12, 5)))
-    assert v2.case == 5
+    assert cb_extendable(belyi_cover(12, 1, 3, 8)) == (CbMatch(5, Signature(0, (2, 3, 12)), 4),)
+    # the action rescaled by the unit 5: images (40, 15, 5) mod 12 by period
+    assert [m.case for m in cb_extendable(belyi_cover(12, 4, 3, 5))] == [5]
 
 
 def test_cb_case4_triangle():
-    v = cb_extendable(SkepSpec(Signature(0, (5, 5, 5)), 5, (1, 1, 3)))
-    assert v.case == 4
-    assert v.matches[0].outer.periods == (2, 5, 10)
-    v2 = cb_extendable(skep_of_cover(belyi_cover(15, 1, 4, 10)))
-    assert v2.case == 4
+    matches = cb_extendable(belyi_cover(5, 1, 1, 3))
+    assert [m.case for m in matches] == [4]
+    assert matches[0].outer.periods == (2, 5, 10)
+    assert [m.case for m in cb_extendable(belyi_cover(15, 1, 4, 10))] == [4]
 
 
 def test_cb_not_extendable():
-    v = cb_extendable(skep_of_cover(belyi_cover(11, 2, 3, 6)))
-    assert not v.extendable
-    assert v.case is None
-    assert v.matches == ()
-
-
-def test_cb_quadrilateral_cases():
-    v = cb_extendable(SkepSpec(Signature(0, (5, 5, 5, 5)), 5, (1, 4, 4, 1)))
-    assert [m.case for m in v.matches] == [1, 2]
-    assert v.matches[0].outer.periods == (2, 2, 2, 5)
-    assert v.matches[0].multiplier == 4
-    w = cb_extendable(SkepSpec(Signature(0, (3, 3, 6, 6)), 6, (2, 4, 1, 5)))
-    assert [m.case for m in w.matches] == [2]
-    assert w.matches[0].outer.periods == (2, 2, 3, 6)
+    assert cb_extendable(belyi_cover(11, 2, 3, 6)) == ()
 
 
 def test_cb_permutation_invariance():
-    base = SkepSpec(Signature(0, (5, 5, 5)), 5, (1, 1, 3))
-    verdicts = set()
-    for perm in itertools.permutations(range(3)):
-        periods = tuple(base.signature.periods[i] for i in perm)
-        images = tuple(base.images[i] for i in perm)
-        verdicts.add(cb_extendable(SkepSpec(Signature(0, periods), 5, images)))
-    assert len(verdicts) == 1
+    # the criteria read the action, not the order the branch points are listed in
+    for triple in ((5, 1, 1, 3), (7, 1, 2, 4), (12, 1, 3, 8), (15, 1, 4, 10), (11, 2, 3, 6)):
+        cover = belyi_cover(*triple)
+        answers = {
+            cb_extendable(CyclicCover(cover.n, tuple(cover.branches[i] for i in perm)))
+            for perm in itertools.permutations(range(3))
+        }
+        assert answers == {cb_extendable(cover)}, triple
 
 
 def test_cb_period_count_validation():
-    with pytest.raises(DomainError):
-        cb_extendable(SkepSpec(Signature(0, (5, 5, 5, 5, 5)), 5, (1, 1, 1, 1, 1)))
+    # four branch points, and two
+    for text in ("y^5 = x(x-1)(x+1)(x-2)^2", "y^5 = x(x-1)^4"):
+        with pytest.raises(DomainError, match="three-point cover"):
+            cb_extendable(parse_curve(text))
 
 
 # ---------------------------------------------------------------------------

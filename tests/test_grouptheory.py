@@ -283,13 +283,24 @@ def test_abelianization_too_large_stops_before_any_table(monkeypatch, pres, budg
     assert tables == []
 
 
+def _hlt(pres: Presentation, budget: int) -> int:
+    """The bare HLT loop on pres, without the abelianization check before it."""
+    return grouptheory._enumerate_hlt(
+        pres.generator_count, grouptheory._powers(pres.relators), budget
+    )
+
+
+def _relation_matrix(pres: Presentation) -> list[list[int]]:
+    return grouptheory._relation_matrix(grouptheory._powers(pres.relators), pres.generator_count)
+
+
 def test_relation_matrix_sums_roots_and_eliminates_to_a_maximal_minor():
     triangle = parse_presentation("<x,y | x^2, y^3, (x*y)^7, [x,y]>")
-    rows = grouptheory._relation_matrix(triangle)
+    rows = _relation_matrix(triangle)
     assert rows == [[2, 0], [0, 3], [7, 7], [0, 0]]
     assert grouptheory._eliminate(rows) == (2, 6)  # rank 2, from the first two rows
     # a long power is summed from its root
-    assert grouptheory._relation_matrix(parse_presentation("<a,b | (a*b^-1*a)^500000>")) == [
+    assert _relation_matrix(parse_presentation("<a,b | (a*b^-1*a)^500000>")) == [
         [1_000_000, -500_000]
     ]
     # the second row depends on the first, whose least entry is the minor
@@ -297,14 +308,14 @@ def test_relation_matrix_sums_roots_and_eliminates_to_a_maximal_minor():
     assert grouptheory._eliminate([[0, 0], [0, 0]]) == (0, 1)
     # rows with a unit entry are taken first, so the squares of the chain
     # give the minor 2, not 2^12
-    assert grouptheory._eliminate(grouptheory._relation_matrix(_square_chain(12))) == (12, 2)
+    assert grouptheory._eliminate(_relation_matrix(_square_chain(12))) == (12, 2)
 
 
 def test_a_large_minor_with_a_small_abelianization_still_enumerates(monkeypatch):
     # no row has a unit entry and the first two give the minor 1600, past
     # the budget, but the abelianization is Z_2 x Z_40, so the table decides
     pres = parse_presentation("<x,y | x^40, y^40, x^2*y^2, [x,y]>")
-    assert grouptheory._eliminate(grouptheory._relation_matrix(pres)) == (2, 1600)
+    assert grouptheory._eliminate(_relation_matrix(pres)) == (2, 1600)
     tables = _tables_made(monkeypatch)
     assert coset_enumerate(pres, max_cosets=1000) == 80
     assert len(tables) == 1
@@ -348,9 +359,7 @@ def _outcome(enumerate_, pres: Presentation, budget: int):
 def test_abelianization_check_ends_like_the_bare_loop(case):
     # the check before the table only ever stops where HLT would stop too
     pres, budget = case
-    assert _outcome(coset_enumerate, pres, budget) == _outcome(
-        grouptheory._enumerate_hlt, pres, budget
-    )
+    assert _outcome(coset_enumerate, pres, budget) == _outcome(_hlt, pres, budget)
 
 
 @pytest.mark.parametrize(
@@ -395,7 +404,7 @@ def test_lookahead_skips_only_scans_that_change_nothing(monkeypatch, text, budge
         # table is built, since their abelianizations are infinite or
         # outgrow the budget
         try:
-            grouptheory._enumerate_hlt(pres, budget)
+            _hlt(pres, budget)
         except BudgetExceeded:
             pass
     assert skipped[0] > 0
@@ -426,7 +435,9 @@ def test_scans_cost_index_times_root(monkeypatch, text, order):
     monkeypatch.setattr(grouptheory._CosetTable, "_mark", counted_mark)
     pres = parse_presentation(text)
     assert coset_enumerate(pres) == order
-    roots = grouptheory._CosetTable(pres.generator_count, pres.relators, 1).roots
+    roots = grouptheory._CosetTable(
+        pres.generator_count, grouptheory._powers(pres.relators), 1
+    ).roots
     assert letters[0] <= 3 * order * sum(map(len, roots))
 
 
@@ -442,11 +453,27 @@ def test_table_holds_under_90_bytes_per_coset():
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded):
-                grouptheory._enumerate_hlt(pres, budget)
+                _hlt(pres, budget)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 90 * 10_000
+
+
+def test_each_relator_is_split_into_its_power_once(monkeypatch):
+    # the relation matrix and the coset table read the one split: finding
+    # the root of v^2000000 took 85 ms, and was done twice
+    words = []
+    root_length = grouptheory._root_length
+
+    def counted(word):
+        words.append(word)
+        return root_length(word)
+
+    monkeypatch.setattr(grouptheory, "_root_length", counted)
+    pres = parse_presentation("<u,v | u^2, v^2000, (u*v)^2>")
+    assert coset_enumerate(pres) == 4000
+    assert words == list(pres.relators)
 
 
 def _letter_column(x: int) -> int:
@@ -474,7 +501,7 @@ def test_columns_and_roots_match_their_letter_by_letter_definitions(case):
     # the root: the shortest prefix that word repeats
     m = next(d for d in range(1, len(word) + 1) if word == word[:d] * (len(word) // d))
     assert grouptheory._root_length(word) == m
-    ct = grouptheory._CosetTable(count, [word], 1)
+    ct = grouptheory._CosetTable(count, grouptheory._powers([word]), 1)
 
     def read(columns, letters, inverted):
         return len(columns) == len(letters) and all(
@@ -574,7 +601,7 @@ def _closed_table(pres: Presentation) -> "grouptheory._CosetTable":
 
 def _with_relators(ct, generator_count: int, relators) -> "grouptheory._CosetTable":
     """The cosets of a closed table, with other relators to be checked against."""
-    other = grouptheory._CosetTable(generator_count, relators, 1)
+    other = grouptheory._CosetTable(generator_count, grouptheory._powers(relators), 1)
     for mine, theirs in zip(other.cols, ct.cols):
         mine[:] = theirs
     other.parent, other.size = ct.parent, ct.size

@@ -1,9 +1,12 @@
-"""No file imports a name it never reads.
+"""No file imports a name it never reads, and no package module reads a
+sibling's private name.
 
 Walks the syntax tree of every Python file under src/, tests/ and tools/ and
 fails on a name that an import binds and the file never reads, counting the
 names read inside quoted annotations.  An ``__init__.py`` imports to
 re-export, and ``from __future__`` imports bind nothing, so both are exempt.
+A module under src/ may not import an underscore name from another module
+of the package, nor read one as an attribute of a module it imports.
 """
 
 import ast
@@ -53,6 +56,32 @@ def unused_imports(tree: ast.AST) -> list[str]:
     ]
 
 
+def private_imports(tree: ast.AST) -> list[str]:
+    """Underscore names taken from a module of the package: ``from .curve
+    import _x``, or ``curve._x`` after ``from . import curve``."""
+    modules: set[str] = set()
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if not node.level and (node.module or "").partition(".")[0] != "cyclicaut":
+            continue
+        for alias in node.names:
+            if node.module in (None, "cyclicaut"):
+                modules.add(alias.asname or alias.name)
+            elif alias.name.startswith("_"):
+                found.append(f"{node.lineno}: {alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+    return sorted(found)
+
+
 def test_files_found():
     names = {path.relative_to(ROOT).as_posix() for path in FILES}
     assert {"src/cyclicaut/cli.py", "tests/test_cli.py", "tools/dump_answers.py"} <= names
@@ -79,3 +108,33 @@ def test_guard_catches_each_form():
         ]
     )
     assert unused_imports(ast.parse(source)) == ["2: json", "3: os", "4: np", "5: lcm"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in FILES if path.is_relative_to(ROOT / "src")],
+    ids=lambda p: p.relative_to(ROOT).as_posix(),
+)
+def test_no_private_sibling_imports(path):
+    assert private_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_private_guard_catches_each_form():
+    source = "\n".join(
+        [
+            "from __future__ import annotations",
+            "from math import _private",
+            "from .curve import _count_cycles, genus",
+            "from cyclicaut.verify import _walk_orbits",
+            "from . import curve",
+            "from cyclicaut import verify as v",
+            "def f(x):",
+            "    return curve._build_cover(x), v._ordered_admissible(x), curve.genus(x), x._own",
+        ]
+    )
+    assert private_imports(ast.parse(source)) == [
+        "3: _count_cycles",
+        "4: _walk_orbits",
+        "8: curve._build_cover",
+        "8: v._ordered_admissible",
+    ]

@@ -4,23 +4,11 @@ from hypothesis import given, strategies as st
 from cyclicaut.numtheory import (
     DomainError,
     factorize,
-    inverse_mod,
     involutory_units,
     is_prime,
-    lcm_many,
     omega_units,
     units,
 )
-
-
-def test_lcm_many_values():
-    assert lcm_many([7, 7, 7]) == 7
-    assert lcm_many([2, 4, 8]) == 8
-    assert lcm_many([3, 4, 12]) == 12
-    with pytest.raises(DomainError):
-        lcm_many([])
-    with pytest.raises(DomainError):
-        lcm_many([0, 3])
 
 
 def test_is_prime_small():
@@ -86,16 +74,12 @@ def test_omega_units_sweep():
 def test_units_and_inverse():
     assert units(8) == [1, 3, 5, 7]
     assert units(7) == [1, 2, 3, 4, 5, 6]
+    # the units are exactly the residues with an inverse
     for n in (5, 12, 30):
-        for k in units(n):
-            assert (k * inverse_mod(k, n)) % n == 1
-    with pytest.raises(DomainError):
-        inverse_mod(2, 8)
-
-
-@given(st.integers(min_value=2, max_value=500), st.integers(min_value=1, max_value=499))
-def test_inverse_mod_agrees_with_pow(n, k):
-    from math import gcd
-
-    if gcd(k, n) == 1:
-        assert inverse_mod(k, n) == pow(k, -1, n)
+        for k in range(1, n):
+            try:
+                inverse = pow(k, -1, n)
+            except ValueError:
+                assert k not in units(n)
+            else:
+                assert k in units(n) and k * inverse % n == 1

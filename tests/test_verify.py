@@ -8,16 +8,18 @@ from math import gcd, lcm
 
 import pytest
 
-from cyclicaut import classifier, verify
+from cyclicaut import classifier, curve, verify
 from cyclicaut.classifier import belyi_verdict, classify_belyi
 from cyclicaut.curve import (
     MINUS_ONE,
     ONE,
     BranchPoint,
     canonical_triple,
+    cycle_counts,
     fermat_cover,
     monodromy_genus,
     parse_curve,
+    twice_monodromy_genus,
 )
 from cyclicaut.numtheory import DomainError, factorize, is_prime
 from cyclicaut.verify import (
@@ -536,13 +538,13 @@ def test_one_report_per_class(monkeypatch):
 
 def test_cycle_table_genus_matches_monodromy():
     # the genus cross_check reads from one cycle count per (n, k) is the
-    # genus of the monodromy oracle, which traverses every triple's own
-    # permutations
+    # genus of the monodromy oracle, which counts each cover's own
+    # translations
     for n in range(4, 25):
-        cycles = verify._cycle_counts(n)
+        cycles = cycle_counts(n)
         for triple in verify._ordered_admissible(n):
             cover = classify_belyi(n, *triple).cover
-            assert verify._twice_monodromy_genus(n, cycles, cover.all_exponents()) == (
+            assert twice_monodromy_genus(n, cycles, cover.all_exponents()) == (
                 2 * monodromy_genus(cover)
             ), (n, triple)
 
@@ -550,12 +552,12 @@ def test_cycle_table_genus_matches_monodromy():
 def test_cycle_table_fault_injection(monkeypatch):
     # one miscounted translation, s -> s + 3 at n = 9, must fail the genus
     # check on a triple with that exponent and no other check
-    count = verify._translation_cycles
+    count = curve.translation_cycles
 
     def miscount(n, k):
         return count(n, k) + ((n, k) == (9, 3))
 
-    monkeypatch.setattr(verify, "_translation_cycles", miscount)
+    monkeypatch.setattr(curve, "translation_cycles", miscount)
     report = cross_check(12)
     failed = [c for c in report.checks if not c.passed]
     assert [c.name for c in failed] == ["genus_matches_monodromy"]
@@ -569,13 +571,13 @@ def test_cross_check_traverses_each_translation_once(monkeypatch):
     # a count, not a clock: a degree costs at most n traversals, one per
     # (n, k), however many triples read them
     calls = []
-    count = verify._translation_cycles
+    count = curve.translation_cycles
 
     def counted(n, k):
         calls.append((n, k))
         return count(n, k)
 
-    monkeypatch.setattr(verify, "_translation_cycles", counted)
+    monkeypatch.setattr(curve, "translation_cycles", counted)
     assert cross_check(30).all_passed
     assert len(calls) == len(set(calls))
     for n in range(4, 31):

@@ -47,7 +47,10 @@ Input sets, in output order:
   their order (2,882 calls);
 - ``smith_normal_form`` on seeded matrices with entries in -50..50 of every
   shape from 1 x 1 to 10 x 10: one dense, one singular and one with a zero
-  column of each (300 calls).
+  column of each (300 calls);
+- ``monodromy_genus`` of ``lefschetz_cover(p, a)`` and ``fermat_cover(n, d)``
+  on the inputs of the Lefschetz and Fermat lines, then of ``parse_curve``
+  on each text of ``CURVE_TEXTS`` (14,025 + 2,555 + 42 calls).
 
 A classification line holds ``report_to_json_dict`` of the report plus its
 ``kind``, ``group.kind`` and ``group.params``; any call that raises
@@ -58,7 +61,8 @@ the budgets keep the closure of the old implementation within reach.  A
 coset line holds the order at the budget given with it (1,000,000 where the
 input names none), or the ``DomainError`` or ``BudgetExceeded`` text.  An
 abelianization line holds the invariant factors and the free rank, or the
-``DomainError`` text.
+``DomainError`` text.  A monodromy line holds the genus, or the
+``DomainError`` text of the cover or of the parse.
 """
 
 from __future__ import annotations
@@ -77,7 +81,14 @@ from cyclicaut.classifier import (  # noqa: E402
     classify_lefschetz,
     report_to_json_dict,
 )
-from cyclicaut.curve import Signature, cover_to_json_dict, parse_curve  # noqa: E402
+from cyclicaut.curve import (  # noqa: E402
+    Signature,
+    cover_to_json_dict,
+    fermat_cover,
+    lefschetz_cover,
+    monodromy_genus,
+    parse_curve,
+)
 from cyclicaut.fuchsian import gs_extensions  # noqa: E402
 from cyclicaut.grouptheory import (  # noqa: E402
     BudgetExceeded,
@@ -430,6 +441,11 @@ def _presentation_answer(text: str) -> str:
     return presentation_to_text(parse_presentation(text))
 
 
+def _monodromy_answer(build):
+    """build's cover, answering with its monodromy genus."""
+    return lambda *args: monodromy_genus(build(*args))
+
+
 def _enumeration_answer(n: int) -> dict:
     return enumeration_to_json_dict(n, enumerate_classes(n))
 
@@ -458,6 +474,12 @@ def _scenarios():
             yield "periodthree", n, k, None
 
 
+LEFSCHETZ_INPUTS = [
+    (p, a) for p in [q for q in range(400) if is_prime(q)] + [4, 6, 9, 15, 21] for a in range(p + 1)
+]
+FERMAT_INPUTS = [(n, d) for n in range(70) for d in range(n + 2)]
+
+
 def _calls():
     """(name, function, args) of every call, in output order."""
     for n in range(4, ENUMERATION_CAP + 1):
@@ -465,12 +487,10 @@ def _calls():
             yield "belyi", _reported(classify_belyi), (n, *triple)
     for args in INVALID_BELYI:
         yield "belyi", _reported(classify_belyi), args
-    for p in [q for q in range(400) if is_prime(q)] + [4, 6, 9, 15, 21]:
-        for a in range(p + 1):
-            yield "lefschetz", _reported(classify_lefschetz), (p, a)
-    for n in range(70):
-        for d in range(n + 2):
-            yield "fermat", _reported(classify_fermat), (n, d)
+    for args in LEFSCHETZ_INPUTS:
+        yield "lefschetz", _reported(classify_lefschetz), args
+    for args in FERMAT_INPUTS:
+        yield "fermat", _reported(classify_fermat), args
     for length, top in ((1, 64), (2, 64), (3, 64), (4, 40), (5, 14)):
         for periods in combinations_with_replacement(range(2, top + 1), length):
             yield "extensions", _extension_answer, periods
@@ -494,6 +514,12 @@ def _calls():
         yield "abelianization", _abelianization_answer, (text,)
     for matrix in _snf_matrices(seed=18):
         yield "smith_normal_form", smith_normal_form, (matrix,)
+    for args in LEFSCHETZ_INPUTS:
+        yield "monodromy_lefschetz", _monodromy_answer(lefschetz_cover), args
+    for args in FERMAT_INPUTS:
+        yield "monodromy_fermat", _monodromy_answer(fermat_cover), args
+    for text in CURVE_TEXTS:
+        yield "monodromy_curve", _monodromy_answer(parse_curve), (text,)
 
 
 def main() -> None:
