@@ -172,7 +172,7 @@ def _signature_and_chain(
 ) -> tuple[Signature, tuple[ChainStep, ...], int]:
     """The genus-0 signature with these periods, the extension chain from it
     through chain_rows, and the product of the chain's indices."""
-    sig = Signature(0, periods)
+    sig = Signature(periods)
     steps = chain_steps(sig, chain_rows)
     return sig, steps, prod(step.index for step in steps)
 

@@ -1,4 +1,4 @@
-"""The text cursor behind the curve and presentation parsers.
+"""The text cursor behind the curve, presentation and permutation parsers.
 
 Each read skips whitespace first, and tokens are single characters.  A
 syntax error names the parser and the position the cursor stopped at.
@@ -13,7 +13,7 @@ class Cursor:
     def __init__(self, text: str, what: str):
         self.text = text
         self.pos = 0
-        self.what = what  # "curve" or "presentation", for the error text
+        self.what = what  # "curve", "presentation" or "permutation", for the error text
 
     def error(self, msg: str) -> DomainError:
         return DomainError(f"{self.what} syntax error at position {self.pos}: {msg}")

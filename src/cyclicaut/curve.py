@@ -28,13 +28,12 @@ class BranchPoint:
 
     Roots of unity are stored as reduced index/order pairs; e^(2*pi*i*j/d)
     with d <= 2 normalizes to the rational 1 or -1, so equality of labels
-    coincides with equality of the underlying complex numbers.  The hash is
-    taken once, from the four integers of the label rather than from the
-    Fraction; a root of unity has rational 0 and order >= 3, a rational has
-    index 0 and order 1, so the kind needs no part in it.
+    coincides with equality of the underlying complex numbers.  The order
+    tells the two apart: a rational has index 0 and order 1, a root of unity
+    rational 0 and order >= 3.  The hash is taken once, from the four
+    integers of the label rather than from the Fraction.
     """
 
-    kind: str  # "rational" or "root"
     rational: Fraction = Fraction(0)
     root_index: int = 0
     root_order: int = 1
@@ -50,7 +49,7 @@ class BranchPoint:
 
     @staticmethod
     def at(value: Fraction | int) -> "BranchPoint":
-        return BranchPoint("rational", Fraction(value))
+        return BranchPoint(Fraction(value))
 
     @staticmethod
     def root_of_unity(index: int, order: int) -> "BranchPoint":
@@ -63,10 +62,10 @@ class BranchPoint:
             return ONE
         if order == 2:
             return MINUS_ONE
-        return BranchPoint("root", Fraction(0), index, order)
+        return BranchPoint(Fraction(0), index, order)
 
     def label(self) -> str:
-        if self.kind == "rational":
+        if self.root_order == 1:
             return str(self.rational)
         return f"zeta_{self.root_order}^{self.root_index}"
 
@@ -318,17 +317,12 @@ def genus(cover: CyclicCover) -> int:
 
 @dataclass(frozen=True)
 class Signature:
-    """Orbit-genus and periods of a Fuchsian group; genus 0 throughout.
+    """The periods of a Fuchsian group of orbit genus 0 (that of every cyclic
+    cover of the line), a multiset normalized to ascending order."""
 
-    Periods are a multiset and are normalized to ascending order.
-    """
-
-    genus: int
     periods: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise DomainError("signature genus must be nonnegative")
         periods = tuple(sorted(map(int, self.periods)))
         object.__setattr__(self, "periods", periods)
         if periods and periods[0] < 2:
@@ -340,7 +334,7 @@ def signature_of(cover: CyclicCover) -> Signature:
 
     Every exponent lies in [1, n-1], so no period is 1.
     """
-    return Signature(0, genus_and_periods(cover.n, _exponent_gcds(cover))[1])
+    return Signature(genus_and_periods(cover.n, _exponent_gcds(cover))[1])
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ class GsRow:
             if env is not None and all(
                 sum(c * env[v] for c, v in lhs) >= bound for lhs, bound in self._guards
             ):
-                return Signature(0, tuple(c * env[v] for c, v in self._outer_terms))
+                return Signature(tuple(c * env[v] for c, v in self._outer_terms))
         return None
 
 
@@ -140,22 +140,9 @@ def gs_row(row_id: str) -> GsRow:
     return _ROWS[row_id]
 
 
-@dataclass(frozen=True)
-class GsExtension:
-    """A table row instantiated at a concrete inner signature."""
-
-    row: GsRow
-    outer: Signature
-
-    @property
-    def index(self) -> int:
-        return self.row.index
-
-
-def gs_extensions(sig: Signature) -> list[GsExtension]:
-    """All table rows whose inner pattern matches; empty iff sig is finitely maximal."""
-    _require_genus0(sig)
-    return [GsExtension(row, outer) for row in _TABLE if (outer := row.match(sig.periods))]
+def gs_extensions(sig: Signature) -> list[tuple[GsRow, Signature]]:
+    """(row, outer signature) of each matching row; empty iff sig is finitely maximal."""
+    return [(row, outer) for row in _TABLE if (outer := row.match(sig.periods))]
 
 
 def gs_table_json() -> list[dict]:
@@ -171,11 +158,6 @@ def gs_table_json() -> list[dict]:
     ]
 
 
-def _require_genus0(sig: Signature) -> None:
-    if sig.genus != 0:
-        raise DomainError("only genus-0 signatures are in scope")
-
-
 # ---------------------------------------------------------------------------
 # Admissibility of cyclic surface-kernel epimorphisms
 
@@ -186,7 +168,6 @@ def harvey_admissible(sig: Signature, n: int) -> bool:
     Requires n to equal the lcm of all periods and the lcm of every
     (r-1)-subset of them.
     """
-    _require_genus0(sig)
     if n < 2:
         raise DomainError(f"target order must be >= 2, got {n}")
     periods = sig.periods
@@ -238,7 +219,7 @@ def cb_extendable(cover: CyclicCover) -> tuple[CbMatch, ...]:
         j != 1 and j * j * j % n == 1 and sorted(z * j % n for z in images) == list(images)
         for j in units(n)
     ):
-        matches.append(CbMatch(3, Signature(0, (3, 3, n)), 3))
+        matches.append(CbMatch(3, Signature((3, 3, n)), 3))
     # the images of period n are units; two of them are swapped by an
     # involution when their quotient squares to 1
     m = periods[0]
@@ -246,10 +227,10 @@ def cb_extendable(cover: CyclicCover) -> tuple[CbMatch, ...]:
         a == b or (b * pow(a, -1, n)) ** 2 % n == 1
         for a, b in combinations(images[periods.index(n):], 2)
     ):
-        matches.append(CbMatch(4, Signature(0, (2, n, 2 * m)), 2))
+        matches.append(CbMatch(4, Signature((2, n, 2 * m)), 2))
     k = images[2]
     if periods == (3, 4, 12) and images == (8 * k % 12, 3 * k % 12, k):
-        matches.append(CbMatch(5, Signature(0, (2, 3, 12)), 4))
+        matches.append(CbMatch(5, Signature((2, 3, 12)), 4))
     return tuple(matches)
 
 
@@ -269,7 +250,6 @@ class ChainStep:
 def chain_steps(sig: Signature, row_ids: Sequence[str]) -> tuple[ChainStep, ...]:
     """Walk from sig through the named rows in turn, matching only the named
     row at each step."""
-    _require_genus0(sig)
     steps: list[ChainStep] = []
     cur = sig
     for rid in row_ids:

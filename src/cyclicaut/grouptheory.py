@@ -591,17 +591,23 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     is larger than that the enumeration stops at once with
     :class:`BudgetExceeded`, as it would have after outgrowing the budget;
     the invariant factors are computed only when the minor found exceeds
-    the budget.  The elimination of r relators over g generators takes up
-    to r * g * min(r, g) steps and the table at least one per coset before
-    it outgrows the budget, so a check dearer than ``max_cosets`` steps is
-    left to the table.  Otherwise the order comes from :func:`_enumerate_hlt`.
+    the budget.  A generator with no nonzero exponent sum leaves the rank
+    short at once.  Otherwise the elimination of r distinct nonzero rows
+    over g generators takes up to r * g * min(r, g) steps and the table at
+    least one per coset before it outgrows the budget, so a check dearer
+    than ``max_cosets`` steps is left to the table.  Otherwise the order
+    comes from :func:`_enumerate_hlt`.
     """
     if max_cosets < 1:
         raise DomainError("max_cosets must be positive")
-    g, r = pres.generator_count, len(pres.relators)
+    g = pres.generator_count
     powers = _powers(pres.relators)
+    sums, columns = _exponent_sums(powers)
+    if len(columns) < g:
+        raise BudgetExceeded("coset enumeration", max_cosets)
+    r = len(sums)
     if r * g * min(r, g) <= max_cosets:
-        rows = _relation_matrix(powers, g)
+        rows = _relation_matrix(sums, columns)
         rank, minor = _eliminate(rows)
         if rank < g or (
             minor > max_cosets and prod(_invariant_factors(rows, g, rank, minor)) > max_cosets
@@ -843,23 +849,33 @@ class AbelianInvariants:
         return out
 
 
-def _relation_matrix(powers: Sequence[_Power], generator_count: int) -> list[list[int]]:
-    """Each relator's exponent sums by generator, from its (root, k) power
-    (see _powers).  A relator root^k sums to k times its root, so a long
-    power costs the letters of its root."""
-    rows = []
+def _exponent_sums(powers: Sequence[_Power]) -> tuple[list[dict[int, int]], list[int]]:
+    """Each distinct nonzero row of the relators' exponent sums, as a map from
+    0-based generator to nonzero sum, in order of first appearance, and the
+    generators that occur in them, ascending.  A relator root^k sums to k
+    times its root (see _powers).  Repeated and zero rows change neither rank
+    nor invariant factors, and a generator in no row adds only free rank."""
+    distinct: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
     for root, k in powers:
-        row = [0] * generator_count
+        sums: Counter = Counter()
         for x, count in Counter(root).items():
-            row[abs(x) - 1] += k * count if x > 0 else -k * count
-        rows.append(row)
-    return rows
+            sums[abs(x) - 1] += k * count if x > 0 else -k * count
+        row = {j: v for j, v in sums.items() if v}
+        if row:
+            distinct.setdefault(tuple(sorted(row.items())), row)
+    rows = list(distinct.values())
+    return rows, sorted({j for row in rows for j in row})
+
+
+def _relation_matrix(rows: Sequence[dict[int, int]], columns: Sequence[int]) -> list[list[int]]:
+    """The rows of _exponent_sums as dense rows over its generators."""
+    return [[row.get(j, 0) for j in columns] for row in rows]
 
 
 def abelianization(pres: Presentation) -> AbelianInvariants:
     """Abelian invariants of the presented group via Smith normal form."""
-    rows = _relation_matrix(_powers(pres.relators), pres.generator_count)
-    nonzero = [d for d in smith_normal_form(rows) if d]
+    sums, columns = _exponent_sums(_powers(pres.relators))
+    nonzero = [d for d in smith_normal_form(_relation_matrix(sums, columns)) if d]
     return AbelianInvariants(tuple(d for d in nonzero if d > 1), pres.generator_count - len(nonzero))
 
 
@@ -894,49 +910,49 @@ def _check_degree(degree: int) -> None:
 def parse_permutations(text: str, degree: int | None = None) -> PermutationSet:
     """Parse semicolon-separated products of cycles, e.g. ``(1,4)(2,7);(1,2,3)``.
 
-    The cycles of one generator compose from left to right: the leftmost
-    acts first, so ``(1,2)(2,3)`` sends 1 to 2 and then to 3, and is the
-    3-cycle ``(1,3,2)``; cycles may share points.  A generator that moves
-    every point as an earlier one does (a second identity among them) is
-    dropped before any image is built.
+    A cycle lists distinct unsigned points from 1 on; ``()`` is the identity,
+    and a generator with no cycle, as in ``;;``, is skipped.  The cycles of
+    one generator compose from left to right: the leftmost acts first, so
+    ``(1,2)(2,3)`` sends 1 to 2 and then to 3, and is the 3-cycle
+    ``(1,3,2)``.  A generator that moves every point as an earlier one does
+    (a second identity among them) is dropped before any image is built.
     """
-    chunks = [c.strip() for c in text.split(";") if c.strip()]
-    if not chunks:
-        raise DomainError("no permutations given")
+    lx = Cursor(text, "permutation")
     # each distinct generator as its sorted (point, image) pairs, moved points
     # only, in order of first appearance
     distinct: dict[tuple[tuple[int, int], ...], None] = {}
     maxpt = 0
-    for chunk in chunks:
+    while True:
         # the product of the cycles read so far, on the points they touch,
         # and its inverse
         moves: dict[int, int] = {}
         preimage: dict[int, int] = {}
-        rest = chunk
-        while rest:
-            if not rest.startswith("("):
-                raise DomainError(f"permutation syntax error near {rest[:12]!r}")
-            end = rest.find(")")
-            if end < 0:
-                raise DomainError("unterminated cycle")
-            body = rest[1:end].strip()
-            if body:
-                try:
-                    pts = [int(p) for p in body.split(",")]
-                except ValueError as exc:
-                    raise DomainError(f"bad cycle {body!r}") from exc
-                if len(set(pts)) != len(pts) or any(p < 1 for p in pts):
-                    raise DomainError(f"bad cycle {body!r}")
-                # what the earlier cycles sent to p, this one sends on to
-                # p's successor
-                steps = [(preimage.get(p - 1, p - 1), pts[(i + 1) % len(pts)] - 1)
-                         for i, p in enumerate(pts)]
-                for source, q in steps:
-                    moves[source] = q
-                    preimage[q] = source
-                maxpt = max(maxpt, *pts)
-            rest = rest[end + 1 :].strip()
-        distinct.setdefault(tuple(sorted((p, q) for p, q in moves.items() if p != q)))
+        read = False
+        while lx.try_take("("):
+            read = True
+            if lx.try_take(")"):
+                continue
+            pts = [lx.take_uint()]
+            while lx.try_take(","):
+                pts.append(lx.take_uint())
+            lx.take(")")
+            if 0 in pts or len(set(pts)) != len(pts):
+                raise lx.error("cycle points must be distinct and at least 1")
+            # what the earlier cycles sent to p, this one sends on to p's
+            # successor
+            steps = [(preimage.get(p - 1, p - 1), pts[(i + 1) % len(pts)] - 1)
+                     for i, p in enumerate(pts)]
+            for source, q in steps:
+                moves[source] = q
+                preimage[q] = source
+            maxpt = max(maxpt, *pts)
+        if read:
+            distinct.setdefault(tuple(sorted((p, q) for p, q in moves.items() if p != q)))
+        if lx.peek() is None:
+            break
+        lx.take(";")
+    if not distinct:
+        raise DomainError("no permutations given")
     deg = degree if degree is not None else max(maxpt, 1)
     if maxpt > deg:
         raise DomainError(f"cycle point {maxpt} exceeds degree {deg}")

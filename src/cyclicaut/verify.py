@@ -56,7 +56,7 @@ class PrimeField:
     def element(self, pt: BranchPoint) -> int:
         """The residue of an exact point label."""
         p, r = self.p, pt.rational
-        if pt.kind == "root":
+        if pt.root_order > 1:
             if self.order % pt.root_order:
                 raise DomainError(f"F_{p} holds no primitive {pt.root_order}-th root of unity")
             return pow(self.z, self.order // pt.root_order * pt.root_index, p)

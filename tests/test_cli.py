@@ -308,6 +308,19 @@ def test_perm_order_huge_degree_is_a_domain_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["(1,2_0)", "(+1,2)", "(1,2)x", "(1," + "9" * 5000 + ")"],
+    ids=["underscore", "plus", "trailing", "5000-digits"],
+)
+def test_perm_order_malformed_text_is_a_domain_error(capsys, text):
+    # "(1,2_0)" was read as the point 20, and "(+1,2)" as (1,2)
+    assert run(["perm-order", "--perms", text, "--degree", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify-action", "--family", "accola-maclachlan", "--n", "6"],
@@ -439,6 +452,25 @@ def test_abelianize_dense_48_by_48_ends_within_the_guard():
     assert det != 0 and got["free_rank"] == 0
     assert math.prod(got["factors"]) == abs(int(det))
     assert all(b % a == 0 for a, b in zip(got["factors"], got["factors"][1:]))
+
+
+def test_abelianize_reads_only_the_generators_that_occur():
+    # 3,000 powers of g1 over 4,096 generators: a dense 3,000 x 4,096
+    # relation matrix took 3.6 s and 350 MB; over the one generator that
+    # occurs, the answer fits in a 256 MB address space
+    pytest.importorskip("resource")
+    names = ",".join(f"g{i}" for i in range(1, 4097))
+    relators = ", ".join(f"g1^{k}" for k in range(1, 3001))
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))\n"
+        "from cyclicaut.cli import main\n"
+        "main()\n"
+    )
+    argv = ["abelianize", "--pres", f"<{names} | {relators}>", "--json"]
+    proc = _run_entry_point([sys.executable, "-c", script], argv, timeout=30)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert json.loads(proc.stdout) == {"factors": [], "free_rank": 4095}
 
 
 def test_coset_enum_square_chain_of_2000_generators_ends_within_the_guard():

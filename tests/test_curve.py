@@ -217,7 +217,7 @@ def test_signature_examples():
     assert signature_of(belyi_cover(12, 1, 3, 8)).periods == (3, 4, 12)
     assert signature_of(belyi_cover(8, 1, 2, 5)).periods == (4, 8, 8)
     assert signature_of(belyi_cover(8, 1, 3, 4)).periods == (2, 8, 8)
-    assert signature_of(belyi_cover(7, 1, 2, 4)) == Signature(0, (7, 7, 7))
+    assert signature_of(belyi_cover(7, 1, 2, 4)) == Signature((7, 7, 7))
 
 
 def test_signature_includes_infinity_branch():
@@ -226,10 +226,9 @@ def test_signature_includes_infinity_branch():
 
 
 def test_signature_validation():
+    assert Signature((7, 2, 3)).periods == (2, 3, 7)
     with pytest.raises(DomainError):
-        Signature(0, (1, 4))
-    with pytest.raises(DomainError):
-        Signature(-1, (2, 3))
+        Signature((1, 4))
 
 
 # ---------------------------------------------------------------------------

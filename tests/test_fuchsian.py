@@ -18,7 +18,8 @@ from cyclicaut.numtheory import DomainError
 
 
 def _ext_summary(periods):
-    return [(e.row.row_id, e.outer.periods, e.index) for e in gs_extensions(Signature(0, periods))]
+    pairs = gs_extensions(Signature(periods))
+    return [(row.row_id, outer.periods, row.index) for row, outer in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +61,7 @@ def _match_by_every_ordering(row, periods):
         if env is not None and all(
             sum(c * env[v] for c, v in lhs) >= bound for lhs, bound in guards
         ):
-            return Signature(0, tuple(c * env[v] for c, v in outer_terms))
+            return Signature(tuple(c * env[v] for c, v in outer_terms))
     return None
 
 
@@ -94,13 +95,13 @@ def test_gs_extensions_quadrilateral_rows():
 
 def test_is_finitely_maximal_examples():
     # a signature is finitely maximal exactly when no table row extends it
-    assert gs_extensions(Signature(0, (2, 3, 12))) == []
+    assert gs_extensions(Signature((2, 3, 12))) == []
     for n in range(5, 20):
-        assert gs_extensions(Signature(0, (2, n, n))) != []
-    assert gs_extensions(Signature(0, (2, 4, 4))) == []  # vacuous: below row bounds
+        assert gs_extensions(Signature((2, n, n))) != []
+    assert gs_extensions(Signature((2, 4, 4))) == []  # vacuous: below row bounds
     for n in range(3, 12):
         expected = n == 4
-        assert (gs_extensions(Signature(0, (2, 4, 2 * n))) == []) is not expected
+        assert (gs_extensions(Signature((2, 4, 2 * n))) == []) is not expected
 
 
 def test_gs_row_lookup():
@@ -125,28 +126,27 @@ def test_gs_table_json_shape():
 def test_gs_index_sweep():
     # instantiate parameterized rows across n, m <= 30 and check the published
     # inner/outer/index data stays consistent
+    def extensions(*periods):
+        pairs = gs_extensions(Signature(periods))
+        return {row.row_id: (outer.periods, row.index) for row, outer in pairs}
+
     for t in range(4, 31):
-        exts = {e.row.row_id: e for e in gs_extensions(Signature(0, (t, t, t)))}
-        assert exts["1"].outer.periods == (3, 3, t) and exts["1"].index == 3
-        assert exts["2"].outer.periods == (2, 3, 2 * t) and exts["2"].index == 6
-        assert exts["3"].outer.periods == (2, t, 2 * t) and exts["3"].index == 2
+        exts = extensions(t, t, t)
+        assert exts["1"] == ((3, 3, t), 3)
+        assert exts["2"] == ((2, 3, 2 * t), 6)
+        assert exts["3"] == ((2, t, 2 * t), 2)
     for t in range(3, 31):
         for m in range(2, 31):
             if t == m or t + m < 7:
                 continue
-            exts = {e.row.row_id: e for e in gs_extensions(Signature(0, tuple(sorted((t, t, m)))))}
-            assert exts["3"].outer.periods == tuple(sorted((2, t, 2 * m)))
+            assert extensions(t, t, m)["3"][0] == tuple(sorted((2, t, 2 * m)))
     for t in range(2, 31):
-        exts = {e.row.row_id: e for e in gs_extensions(Signature(0, (t, 4 * t, 4 * t)))}
-        assert exts["11"].outer.periods == (2, 3, 4 * t) and exts["11"].index == 6
+        assert extensions(t, 4 * t, 4 * t)["11"] == ((2, 3, 4 * t), 6)
     for t in range(3, 31):
-        exts = {e.row.row_id: e for e in gs_extensions(Signature(0, (t, 2 * t, 2 * t)))}
-        assert exts["12"].outer.periods == (2, 4, 2 * t) and exts["12"].index == 4
-        exts = {e.row.row_id: e for e in gs_extensions(Signature(0, (3, t, 3 * t)))}
-        assert exts["13"].outer.periods == (2, 3, 3 * t) and exts["13"].index == 4
+        assert extensions(t, 2 * t, 2 * t)["12"] == ((2, 4, 2 * t), 4)
+        assert extensions(3, t, 3 * t)["13"] == ((2, 3, 3 * t), 4)
     for t in range(4, 31):
-        exts = {e.row.row_id: e for e in gs_extensions(Signature(0, (2, t, 2 * t)))}
-        assert exts["14"].outer.periods == (2, 3, 2 * t) and exts["14"].index == 3
+        assert extensions(2, t, 2 * t)["14"] == ((2, 3, 2 * t), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +154,16 @@ def test_gs_index_sweep():
 
 
 def test_harvey_examples():
-    assert harvey_admissible(Signature(0, (7, 7, 7)), 7)
-    assert not harvey_admissible(Signature(0, (2, 4, 8)), 8)
+    assert harvey_admissible(Signature((7, 7, 7)), 7)
+    assert not harvey_admissible(Signature((2, 4, 8)), 8)
     for n in range(3, 20):
-        assert harvey_admissible(Signature(0, (n, 2 * n, 2 * n)), 2 * n)
+        assert harvey_admissible(Signature((n, 2 * n, 2 * n)), 2 * n)
 
 
 def test_harvey_wrong_target():
-    assert not harvey_admissible(Signature(0, (7, 7, 7)), 14)
-    assert not harvey_admissible(Signature(0, (3, 4, 12)), 24)
-    assert harvey_admissible(Signature(0, (3, 4, 12)), 12)
+    assert not harvey_admissible(Signature((7, 7, 7)), 14)
+    assert not harvey_admissible(Signature((3, 4, 12)), 24)
+    assert harvey_admissible(Signature((3, 4, 12)), 12)
 
 
 def test_harvey_holds_for_all_belyi_covers():
@@ -192,7 +192,7 @@ def test_cb_case3_triangle():
 
 
 def test_cb_case5_triangle():
-    assert cb_extendable(belyi_cover(12, 1, 3, 8)) == (CbMatch(5, Signature(0, (2, 3, 12)), 4),)
+    assert cb_extendable(belyi_cover(12, 1, 3, 8)) == (CbMatch(5, Signature((2, 3, 12)), 4),)
     # the action rescaled by the unit 5: images (40, 15, 5) mod 12 by period
     assert [m.case for m in cb_extendable(belyi_cover(12, 4, 3, 5))] == [5]
 
@@ -247,7 +247,7 @@ CHAINS = (
 
 def _chains(periods):
     """item -> steps of every chain whose equivalent row matches periods."""
-    sig = Signature(0, periods)
+    sig = Signature(periods)
     return {
         item: chain_steps(sig, rows)
         for item, rows, equivalent in CHAINS
@@ -259,7 +259,7 @@ def test_chains_all_equal_triple():
     chains = _chains((7, 7, 7))
     assert set(chains) == {1, 2, 6}
     assert [s.signature.periods for s in chains[2]] == [(3, 3, 7), (2, 3, 7)]
-    assert chains[1][-1].signature == chains[6][-1].signature == Signature(0, (2, 3, 14))
+    assert chains[1][-1].signature == chains[6][-1].signature == Signature((2, 3, 14))
 
 
 def test_chains_nine():
@@ -300,7 +300,7 @@ def test_chain_steps_pinned(item):
     periods, expected = CHAIN_STEPS[item]
     steps = _chains(periods)[item]
     assert [(s.row_id, s.signature.periods, s.index) for s in steps] == expected
-    assert chain_steps(Signature(0, periods), [row for row, _, _ in expected]) == steps
+    assert chain_steps(Signature(periods), [row for row, _, _ in expected]) == steps
 
 
 def test_chains_indices_compose():

@@ -291,13 +291,13 @@ def _hlt(pres: Presentation, budget: int) -> int:
 
 
 def _relation_matrix(pres: Presentation) -> list[list[int]]:
-    return grouptheory._relation_matrix(grouptheory._powers(pres.relators), pres.generator_count)
+    return grouptheory._relation_matrix(*grouptheory._exponent_sums(grouptheory._powers(pres.relators)))
 
 
 def test_relation_matrix_sums_roots_and_eliminates_to_a_maximal_minor():
     triangle = parse_presentation("<x,y | x^2, y^3, (x*y)^7, [x,y]>")
     rows = _relation_matrix(triangle)
-    assert rows == [[2, 0], [0, 3], [7, 7], [0, 0]]
+    assert rows == [[2, 0], [0, 3], [7, 7]]  # the zero row of [x,y] is dropped
     assert grouptheory._eliminate(rows) == (2, 6)  # rank 2, from the first two rows
     # a long power is summed from its root
     assert _relation_matrix(parse_presentation("<a,b | (a*b^-1*a)^500000>")) == [
@@ -331,6 +331,24 @@ def test_a_check_dearer_than_the_budget_is_left_to_the_table(monkeypatch, count,
     tables = _tables_made(monkeypatch)
     assert coset_enumerate(_square_chain(count), max_cosets=budget) == 2
     assert (len(calls), len(tables)) == (int(checked), 1)
+
+
+def test_the_check_counts_sparse_rows_before_any_dense_row(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("a dense relation matrix was built")
+
+    monkeypatch.setattr(grouptheory, "_relation_matrix", no_matrix)
+    # 3,000 single-letter relators over 3,000 generators: 3,000 distinct rows
+    # over 3,000 generators cost more than the budget, and the table closes
+    # at once
+    letters = tuple((i,) for i in range(1, 3001))
+    assert coset_enumerate(Presentation(3000, letters), max_cosets=1000) == 1
+    # a generator with no nonzero exponent sum leaves the group infinite
+    tables = _tables_made(monkeypatch)
+    squares = tuple((i, i) for i in range(1, 3000)) + ((3000, -3000),)
+    with pytest.raises(BudgetExceeded):
+        coset_enumerate(Presentation(3000, squares), max_cosets=1000)
+    assert tables == []
 
 
 @st.composite
@@ -737,6 +755,41 @@ def test_abelianization_no_relators():
     assert abelianization(parse_presentation("<a,b | >")) == AbelianInvariants((), 2)
 
 
+@st.composite
+def _presentations_with_unused_generators(draw) -> Presentation:
+    """Up to six generators, some in no relator, and relators that are short
+    words, powers of them and commutators, some of them repeated."""
+    count = draw(st.integers(min_value=1, max_value=6), label="generators")
+    used = draw(st.lists(st.integers(min_value=1, max_value=count), min_size=1, unique=True),
+                label="used")
+    letters = st.sampled_from([s * x for x in used for s in (1, -1)])
+    powers = st.tuples(
+        st.lists(letters, min_size=1, max_size=4), st.integers(min_value=1, max_value=12)
+    ).map(lambda pair: tuple(pair[0]) * pair[1])
+    commutators = st.tuples(letters, letters).map(lambda xy: (xy[0], xy[1], -xy[0], -xy[1]))
+    relators = draw(st.lists(st.one_of(powers, commutators), max_size=5), label="relators")
+    if relators:
+        relators += draw(st.lists(st.sampled_from(relators), max_size=3), label="repeats")
+    return Presentation(count, tuple(draw(st.permutations(relators), label="order")))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_presentations_with_unused_generators())
+def test_abelianization_reads_the_full_relation_matrix(pres):
+    # the relation matrix keeps only distinct nonzero rows over the
+    # generators that occur; the invariants are those of every row over
+    # every generator
+    rows = []
+    for word in pres.relators:
+        row = [0] * pres.generator_count
+        for x in word:
+            row[abs(x) - 1] += 1 if x > 0 else -1
+        rows.append(row)
+    nonzero = [d for d in smith_normal_form(rows) if d]
+    want = AbelianInvariants(tuple(d for d in nonzero if d > 1), pres.generator_count - len(nonzero))
+    assert abelianization(pres) == want
+
+
 # ---------------------------------------------------------------------------
 # permutations
 
@@ -754,6 +807,35 @@ def test_parse_permutations_explicit_degree_and_identity():
     assert p.degree == 5
     assert p.generators[0] == tuple(range(5))
     assert perm_order(p) == 2
+
+
+def test_parse_permutations_skips_empty_generators():
+    # a generator with no cycle is skipped; () is the identity
+    assert parse_permutations("(1,2);;(2,3)").generators == ((1, 0, 2), (0, 2, 1))
+    assert parse_permutations(" ; (1,2) ;\t; ").generators == ((1, 0),)
+    assert parse_permutations("( );(1,2)").generators == ((0, 1), (1, 0))
+    with pytest.raises(DomainError, match="no permutations"):
+        parse_permutations(" ; ;")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("(1,2_0)", "position 4: expected ')'"),
+        ("(+1,2)", "position 1: expected an integer"),
+        ("(1,2)x", "position 5: expected ';'"),
+        ("(1, 2 3)", "position 6: expected ')'"),
+        ("(1,2)(3", "position 7: expected ')'"),
+        ("(0,1)", "at least 1"),
+        ("(1," + "9" * 5000 + ")", "integer of 5000 digits is too long"),
+    ],
+    ids=["underscore", "plus", "trailing", "space", "unterminated", "zero", "5000-digits"],
+)
+def test_parse_permutations_reads_unsigned_integers_only(text, message):
+    # int() read "2_0" as 20 and "+1" as 1
+    with pytest.raises(DomainError, match="permutation syntax error") as exc:
+        parse_permutations(text, degree=5)
+    assert message in str(exc.value)
 
 
 def test_parse_permutations_errors():

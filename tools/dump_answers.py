@@ -50,7 +50,17 @@ Input sets, in output order:
   column of each (300 calls);
 - ``monodromy_genus`` of ``lefschetz_cover(p, a)`` and ``fermat_cover(n, d)``
   on the inputs of the Lefschetz and Fermat lines, then of ``parse_curve``
-  on each text of ``CURVE_TEXTS`` (14,025 + 2,555 + 42 calls).
+  on each text of ``CURVE_TEXTS`` (14,025 + 2,555 + 42 calls);
+- ``run_scenario`` on twistedz2 for every n <= 60 divisible by 8 and every b
+  as above (30 calls);
+- ``abelianization``, then ``coset_enumerate`` at budget 1,000, of the
+  presentations of ``SPARSE_PRESENTATIONS`` and of 300 seeded ones, whose
+  relators leave some generators out and repeat or sum to zero, and then
+  ``abelianization`` of 300 powers of one generator over 512 generators
+  (307 + 307 + 1 calls).
+
+The sections are in the order they were added, so the dump of an older
+checkout is a prefix of this one's.
 
 A classification line holds ``report_to_json_dict`` of the report plus its
 ``kind``, ``group.kind`` and ``group.params``; any call that raises
@@ -130,8 +140,8 @@ def _report(report) -> dict:
 
 def _extensions(sig: Signature) -> list:
     return [
-        [ext.row.row_id, list(ext.outer.periods), ext.index, ext.row.normal]
-        for ext in gs_extensions(sig)
+        [row.row_id, list(outer.periods), row.index, row.normal]
+        for row, outer in gs_extensions(sig)
     ]
 
 
@@ -143,7 +153,7 @@ def _answer(fn, *args):
 
 
 def _extension_answer(*periods: int) -> dict:
-    return {"gs_extensions": _extensions(Signature(0, periods))}
+    return {"gs_extensions": _extensions(Signature(periods))}
 
 
 def _fingerprint(perms) -> list:
@@ -459,19 +469,63 @@ def _scenario_answer(family: str, n: int, k: int | None, b: int | None) -> list:
     return [[o.label, o.value, o.passed] for o in outcomes]
 
 
+def _twistedz2(degrees):
+    """(family, n, k, b) of twistedz2 at each degree n and each b with
+    b^2 = 1 mod n, 2 <= b <= n - 2."""
+    for n in degrees:
+        for b in range(2, n - 1):
+            if b * b % n == 1:
+                yield "twistedz2", n, None, b
+
+
 def _scenarios():
-    """(family, n, k, b) of every scenario call, in order."""
+    """(family, n, k, b) of every scenario call of the first scenario
+    section, in order."""
     for n in range(4, ENUMERATION_CAP + 1, 2):
         yield "accola-maclachlan", n, None, None
-    for n in range(5, ENUMERATION_CAP + 1):
-        if n % 8:
-            for b in range(2, n - 1):
-                if b * b % n == 1:
-                    yield "twistedz2", n, None, b
+    yield from _twistedz2(n for n in range(5, ENUMERATION_CAP + 1) if n % 8)
     for k in range(2, ENUMERATION_CAP):
         n = 1 + k + k * k
         if n <= ENUMERATION_CAP:
             yield "periodthree", n, k, None
+
+
+SPARSE_PRESENTATIONS = [
+    "<a,b,c,d | a^4, a^4, b^6, [a,b], a*a^-1>",
+    "<a,b,c | a^2, a^2, a^2>",
+    "<a,b,c,d,e | [a,b], [c,d], a^6*b^4, b^4*a^6, e*e^-1>",
+    "<x,y,z | x^12*y^8, x^12*y^8, y^-8*x^-12, [x,z]>",
+    "<a,b | a*b*a^-1*b^-1, b*a*b^-1*a^-1>",
+    "<a,b,c | (a*b)^3, (b*a)^3, c^5, c^-5>",
+    '{"generators": 50, "relators": [[1,1],[1,1],[2,-2],[3,3,3]]}',
+]
+
+
+def _sparse_presentations(count: int, seed: int):
+    """Seeded presentations on up to six generators, some in no relator,
+    with up to six relators (short powers and commutators), some repeated."""
+    rng = random.Random(seed)
+    names = "abcdef"
+    for _ in range(count):
+        generators = names[: rng.randint(1, 6)]
+        used = rng.sample(generators, rng.randint(1, len(generators)))
+        relators = []
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.3:
+                x, y = rng.choice(used), rng.choice(used)
+                relators.append(f"[{x},{y}]")
+            else:
+                letters = [rng.choice(used) + rng.choice(("", "^-1")) for _ in range(rng.randint(1, 3))]
+                word = "*".join(letters)
+                relators.append(f"({word})^{rng.randint(1, 12)}")
+        relators += rng.choices(relators, k=rng.randint(0, 2)) if relators else []
+        rng.shuffle(relators)
+        yield f"<{','.join(generators)} | {', '.join(relators)}>"
+
+
+def _one_generator_powers(generators: int, powers: int) -> str:
+    names = ",".join(f"g{i}" for i in range(1, generators + 1))
+    return f"<{names} | {', '.join(f'g1^{k}' for k in range(1, powers + 1))}>"
 
 
 LEFSCHETZ_INPUTS = [
@@ -520,6 +574,14 @@ def _calls():
         yield "monodromy_fermat", _monodromy_answer(fermat_cover), args
     for text in CURVE_TEXTS:
         yield "monodromy_curve", _monodromy_answer(parse_curve), (text,)
+    for args in _twistedz2(range(8, ENUMERATION_CAP + 1, 8)):
+        yield "scenario", _scenario_answer, args
+    sparse = SPARSE_PRESENTATIONS + list(_sparse_presentations(300, seed=20))
+    for text in sparse:
+        yield "abelianization", _abelianization_answer, (text,)
+    for text in sparse:
+        yield "coset", _coset_answer, (text, 1000)
+    yield "abelianization", _abelianization_answer, (_one_generator_powers(512, 300),)
 
 
 def main() -> None:
