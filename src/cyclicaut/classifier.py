@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .curve import (
     MINUS_ONE,
@@ -178,16 +178,16 @@ def _signature_and_chain(
 
 
 # Each rule is (row id, fits, holds, build).  fits(n) says whether the row can
-# fire at degree n at all; rows that cannot are skipped before any form is
-# tested.  A verdict tries holds(n, form) on each of its forms in turn: the
-# unit-led forms (x, y) of a triple, or the one form (d,) of a Fermat curve.
-# The first row in table order that holds on some form fires, with the first
-# entry of the first such form as its twist, and build(n, twist) gives the
-# group, the extension-chain row ids and the genus column (None on Fermat
-# rows, whose genus has a closed form); where no row holds, the group is
-# cyclic (DEFAULT).
+# fire at degree n at all.  holds(n, x) tests the row on one lead x: the d of
+# a Fermat curve, or the x of a unit-led form (1, x, y) of a triple, a unit
+# multiple of a permutation of it with y = n-1-x (as 1 + x + y = 0 mod n).
+# Every Belyi row's triple contains 1, so a triple is in a row's class exactly
+# when the row holds on one of its leads.  The first row in table order that
+# holds on some lead fires, with the least such lead as its twist; build(n,
+# twist) gives the group, the extension-chain row ids and the genus column
+# (None on Fermat rows, whose genus has a closed form).  DEFAULT is cyclic.
 _Fits = Callable[[int], bool]
-_Holds = Callable[[int, tuple[int, ...]], bool]
+_Holds = Callable[[int, int], bool]
 _Build = Callable[[int, int], tuple[GroupDescriptor, tuple[str, ...], Optional[int]]]
 _Rule = tuple[str, _Fits, _Holds, _Build]
 
@@ -205,29 +205,48 @@ class Verdict(NamedTuple):
     signature: Signature
 
 
-def _verdict(family: str, n: int, forms: Sequence[tuple[int, ...]],
+@lru_cache(maxsize=256)
+def _first_row(family: str, n: int, x: int) -> int:
+    """The index of the first row of the family's table at degree n that holds
+    on the lead x, or the number of rows there when none does (DEFAULT)."""
+    rows = _rules_at(n)[family]
+    return next((i for i, (_, holds, _) in enumerate(rows) if holds(n, x)), len(rows))
+
+
+@lru_cache(maxsize=256)
+def _fired(family: str, n: int, index: int, twist: int):
+    """Row id, group, chain row ids and genus column of the row at this index
+    of the family's table at degree n, with this twist; DEFAULT past its end."""
+    rows = _rules_at(n)[family]
+    if index == len(rows):
+        return "DEFAULT", _cyclic(n), (), None
+    row, _, build = rows[index]
+    return (row, *build(n, twist))
+
+
+def _verdict(family: str, n: int, leads: Iterable[int],
              canonical: Optional[tuple[int, int, int]], g: int,
              periods: tuple[int, ...], base_order: int) -> Verdict:
-    """The verdict of the family's rule table on these forms at degree n, for
+    """The verdict of the family's rule table on these leads at degree n, for
     a cover of genus g whose genus-0 signature has these periods.  Checks the
     row's genus column and the order law group.order = base_order x chain
-    indices (for genus >= 2)."""
-    for row, holds, build in _rules_at(n)[family]:
-        for form in forms:
-            if holds(n, form):
-                break
-        else:
-            continue
-        group, chain_rows, genus_column = build(n, form[0])
-        assert genus_column in (None, g), f"row {row} genus column mismatch"
-        break
-    else:
-        row, group, chain_rows = "DEFAULT", _cyclic(n), ()
-    sig, steps, index = _signature_and_chain(periods, chain_rows)
-    if g >= 2:
-        assert group.order == base_order * index, (
-            f"order law broken on row {row}: {group.order} != {base_order} x chain"
-        )
+    indices (for genus >= 2).
+
+    The least (first row, lead) over the leads fires: its row is the first in
+    table order that holds on some lead, since no lead holds on an earlier
+    row, and the leads that hold on it are exactly those whose first row it
+    is, so the least of them is the least lead it holds on, the twist.
+    """
+    index, twist = len(_rules_at(n)[family]), 0
+    for x in leads:
+        first = _first_row(family, n, x)
+        if first < index or first == index and x < twist:
+            index, twist = first, x
+    row, group, chain_rows, genus_column = _fired(family, n, index, twist)
+    assert genus_column in (None, g), f"row {row} genus column mismatch"
+    sig, steps, chain_index = _signature_and_chain(periods, chain_rows)
+    assert g < 2 or group.order == base_order * chain_index, (
+        f"order law broken on row {row}: {group.order} != {base_order} x chain")
     return Verdict(canonical, row, group, steps, g, sig)
 
 
@@ -254,11 +273,6 @@ def _report(kind: str, cover: CyclicCover, triple: Optional[tuple[int, int, int]
 # ---------------------------------------------------------------------------
 # Three-branch-point classification
 
-# Every row's triple contains the entry 1, so at a degree the row fits, a
-# triple lies in the row's class exactly when one of its unit-led forms
-# (1, x, y) -- a unit multiple of a permutation of the triple -- has
-# holds(n, (x, y)); the least such x is the twist.
-
 
 def _any_degree(n: int) -> bool:
     return True
@@ -267,13 +281,8 @@ def _any_degree(n: int) -> bool:
 def _exact(row: str, degree: int, triple: tuple[int, int, int], chain_row: str,
            genus_column: int, group: GroupDescriptor) -> _Rule:
     """An exceptional row: one literal triple, led by 1, at one degree."""
-    x_y = triple[1:]
-    return (
-        row,
-        lambda n: n == degree,
-        lambda n, form: form == x_y,
-        lambda n, twist: (group, (chain_row,), genus_column),
-    )
+    return (row, lambda n: n == degree, lambda n, x: x == triple[1],
+            lambda n, twist: (group, (chain_row,), genus_column))
 
 
 def _build_a2(n: int, twist: int):
@@ -299,6 +308,9 @@ def _build_c1(n: int, twist: int):
     return group, ("1",), (n - 1) // 2
 
 
+# The genus column of each row is typed in from the paper's table, not
+# derived: it is a transcription check, which _verdict asserts against the
+# genus of the gcds on every verdict the row fires.
 _BELYI_RULES: tuple[_Rule, ...] = (
     _exact("B.3", 8, (1, 2, 5), "7", 3,
            GroupDescriptor(96, "DIRECT_SUM_SEMIDIRECT", ((4, 4), "S3"))),
@@ -307,51 +319,38 @@ _BELYI_RULES: tuple[_Rule, ...] = (
     _exact("E.1", 8, (1, 3, 4), "11", 2, GroupDescriptor(48, "NAMED", ("GL(2,3)",))),
     _exact("E.2", 12, (1, 4, 7), "11", 4, GroupDescriptor(72, "CENTRAL_EXT", (3, "S4"))),
     _exact("E.3", 24, (1, 4, 19), "11", 10, GroupDescriptor(144, "CENTRAL_EXT", (6, "S4"))),
-    ("A.1", lambda n: n % 2 == 1, lambda n, form: form[0] == 1,
+    ("A.1", lambda n: n % 2 == 1, lambda n, x: x == 1,
      lambda n, twist: (_cyclic(2 * n), ("3",), (n - 1) // 2)),
-    ("A.2", lambda n: n % 2 == 0, lambda n, form: form[0] == 1, _build_a2),
-    ("B.2", lambda n: n % 8 == 0 and n > 8, lambda n, form: form == (n // 2 - 2, n // 2 + 1),
-     _build_b2),
-    ("B.1", _any_degree, lambda n, form: form[0] != 1 and form[0] * form[0] % n == 1, _build_b1),
-    ("C.1", _any_degree, lambda n, form: (1 + form[0] + form[0] * form[0]) % n == 0, _build_c1),
+    ("A.2", lambda n: n % 2 == 0, lambda n, x: x == 1, _build_a2),
+    ("B.2", lambda n: n % 8 == 0 and n > 8, lambda n, x: x == n // 2 - 2, _build_b2),
+    ("B.1", _any_degree, lambda n, x: x != 1 and x * x % n == 1, _build_b1),
+    ("C.1", _any_degree, lambda n, x: (1 + x + x * x) % n == 0, _build_c1),
 )
-
-
-def _unit_led_forms(n: int, triple: tuple[int, int, int],
-                    gcds: tuple[int, int, int]) -> list[tuple[int, int]]:
-    """The pairs (x, y) with (1, x, y) a unit multiple of a permutation of the
-    triple: each unit entry k (gcd(n, k) = 1), scaled by k^-1 to 1, leads two
-    of them."""
-    a, b, c = triple
-    forms = []
-    for k, gk, s, t in ((a, gcds[0], b, c), (b, gcds[1], a, c), (c, gcds[2], a, b)):
-        if gk == 1:
-            inv = pow(k, -1, n)
-            x = inv * s % n
-            y = inv * t % n
-            forms.append((x, y))
-            forms.append((y, x))
-    return forms
 
 
 def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
     """The verdict of ``_BELYI_RULES`` on the triple (a, b, c) at degree n.
 
     The triple is validated once, as its gcds with n are taken; genus and
-    signature come from the gcds.  The canonical triple is (1, x, y) for the
-    least unit-led form (x, y) when an entry is a unit; otherwise
-    ``canonical_triple`` finds it.
+    signature come from the gcds.  A unit entry k leads two unit-led forms,
+    with leads s/k mod n for the other entries s.  The canonical triple is
+    (1, m, n-1-m) for the least lead m, or ``canonical_triple``'s without one.
     """
     if n < 4:
         raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
-    triple = (a, b, c)
     gcds = triple_gcds(n, a, b, c)
     g, periods = genus_and_periods(n, gcds)
-    forms = _unit_led_forms(n, triple, gcds)
-    # ascending, so the first form a rule holds on carries its least twist
-    forms.sort()
-    canon = (1, *forms[0]) if forms else canonical_triple(n, a, b, c)
-    return _verdict("belyi", n, forms, canon, g, periods, n)
+    leads = []
+    for k, s, gk in zip((a, b, c), (b, c, a), gcds):
+        if gk == 1:
+            x = pow(k, -1, n) * s % n
+            leads += x, n - 1 - x
+    if leads:
+        m = min(leads)
+        canon = (1, m, n - 1 - m)
+    else:
+        canon = canonical_triple(n, a, b, c)
+    return _verdict("belyi", n, leads, canon, g, periods, n)
 
 
 def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:
@@ -428,29 +427,29 @@ def lefschetz_isomorphic(p: int, a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 # Fermat curves
 
-# Rows F.1-F.8 on the form (d,) of y^n + x^d = 1, in the order they are
+# Rows F.1-F.8 on the lead d of y^n + x^d = 1, in the order they are
 # decided: the quadratic and cubic rows, then the diagonal d = n, then by
 # whether d divides n.
 _FERMAT_RULES: tuple[_Rule, ...] = (
-    ("F.4", lambda n: n % 2 == 1, lambda n, form: form == (2,),
+    ("F.4", lambda n: n % 2 == 1, lambda n, d: d == 2,
      lambda n, d: (_cyclic(2 * n), (), None)),
-    ("F.5", lambda n: n % 2 == 0, lambda n, form: form == (2,),
+    ("F.5", lambda n: n % 2 == 0, lambda n, d: d == 2,
      lambda n, d: (GroupDescriptor(4 * n, "DIRECT_SUM_SEMIDIRECT", ((2, n), "Z2"),
                                    fermat_quadratic_presentation(n)), ("3",), None)),
-    ("F.8", lambda n: n == 4, lambda n, form: form == (3,),
+    ("F.8", lambda n: n == 4, lambda n, d: d == 3,
      lambda n, d: (GroupDescriptor(48, "CENTRAL_EXT", (4, "A4"),
                                    octahedral_times_c4_presentation()), ("13",), None)),
-    ("F.6", lambda n: n % 3 == 0, lambda n, form: form == (3,),
+    ("F.6", lambda n: n % 3 == 0, lambda n, d: d == 3,
      lambda n, d: (GroupDescriptor(6 * n, "DIRECT_SUM_SEMIDIRECT", ((3, n), "Z2"),
                                    fermat_cubic_presentation(n)), ("3",), None)),
-    ("F.7", _any_degree, lambda n, form: form == (3,), lambda n, d: (_cyclic(3 * n), (), None)),
-    ("F.1", _any_degree, lambda n, form: form == (n,),
+    ("F.7", _any_degree, lambda n, d: d == 3, lambda n, d: (_cyclic(3 * n), (), None)),
+    ("F.1", _any_degree, lambda n, d: d == n,
      lambda n, d: (GroupDescriptor(6 * n * n, "DIRECT_SUM_SEMIDIRECT", ((n, n), "S3")),
                    ("2",), None)),
-    ("F.2", _any_degree, lambda n, form: n % form[0] != 0,
+    ("F.2", _any_degree, lambda n, d: n % d != 0,
      lambda n, d: (GroupDescriptor(d * n, "ABELIAN", (d, n), abelian_presentation(d, n)),
                    (), None)),
-    ("F.3", _any_degree, lambda n, form: True,
+    ("F.3", _any_degree, lambda n, d: True,
      lambda n, d: (GroupDescriptor(2 * d * n, "CENTRAL_EXT", (d, f"D{2 * n}"),
                                    fermat_divisor_presentation(d, n)), ("3",), None)),
 )
@@ -481,7 +480,7 @@ def classify_fermat(n: int, d: int) -> ClassificationReport:
     assert 2 * g == 2 - d - gcd(d, n) + (d - 1) * n, "genus closed form mismatch"
     if g < 2:
         raise DomainError(f"below hyperbolic range: y^{n} + x^{d} = 1 has genus {g}")
-    verdict = _verdict("fermat", n, ((d,),), None, g, (d, n, lcm(d, n)), d * n)
+    verdict = _verdict("fermat", n, (d,), None, g, (d, n, lcm(d, n)), d * n)
     return _report("fermat", cover, None, verdict, d * n)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -285,7 +286,8 @@ def require_irreducible(cover: CyclicCover) -> None:
         raise DomainError("cover is reducible (exponents share a factor with n)")
 
 
-def genus_and_periods(n: int, gcds: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+@lru_cache(maxsize=256)
+def genus_and_periods(n: int, gcds: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Genus and sorted periods of an irreducible degree-n cyclic cover of the
     sphere branched over len(gcds) points, read off the gcds g_i = gcd(n, k_i)
     of its exponents (the exponent over infinity among them when nonzero).
@@ -300,10 +302,9 @@ def genus_and_periods(n: int, gcds: Sequence[int]) -> tuple[int, tuple[int, ...]
     return g, tuple(sorted(n // d for d in gcds))
 
 
-def _exponent_gcds(cover: CyclicCover) -> list[int]:
+def _exponent_gcds(cover: CyclicCover) -> tuple[int, ...]:
     require_irreducible(cover)
-    n = cover.n
-    return [gcd(n, k) for k in cover.all_exponents()]
+    return tuple(gcd(cover.n, k) for k in cover.all_exponents())
 
 
 def genus(cover: CyclicCover) -> int:

@@ -303,6 +303,155 @@ def test_verdict_is_the_report():
                 ), (n, a, b, c)
 
 
+# -- the rule walker against the nested walk on pairs -------------------------
+
+# The rows of both tables as predicates on whole forms: a unit-led pair
+# (x, y) of a triple, or the one-entry form (d,) of a Fermat curve, each row
+# as (row id, fits, holds).
+PAIR_BELYI_ROWS = (
+    ("B.3", lambda n: n == 8, lambda n, p: p == (2, 5)),
+    ("C.2", lambda n: n == 7, lambda n, p: p == (2, 4)),
+    ("D.1", lambda n: n == 12, lambda n, p: p == (3, 8)),
+    ("E.1", lambda n: n == 8, lambda n, p: p == (3, 4)),
+    ("E.2", lambda n: n == 12, lambda n, p: p == (4, 7)),
+    ("E.3", lambda n: n == 24, lambda n, p: p == (4, 19)),
+    ("A.1", lambda n: n % 2 == 1, lambda n, p: p[0] == 1),
+    ("A.2", lambda n: n % 2 == 0, lambda n, p: p[0] == 1),
+    ("B.2", lambda n: n % 8 == 0 and n > 8, lambda n, p: p == (n // 2 - 2, n // 2 + 1)),
+    ("B.1", lambda n: True, lambda n, p: p[0] != 1 and p[0] * p[0] % n == 1),
+    ("C.1", lambda n: True, lambda n, p: (1 + p[0] + p[0] * p[0]) % n == 0),
+)
+FORM_FERMAT_ROWS = (
+    ("F.4", lambda n: n % 2 == 1, lambda n, f: f == (2,)),
+    ("F.5", lambda n: n % 2 == 0, lambda n, f: f == (2,)),
+    ("F.8", lambda n: n == 4, lambda n, f: f == (3,)),
+    ("F.6", lambda n: n % 3 == 0, lambda n, f: f == (3,)),
+    ("F.7", lambda n: True, lambda n, f: f == (3,)),
+    ("F.1", lambda n: True, lambda n, f: f == (n,)),
+    ("F.2", lambda n: True, lambda n, f: n % f[0] != 0),
+    ("F.3", lambda n: True, lambda n, f: True),
+)
+
+
+def unit_led_pairs(n, a, b, c):
+    """The pairs (x, y) with (1, x, y) a unit multiple of a permutation of the
+    triple, ascending."""
+    triple = (a, b, c)
+    pairs = []
+    for i, k in enumerate(triple):
+        if gcd(n, k) == 1:
+            inv = pow(k, -1, n)
+            s, t = (inv * v % n for j, v in enumerate(triple) if j != i)
+            pairs += [(s, t), (t, s)]
+    return sorted(pairs)
+
+
+def nested_walk(rows, n, forms):
+    """Each row in table order against each form in order: the first row
+    that holds on a form fires, with the form's first entry as the twist."""
+    for row, fits, holds in rows:
+        if fits(n):
+            for form in forms:
+                if holds(n, form):
+                    return row, form[0]
+    return "DEFAULT", None
+
+
+def _expected_group(table, n, row, twist):
+    if row == "DEFAULT":
+        return GroupDescriptor(n, "CYCLIC", (n,), f"<a | a^{n}>")
+    build = {rule[0]: rule[3] for rule in table}[row]
+    return build(n, twist)[0]
+
+
+def _assert_belyi_walk(n, a, b, c):
+    pairs = unit_led_pairs(n, a, b, c)
+    row, twist = nested_walk(PAIR_BELYI_ROWS, n, pairs)
+    v = belyi_verdict(n, a, b, c)
+    assert (v.row, v.group) == (row, _expected_group(classifier._BELYI_RULES, n, row, twist)), (
+        n, a, b, c)
+    assert v.canonical == ((1, *pairs[0]) if pairs else canonical_triple(n, a, b, c)), (n, a, b, c)
+
+
+def test_walker_matches_nested_walk_on_pairs():
+    # every admissible ordered triple with 4 <= n <= 60: same row, twist
+    # (through the group it builds) and canonical triple
+    for n in range(4, 61):
+        for a in range(1, n):
+            for b in range(1, n):
+                c = (-a - b) % n
+                if c and gcd(n, a, b, c) == 1:
+                    _assert_belyi_walk(n, a, b, c)
+
+
+@st.composite
+def _row_shaped(draw):
+    """An admissible triple; five times in six, a unit multiple of a
+    permutation of (1, x, n-1-x) for a lead x that fires a row: A (x = 1), B.2
+    (n = 0 mod 8, x = n/2 - 2), B.1 (n = x^2 - 1), C.1 (n = x^2 + x + 1) or an
+    exact row."""
+    shape = draw(st.sampled_from(["any", "A", "B.2", "B.1", "C.1", "exact"]), label="shape")
+    if shape == "any":
+        return draw(_admissible())
+    if shape == "A":
+        n, x = draw(st.integers(min_value=4, max_value=10**6), label="n"), 1
+    elif shape == "B.2":
+        n = 8 * draw(st.integers(min_value=2, max_value=125_000), label="n/8")
+        x = n // 2 - 2
+    elif shape == "B.1":
+        x = draw(st.integers(min_value=3, max_value=1000), label="x")
+        n = x * x - 1
+    elif shape == "C.1":
+        x = draw(st.integers(min_value=2, max_value=999), label="x")
+        n = x * x + x + 1
+    else:
+        n, x = draw(st.sampled_from([(8, 2), (7, 2), (12, 3), (8, 3), (12, 4), (24, 4)]),
+                    label="exact row")
+    u = draw(st.integers(min_value=1, max_value=n - 1), label="unit")
+    while gcd(u, n) != 1:
+        u += 1
+    order = draw(st.permutations((1, x, n - 1 - x)), label="order")
+    return (n, *(u * k % n for k in order))
+
+
+@seed(20261019)
+@settings(max_examples=400, deadline=None)
+@given(_row_shaped())
+@example((16, 1, 6, 9))
+@example((1_000_000, 1, 499_998, 500_001))
+@example((1_000_000, 499_998, 500_001, 1))
+@example((8, 1, 2, 5))
+@example((7, 1, 2, 4))
+@example((12, 1, 3, 8))
+@example((8, 1, 3, 4))
+@example((12, 1, 4, 7))
+@example((24, 1, 4, 19))
+def test_walker_matches_nested_walk_at_large_degrees(triple):
+    _assert_belyi_walk(*triple)
+
+
+def test_fermat_walker_matches_nested_walk():
+    for n in range(2, 70):
+        for d in range(2, n + 1):
+            if 2 - d - gcd(d, n) + (d - 1) * n < 4:  # twice the genus below 4
+                with pytest.raises(DomainError, match="below hyperbolic range"):
+                    classify_fermat(n, d)
+                continue
+            row, twist = nested_walk(FORM_FERMAT_ROWS, n, [(d,)])
+            r = classify_fermat(n, d)
+            assert (r.row, r.group) == (
+                row, _expected_group(classifier._FERMAT_RULES, n, row, twist)), (n, d)
+
+
+def test_first_row_memo_grows_by_the_leads_alone():
+    # one verdict at n = 10^6 + 3 adds at most its six leads to the memo,
+    # not a table over the degree's residues
+    before = belyi_verdict(1000003, 1, 2, 1000000)
+    classifier._first_row.cache_clear()
+    assert belyi_verdict(1000003, 1, 2, 1000000) == before
+    assert classifier._first_row.cache_info().currsize <= 6
+
+
 # invalid Belyi inputs and the exact DomainError text each must keep
 BELYI_INVALID = [
     ((3, 1, 1, 1), "three-branch-point classification needs degree >= 4, got 3"),

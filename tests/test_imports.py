@@ -1,12 +1,15 @@
-"""No file imports a name it never reads, and no package module reads a
-sibling's private name.
+"""No file imports a name it never reads, no package module reads a
+sibling's private name, and every memo in the package is bounded.
 
 Walks the syntax tree of every Python file under src/, tests/ and tools/ and
 fails on a name that an import binds and the file never reads, counting the
 names read inside quoted annotations.  An ``__init__.py`` imports to
 re-export, and ``from __future__`` imports bind nothing, so both are exempt.
 A module under src/ may not import an underscore name from another module
-of the package, nor read one as an attribute of a module it imports.
+of the package, nor read one as an attribute of a module it imports.  Every
+``lru_cache`` under src/ passes an integer maxsize of at most MAX_CACHE, and
+``functools.cache`` appears nowhere there: a classification rarely repeats a
+degree, so each memo fills to its bound.
 """
 
 import ast
@@ -21,6 +24,8 @@ FILES = sorted(
     for path in (ROOT / folder).rglob("*.py")
     if path.name != "__init__.py"
 )
+SRC_FILES = [path for path in FILES if path.is_relative_to(ROOT / "src")]
+MAX_CACHE = 1024
 
 
 def _annotations(tree: ast.AST):
@@ -110,11 +115,7 @@ def test_guard_catches_each_form():
     assert unused_imports(ast.parse(source)) == ["2: json", "3: os", "4: np", "5: lcm"]
 
 
-@pytest.mark.parametrize(
-    "path",
-    [path for path in FILES if path.is_relative_to(ROOT / "src")],
-    ids=lambda p: p.relative_to(ROOT).as_posix(),
-)
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_private_sibling_imports(path):
     assert private_imports(ast.parse(path.read_text(), str(path))) == []
 
@@ -137,4 +138,86 @@ def test_private_guard_catches_each_form():
         "4: _walk_orbits",
         "8: curve._build_cover",
         "8: v._ordered_admissible",
+    ]
+
+
+def unbounded_caches(tree: ast.AST) -> list[str]:
+    """Memos without an integer bound of at most MAX_CACHE: ``lru_cache``
+    used bare or with any other maxsize, and every ``functools.cache``."""
+    modules, lru, found = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name == "cache":
+                    found.append(f"{node.lineno}: functools.cache")
+                elif alias.name == "lru_cache":
+                    lru.add(alias.asname or alias.name)
+
+    def is_lru(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.value.id in modules and node.attr == "lru_cache"
+        return isinstance(node, ast.Name) and node.id in lru
+
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and is_lru(node.func):
+            called.add(node.func)
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            size = sizes[0] if sizes else None
+            if not (
+                isinstance(size, ast.Constant)
+                and type(size.value) is int
+                and 0 <= size.value <= MAX_CACHE
+            ):
+                found.append(f"{node.lineno}: lru_cache without maxsize <= {MAX_CACHE}")
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr == "cache"
+        ):
+            found.append(f"{node.lineno}: functools.cache")
+    for node in ast.walk(tree):
+        if is_lru(node) and node not in called:
+            found.append(f"{node.lineno}: bare lru_cache")
+    return sorted(found, key=lambda entry: int(entry.partition(":")[0]))
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_memos_are_bounded(path):
+    assert unbounded_caches(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_memo_guard_catches_each_form():
+    source = "\n".join(
+        [
+            "import functools",
+            "from functools import cache, lru_cache, lru_cache as memo",
+            "@lru_cache(maxsize=256)",
+            "def a(n): return n",
+            "@functools.lru_cache(1024)",
+            "def b(n): return n",
+            "@lru_cache",
+            "def c(n): return n",
+            "@functools.lru_cache(maxsize=None)",
+            "def d(n): return n",
+            "@memo(4096)",
+            "def e(n): return n",
+            "@lru_cache(maxsize=True)",
+            "def f(n): return n",
+            "g = lru_cache()(a)",
+            "@functools.cache",
+            "def h(n): return n",
+        ]
+    )
+    assert unbounded_caches(ast.parse(source)) == [
+        "2: functools.cache",
+        "7: bare lru_cache",
+        "9: lru_cache without maxsize <= 1024",
+        "11: lru_cache without maxsize <= 1024",
+        "13: lru_cache without maxsize <= 1024",
+        "15: lru_cache without maxsize <= 1024",
+        "16: functools.cache",
     ]
