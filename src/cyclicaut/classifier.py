@@ -93,8 +93,6 @@ class ClassificationReport:
 
     kind: str  # "belyi" | "lefschetz" | "fermat"
     cover: CyclicCover
-    n: int
-    triple: Optional[tuple[int, int, int]]
     canonical: Optional[tuple[int, int, int]]
     genus: int
     signature: Signature
@@ -103,6 +101,16 @@ class ClassificationReport:
     chain: tuple[ChainStep, ...]
     base_order: int
     notes: str = ""
+
+    @property
+    def n(self) -> int:
+        return self.cover.n
+
+    @property
+    def triple(self) -> Optional[tuple[int, ...]]:
+        """The cover's three exponents, infinity's last when it branches
+        there; None for a Fermat curve."""
+        return None if self.kind == "fermat" else self.cover.all_exponents()
 
 
 # ---------------------------------------------------------------------------
@@ -156,40 +164,22 @@ def octahedral_times_c4_presentation() -> str:
 # Verdicts and reports
 
 
-# The descriptors and chains below depend only on the degree or on the
-# periods, and are frozen values, so each is built once and shared by every
-# report that needs it; the caches are bounded.
-
-
-@lru_cache(maxsize=256)
 def _cyclic(m: int) -> GroupDescriptor:
     return GroupDescriptor(m, "CYCLIC", (m,), cyclic_presentation(m))
 
 
-@lru_cache(maxsize=1024)
-def _signature_and_chain(
-    periods: tuple[int, ...], chain_rows: tuple[str, ...]
-) -> tuple[Signature, tuple[ChainStep, ...], int]:
-    """The genus-0 signature with these periods, the extension chain from it
-    through chain_rows, and the product of the chain's indices."""
-    sig = Signature(periods)
-    steps = chain_steps(sig, chain_rows)
-    return sig, steps, prod(step.index for step in steps)
-
-
-# Each rule is (row id, fits, holds, build).  fits(n) says whether the row can
-# fire at degree n at all.  holds(n, x) tests the row on one lead x: the d of
-# a Fermat curve, or the x of a unit-led form (1, x, y) of a triple, a unit
-# multiple of a permutation of it with y = n-1-x (as 1 + x + y = 0 mod n).
-# Every Belyi row's triple contains 1, so a triple is in a row's class exactly
-# when the row holds on one of its leads.  The first row in table order that
-# holds on some lead fires, with the least such lead as its twist; build(n,
-# twist) gives the group, the extension-chain row ids and the genus column
-# (None on Fermat rows, whose genus has a closed form).  DEFAULT is cyclic.
-_Fits = Callable[[int], bool]
+# Each rule is (row id, holds, build).  holds(n, x) tests the row at degree n
+# on one lead x: the d of a Fermat curve, or the x of a unit-led form
+# (1, x, y) of a triple, a unit multiple of a permutation of it with
+# y = n-1-x (as 1 + x + y = 0 mod n).  Every Belyi row's triple contains 1,
+# so a triple is in a row's class exactly when the row holds on one of its
+# leads.  The first row in table order that holds on some lead fires, with
+# the least such lead as its twist; build(n, twist) gives the group, the
+# extension-chain row ids and the genus column (None on Fermat rows, whose
+# genus has a closed form).  DEFAULT is cyclic.
 _Holds = Callable[[int, int], bool]
 _Build = Callable[[int, int], tuple[GroupDescriptor, tuple[str, ...], Optional[int]]]
-_Rule = tuple[str, _Fits, _Holds, _Build]
+_Rule = tuple[str, _Holds, _Build]
 
 
 class Verdict(NamedTuple):
@@ -205,23 +195,35 @@ class Verdict(NamedTuple):
     signature: Signature
 
 
+# The row a lead fires and what a fired row builds are frozen values that
+# depend only on their arguments, so each is built once and shared by every
+# verdict that needs it; the caches are bounded.
+
+
 @lru_cache(maxsize=256)
 def _first_row(family: str, n: int, x: int) -> int:
-    """The index of the first row of the family's table at degree n that holds
-    on the lead x, or the number of rows there when none does (DEFAULT)."""
-    rows = _rules_at(n)[family]
-    return next((i for i, (_, holds, _) in enumerate(rows) if holds(n, x)), len(rows))
+    """The index of the first row of the family's table that holds at degree
+    n on the lead x, or the number of rows when none does (DEFAULT)."""
+    rules = _RULES[family]
+    return next((i for i, (_, holds, _) in enumerate(rules) if holds(n, x)), len(rules))
 
 
 @lru_cache(maxsize=256)
-def _fired(family: str, n: int, index: int, twist: int):
-    """Row id, group, chain row ids and genus column of the row at this index
-    of the family's table at degree n, with this twist; DEFAULT past its end."""
-    rows = _rules_at(n)[family]
-    if index == len(rows):
-        return "DEFAULT", _cyclic(n), (), None
-    row, _, build = rows[index]
-    return (row, *build(n, twist))
+def _fired(family: str, n: int, index: int, twist: int, g: int, periods: tuple[int, ...]):
+    """Row id, group, signature, extension chain, product of the chain's
+    indices and genus column of the row at this index of the family's table,
+    at degree n with this twist, for a cover of genus g whose genus-0
+    signature has these periods; DEFAULT past the table's end.  Below genus
+    2 no extension chain applies, so none is built."""
+    rules = _RULES[family]
+    if index == len(rules):
+        row, group, chain_rows, genus_column = "DEFAULT", _cyclic(n), (), None
+    else:
+        row, _, build = rules[index]
+        group, chain_rows, genus_column = build(n, twist)
+    sig = Signature(periods)
+    steps = chain_steps(sig, chain_rows) if g >= 2 else ()
+    return row, group, sig, steps, prod(step.index for step in steps), genus_column
 
 
 def _verdict(family: str, n: int, leads: Iterable[int],
@@ -237,14 +239,14 @@ def _verdict(family: str, n: int, leads: Iterable[int],
     row, and the leads that hold on it are exactly those whose first row it
     is, so the least of them is the least lead it holds on, the twist.
     """
-    index, twist = len(_rules_at(n)[family]), 0
+    index, twist = len(_RULES[family]), 0
     for x in leads:
         first = _first_row(family, n, x)
         if first < index or first == index and x < twist:
             index, twist = first, x
-    row, group, chain_rows, genus_column = _fired(family, n, index, twist)
+    row, group, sig, steps, chain_index, genus_column = _fired(
+        family, n, index, twist, g, periods)
     assert genus_column in (None, g), f"row {row} genus column mismatch"
-    sig, steps, chain_index = _signature_and_chain(periods, chain_rows)
     assert g < 2 or group.order == base_order * chain_index, (
         f"order law broken on row {row}: {group.order} != {base_order} x chain")
     return Verdict(canonical, row, group, steps, g, sig)
@@ -254,8 +256,7 @@ def _verdict(family: str, n: int, leads: Iterable[int],
 _ROW_NOTES = {"F.7": "signature admits an extension but no compatible epimorphism survives it"}
 
 
-def _report(kind: str, cover: CyclicCover, triple: Optional[tuple[int, int, int]],
-            verdict: Verdict, base_order: int,
+def _report(kind: str, cover: CyclicCover, verdict: Verdict, base_order: int,
             row_names: Optional[dict[str, str]] = None) -> ClassificationReport:
     """The report on a cover from its verdict, its row renamed by row_names;
     below genus 2 it notes that no extension chain applies."""
@@ -265,30 +266,24 @@ def _report(kind: str, cover: CyclicCover, triple: Optional[tuple[int, int, int]
     notes = _ROW_NOTES.get(row, "")
     if g < 2 and not notes:
         notes = "genus below 2: table row reported verbatim, extension chain not applicable"
-    return ClassificationReport(
-        kind, cover, cover.n, triple, canon, g, sig, row, group, steps, base_order, notes
-    )
+    return ClassificationReport(kind, cover, canon, g, sig, row, group, steps, base_order, notes)
 
 
 # ---------------------------------------------------------------------------
 # Three-branch-point classification
 
 
-def _any_degree(n: int) -> bool:
-    return True
-
-
 def _exact(row: str, degree: int, triple: tuple[int, int, int], chain_row: str,
            genus_column: int, group: GroupDescriptor) -> _Rule:
     """An exceptional row: one literal triple, led by 1, at one degree."""
-    return (row, lambda n: n == degree, lambda n, x: x == triple[1],
+    return (row, lambda n, x: n == degree and x == triple[1],
             lambda n, twist: (group, (chain_row,), genus_column))
 
 
 def _build_a2(n: int, twist: int):
     group = GroupDescriptor(4 * n, "CENTRAL_EXT", (2, f"D{2 * n}"),
                             central_dihedral_presentation(n))
-    return group, ("12",) if n >= 6 else (), n // 2 - 1
+    return group, ("12",), n // 2 - 1
 
 
 def _build_b2(n: int, twist: int):
@@ -319,12 +314,12 @@ _BELYI_RULES: tuple[_Rule, ...] = (
     _exact("E.1", 8, (1, 3, 4), "11", 2, GroupDescriptor(48, "NAMED", ("GL(2,3)",))),
     _exact("E.2", 12, (1, 4, 7), "11", 4, GroupDescriptor(72, "CENTRAL_EXT", (3, "S4"))),
     _exact("E.3", 24, (1, 4, 19), "11", 10, GroupDescriptor(144, "CENTRAL_EXT", (6, "S4"))),
-    ("A.1", lambda n: n % 2 == 1, lambda n, x: x == 1,
+    ("A.1", lambda n, x: x == 1 and n % 2 == 1,
      lambda n, twist: (_cyclic(2 * n), ("3",), (n - 1) // 2)),
-    ("A.2", lambda n: n % 2 == 0, lambda n, x: x == 1, _build_a2),
-    ("B.2", lambda n: n % 8 == 0 and n > 8, lambda n, x: x == n // 2 - 2, _build_b2),
-    ("B.1", _any_degree, lambda n, x: x != 1 and x * x % n == 1, _build_b1),
-    ("C.1", _any_degree, lambda n, x: (1 + x + x * x) % n == 0, _build_c1),
+    ("A.2", lambda n, x: x == 1 and n % 2 == 0, _build_a2),
+    ("B.2", lambda n, x: x == n // 2 - 2 and n % 8 == 0 and n > 8, _build_b2),
+    ("B.1", lambda n, x: x != 1 and x * x % n == 1, _build_b1),
+    ("C.1", lambda n, x: (1 + x + x * x) % n == 0, _build_c1),
 )
 
 
@@ -361,7 +356,7 @@ def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:
     """
     verdict = belyi_verdict(n, a, b, c)
     cover = CyclicCover(n, ((ZERO, a), (ONE, b), (MINUS_ONE, c)))
-    return _report("belyi", cover, (a, b, c), verdict, n)
+    return _report("belyi", cover, verdict, n)
 
 
 def classify_cover(cover: CyclicCover) -> ClassificationReport:
@@ -373,7 +368,7 @@ def classify_cover(cover: CyclicCover) -> ClassificationReport:
         raise DomainError(
             f"classification needs exactly three branch points, this cover has {len(ks)}"
         )
-    return _report("belyi", cover, ks, belyi_verdict(cover.n, *ks), cover.n)
+    return _report("belyi", cover, belyi_verdict(cover.n, *ks), cover.n)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +386,13 @@ def lefschetz_canonical(p: int, a: int) -> int:
     return a
 
 
-def _validate_lefschetz(p: int, a: int) -> None:
+def _require_prime_degree(p: int) -> None:
     if not is_prime(p) or p < 5:
         raise DomainError(f"degree must be a prime >= 5, got {p}")
+
+
+def _validate_lefschetz(p: int, a: int) -> None:
+    _require_prime_degree(p)
     if not 1 <= a <= p - 2:
         raise DomainError(f"exponent {a} outside [1, {p - 2}] (a = p-1 drops a branch point)")
 
@@ -406,8 +405,7 @@ def classify_lefschetz(p: int, a: int) -> ClassificationReport:
     """Full automorphism group of y^p = x^a (x+1) for prime p >= 5: the
     three-point answer for exponents (a0, 1, p-1-a0) over 0, -1 and infinity."""
     a0 = lefschetz_canonical(p, a)
-    triple = (a0, 1, p - 1 - a0)
-    return _report("lefschetz", lefschetz_cover(p, a0), triple, belyi_verdict(p, *triple), p,
+    return _report("lefschetz", lefschetz_cover(p, a0), belyi_verdict(p, a0, 1, p - 1 - a0), p,
                    _LEFSCHETZ_ROWS)
 
 
@@ -415,8 +413,7 @@ def lefschetz_isomorphic(p: int, a: int, b: int) -> bool:
     """Curve-isomorphism test for canonical exponents a, b in [1, (p-1)/2):
     the covers' exponent triples (a, 1, p-1-a) and (b, 1, p-1-b) lie in one
     class."""
-    if not is_prime(p) or p < 5:
-        raise DomainError(f"degree must be a prime >= 5, got {p}")
+    _require_prime_degree(p)
     half = (p - 1) // 2
     for v in (a, b):
         if not 1 <= v < half:
@@ -431,39 +428,29 @@ def lefschetz_isomorphic(p: int, a: int, b: int) -> bool:
 # decided: the quadratic and cubic rows, then the diagonal d = n, then by
 # whether d divides n.
 _FERMAT_RULES: tuple[_Rule, ...] = (
-    ("F.4", lambda n: n % 2 == 1, lambda n, d: d == 2,
-     lambda n, d: (_cyclic(2 * n), (), None)),
-    ("F.5", lambda n: n % 2 == 0, lambda n, d: d == 2,
+    ("F.4", lambda n, d: d == 2 and n % 2 == 1, lambda n, d: (_cyclic(2 * n), (), None)),
+    ("F.5", lambda n, d: d == 2 and n % 2 == 0,
      lambda n, d: (GroupDescriptor(4 * n, "DIRECT_SUM_SEMIDIRECT", ((2, n), "Z2"),
                                    fermat_quadratic_presentation(n)), ("3",), None)),
-    ("F.8", lambda n: n == 4, lambda n, d: d == 3,
+    ("F.8", lambda n, d: d == 3 and n == 4,
      lambda n, d: (GroupDescriptor(48, "CENTRAL_EXT", (4, "A4"),
                                    octahedral_times_c4_presentation()), ("13",), None)),
-    ("F.6", lambda n: n % 3 == 0, lambda n, d: d == 3,
+    ("F.6", lambda n, d: d == 3 and n % 3 == 0,
      lambda n, d: (GroupDescriptor(6 * n, "DIRECT_SUM_SEMIDIRECT", ((3, n), "Z2"),
                                    fermat_cubic_presentation(n)), ("3",), None)),
-    ("F.7", _any_degree, lambda n, d: d == 3, lambda n, d: (_cyclic(3 * n), (), None)),
-    ("F.1", _any_degree, lambda n, d: d == n,
+    ("F.7", lambda n, d: d == 3, lambda n, d: (_cyclic(3 * n), (), None)),
+    ("F.1", lambda n, d: d == n,
      lambda n, d: (GroupDescriptor(6 * n * n, "DIRECT_SUM_SEMIDIRECT", ((n, n), "S3")),
                    ("2",), None)),
-    ("F.2", _any_degree, lambda n, d: n % d != 0,
+    ("F.2", lambda n, d: n % d != 0,
      lambda n, d: (GroupDescriptor(d * n, "ABELIAN", (d, n), abelian_presentation(d, n)),
                    (), None)),
-    ("F.3", _any_degree, lambda n, d: True,
+    ("F.3", lambda n, d: True,
      lambda n, d: (GroupDescriptor(2 * d * n, "CENTRAL_EXT", (d, f"D{2 * n}"),
                                    fermat_divisor_presentation(d, n)), ("3",), None)),
 )
 
 _RULES = {"belyi": _BELYI_RULES, "fermat": _FERMAT_RULES}
-
-
-@lru_cache(maxsize=256)
-def _rules_at(n: int) -> dict[str, tuple[tuple[str, _Holds, _Build], ...]]:
-    """The rows of each family's rule table that fit degree n, in table order."""
-    return {
-        family: tuple((row, holds, build) for row, fits, holds, build in rules if fits(n))
-        for family, rules in _RULES.items()
-    }
 
 
 def classify_fermat(n: int, d: int) -> ClassificationReport:
@@ -481,7 +468,7 @@ def classify_fermat(n: int, d: int) -> ClassificationReport:
     if g < 2:
         raise DomainError(f"below hyperbolic range: y^{n} + x^{d} = 1 has genus {g}")
     verdict = _verdict("fermat", n, (d,), None, g, (d, n, lcm(d, n)), d * n)
-    return _report("fermat", cover, None, verdict, d * n)
+    return _report("fermat", cover, verdict, d * n)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,19 @@ group orders by deterministic Schreier-Sims.
 The Smith normal form takes the rank and a nonzero maximal minor D from one
 fraction-free elimination (Bareiss, Math. Comp. 22, 1968) and then
 diagonalizes modulo D (Domich, Kannan and Trotter, Math. Oper. Res. 12,
-1987), so its numbers stay polynomial in the input's bit size.  The same
-elimination of the relation matrix runs before any coset is defined, when
-it would take fewer steps than the coset budget: the group's order is at
-least its abelianization's, so a rank below the generator count (an
-infinite group), or an abelianization larger than the budget, ends the
-enumeration with BudgetExceeded at once, as HLT would end after outgrowing
-the budget.  The check holds only over the trivial subgroup.
+1987), so its numbers stay polynomial in the input's bit size.  The
+relation matrix is first split into blocks that share no generator, by a
+union-find over the generators each row touches.  The matrix is then block
+diagonal, so its rank and cokernel are the sums of the blocks': each block
+is eliminated on its own, and the blocks' invariant factors are chained
+together by gcd and lcm.  Many distinct rows over many generators thus cost
+the blocks' eliminations, not one elimination over every generator.  The
+same elimination runs before any coset is defined, when its blocks together
+would take fewer steps than the coset budget: the group's order is at least
+its abelianization's, so a rank below the generator count (an infinite
+group), or an abelianization larger than the budget, ends the enumeration
+with BudgetExceeded at once, as HLT would end after outgrowing the budget.
+The check holds only over the trivial subgroup.
 
 The enumeration writes each relator as w^k with w primitive.  One scan of
 w^k that closes at a coset closes it at every coset of that coset's w-cycle,
@@ -29,9 +35,12 @@ Computational Group Theory*, ch. 5): one list per generator and per inverse,
 indexed by coset, beside per-coset lists of parents, closed marks and
 lookahead proofs.  A coset takes one 8-byte slot in each of these
 2 * generators + 4 lists and one int object for its index: about 80 bytes
-with one generator.  Each relator's letters are resolved to the column lists
-they read once per enumeration, so a scan makes one lookup per letter, and
-the table reports the cosets it defined and the merges it made.
+with one generator.  The coset budget bounds the cosets but not their
+width, so the lists together hold at most MAX_TABLE_SLOTS slots, and a
+table that would outgrow them ends with BudgetExceeded.  Each relator's
+letters are resolved to the column lists they read once per enumeration, so
+a scan makes one lookup per letter, and the table reports the cosets it
+defined and the merges it made.
 """
 
 from __future__ import annotations
@@ -146,6 +155,11 @@ def presentation_to_text(pres: Presentation) -> str:
 # together; each power, commutator and concatenation is checked against the
 # room left before it is built.
 MAX_RELATOR_LETTERS = 10**7
+
+# Most slots a coset table may hold: cosets times its 2 * generators + 4
+# lists, 8 bytes each, so about 270 MB at this bound.  The coset budget bounds
+# the cosets but not the width of each, which a wide presentation sets.
+MAX_TABLE_SLOTS = 2**25
 
 # Most generators a presentation may have.  Each coset of the table takes a
 # slot in 2 * generators + 4 lists, and each relator is a row of the relation
@@ -391,6 +405,9 @@ class _CosetTable:
 
     def _grow(self) -> None:
         room = [0] * min(self.size, _GROWTH)
+        lists = len(self.cols) + 4
+        if (len(self.parent) + len(room)) * lists > MAX_TABLE_SLOTS:
+            raise BudgetExceeded("coset table slots", MAX_TABLE_SLOTS)
         for column in (*self.cols, self.parent, self.closed, self.proven, self.proven_at):
             column.extend(room)
 
@@ -592,11 +609,13 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     :class:`BudgetExceeded`, as it would have after outgrowing the budget;
     the invariant factors are computed only when the minor found exceeds
     the budget.  A generator with no nonzero exponent sum leaves the rank
-    short at once.  Otherwise the elimination of r distinct nonzero rows
-    over g generators takes up to r * g * min(r, g) steps and the table at
-    least one per coset before it outgrows the budget, so a check dearer
-    than ``max_cosets`` steps is left to the table.  Otherwise the order
-    comes from :func:`_enumerate_hlt`.
+    short at once.  Otherwise the matrix splits into blocks that share no
+    generator (see _blocks), and the abelianization is the direct sum of
+    theirs.  The elimination of a block of r distinct nonzero rows over g
+    generators takes up to r * g * min(r, g) steps and the table at least
+    one per coset before it outgrows the budget, so a check whose blocks
+    together are dearer than ``max_cosets`` steps is left to the table.
+    Otherwise the order comes from :func:`_enumerate_hlt`.
     """
     if max_cosets < 1:
         raise DomainError("max_cosets must be positive")
@@ -605,13 +624,17 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     sums, columns = _exponent_sums(powers)
     if len(columns) < g:
         raise BudgetExceeded("coset enumeration", max_cosets)
-    r = len(sums)
-    if r * g * min(r, g) <= max_cosets:
-        rows = _relation_matrix(sums, columns)
-        rank, minor = _eliminate(rows)
-        if rank < g or (
-            minor > max_cosets and prod(_invariant_factors(rows, g, rank, minor)) > max_cosets
-        ):
+    blocks = _blocks(sums)
+    if sum(len(rows) * len(gens) * min(len(rows), len(gens)) for rows, gens in blocks) <= max_cosets:
+        eliminated = []
+        for rows, gens in blocks:
+            matrix = _relation_matrix(rows, gens)
+            rank, minor = _eliminate(matrix)
+            if rank < len(gens):
+                raise BudgetExceeded("coset enumeration", max_cosets)
+            eliminated.append((matrix, len(gens), rank, minor))
+        if (prod(minor for *_, minor in eliminated) > max_cosets
+                and prod(prod(_invariant_factors(*block)) for block in eliminated) > max_cosets):
             raise BudgetExceeded("coset enumeration", max_cosets)
     return _enumerate_hlt(g, powers, max_cosets)
 
@@ -821,16 +844,23 @@ def _invariant_factors(
     d = minor
     diagonal = _diagonalize([[v % d for v in row] for row in rows], d)
     # the lattice's cokernel is the sum of Z/gcd(e, d) over the diagonal and
-    # of Z/d once for each column left without a pivot; gcd and lcm of two
-    # entries at a time sort it into a divisibility chain
-    factors = [gcd(e, d) for e in diagonal if gcd(e, d) > 1]
+    # of Z/d once for each column left without a pivot
+    factors = _divisibility_chain([gcd(e, d) for e in diagonal if gcd(e, d) > 1])
+    chain = [1] * (len(diagonal) - len(factors)) + factors + [d] * (columns - len(diagonal))
+    return chain[:rank]
+
+
+def _divisibility_chain(factors: list[int]) -> list[int]:
+    """The cyclic factors of a finite abelian group, sorted in place into a
+    divisibility chain (each entry dividing the next) of the same group:
+    gcd and lcm of two entries at a time keep the group and move each prime's
+    larger power later.  Entries of 1 may lead the chain."""
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             a, b = factors[i], factors[j]
             factors[i] = gcd(a, b)
             factors[j] = a // factors[i] * b
-    chain = [1] * (len(diagonal) - len(factors)) + factors + [d] * (columns - len(diagonal))
-    return chain[:rank]
+    return factors
 
 
 @dataclass(frozen=True)
@@ -872,11 +902,44 @@ def _relation_matrix(rows: Sequence[dict[int, int]], columns: Sequence[int]) -> 
     return [[row.get(j, 0) for j in columns] for row in rows]
 
 
+def _blocks(rows: Sequence[dict[int, int]]) -> list[tuple[list[dict[int, int]], list[int]]]:
+    """The rows of _exponent_sums split into blocks that share no generator,
+    each with its generators ascending, in order of their first rows.  A
+    union-find joins the generators each row touches; the relation matrix is
+    then block diagonal, and its rank and cokernel are the sums of the
+    blocks'."""
+    parent: dict[int, int] = {}
+
+    def find(j: int) -> int:
+        while parent.setdefault(j, j) != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for row in rows:
+        first, *others = map(find, row)
+        for j in others:
+            parent[j] = first
+    blocks: dict[int, tuple[list[dict[int, int]], list[int]]] = {}
+    for row in rows:
+        blocks.setdefault(find(next(iter(row))), ([], []))[0].append(row)
+    for j in sorted(parent):
+        blocks[find(j)][1].append(j)
+    return list(blocks.values())
+
+
 def abelianization(pres: Presentation) -> AbelianInvariants:
-    """Abelian invariants of the presented group via Smith normal form."""
-    sums, columns = _exponent_sums(_powers(pres.relators))
-    nonzero = [d for d in smith_normal_form(_relation_matrix(sums, columns)) if d]
-    return AbelianInvariants(tuple(d for d in nonzero if d > 1), pres.generator_count - len(nonzero))
+    """Abelian invariants of the presented group: the Smith normal form of
+    each block of the relation matrix (see _blocks), its factors chained
+    together."""
+    factors: list[int] = []
+    rank = 0
+    for rows, columns in _blocks(_exponent_sums(_powers(pres.relators))[0]):
+        nonzero = [d for d in smith_normal_form(_relation_matrix(rows, columns)) if d]
+        rank += len(nonzero)
+        factors += (d for d in nonzero if d > 1)
+    chain = tuple(d for d in _divisibility_chain(factors) if d > 1)
+    return AbelianInvariants(chain, pres.generator_count - rank)
 
 
 # ---------------------------------------------------------------------------

@@ -360,7 +360,7 @@ def nested_walk(rows, n, forms):
 def _expected_group(table, n, row, twist):
     if row == "DEFAULT":
         return GroupDescriptor(n, "CYCLIC", (n,), f"<a | a^{n}>")
-    build = {rule[0]: rule[3] for rule in table}[row]
+    build = {rule[0]: rule[-1] for rule in table}[row]
     return build(n, twist)[0]
 
 
@@ -630,6 +630,30 @@ def test_lefschetz_isomorphic_examples():
     assert lefschetz_isomorphic(7, 1, 2) is False
     with pytest.raises(DomainError):
         lefschetz_isomorphic(11, 2, 5)
+
+
+@pytest.mark.parametrize("p", [-7, 1, 2, 3, 4, 9, 25])
+def test_lefschetz_entry_points_reject_a_degree_with_one_text(p):
+    calls = (lambda: classify_lefschetz(p, 1), lambda: lefschetz_canonical(p, 1),
+             lambda: lefschetz_isomorphic(p, 1, 1))
+    for call in calls:
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == f"degree must be a prime >= 5, got {p}"
+
+
+def test_lefschetz_and_fermat_reports_read_degree_and_exponents_off_the_cover():
+    assert classify_lefschetz(11, 7).triple == (3, 1, 7)  # over 0, -1 and infinity
+    fermat = classify_fermat(5, 3)
+    assert (fermat.n, fermat.triple) == (5, None)
+
+
+def test_no_chain_below_genus_two():
+    # A.2 at n = 4 and DEFAULT at n = 6 are the verdicts below genus 2 up to
+    # n = 120; A.2 ships the chain step 12 from genus 2 on
+    low = [belyi_verdict(4, 1, 1, 2), belyi_verdict(6, 1, 2, 3)]
+    assert [(v.genus, v.row, v.chain) for v in low] == [(1, "A.2", ()), (1, "DEFAULT", ())]
+    assert [step.row_id for step in belyi_verdict(6, 1, 1, 4).chain] == ["12"]
 
 
 def test_lefschetz_isomorphic_is_equivalence():

@@ -432,6 +432,49 @@ def test_coset_enum_long_power_budget_stop_is_linear():
     assert proc.stdout.strip() == "BUDGET_EXCEEDED"
 
 
+def test_coset_table_wider_than_its_slot_bound_stops_within_the_address_space():
+    # the free product of 120 copies of Z_2 is infinite; its table takes 244
+    # slots a coset, and the bare HLT loop ended in a MemoryError at 1.46 GB
+    # before the table was bounded in slots
+    pytest.importorskip("resource")
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from cyclicaut import grouptheory as g\n"
+        "try:\n"
+        "    print(g._enumerate_hlt(120, g._powers([(i, i) for i in range(1, 121)]), 1000000))\n"
+        "except g.BudgetExceeded as exc:\n"
+        "    print('BUDGET_EXCEEDED', exc.what, exc.budget == g.MAX_TABLE_SLOTS)\n"
+    )
+    proc = _run_entry_point([sys.executable, "-c", script], [], timeout=30)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout.strip() == "BUDGET_EXCEEDED coset table slots True"
+
+
+def test_coset_enum_free_product_of_120_z2_stops_before_the_table():
+    # its abelianization Z_2^120 splits into 120 one-generator blocks, so the
+    # check before the table runs and outgrows the budget at once
+    names = [f"g{i}" for i in range(1, 121)]
+    text = f"<{','.join(names)} | {', '.join(f'{x}^2' for x in names)}>"
+    proc = _run_entry_point(_entry_point_argv(), ["coset-enum", "--pres", text], timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "BUDGET_EXCEEDED"
+
+
+def test_abelianize_256_generators_of_distinct_powers_ends_within_the_guard():
+    # <g1..g256 | g_i^j, 2 <= j <= 21>: 5,120 distinct rows, which one
+    # elimination over every generator took 19 s to reduce; each generator's
+    # powers are a block of their own
+    names = [f"g{i}" for i in range(1, 257)]
+    relators = ", ".join(f"{x}^{j}" for x in names for j in range(2, 22))
+    proc = _run_entry_point(
+        _entry_point_argv(), ["abelianize", "--pres", f"<{','.join(names)} | {relators}>"],
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout.strip() == "trivial"
+
+
 def test_abelianize_dense_48_by_48_ends_within_the_guard():
     # 48 relators, each a random power of every one of 48 generators: the
     # elimination without a modulus was still running after 60 s

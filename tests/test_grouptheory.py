@@ -311,6 +311,15 @@ def test_relation_matrix_sums_roots_and_eliminates_to_a_maximal_minor():
     assert grouptheory._eliminate(_relation_matrix(_square_chain(12))) == (12, 2)
 
 
+def test_blocks_share_no_generator_and_chain_their_factors():
+    pres = parse_presentation("<a,b,c,d | a^4, b^6, c*d^2, d^10, [a,b]>")
+    rows, _ = grouptheory._exponent_sums(grouptheory._powers(pres.relators))
+    assert [gens for _, gens in grouptheory._blocks(rows)] == [[0], [1], [2, 3]]
+    # Z_4 + Z_6 + Z_10 is Z_2 + Z_2 + Z_60
+    assert abelianization(parse_presentation("<a,b,c | a^4, b^6, c^10>")) == AbelianInvariants(
+        (2, 2, 60), 0)
+
+
 def test_a_large_minor_with_a_small_abelianization_still_enumerates(monkeypatch):
     # no row has a unit entry and the first two give the minor 1600, past
     # the budget, but the abelianization is Z_2 x Z_40, so the table decides

@@ -57,7 +57,11 @@ Input sets, in output order:
   presentations of ``SPARSE_PRESENTATIONS`` and of 300 seeded ones, whose
   relators leave some generators out and repeat or sum to zero, and then
   ``abelianization`` of 300 powers of one generator over 512 generators
-  (307 + 307 + 1 calls).
+  (307 + 307 + 1 calls);
+- ``abelianization`` of <g1..gN | g_i^j for 2 <= j <= 21> at N = 64 and
+  N = 256, then ``coset_enumerate`` of the free product of 120 copies of Z_2
+  and of the square chain <g1..g2000 | g_i^2, g_i * g_(i+1)^-1> (2 + 2
+  calls).
 
 The sections are in the order they were added, so the dump of an older
 checkout is a prefix of this one's.
@@ -528,6 +532,24 @@ def _one_generator_powers(generators: int, powers: int) -> str:
     return f"<{names} | {', '.join(f'g1^{k}' for k in range(1, powers + 1))}>"
 
 
+def _wide(generators: int, relators) -> str:
+    """The presentation on g1..g_generators with these relators."""
+    names = ",".join(f"g{i}" for i in range(1, generators + 1))
+    return f"<{names} | {', '.join(relators)}>"
+
+
+def _distinct_powers(generators: int, top: int) -> str:
+    """<g1..gN | g_i^j for 2 <= j <= top>: the trivial group, one distinct
+    relation row per relator."""
+    return _wide(generators, (f"g{i}^{j}" for i in range(1, generators + 1) for j in range(2, top + 1)))
+
+
+def _square_chain(generators: int) -> str:
+    """<g1..gN | g_i^2, g_i * g_(i+1)^-1>: the group of order 2."""
+    squares = [f"g{i}^2" for i in range(1, generators + 1)]
+    return _wide(generators, squares + [f"g{i}*g{i + 1}^-1" for i in range(1, generators)])
+
+
 LEFSCHETZ_INPUTS = [
     (p, a) for p in [q for q in range(400) if is_prime(q)] + [4, 6, 9, 15, 21] for a in range(p + 1)
 ]
@@ -582,6 +604,10 @@ def _calls():
     for text in sparse:
         yield "coset", _coset_answer, (text, 1000)
     yield "abelianization", _abelianization_answer, (_one_generator_powers(512, 300),)
+    for generators in (64, 256):
+        yield "abelianization", _abelianization_answer, (_distinct_powers(generators, 21),)
+    yield "coset", _coset_answer, (_wide(120, (f"g{i}^2" for i in range(1, 121))), 1_000_000)
+    yield "coset", _coset_answer, (_square_chain(2000), 1_000_000)
 
 
 def main() -> None:
