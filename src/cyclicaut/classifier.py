@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .curve import (
     MINUS_ONE,
@@ -195,59 +195,30 @@ class Verdict(NamedTuple):
     signature: Signature
 
 
-# The row a lead fires and what a fired row builds are frozen values that
-# depend only on their arguments, so each is built once and shared by every
-# verdict that needs it; the caches are bounded.
-
-
 @lru_cache(maxsize=256)
-def _first_row(family: str, n: int, x: int) -> int:
-    """The index of the first row of the family's table that holds at degree
-    n on the lead x, or the number of rows when none does (DEFAULT)."""
-    rules = _RULES[family]
-    return next((i for i, (_, holds, _) in enumerate(rules) if holds(n, x)), len(rules))
-
-
-@lru_cache(maxsize=256)
-def _fired(family: str, n: int, index: int, twist: int, g: int, periods: tuple[int, ...]):
-    """Row id, group, signature, extension chain, product of the chain's
-    indices and genus column of the row at this index of the family's table,
-    at degree n with this twist, for a cover of genus g whose genus-0
-    signature has these periods; DEFAULT past the table's end.  Below genus
-    2 no extension chain applies, so none is built."""
-    rules = _RULES[family]
-    if index == len(rules):
-        row, group, chain_rows, genus_column = "DEFAULT", _cyclic(n), (), None
-    else:
-        row, _, build = rules[index]
-        group, chain_rows, genus_column = build(n, twist)
-    sig = Signature(periods)
-    steps = chain_steps(sig, chain_rows) if g >= 2 else ()
-    return row, group, sig, steps, prod(step.index for step in steps), genus_column
-
-
-def _verdict(family: str, n: int, leads: Iterable[int],
+def _verdict(family: str, n: int, leads: tuple[int, ...],
              canonical: Optional[tuple[int, int, int]], g: int,
              periods: tuple[int, ...], base_order: int) -> Verdict:
-    """The verdict of the family's rule table on these leads at degree n, for
-    a cover of genus g whose genus-0 signature has these periods.  Checks the
-    row's genus column and the order law group.order = base_order x chain
-    indices (for genus >= 2).
+    """The verdict of the family's rule table on these sorted leads at degree
+    n, for a cover of genus g whose genus-0 signature has these periods.
+    Below genus 2 no extension chain applies, so none is built.
 
-    The least (first row, lead) over the leads fires: its row is the first in
-    table order that holds on some lead, since no lead holds on an earlier
-    row, and the leads that hold on it are exactly those whose first row it
-    is, so the least of them is the least lead it holds on, the twist.
+    Checks the row's genus column and the order law group.order = base_order
+    x chain indices (for genus >= 2).  Every input of both checks is an
+    argument, and the verdict is frozen, so checking it once, when it is
+    memoised, checks every verdict it serves.
     """
-    index, twist = len(_RULES[family]), 0
-    for x in leads:
-        first = _first_row(family, n, x)
-        if first < index or first == index and x < twist:
-            index, twist = first, x
-    row, group, sig, steps, chain_index, genus_column = _fired(
-        family, n, index, twist, g, periods)
+    for row, holds, build in _RULES[family]:
+        twist = next((x for x in leads if holds(n, x)), None)
+        if twist is not None:
+            group, chain_rows, genus_column = build(n, twist)
+            break
+    else:
+        row, group, chain_rows, genus_column = "DEFAULT", _cyclic(n), (), None
+    sig = Signature(periods)
+    steps = chain_steps(sig, chain_rows) if g >= 2 else ()
     assert genus_column in (None, g), f"row {row} genus column mismatch"
-    assert g < 2 or group.order == base_order * chain_index, (
+    assert g < 2 or group.order == base_order * prod(step.index for step in steps), (
         f"order law broken on row {row}: {group.order} != {base_order} x chain")
     return Verdict(canonical, row, group, steps, g, sig)
 
@@ -305,7 +276,7 @@ def _build_c1(n: int, twist: int):
 
 # The genus column of each row is typed in from the paper's table, not
 # derived: it is a transcription check, which _verdict asserts against the
-# genus of the gcds on every verdict the row fires.
+# genus of the gcds on each verdict of the row it builds.
 _BELYI_RULES: tuple[_Rule, ...] = (
     _exact("B.3", 8, (1, 2, 5), "7", 3,
            GroupDescriptor(96, "DIRECT_SUM_SEMIDIRECT", ((4, 4), "S3"))),
@@ -330,6 +301,9 @@ def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
     signature come from the gcds.  A unit entry k leads two unit-led forms,
     with leads s/k mod n for the other entries s.  The canonical triple is
     (1, m, n-1-m) for the least lead m, or ``canonical_triple``'s without one.
+    The sorted leads are the same for every member of a class (each unit
+    entry k adds the pair {s/k, n-1-s/k}, and a unit rescaling keeps the
+    ratios), so a class costs ``_verdict`` one memo miss.
     """
     if n < 4:
         raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
@@ -340,12 +314,9 @@ def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
         if gk == 1:
             x = pow(k, -1, n) * s % n
             leads += x, n - 1 - x
-    if leads:
-        m = min(leads)
-        canon = (1, m, n - 1 - m)
-    else:
-        canon = canonical_triple(n, a, b, c)
-    return _verdict("belyi", n, leads, canon, g, periods, n)
+    leads.sort()
+    canon = (1, leads[0], n - 1 - leads[0]) if leads else canonical_triple(n, a, b, c)
+    return _verdict("belyi", n, tuple(leads), canon, g, periods, n)
 
 
 def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:

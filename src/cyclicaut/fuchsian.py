@@ -18,7 +18,7 @@ from string import ascii_lowercase
 from typing import Optional, Sequence
 
 from .curve import CyclicCover, Signature, require_irreducible
-from .numtheory import DomainError, units
+from .numtheory import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +215,13 @@ def cb_extendable(cover: CyclicCover) -> tuple[CbMatch, ...]:
     periods = tuple(m for m, _ in pairs)
     images = tuple(k for _, k in pairs)
     matches: list[CbMatch] = []
-    if periods == (n, n, n) and n >= 4 and any(
-        j != 1 and j * j * j % n == 1 and sorted(z * j % n for z in images) == list(images)
-        for j in units(n)
-    ):
-        matches.append(CbMatch(3, Signature((3, 3, n)), 3))
+    # all three images are units, so an order-3 unit j that permutes them
+    # sends images[0] to images[1] or images[2], and then j or j^2 sends it to
+    # images[1]: images[1] / images[0] is the one candidate
+    if periods == (n, n, n) and n >= 4:
+        j = images[1] * pow(images[0], -1, n) % n
+        if j != 1 and j * j * j % n == 1 and sorted(z * j % n for z in images) == list(images):
+            matches.append(CbMatch(3, Signature((3, 3, n)), 3))
     # the images of period n are units; two of them are swapped by an
     # involution when their quotient squares to 1
     m = periods[0]

@@ -15,8 +15,11 @@ union-find over the generators each row touches.  The matrix is then block
 diagonal, so its rank and cokernel are the sums of the blocks': each block
 is eliminated on its own, and the blocks' invariant factors are chained
 together by gcd and lcm.  Many distinct rows over many generators thus cost
-the blocks' eliminations, not one elimination over every generator.  The
-same elimination runs before any coset is defined, when its blocks together
+the blocks' eliminations, not one elimination over every generator.  A
+block of r distinct rows over c generators takes up to r * c * min(r, c)
+steps, and abelianization ends with BudgetExceeded, before the block's
+matrix is built, when that passes MAX_ELIMINATION_STEPS.  The same
+elimination runs before any coset is defined, when its blocks together
 would take fewer steps than the coset budget: the group's order is at least
 its abelianization's, so a rank below the generator count (an infinite
 group), or an abelianization larger than the budget, ends the enumeration
@@ -160,6 +163,11 @@ MAX_RELATOR_LETTERS = 10**7
 # lists, 8 bytes each, so about 270 MB at this bound.  The coset budget bounds
 # the cosets but not the width of each, which a wide presentation sets.
 MAX_TABLE_SLOTS = 2**25
+
+# Most steps a dense elimination of the relation matrix may take, in
+# abelianization per block and in coset_enumerate's check before the table
+# over all blocks: about 3 s at this bound on one core of a 2-core VM.
+MAX_ELIMINATION_STEPS = 2**26
 
 # Most generators a presentation may have.  Each coset of the table takes a
 # slot in 2 * generators + 4 lists, and each relator is a row of the relation
@@ -614,8 +622,9 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     theirs.  The elimination of a block of r distinct nonzero rows over g
     generators takes up to r * g * min(r, g) steps and the table at least
     one per coset before it outgrows the budget, so a check whose blocks
-    together are dearer than ``max_cosets`` steps is left to the table.
-    Otherwise the order comes from :func:`_enumerate_hlt`.
+    together are dearer than ``max_cosets`` steps, or than
+    MAX_ELIMINATION_STEPS, is left to the table.  Otherwise the order comes
+    from :func:`_enumerate_hlt`.
     """
     if max_cosets < 1:
         raise DomainError("max_cosets must be positive")
@@ -625,7 +634,8 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     if len(columns) < g:
         raise BudgetExceeded("coset enumeration", max_cosets)
     blocks = _blocks(sums)
-    if sum(len(rows) * len(gens) * min(len(rows), len(gens)) for rows, gens in blocks) <= max_cosets:
+    steps = sum(_elimination_steps(*block) for block in blocks)
+    if steps <= min(max_cosets, MAX_ELIMINATION_STEPS):
         eliminated = []
         for rows, gens in blocks:
             matrix = _relation_matrix(rows, gens)
@@ -928,13 +938,22 @@ def _blocks(rows: Sequence[dict[int, int]]) -> list[tuple[list[dict[int, int]], 
     return list(blocks.values())
 
 
+def _elimination_steps(rows: Sequence[dict[int, int]], columns: Sequence[int]) -> int:
+    """Most steps the elimination of a block of these rows over these
+    generators takes."""
+    return len(rows) * len(columns) * min(len(rows), len(columns))
+
+
 def abelianization(pres: Presentation) -> AbelianInvariants:
     """Abelian invariants of the presented group: the Smith normal form of
     each block of the relation matrix (see _blocks), its factors chained
-    together."""
+    together.  A block whose elimination may take more than
+    MAX_ELIMINATION_STEPS steps ends it with BudgetExceeded."""
     factors: list[int] = []
     rank = 0
     for rows, columns in _blocks(_exponent_sums(_powers(pres.relators))[0]):
+        if _elimination_steps(rows, columns) > MAX_ELIMINATION_STEPS:
+            raise BudgetExceeded("abelianization", MAX_ELIMINATION_STEPS)
         nonzero = [d for d in smith_normal_form(_relation_matrix(rows, columns)) if d]
         rank += len(nonzero)
         factors += (d for d in nonzero if d > 1)

@@ -409,8 +409,8 @@ def _walk_orbits(
     Returns the classes in canonical order, each with the report on its
     first member (one ``classify_belyi`` call per class), and the first
     (triple, canonical triple) whose verdict differs from its class's first
-    verdict in row, group, chain or genus, or None.  ``on_triple``, when
-    given, sees each (triple, verdict) in walk order.
+    verdict, or None.  ``on_triple``, when given, sees each (triple,
+    verdict) in walk order.
     """
     firsts: dict[Triple, tuple[Triple, Verdict]] = {}
     sizes: dict[Triple, int] = {}
@@ -426,10 +426,7 @@ def _walk_orbits(
             sizes[canon] = 1
             continue
         sizes[canon] += 1
-        base = first[1]
-        if stray is None and (verdict.row, verdict.group, verdict.chain, verdict.genus) != (
-            base.row, base.group, base.chain, base.genus,
-        ):
+        if stray is None and verdict != first[1]:
             stray = (triple, canon)
     classes = [
         TripleClass(canon, sizes[canon], classify_belyi(n, *firsts[canon][0]))

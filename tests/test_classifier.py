@@ -443,13 +443,44 @@ def test_fermat_walker_matches_nested_walk():
                 row, _expected_group(classifier._FERMAT_RULES, n, row, twist)), (n, d)
 
 
-def test_first_row_memo_grows_by_the_leads_alone():
-    # one verdict at n = 10^6 + 3 adds at most its six leads to the memo,
-    # not a table over the degree's residues
-    before = belyi_verdict(1000003, 1, 2, 1000000)
-    classifier._first_row.cache_clear()
-    assert belyi_verdict(1000003, 1, 2, 1000000) == before
-    assert classifier._first_row.cache_info().currsize <= 6
+def test_verdict_memo_holds_one_entry_per_class():
+    # one verdict at n = 10^6 + 3 leaves one memo entry, not a table over the
+    # degree's residues, and a permuted, unit-rescaled member of its class
+    # reads that entry
+    n = 1000003
+    classifier._verdict.cache_clear()
+    verdict = belyi_verdict(n, 1, 2, 1000000)
+    assert classifier._verdict.cache_info().currsize == 1
+    member = (3 * 1000000 % n, 3 * 1 % n, 3 * 2 % n)
+    assert belyi_verdict(n, *member) == verdict
+    info = classifier._verdict.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("breaks, message", [
+    (lambda group, chain_rows, genus_column: (group, chain_rows, genus_column + 1),
+     "row B.1 genus column mismatch"),
+    (lambda group, chain_rows, genus_column: (
+        GroupDescriptor(2 * group.order, "NAMED", ("X",)), chain_rows, genus_column),
+     "order law broken on row B.1"),
+])
+def test_verdict_checks_the_row_it_builds(monkeypatch, breaks, message):
+    # (1, 4, 10) fires B.1 at n = 15, of genus 5; a wrong genus column or a
+    # wrong order in the row's build fails the first verdict of the row
+    assert belyi_verdict(15, 1, 4, 10).row == "B.1"
+    rules = tuple(
+        (row, holds, (lambda n, twist, build=build: breaks(*build(n, twist))))
+        if row == "B.1" else (row, holds, build)
+        for row, holds, build in classifier._BELYI_RULES
+    )
+    monkeypatch.setitem(classifier._RULES, "belyi", rules)
+    classifier._verdict.cache_clear()
+    try:
+        assert belyi_verdict(15, 1, 1, 13).row == "A.1"
+        with pytest.raises(AssertionError, match=message):
+            belyi_verdict(15, 4, 10, 1)
+    finally:
+        classifier._verdict.cache_clear()
 
 
 # invalid Belyi inputs and the exact DomainError text each must keep

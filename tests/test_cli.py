@@ -516,6 +516,33 @@ def test_abelianize_reads_only_the_generators_that_occur():
     assert json.loads(proc.stdout) == {"factors": [], "free_rank": 4095}
 
 
+@pytest.mark.parametrize("command, generators, answer", [
+    (["abelianize"], 64, "trivial"),
+    (["abelianize"], 256, "BUDGET_EXCEEDED"),
+    (["coset-enum", "--max-cosets", "400000000"], 256, "1"),
+])
+def test_one_large_block_ends_within_the_guard(command, generators, answer):
+    # <g1..gN | g_i^j, 2 <= j <= 21, g_i * g_(i+1)^-1>: the chain relators join
+    # every generator into one block of 21N - 1 rows, whose elimination takes
+    # up to (21N - 1) N^2 steps: 5.5 million at N = 64, and 352 million at
+    # N = 256, which ran past the guard before the step bound, in abelianize
+    # and in coset-enum's check before the table at a budget above it
+    pytest.importorskip("resource")
+    names = [f"g{i}" for i in range(1, generators + 1)]
+    powers = [f"{x}^{j}" for x in names for j in range(2, 22)]
+    steps = [f"{x}*{y}^-1" for x, y in zip(names, names[1:])]
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))\n"
+        "from cyclicaut.cli import main\n"
+        "main()\n"
+    )
+    argv = command + ["--pres", f"<{','.join(names)} | {', '.join(powers + steps)}>"]
+    proc = _run_entry_point([sys.executable, "-c", script], argv, timeout=30)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout.strip() == answer
+
+
 def test_coset_enum_square_chain_of_2000_generators_ends_within_the_guard():
     # <g1..g2000 | g_i^2, g_i * g_(i+1)^-1> has order 2, but its squares
     # alone give a maximal minor of 2^2000; eliminating its 3,999 x 2,000

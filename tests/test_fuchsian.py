@@ -14,7 +14,7 @@ from cyclicaut.fuchsian import (
     harvey_admissible,
 )
 from cyclicaut.fuchsian import _TABLE, _bind, _parse_pattern
-from cyclicaut.numtheory import DomainError
+from cyclicaut.numtheory import DomainError, units
 
 
 def _ext_summary(periods):
@@ -217,6 +217,23 @@ def test_cb_permutation_invariance():
             for perm in itertools.permutations(range(3))
         }
         assert answers == {cb_extendable(cover)}, triple
+
+
+def test_cb_case3_reads_one_candidate_unit():
+    # case 3 tests only the quotient images[1] / images[0] of the sorted
+    # images; the scan over every unit of n is the reference
+    for n in range(4, 61):
+        order_three = [j for j in units(n) if j != 1 and j * j * j % n == 1]
+        for a in range(1, n):
+            for b in range(1, n):
+                c = (-a - b) % n
+                if c == 0 or gcd(n, a, b, c) != 1:
+                    continue
+                images = sorted((a, b, c))
+                expected = all(gcd(n, k) == 1 for k in images) and any(
+                    sorted(z * j % n for z in images) == images for j in order_three)
+                cases = [m.case for m in cb_extendable(belyi_cover(n, a, b, c))]
+                assert (3 in cases) == expected, (n, a, b, c)
 
 
 def test_cb_period_count_validation():

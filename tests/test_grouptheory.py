@@ -7,7 +7,7 @@ from math import factorial, prod
 
 import pytest
 
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from cyclicaut.grouptheory import (
     AbelianInvariants,
@@ -318,6 +318,19 @@ def test_blocks_share_no_generator_and_chain_their_factors():
     # Z_4 + Z_6 + Z_10 is Z_2 + Z_2 + Z_60
     assert abelianization(parse_presentation("<a,b,c | a^4, b^6, c^10>")) == AbelianInvariants(
         (2, 2, 60), 0)
+
+
+def test_abelianization_bounds_the_steps_of_each_block(monkeypatch):
+    # a^4, b^6 and a*b are one block of 3 rows over 2 generators, 3 * 2 * 2
+    # steps; a^4 and b^6 alone are two blocks of one step each
+    joined = parse_presentation("<a,b | a^4, b^6, a*b>")
+    monkeypatch.setattr(grouptheory, "MAX_ELIMINATION_STEPS", 12)
+    assert abelianization(joined) == AbelianInvariants((2,), 0)
+    monkeypatch.setattr(grouptheory, "MAX_ELIMINATION_STEPS", 11)
+    with pytest.raises(BudgetExceeded, match="abelianization exceeded budget 11"):
+        abelianization(joined)
+    monkeypatch.setattr(grouptheory, "MAX_ELIMINATION_STEPS", 1)
+    assert abelianization(parse_presentation("<a,b | a^4, b^6>")) == AbelianInvariants((2, 12), 0)
 
 
 def test_a_large_minor_with_a_small_abelianization_still_enumerates(monkeypatch):
@@ -782,12 +795,29 @@ def _presentations_with_unused_generators(draw) -> Presentation:
     return Presentation(count, tuple(draw(st.permutations(relators), label="order")))
 
 
+@st.composite
+def _disjoint_blocks(draw) -> Presentation:
+    """Two or three presentations of the strategy above on disjoint
+    generators, so that their relation matrices are blocks of one."""
+    parts = draw(st.lists(_presentations_with_unused_generators(), min_size=2, max_size=3),
+                 label="blocks")
+    relators: list[tuple[int, ...]] = []
+    offset = 0
+    for part in parts:
+        relators += (tuple(x + offset if x > 0 else x - offset for x in word)
+                     for word in part.relators)
+        offset += part.generator_count
+    return Presentation(offset, tuple(relators))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_presentations_with_unused_generators())
+@given(st.one_of(_presentations_with_unused_generators(), _disjoint_blocks()))
+@example(parse_presentation("<a,b | a^4, b^6>"))
+@example(parse_presentation("<a,b,c,d | a^4, b^6*c^6, [b,c], d^10>"))
 def test_abelianization_reads_the_full_relation_matrix(pres):
     # the relation matrix keeps only distinct nonzero rows over the
-    # generators that occur; the invariants are those of every row over
-    # every generator
+    # generators that occur, split into blocks that share no generator; the
+    # invariants are those of every row over every generator
     rows = []
     for word in pres.relators:
         row = [0] * pres.generator_count

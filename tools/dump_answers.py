@@ -61,7 +61,10 @@ Input sets, in output order:
 - ``abelianization`` of <g1..gN | g_i^j for 2 <= j <= 21> at N = 64 and
   N = 256, then ``coset_enumerate`` of the free product of 120 copies of Z_2
   and of the square chain <g1..g2000 | g_i^2, g_i * g_(i+1)^-1> (2 + 2
-  calls).
+  calls);
+- ``abelianization`` of the power chain <g1..gN | g_i^j for 2 <= j <= 21,
+  g_i * g_(i+1)^-1>, one block of the relation matrix, at N = 64 and
+  N = 256 (2 calls).
 
 The sections are in the order they were added, so the dump of an older
 checkout is a prefix of this one's.
@@ -75,8 +78,8 @@ the budgets keep the closure of the old implementation within reach.  A
 coset line holds the order at the budget given with it (1,000,000 where the
 input names none), or the ``DomainError`` or ``BudgetExceeded`` text.  An
 abelianization line holds the invariant factors and the free rank, or the
-``DomainError`` text.  A monodromy line holds the genus, or the
-``DomainError`` text of the cover or of the parse.
+``DomainError`` or ``BudgetExceeded`` text.  A monodromy line holds the
+genus, or the ``DomainError`` text of the cover or of the parse.
 """
 
 from __future__ import annotations
@@ -550,6 +553,13 @@ def _square_chain(generators: int) -> str:
     return _wide(generators, squares + [f"g{i}*g{i + 1}^-1" for i in range(1, generators)])
 
 
+def _power_chain(generators: int) -> str:
+    """<g1..gN | g_i^j for 2 <= j <= 21, g_i * g_(i+1)^-1>: the trivial group,
+    whose chain relators join every generator into one block."""
+    powers = [f"g{i}^{j}" for i in range(1, generators + 1) for j in range(2, 22)]
+    return _wide(generators, powers + [f"g{i}*g{i + 1}^-1" for i in range(1, generators)])
+
+
 LEFSCHETZ_INPUTS = [
     (p, a) for p in [q for q in range(400) if is_prime(q)] + [4, 6, 9, 15, 21] for a in range(p + 1)
 ]
@@ -608,6 +618,8 @@ def _calls():
         yield "abelianization", _abelianization_answer, (_distinct_powers(generators, 21),)
     yield "coset", _coset_answer, (_wide(120, (f"g{i}^2" for i in range(1, 121))), 1_000_000)
     yield "coset", _coset_answer, (_square_chain(2000), 1_000_000)
+    for generators in (64, 256):
+        yield "abelianization", _abelianization_answer, (_power_chain(generators),)
 
 
 def main() -> None:
