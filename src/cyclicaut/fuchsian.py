@@ -10,7 +10,6 @@ which are computed independently of the table.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import gcd, lcm
@@ -60,13 +59,6 @@ def _bind(terms: tuple[_Term, ...], periods: tuple[int, ...]) -> Optional[dict[s
     return env
 
 
-def _ascends(ordering: tuple[_Term, ...]) -> bool:
-    """False when two literals, or two terms of one variable, stand in
-    descending order: sorted periods never bind such an ordering, since every
-    variable binds to a positive value."""
-    return all(c1 <= c2 for (c1, v1), (c2, v2) in combinations(ordering, 2) if v1 == v2)
-
-
 @dataclass(frozen=True)
 class GsRow:
     """One table row: an inner signature pattern contained in an outer one.
@@ -81,29 +73,23 @@ class GsRow:
     outer: str
     index: int
     normal: bool
-    _literals: tuple = field(init=False, repr=False, compare=False)
     _orderings: tuple = field(init=False, repr=False, compare=False)
     _guards: tuple = field(init=False, repr=False, compare=False)
     _outer_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         terms, guards = _parse_pattern(self.inner)
-        literals = [c for c, v in terms if not v]
-        object.__setattr__(self, "_literals", tuple(Counter(literals).items()))
-        orderings = filter(_ascends, dict.fromkeys(permutations(terms)))
-        object.__setattr__(self, "_orderings", tuple(orderings))
+        object.__setattr__(self, "_orderings", tuple(dict.fromkeys(permutations(terms))))
         object.__setattr__(self, "_guards", guards)
         object.__setattr__(self, "_outer_terms", _parse_pattern(self.outer)[0])
 
     def match(self, periods: tuple[int, ...]) -> Optional[Signature]:
         """The outer signature for sorted periods that some ordering of the inner
-        pattern fits within the guards, or None.  A row whose literal periods
-        are not all among periods fits no ordering: it is rejected before binding."""
+        pattern fits within the guards, or None.  Each distinct ordering is
+        tried in turn; ``_bind`` rejects one whose literals or variables the
+        periods contradict."""
         if len(periods) != len(self._orderings[0]):
             return None
-        for literal, count in self._literals:
-            if periods.count(literal) < count:
-                return None
         for ordering in self._orderings:
             env = _bind(ordering, periods)
             if env is not None and all(

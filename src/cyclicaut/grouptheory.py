@@ -881,12 +881,7 @@ class AbelianInvariants:
     free_rank: int
 
     def order(self) -> int | None:
-        if self.free_rank:
-            return None
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
+        return None if self.free_rank else prod(self.factors)
 
 
 def _exponent_sums(powers: Sequence[_Power]) -> tuple[list[dict[int, int]], list[int]]:

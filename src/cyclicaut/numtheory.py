@@ -2,14 +2,15 @@
 
 All arithmetic is over Python's arbitrary-precision integers.  The unit
 helpers answer congruence questions by exhaustive residue scans, O(n) per
-call (trial division in is_prime and factorize costs O(sqrt(n))).  A
+call (trial division in factorize costs O(sqrt(n)); is_prime runs
+Miller-Rabin on a fixed set of bases, O(log n) multiplications).  A
 classification makes no such scan: its canonical triple has a closed form,
 and its table rows test congruences on the triple's unit-led forms.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 
 
 class DomainError(ValueError):
@@ -19,16 +20,36 @@ class DomainError(ValueError):
 Factorization = list[tuple[int, int]]
 
 
+# The first 13 primes, and the least odd composite that is a strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017): below
+# it, Miller-Rabin with these bases decides primality exactly.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIMALITY = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic trial-division primality check."""
+    """Deterministic Miller-Rabin primality check for p < MAX_PRIMALITY;
+    a DomainError above it."""
+    if p >= MAX_PRIMALITY:
+        raise DomainError(f"primality is decided below {MAX_PRIMALITY}, got {p}")
     if p < 2:
         return False
-    if p < 4:
+    if p in _MILLER_RABIN_BASES:
         return True
-    if p % 2 == 0:
+    if any(p % q == 0 for q in _MILLER_RABIN_BASES):
         return False
-    for d in range(3, isqrt(p) + 1, 2):
-        if p % d == 0:
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, Optional, Sequence
 
 from .classifier import ClassificationReport, Verdict, belyi_verdict, classify_belyi
@@ -538,10 +538,7 @@ def cross_check(n_max: int) -> CrossCheckReport:
                 fail("harvey_condition", witness)
             if r.genus < 2:
                 continue
-            total = r.base_order
-            for step in r.chain:
-                total *= step.index
-            if r.group.order != total:
+            if r.group.order != r.base_order * prod(step.index for step in r.chain):
                 fail("order_law", witness)
             bound = 84 * (r.genus - 1)
             if r.group.order > bound or (r.group.order == bound and r.row != "C.2"):

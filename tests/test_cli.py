@@ -614,3 +614,40 @@ def test_json_presentation_names_in_the_text_grammar(capsys):
     # 4096 generators, the most a presentation may have
     assert run(["abelianize", "--pres", '{"generators": 4096, "relators": [[1]]}', "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"factors": [], "free_rank": 4095}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # 3,000,000 branch points: a MemoryError after 19 s under 1 GB
+        (["genus", "--curve", "y^5 + x^3000000 = 1"], "exponent of x 3000000 above"),
+        # 8.4 s and 578 MB before the bound
+        (["fermat", "--n", "1000000", "--d", "1000000"], "exponent of x 1000000 above"),
+        # the oracle's mark array of 10^11 bytes: a MemoryError at once
+        (["genus", "--curve", "y^100000000000 = x(x-1)", "--json"], "sheet steps"),
+        (["lefschetz", "--p", "3317044064679887385961981", "--a", "2"], "primality is decided below"),
+    ],
+    ids=["genus-fermat-3e6", "fermat-1e6", "genus-json-1e11-sheets", "lefschetz-past-primality"],
+)
+def test_unbounded_inputs_end_in_a_domain_error(argv, message):
+    pytest.importorskip("resource")
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from cyclicaut.cli import main\n"
+        "main()\n"
+    )
+    proc = _run_entry_point([sys.executable, "-c", script], argv, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+
+
+def test_lefschetz_reads_a_21_digit_prime(capsys):
+    # trial division of this prime would run for minutes
+    p = 100000000000000000039
+    assert run(["lefschetz", "--p", str(p), "--a", "2"]) == 0
+    assert f"order      {p}" in capsys.readouterr().out
+    # text-mode genus reads no monodromy, so it keeps every sheet count
+    assert run(["genus", "--curve", "y^100000000000 = x(x-1)"]) == 0
+    assert capsys.readouterr().out.startswith("genus      49999999999\n")

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclicaut import curve
 from cyclicaut.curve import (
     BranchPoint,
     CyclicCover,
@@ -319,6 +320,30 @@ def test_monodromy_examples():
     assert monodromy_genus(belyi_cover(8, 1, 3, 4)) == 2
     two = CyclicCover(2, ((BranchPoint.at(0), 1), (BranchPoint.at(1), 1)))
     assert monodromy_genus(two) == 0
+
+
+def test_monodromy_genus_bounds_its_sheet_steps(monkeypatch):
+    # y^12 = x (x-1)^2 (x+1)^3 with 6 over infinity: 4 distinct translations
+    # of 12 sheets, 48 steps
+    cover = parse_curve("y^12 = x (x-1)^2 (x+1)^3")
+    monkeypatch.setattr(curve, "MAX_MONODROMY_STEPS", 48)
+    assert monodromy_genus(cover) == genus(cover)
+    monkeypatch.setattr(curve, "MAX_MONODROMY_STEPS", 47)
+    with pytest.raises(DomainError, match="passes 47 sheet steps"):
+        monodromy_genus(cover)
+    # a repeated exponent is traversed once: 2 distinct translations of 3
+    repeated = parse_curve("y^12 = x (x-1) (x+1)^10")
+    monkeypatch.setattr(curve, "MAX_MONODROMY_STEPS", 24)
+    assert monodromy_genus(repeated) == genus(repeated) == 5
+
+
+def test_fermat_cover_bounds_the_x_degree(monkeypatch):
+    monkeypatch.setattr(curve, "MAX_FERMAT_DEGREE", 6)
+    assert len(fermat_cover(5, 6).branches) == 6
+    with pytest.raises(DomainError, match="exponent of x 7 above 6"):
+        fermat_cover(5, 7)
+    with pytest.raises(DomainError, match="exponent of x 7 above 6"):
+        parse_curve("y^5 + x^7 = 1")
 
 
 def test_translation_cycles_is_gcd():

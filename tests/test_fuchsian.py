@@ -66,8 +66,8 @@ def _match_by_every_ordering(row, periods):
 
 
 def test_gs_row_match_agrees_with_every_ordering():
-    # match skips orderings sorted periods cannot bind and rows whose literals
-    # are missing; neither may change an answer
+    # match tries each distinct ordering of the inner pattern once; dropping
+    # the repeats may not change an answer
     tuples = itertools.chain(
         itertools.combinations_with_replacement(range(2, 21), 3),
         itertools.combinations_with_replacement(range(2, 11), 4),

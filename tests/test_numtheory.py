@@ -1,7 +1,10 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cyclicaut.numtheory import (
+    MAX_PRIMALITY,
     DomainError,
     factorize,
     involutory_units,
@@ -16,6 +19,41 @@ def test_is_prime_small():
     composites = [0, 1, 4, 6, 9, 15, 91, 7917]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+# Carmichael numbers, and the least strong pseudoprimes to the first 3, 4,
+# 5, 6, 7, 9 and 12 prime bases: each fools Miller-Rabin on a shorter set
+# of bases than is_prime uses
+_CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+               5394826801, 232250619601, 9746347772161]
+_STRONG_PSEUDOPRIMES = [25326001, 3215031751, 2152302898747, 3474749660383,
+                        341550071728321, 3825123056546413051, 318665857834031151167461]
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    for p in range(-5, 20_000):
+        assert is_prime(p) == sympy.isprime(p), p
+    for c in _CARMICHAEL + _STRONG_PSEUDOPRIMES:
+        assert not is_prime(c) and not sympy.isprime(c), c
+    # neighbours of the pseudoprimes, primes near powers of ten, and squares
+    # and products of primes near the square root of the bound
+    samples = [c + d for c in _CARMICHAEL + _STRONG_PSEUDOPRIMES for d in (-2, 2)]
+    samples += [sympy.nextprime(10**k) for k in range(5, 25)]
+    samples += [sympy.prevprime(MAX_PRIMALITY)]
+    root = sympy.prevprime(isqrt(MAX_PRIMALITY))
+    samples += [root * root, root * sympy.prevprime(root)]
+    for p in samples:
+        assert is_prime(p) == sympy.isprime(p), p
+
+
+def test_is_prime_refuses_numbers_past_its_bases():
+    # the least odd composite that is a strong pseudoprime to all 13 bases
+    assert MAX_PRIMALITY == 1287836182261 * 2575672364521
+    assert is_prime(MAX_PRIMALITY - 2) is False
+    for p in (MAX_PRIMALITY, 10**30 + 57):
+        with pytest.raises(DomainError, match="primality is decided below"):
+            is_prime(p)
 
 
 def test_factorize_values():

@@ -64,7 +64,12 @@ Input sets, in output order:
   calls);
 - ``abelianization`` of the power chain <g1..gN | g_i^j for 2 <= j <= 21,
   g_i * g_(i+1)^-1>, one block of the relation matrix, at N = 64 and
-  N = 256 (2 calls).
+  N = 256 (2 calls);
+- inputs that once ran without bound: ``parse_curve`` of the Fermat curve
+  y^5 + x^3000000 = 1, ``classify_fermat(10^6, 10^6)``, ``monodromy_genus``
+  of ``parse_curve`` of y^100000000000 = x(x-1), and ``classify_lefschetz``
+  at a = 2 on the primes 100000000000031 and 10^20 + 39 and on the least
+  number whose primality ``is_prime`` leaves undecided (6 calls).
 
 The sections are in the order they were added, so the dump of an older
 checkout is a prefix of this one's.
@@ -118,7 +123,7 @@ from cyclicaut.grouptheory import (  # noqa: E402
     presentation_to_text,
     smith_normal_form,
 )
-from cyclicaut.numtheory import DomainError, is_prime  # noqa: E402
+from cyclicaut.numtheory import MAX_PRIMALITY, DomainError, is_prime  # noqa: E402
 from cyclicaut.verify import (  # noqa: E402
     ENUMERATION_CAP,
     _ordered_admissible,
@@ -620,6 +625,11 @@ def _calls():
     yield "coset", _coset_answer, (_square_chain(2000), 1_000_000)
     for generators in (64, 256):
         yield "abelianization", _abelianization_answer, (_power_chain(generators),)
+    yield "parse_curve", _curve_answer, ("y^5 + x^3000000 = 1",)
+    yield "fermat", _reported(classify_fermat), (10**6, 10**6)
+    yield "monodromy_curve", _monodromy_answer(parse_curve), ("y^100000000000 = x(x-1)",)
+    for p in (100000000000031, 10**20 + 39, MAX_PRIMALITY):
+        yield "lefschetz", _reported(classify_lefschetz), (p, 2)
 
 
 def main() -> None:
