@@ -17,14 +17,14 @@ is eliminated on its own, and the blocks' invariant factors are chained
 together by gcd and lcm.  Many distinct rows over many generators thus cost
 the blocks' eliminations, not one elimination over every generator.  A
 block of r distinct rows over c generators takes up to r * c * min(r, c)
-steps, and abelianization ends with BudgetExceeded, before the block's
-matrix is built, when that passes MAX_ELIMINATION_STEPS.  The same
-elimination runs before any coset is defined, when its blocks together
-would take fewer steps than the coset budget: the group's order is at least
-its abelianization's, so a rank below the generator count (an infinite
-group), or an abelianization larger than the budget, ends the enumeration
-with BudgetExceeded at once, as HLT would end after outgrowing the budget.
-The check holds only over the trivial subgroup.
+steps, and abelianization ends with BudgetExceeded, before any block's
+matrix is built, when one passes MAX_ELIMINATION_STEPS.  Coset enumeration
+computes the same abelian invariants from the same blocks before any coset
+is defined, when the blocks together would take no more steps than the
+coset budget: the group's order is at least its abelianization's, so a free
+rank (an infinite group), or an abelianization larger than the budget, ends
+the enumeration with BudgetExceeded at once, as HLT would end after
+outgrowing the budget.  The check holds only over the trivial subgroup.
 
 The enumeration writes each relator as w^k with w primitive.  One scan of
 w^k that closes at a coset closes it at every coset of that coset's w-cycle,
@@ -42,8 +42,9 @@ with one generator.  The coset budget bounds the cosets but not their
 width, so the lists together hold at most MAX_TABLE_SLOTS slots, and a
 table that would outgrow them ends with BudgetExceeded.  Each relator's
 letters are resolved to the column lists they read once per enumeration, so
-a scan makes one lookup per letter, and the table reports the cosets it
-defined and the merges it made.
+a scan makes one lookup per letter.  A scan that fills a gap and the fill
+of a coset's empty entries define cosets alike, through one method, and the
+table reports the cosets it defined and the merges it made.
 """
 
 from __future__ import annotations
@@ -426,8 +427,9 @@ class _CosetTable:
             k = parent[k]
         return k
 
-    def _define(self, alpha: int, c: int) -> None:
-        """Define alpha * column c as a new coset."""
+    def _define(self, alpha: int, col: list[int], mirror: list[int]) -> int:
+        """Define alpha times the column col, whose mirror is ``mirror``, as a
+        new coset, and return it."""
         if self.alive >= self.max_cosets:
             raise _NeedLookahead
         beta = self.size
@@ -436,8 +438,9 @@ class _CosetTable:
         self.size = beta + 1
         self.alive += 1
         self.parent[beta] = beta
-        self.cols[c][alpha] = beta
-        self.cols[c ^ 1][beta] = alpha
+        col[alpha] = beta
+        mirror[beta] = alpha
+        return beta
 
     def _coincidence(self, a: int, b: int) -> None:
         """Identify the distinct live cosets a and b, and then every pair of
@@ -526,19 +529,8 @@ class _CosetTable:
                 if i >= least or behind >= least:
                     self._prove_open(alpha, r, i, behind)
                 return
-            # define f times letter i as a new coset, as _define does, and
-            # step to it
-            if self.alive >= self.max_cosets:
-                raise _NeedLookahead
-            beta = self.size
-            if beta == len(self.parent):
-                self._grow()
-            self.size = beta + 1
-            self.alive += 1
-            self.parent[beta] = beta
-            fwd[i][f] = beta
-            bwd[i][beta] = f
-            f = beta
+            # define f times letter i as a new coset and step to it
+            f = self._define(f, fwd[i], bwd[i])
             i += 1
 
     def _mark(self, alpha: int, r: int) -> None:
@@ -609,42 +601,31 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     """Order of the presented group by coset enumeration over the trivial subgroup.
 
     The order is at least that of the abelianization, which the relation
-    matrix bounds before any coset is defined: the group is infinite when
-    the matrix's rank is below the generator count, and otherwise its
-    abelianization's order divides each nonzero maximal minor.  HLT never
-    holds more than ``max_cosets`` live cosets, so when the abelianization
-    is larger than that the enumeration stops at once with
-    :class:`BudgetExceeded`, as it would have after outgrowing the budget;
-    the invariant factors are computed only when the minor found exceeds
-    the budget.  A generator with no nonzero exponent sum leaves the rank
-    short at once.  Otherwise the matrix splits into blocks that share no
-    generator (see _blocks), and the abelianization is the direct sum of
-    theirs.  The elimination of a block of r distinct nonzero rows over g
-    generators takes up to r * g * min(r, g) steps and the table at least
-    one per coset before it outgrows the budget, so a check whose blocks
-    together are dearer than ``max_cosets`` steps, or than
-    MAX_ELIMINATION_STEPS, is left to the table.  Otherwise the order comes
-    from :func:`_enumerate_hlt`.
+    matrix gives before any coset is defined.  HLT never holds more than
+    ``max_cosets`` live cosets, so when the abelianization has a free rank
+    or an order above that, the enumeration stops at once with
+    :class:`BudgetExceeded`, as it would have after outgrowing the budget.
+    A generator with no nonzero exponent sum leaves a free rank, so it
+    stops the enumeration before any elimination.  Otherwise the matrix
+    splits into blocks that share no generator (see _blocks), and the
+    abelian invariants come from the blocks as in :func:`abelianization`.
+    The elimination of a block of r distinct nonzero rows over g generators
+    takes up to r * g * min(r, g) steps and the table at least one per
+    coset before it outgrows the budget, so a check whose blocks together
+    are dearer than ``max_cosets`` steps, or than MAX_ELIMINATION_STEPS, is
+    left to the table.  Otherwise the order comes from
+    :func:`_enumerate_hlt`.
     """
     if max_cosets < 1:
         raise DomainError("max_cosets must be positive")
     g = pres.generator_count
     powers = _powers(pres.relators)
-    sums, columns = _exponent_sums(powers)
-    if len(columns) < g:
+    blocks = _blocks(_exponent_sums(powers))
+    if sum(len(gens) for _, gens in blocks) < g:
         raise BudgetExceeded("coset enumeration", max_cosets)
-    blocks = _blocks(sums)
-    steps = sum(_elimination_steps(*block) for block in blocks)
-    if steps <= min(max_cosets, MAX_ELIMINATION_STEPS):
-        eliminated = []
-        for rows, gens in blocks:
-            matrix = _relation_matrix(rows, gens)
-            rank, minor = _eliminate(matrix)
-            if rank < len(gens):
-                raise BudgetExceeded("coset enumeration", max_cosets)
-            eliminated.append((matrix, len(gens), rank, minor))
-        if (prod(minor for *_, minor in eliminated) > max_cosets
-                and prod(prod(_invariant_factors(*block)) for block in eliminated) > max_cosets):
+    if sum(_elimination_steps(*block) for block in blocks) <= min(max_cosets, MAX_ELIMINATION_STEPS):
+        invariants = _block_invariants(blocks, g)
+        if invariants.free_rank or invariants.order() > max_cosets:
             raise BudgetExceeded("coset enumeration", max_cosets)
     return _enumerate_hlt(g, powers, max_cosets)
 
@@ -677,11 +658,11 @@ def _enumerate_hlt(generator_count: int, powers: Sequence[_Power], max_cosets: i
             while True:
                 try:
                     ct.scan_all(alpha)
-                    for c, col in enumerate(ct.cols):
+                    for col, mirror in ct.pairs:
                         if parent[alpha] != alpha:
                             break
                         if not col[alpha]:
-                            ct._define(alpha, c)
+                            ct._define(alpha, col, mirror)
                     break
                 except _NeedLookahead:
                     ct.lookahead()
@@ -884,12 +865,12 @@ class AbelianInvariants:
         return None if self.free_rank else prod(self.factors)
 
 
-def _exponent_sums(powers: Sequence[_Power]) -> tuple[list[dict[int, int]], list[int]]:
+def _exponent_sums(powers: Sequence[_Power]) -> list[dict[int, int]]:
     """Each distinct nonzero row of the relators' exponent sums, as a map from
-    0-based generator to nonzero sum, in order of first appearance, and the
-    generators that occur in them, ascending.  A relator root^k sums to k
-    times its root (see _powers).  Repeated and zero rows change neither rank
-    nor invariant factors, and a generator in no row adds only free rank."""
+    0-based generator to nonzero sum, in order of first appearance.  A
+    relator root^k sums to k times its root (see _powers).  Repeated and zero
+    rows change neither rank nor invariant factors, and a generator in no row
+    adds only free rank."""
     distinct: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
     for root, k in powers:
         sums: Counter = Counter()
@@ -898,12 +879,11 @@ def _exponent_sums(powers: Sequence[_Power]) -> tuple[list[dict[int, int]], list
         row = {j: v for j, v in sums.items() if v}
         if row:
             distinct.setdefault(tuple(sorted(row.items())), row)
-    rows = list(distinct.values())
-    return rows, sorted({j for row in rows for j in row})
+    return list(distinct.values())
 
 
 def _relation_matrix(rows: Sequence[dict[int, int]], columns: Sequence[int]) -> list[list[int]]:
-    """The rows of _exponent_sums as dense rows over its generators."""
+    """The rows of a block (see _blocks) as dense rows over its generators."""
     return [[row.get(j, 0) for j in columns] for row in rows]
 
 
@@ -939,21 +919,31 @@ def _elimination_steps(rows: Sequence[dict[int, int]], columns: Sequence[int]) -
     return len(rows) * len(columns) * min(len(rows), len(columns))
 
 
-def abelianization(pres: Presentation) -> AbelianInvariants:
-    """Abelian invariants of the presented group: the Smith normal form of
-    each block of the relation matrix (see _blocks), its factors chained
-    together.  A block whose elimination may take more than
-    MAX_ELIMINATION_STEPS steps ends it with BudgetExceeded."""
+def _block_invariants(
+    blocks: Sequence[tuple[list[dict[int, int]], list[int]]], generator_count: int
+) -> AbelianInvariants:
+    """Abelian invariants of the group on generator_count generators whose
+    relation matrix has these blocks (see _blocks): the Smith normal form of
+    each block, their factors chained together."""
     factors: list[int] = []
     rank = 0
-    for rows, columns in _blocks(_exponent_sums(_powers(pres.relators))[0]):
-        if _elimination_steps(rows, columns) > MAX_ELIMINATION_STEPS:
-            raise BudgetExceeded("abelianization", MAX_ELIMINATION_STEPS)
+    for rows, columns in blocks:
         nonzero = [d for d in smith_normal_form(_relation_matrix(rows, columns)) if d]
         rank += len(nonzero)
         factors += (d for d in nonzero if d > 1)
     chain = tuple(d for d in _divisibility_chain(factors) if d > 1)
-    return AbelianInvariants(chain, pres.generator_count - rank)
+    return AbelianInvariants(chain, generator_count - rank)
+
+
+def abelianization(pres: Presentation) -> AbelianInvariants:
+    """Abelian invariants of the presented group, from the blocks of its
+    relation matrix (see _block_invariants).  A block whose elimination may
+    take more than MAX_ELIMINATION_STEPS steps ends it with BudgetExceeded
+    before any block's matrix is built."""
+    blocks = _blocks(_exponent_sums(_powers(pres.relators)))
+    if any(_elimination_steps(*block) > MAX_ELIMINATION_STEPS for block in blocks):
+        raise BudgetExceeded("abelianization", MAX_ELIMINATION_STEPS)
+    return _block_invariants(blocks, pres.generator_count)
 
 
 # ---------------------------------------------------------------------------

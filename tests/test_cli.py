@@ -626,8 +626,17 @@ def test_json_presentation_names_in_the_text_grammar(capsys):
         # the oracle's mark array of 10^11 bytes: a MemoryError at once
         (["genus", "--curve", "y^100000000000 = x(x-1)", "--json"], "sheet steps"),
         (["lefschetz", "--p", "3317044064679887385961981", "--a", "2"], "primality is decided below"),
+        # about n draws for each x kept: killed at 100 s
+        (["verify-action", "--family", "accola-maclachlan", "--n", "10000000"], "draws, above"),
+        # 30,000,000 points, one draw each: killed at 60 s
+        (["verify-action", "--family", "accola-maclachlan", "--n", "4", "--samples", "30000000"],
+         "draws, above"),
+        # an O(n) search for the phase, then a pipeline of b deck maps
+        (["verify-action", "--family", "twistedz2", "--n", "2000000000", "--b", "1000000001"],
+         "draws, above"),
     ],
-    ids=["genus-fermat-3e6", "fermat-1e6", "genus-json-1e11-sheets", "lefschetz-past-primality"],
+    ids=["genus-fermat-3e6", "fermat-1e6", "genus-json-1e11-sheets", "lefschetz-past-primality",
+         "accola-1e7", "accola-3e7-samples", "twistedz2-2e9"],
 )
 def test_unbounded_inputs_end_in_a_domain_error(argv, message):
     pytest.importorskip("resource")

@@ -7,7 +7,7 @@ from math import factorial, prod
 
 import pytest
 
-from hypothesis import example, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from cyclicaut.grouptheory import (
     AbelianInvariants,
@@ -291,7 +291,9 @@ def _hlt(pres: Presentation, budget: int) -> int:
 
 
 def _relation_matrix(pres: Presentation) -> list[list[int]]:
-    return grouptheory._relation_matrix(*grouptheory._exponent_sums(grouptheory._powers(pres.relators)))
+    """The relation matrix of pres over the generators its rows touch."""
+    rows = grouptheory._exponent_sums(grouptheory._powers(pres.relators))
+    return grouptheory._relation_matrix(rows, sorted({j for row in rows for j in row}))
 
 
 def test_relation_matrix_sums_roots_and_eliminates_to_a_maximal_minor():
@@ -313,7 +315,7 @@ def test_relation_matrix_sums_roots_and_eliminates_to_a_maximal_minor():
 
 def test_blocks_share_no_generator_and_chain_their_factors():
     pres = parse_presentation("<a,b,c,d | a^4, b^6, c*d^2, d^10, [a,b]>")
-    rows, _ = grouptheory._exponent_sums(grouptheory._powers(pres.relators))
+    rows = grouptheory._exponent_sums(grouptheory._powers(pres.relators))
     assert [gens for _, gens in grouptheory._blocks(rows)] == [[0], [1], [2, 3]]
     # Z_4 + Z_6 + Z_10 is Z_2 + Z_2 + Z_60
     assert abelianization(parse_presentation("<a,b,c | a^4, b^6, c^10>")) == AbelianInvariants(
@@ -400,6 +402,26 @@ def test_abelianization_check_ends_like_the_bare_loop(case):
     # the check before the table only ever stops where HLT would stop too
     pres, budget = case
     assert _outcome(coset_enumerate, pres, budget) == _outcome(_hlt, pres, budget)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_presentations_and_budgets())
+def test_the_check_stops_exactly_on_a_large_abelianization(case):
+    # wherever the blocks' steps fit the gate, the check before the table
+    # stops on an infinite abelianization or one above the budget, and only
+    # there
+    pres, budget = case
+    blocks = grouptheory._blocks(grouptheory._exponent_sums(grouptheory._powers(pres.relators)))
+    steps = sum(grouptheory._elimination_steps(*block) for block in blocks)
+    assume(steps <= min(budget, grouptheory.MAX_ELIMINATION_STEPS))
+    ab = abelianization(pres)
+    too_large = ab.free_rank > 0 or ab.order() > budget
+    with pytest.MonkeyPatch.context() as mp:
+        tables = _tables_made(mp)
+        outcome = _outcome(coset_enumerate, pres, budget)
+    assert (tables == []) == too_large
+    if too_large:
+        assert outcome == ("BudgetExceeded", "coset enumeration", budget)
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,19 @@ def test_sample_curve_count_validation():
         sample_curve(parse_curve(f"y^2 = 3x(x-{p})"), 5)
 
 
+def test_sample_curve_bounds_its_expected_draws(monkeypatch):
+    # 100 points of a degree-7 cover, 7 per x: 15 values of x, about 7 draws
+    # each
+    cover = parse_curve("y^7 = x(x-1)^2(x+1)^4")
+    monkeypatch.setattr(verify, "MAX_SAMPLE_DRAWS", 105)
+    assert len(sample_curve(cover, 100)) == 100
+    monkeypatch.setattr(verify, "MAX_SAMPLE_DRAWS", 104)
+    with pytest.raises(DomainError, match="^100 samples of a degree-7 cover expect 105 draws, above 104$"):
+        sample_curve(cover, 100)
+    # one point takes one x
+    assert len(sample_curve(cover, 1)) == 1
+
+
 def test_on_curve_detects_an_off_curve_point():
     cover = parse_curve("y^6 = (x-1)(x+1)")
     samples = sample_curve(cover, 10, seed=0)
@@ -169,6 +182,10 @@ def test_deck_map_preserves_curve_with_exact_order():
     assert verify_map_order(cover, t, 7, samples)
     assert not verify_map_order(cover, t, 14, samples)  # smaller iterate closes
     assert not verify_map_order(cover, t, 3, samples)
+    # a power of the deck map is one map, the composite of that many
+    assert verify_relation(cover, [deck_map(cover, 3)], [t] * 3, samples)
+    assert verify_relation(cover, [deck_map(cover, 10)], [t] * 3, samples)
+    assert not verify_relation(cover, [deck_map(cover, 4)], [t] * 3, samples)
 
 
 # -- the three map families -------------------------------------------------
@@ -281,6 +298,22 @@ def test_twistedz2_checks(n, b, seed):
     t = {15: 3, 21: 7}[n]
     assert sc.maps["u"].y_form.constant == BranchPoint.root_of_unity(t, 2 * n)
     assert passed(run_scenario(sc, 100, seed))
+
+
+def _least_phase(n: int, b: int) -> int:
+    """The least t in [0, 2n) with t = b + 1 mod 2 and t (b + 1) = beta n
+    mod 2n, by search."""
+    beta = (b * b - 1) // n
+    return next(t for t in range(2 * n)
+                if (t - b - 1) % 2 == 0 and (t * (b + 1) - beta * n) % (2 * n) == 0)
+
+
+def test_twistedz2_phase_is_the_least_solution():
+    pairs = [(n, b) for n in range(4, 600) for b in range(2, n - 1) if b * b % n == 1]
+    assert len(pairs) == 1472
+    for n, b in pairs:
+        phase = twistedz2(n, b).maps["u"].y_form.constant
+        assert phase == BranchPoint.root_of_unity(_least_phase(n, b), 2 * n), (n, b)
 
 
 def test_twistedz2_conjugation_relation():

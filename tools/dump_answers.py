@@ -69,7 +69,10 @@ Input sets, in output order:
   y^5 + x^3000000 = 1, ``classify_fermat(10^6, 10^6)``, ``monodromy_genus``
   of ``parse_curve`` of y^100000000000 = x(x-1), and ``classify_lefschetz``
   at a = 2 on the primes 100000000000031 and 10^20 + 39 and on the least
-  number whose primality ``is_prime`` leaves undecided (6 calls).
+  number whose primality ``is_prime`` leaves undecided (6 calls);
+- map checks that once ran without bound: ``run_scenario`` on
+  accola-maclachlan at n = 10^7, and at n = 4 with 30,000,000 samples, and
+  on twistedz2 at n = 2 * 10^9, b = 10^9 + 1 (3 calls).
 
 The sections are in the order they were added, so the dump of an older
 checkout is a prefix of this one's.
@@ -476,8 +479,8 @@ def _cross_check_answer(n_max: int) -> dict:
     return cross_check_to_json_dict(cross_check(n_max))
 
 
-def _scenario_answer(family: str, n: int, k: int | None, b: int | None) -> list:
-    outcomes = run_scenario(build_scenario(family, n, k=k, b=b))
+def _scenario_answer(family: str, n: int, k: int | None, b: int | None, count: int = 100) -> list:
+    outcomes = run_scenario(build_scenario(family, n, k=k, b=b), count)
     return [[o.label, o.value, o.passed] for o in outcomes]
 
 
@@ -630,6 +633,9 @@ def _calls():
     yield "monodromy_curve", _monodromy_answer(parse_curve), ("y^100000000000 = x(x-1)",)
     for p in (100000000000031, 10**20 + 39, MAX_PRIMALITY):
         yield "lefschetz", _reported(classify_lefschetz), (p, 2)
+    yield "scenario", _scenario_answer, ("accola-maclachlan", 10**7, None, None)
+    yield "scenario", _scenario_answer, ("accola-maclachlan", 4, None, None, 30_000_000)
+    yield "scenario", _scenario_answer, ("twistedz2", 2 * 10**9, None, 10**9 + 1)
 
 
 def main() -> None:
