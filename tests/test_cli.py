@@ -461,6 +461,16 @@ def test_coset_enum_free_product_of_120_z2_stops_before_the_table():
     assert proc.stdout.strip() == "BUDGET_EXCEEDED"
 
 
+def test_coset_enum_hyperbolic_triangle_stops_before_the_table():
+    # the (4,8,8) triangle group is infinite, but its abelianization is
+    # finite; the table ran to the default budget in 2.3-2.7 s in-process
+    proc = _run_entry_point(
+        _entry_point_argv(), ["coset-enum", "--pres", "<x,y | x^4, y^8, (x*y)^8>"], timeout=5
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "BUDGET_EXCEEDED"
+
+
 def test_abelianize_256_generators_of_distinct_powers_ends_within_the_guard():
     # <g1..g256 | g_i^j, 2 <= j <= 21>: 5,120 distinct rows, which one
     # elimination over every generator took 19 s to reduce; each generator's

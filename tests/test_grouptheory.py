@@ -2,7 +2,7 @@ import copy
 import json
 import random
 import tracemalloc
-from itertools import islice
+from itertools import islice, product
 from math import factorial, prod
 
 import pytest
@@ -220,7 +220,9 @@ def test_coset_enumerate_deterministic():
 
 # counts of HLT scanning every relator at every coset, which skipping the
 # scans known to close must keep:
-# (text, max_cosets, cosets defined, merges, order or None at a budget stop)
+# (text, max_cosets, cosets defined, merges, order or None at a budget stop).
+# coset_enumerate proves the infinite (2,3,7) triangle group infinite before
+# any table, so its budget stop is pinned on the bare HLT loop.
 PINNED_COUNTS = [
     ("<u,v | u^2, v^1000, (u*v)^2>", 1_000_000, 2996, 997, 2000),
     ("<a,b | a^100, b^100, [a,b]>", 1_000_000, 19603, 9604, 10000),
@@ -248,7 +250,7 @@ def test_skipped_scans_are_no_ops(monkeypatch, text, budget, defined, merges, or
     pres = parse_presentation(text)
     if order is None:
         with pytest.raises(BudgetExceeded):
-            coset_enumerate(pres, max_cosets=budget)
+            _hlt(pres, budget)
     else:
         assert coset_enumerate(pres, max_cosets=budget) == order
     (ct,) = tables
@@ -288,6 +290,88 @@ def _hlt(pres: Presentation, budget: int) -> int:
     return grouptheory._enumerate_hlt(
         pres.generator_count, grouptheory._powers(pres.relators), budget
     )
+
+
+def _triangle(l: int, m: int, n: int) -> str:
+    return f"<x,y | x^{l}, y^{m}, (x*y)^{n}>"
+
+
+def _triangle_order(l: int, m: int, n: int) -> int | None:
+    """2 / (1/l + 1/m + 1/n - 1), the order of a spherical triangle group,
+    or None when 1/l + 1/m + 1/n <= 1 and the group is infinite."""
+    excess = m * n + l * n + l * m - l * m * n
+    return 2 * l * m * n // excess if excess > 0 else None
+
+
+TRIANGLE_PERIODS = list(product(range(2, 8), repeat=3))
+INFINITE_TRIANGLES = [p for p in TRIANGLE_PERIODS if _triangle_order(*p) is None]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<x,y | x^2, y^3, (x*y)^7>",
+        "<x,y | x^4, y^8, (x*y)^8>",
+        "<x,y | x^3, y^3, (x*y)^4>",
+        "<x,y | x^2, y^3, (x*y)^6>",  # Euclidean
+        "<x,y | x^2, y^4, (x*y)^4>",
+        "<x,y | x^3, y^3, (x*y)^3>",
+        "<x,y | x^2, y^3, (y*x)^7>",  # rotated
+        "<x,y | x^2, y^3, (x*y)^-7>",  # inverted
+        "<x,y | x^-2, y^-3, (y^-1*x^-1)^7>",
+        "<x,y | x^2, y^3, (x^-1*y)^7>",  # sign-flipped
+        "<x,y | x^2, y^3, (x*y^-1)^7>",
+        "<x,y | x^2, y^-3, (y^-1*x)^6>",
+        "<x,y | (x*y)^7, y^3, x^2>",  # listed in another order
+        "<x,y | y^3, (y*x)^7, x^2>",
+        "<a,b | b^5, (b*a^-1)^4, a^-3>",
+    ],
+)
+def test_infinite_triangle_groups_stop_before_any_table(monkeypatch, text):
+    tables = _tables_made(monkeypatch)
+    with pytest.raises(BudgetExceeded) as exc:
+        coset_enumerate(parse_presentation(text))
+    assert (exc.value.what, exc.value.budget) == ("coset enumeration", 1_000_000)
+    assert tables == []
+
+
+def test_triangle_groups_skip_the_table_exactly_when_infinite(monkeypatch):
+    tables = _tables_made(monkeypatch)
+    for periods in TRIANGLE_PERIODS:
+        made = len(tables)
+        pres = parse_presentation(_triangle(*periods))
+        order = _triangle_order(*periods)
+        if order is None:
+            with pytest.raises(BudgetExceeded):
+                coset_enumerate(pres)
+            assert len(tables) == made, periods
+        else:
+            assert coset_enumerate(pres) == order, periods
+            assert len(tables) == made + 1, periods
+
+
+@pytest.mark.parametrize("periods", INFINITE_TRIANGLES[:: len(INFINITE_TRIANGLES) // 20])
+def test_the_bare_loop_also_stops_on_infinite_triangle_groups(periods):
+    with pytest.raises(BudgetExceeded):
+        _hlt(parse_presentation(_triangle(*periods)), 5000)
+
+
+@pytest.mark.parametrize(
+    "text,order",
+    [
+        ("<x,y | x^2, y^3, (x*y)^7, [x,y]^4>", 168),  # an extra relator
+        ("<x,y | x^2, y^3, (x*y)^7, x^2>", None),  # a duplicated relator
+        ("<x,y | x^2, y^3, (x*y^2)^7>", None),  # a longer root
+        ("<x,y,z | x^2, y^3, z^7, x*y*z>", None),  # three generators
+        ("<x,y | x^-2, y^3, (y*x^-1)^5>", 60),  # spherical
+    ],
+)
+def test_near_miss_triangles_still_build_a_table(monkeypatch, text, order):
+    tables = _tables_made(monkeypatch)
+    assert _outcome(coset_enumerate, parse_presentation(text), 2000) == (
+        order or ("BudgetExceeded", "coset enumeration", 2000)
+    )
+    assert len(tables) == 1
 
 
 def _relation_matrix(pres: Presentation) -> list[list[int]]:
@@ -396,8 +480,13 @@ def _outcome(enumerate_, pres: Presentation, budget: int):
         return "BudgetExceeded", exc.what, exc.budget
 
 
+# the (2,3,7) triangle group, infinite with a trivial abelianization
+TRIANGLE_CASE = (parse_presentation("<x,y | x^2, y^-3, (y*x)^7>"), 300)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_presentations_and_budgets())
+@example(TRIANGLE_CASE)
 def test_abelianization_check_ends_like_the_bare_loop(case):
     # the check before the table only ever stops where HLT would stop too
     pres, budget = case
@@ -406,16 +495,19 @@ def test_abelianization_check_ends_like_the_bare_loop(case):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_presentations_and_budgets())
+@example(TRIANGLE_CASE)
 def test_the_check_stops_exactly_on_a_large_abelianization(case):
     # wherever the blocks' steps fit the gate, the check before the table
-    # stops on an infinite abelianization or one above the budget, and only
-    # there
+    # stops on an infinite abelianization or one above the budget, and
+    # otherwise only on an infinite triangle group
     pres, budget = case
-    blocks = grouptheory._blocks(grouptheory._exponent_sums(grouptheory._powers(pres.relators)))
+    powers = grouptheory._powers(pres.relators)
+    blocks = grouptheory._blocks(grouptheory._exponent_sums(powers))
     steps = sum(grouptheory._elimination_steps(*block) for block in blocks)
     assume(steps <= min(budget, grouptheory.MAX_ELIMINATION_STEPS))
     ab = abelianization(pres)
     too_large = ab.free_rank > 0 or ab.order() > budget
+    too_large |= grouptheory._infinite_triangle(pres.generator_count, powers)
     with pytest.MonkeyPatch.context() as mp:
         tables = _tables_made(mp)
         outcome = _outcome(coset_enumerate, pres, budget)
@@ -1113,6 +1205,23 @@ def test_fingerprint_presentation():
     assert fp == Fingerprint(32, (2, 4), False)
     ab = fingerprint(parse_presentation("<s,t | s^4, t^5, [s,t]>"))
     assert ab == Fingerprint(20, (20,), True)
+
+
+def test_fingerprint_abelianizes_a_presentation_once(monkeypatch):
+    calls = []
+    snf = grouptheory.smith_normal_form
+    monkeypatch.setattr(grouptheory, "smith_normal_form", lambda m: calls.append(1) or snf(m))
+    # two blocks, a^4 and b^6, each one Smith normal form
+    pres = parse_presentation("<a,b | a^4, b^6, [a,b]>")
+    assert fingerprint(pres) == Fingerprint(24, (2, 12), True)
+    assert len(calls) == 2
+    # one block of 3 * 2 * 2 steps, dearer than a budget of 5: the check
+    # before the table leaves it, and fingerprint abelianizes it itself
+    calls.clear()
+    assert fingerprint(parse_presentation("<a,b | a^2, b^2, a*b>"), max_cosets=5) == Fingerprint(
+        2, (2,), True
+    )
+    assert len(calls) == 1
 
 
 def test_fingerprint_permutations():

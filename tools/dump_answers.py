@@ -72,7 +72,13 @@ Input sets, in output order:
   number whose primality ``is_prime`` leaves undecided (6 calls);
 - map checks that once ran without bound: ``run_scenario`` on
   accola-maclachlan at n = 10^7, and at n = 4 with 30,000,000 samples, and
-  on twistedz2 at n = 2 * 10^9, b = 10^9 + 1 (3 calls).
+  on twistedz2 at n = 2 * 10^9, b = 10^9 + 1 (3 calls);
+- ``coset_enumerate`` at budgets 1,000,000 and 2,000 of the triangle groups
+  <x,y | x^l, y^m, (x*y)^n> of ``TRIANGLE_PERIODS`` (spherical, Euclidean
+  and hyperbolic), each in its 64 forms: x^l and y^m with either sign, and
+  (x*y)^n rotated to (y*x)^n, inverted, and with either sign on each
+  letter; then at budget 2,000 the near misses of ``NEAR_MISS_TRIANGLES``,
+  which the check before the table leaves to it (1,152 + 4 calls).
 
 The sections are in the order they were added, so the dump of an older
 checkout is a prefix of this one's.
@@ -95,7 +101,7 @@ from __future__ import annotations
 import json
 import random
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -568,6 +574,28 @@ def _power_chain(generators: int) -> str:
     return _wide(generators, powers + [f"g{i}*g{i + 1}^-1" for i in range(1, generators)])
 
 
+# spherical, Euclidean and hyperbolic (l, m, n)
+TRIANGLE_PERIODS = [
+    (2, 2, 7), (2, 3, 4), (2, 3, 5), (2, 3, 6), (2, 4, 4), (3, 3, 3), (2, 3, 7), (3, 3, 4), (4, 8, 8)
+]
+
+# an extra relator, a duplicated one, a longer root and three generators
+NEAR_MISS_TRIANGLES = [
+    "<x,y | x^2, y^3, (x*y)^7, [x,y]^4>",
+    "<x,y | x^2, y^3, (x*y)^7, x^2>",
+    "<x,y | x^2, y^3, (x*y^2)^7>",
+    "<x,y,z | x^2, y^3, z^7, x*y*z>",
+]
+
+
+def _triangle_forms(l: int, m: int, n: int):
+    """<x,y | x^l, y^m, (x*y)^n> with each sign on each power and on each
+    letter of the root, the root in either order."""
+    for a, b, sl, sm, sn in product(("x", "x^-1"), ("y", "y^-1"), (1, -1), (1, -1), (1, -1)):
+        for root in (f"{a}*{b}", f"{b}*{a}"):
+            yield f"<x,y | x^{sl * l}, y^{sm * m}, ({root})^{sn * n}>"
+
+
 LEFSCHETZ_INPUTS = [
     (p, a) for p in [q for q in range(400) if is_prime(q)] + [4, 6, 9, 15, 21] for a in range(p + 1)
 ]
@@ -636,6 +664,12 @@ def _calls():
     yield "scenario", _scenario_answer, ("accola-maclachlan", 10**7, None, None)
     yield "scenario", _scenario_answer, ("accola-maclachlan", 4, None, None, 30_000_000)
     yield "scenario", _scenario_answer, ("twistedz2", 2 * 10**9, None, 10**9 + 1)
+    for periods in TRIANGLE_PERIODS:
+        for text in _triangle_forms(*periods):
+            for budget in (1_000_000, 2000):
+                yield "coset", _coset_answer, (text, budget)
+    for text in NEAR_MISS_TRIANGLES:
+        yield "coset", _coset_answer, (text, 2000)
 
 
 def main() -> None:
