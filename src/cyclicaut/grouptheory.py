@@ -26,7 +26,11 @@ rank (an infinite group), or an abelianization larger than the budget, ends
 the enumeration with BudgetExceeded at once, as HLT would end after
 outgrowing the budget.  A von Dyck group <x, y | x^l, y^m, (x*y)^n> with
 1/l + 1/m + 1/n <= 1 is infinite, so it ends the enumeration the same way.
-The check holds only over the trivial subgroup.
+When the abelianization is finite and within the budget, and every pair of
+generators has a relator that is a rotation of their commutator or of its
+inverse, the group is abelian: its order is the abelianization's, and no
+coset table is built.  Every other order comes from the table.  The check
+holds only over the trivial subgroup.
 
 The enumeration writes each relator as w^k with w primitive.  One scan of
 w^k that closes at a coset closes it at every coset of that coset's w-cycle,
@@ -324,13 +328,15 @@ _Power = tuple[tuple[int, ...], int]
 
 
 def _powers(relators: Sequence[tuple[int, ...]]) -> list[_Power]:
-    """Each relator as its power; the relation matrix and the coset table
-    both read relators so, and one enumeration splits each relator once."""
-    powers = []
+    """Each distinct relator as its power, in order of first appearance; the
+    relation matrix and the coset table both read relators so, and one
+    enumeration splits each relator once.  A repeated relator adds no row
+    to the matrix and its scans change no table, so it is dropped."""
+    powers: dict[_Power, None] = {}
     for word in relators:
         m = _root_length(word)
-        powers.append((word[:m], len(word) // m))
-    return powers
+        powers.setdefault((word[:m], len(word) // m))
+    return list(powers)
 
 
 # Most cosets a table makes room for at once; a smaller table doubles.
@@ -611,8 +617,9 @@ def _infinite_triangle(generator_count: int, powers: Sequence[_Power]) -> bool:
     (x*y)^-n may stand for (x*y)^n.  The maps x -> x^e and y -> y^d, for
     signs e and d, are automorphisms of the free group that fix x^l and y^m
     up to inversion and send x*y to x^e*y^d, so every choice of signs
-    presents the same group.  Anything else, a finite triangle group
-    included, is left to the table.
+    presents the same group.  A repeated relator is dropped before (see
+    _powers).  Anything else, a finite triangle group included, is left to
+    the table.
     """
     if generator_count != 2 or len(powers) != 3:
         return False
@@ -626,6 +633,19 @@ def _infinite_triangle(generator_count: int, powers: Sequence[_Power]) -> bool:
         return False
     l, m, n = periods.values()
     return l * m + l * n + m * n <= l * m * n
+
+
+def _commute_pairwise(generator_count: int, relators: Sequence[tuple[int, ...]]) -> bool:
+    """Whether, for every pair of generators, some relator is x*y*x^-1*y^-1
+    for letters x and y of the two, each of either sign: a rotation of
+    their commutator or of its inverse.  Such a relator makes the two
+    commute, so the group is abelian and equals its abelianization.  With one
+    generator there is no pair, and this holds."""
+    pairs = set()
+    for w in relators:
+        if len(w) == 4 and w[0] == -w[2] and w[1] == -w[3] and abs(w[0]) != abs(w[1]):
+            pairs.add(frozenset((abs(w[0]), abs(w[1]))))
+    return len(pairs) == generator_count * (generator_count - 1) // 2
 
 
 def _order_and_invariants(
@@ -646,6 +666,8 @@ def _order_and_invariants(
         invariants = _block_invariants(blocks, g)
         if invariants.free_rank or invariants.order() > max_cosets:
             raise BudgetExceeded("coset enumeration", max_cosets)
+        if _commute_pairwise(g, pres.relators):
+            return invariants.order(), invariants
     return _enumerate_hlt(g, powers, max_cosets), invariants
 
 
@@ -655,14 +677,15 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     HLT never holds more than ``max_cosets`` live cosets, so a group it can
     prove infinite, or larger than that, stops the enumeration at once with
     :class:`BudgetExceeded`, as it would have after outgrowing the budget.
-    Two checks come before any coset is defined.
+    Two checks come before any coset is defined, and an abelian group is
+    answered from the second with no table at all.
 
     A von Dyck group <x, y | x^l, y^m, (x*y)^n> with
     1/l + 1/m + 1/n <= 1 is infinite (see _infinite_triangle): (2,3,7) at
     budget 2,000 stops in about 0.03 ms, where the table took 8 ms, and
     (4,8,8) at the default budget in about 0.04 ms, where it took 2.7 s
-    (best of 5 in-process, one core of a shared 2-core VM).  The test only
-    proves a group infinite; every order still comes from the table.
+    (best of 5 in-process, one core of a shared 2-core VM).  This test only
+    proves a group infinite; it computes no order.
 
     The order is at least that of the abelianization, which the relation
     matrix gives.  When the abelianization has a free rank or an order above
@@ -674,8 +697,19 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     distinct nonzero rows over g generators takes up to r * g * min(r, g)
     steps and the table at least one per coset before it outgrows the
     budget, so a check whose blocks together are dearer than ``max_cosets``
-    steps, or than MAX_ELIMINATION_STEPS, is left to the table.  Otherwise
-    the order comes from :func:`_enumerate_hlt`.
+    steps, or than MAX_ELIMINATION_STEPS, is left to the table.
+
+    Where the check ran and found the abelianization finite and within the
+    budget, a presentation whose relators include, for every pair of
+    generators, a rotation of their commutator or of its inverse (see
+    _commute_pairwise) presents an abelian group, which equals its
+    abelianization: the order is the product of the invariant factors, and
+    no table is built.  Every cyclic presentation is one: <a | a^1000000>
+    takes about 25 ms, most of it finding the relator's root, where its
+    million-coset table took 2 s (in-process, one core of a shared 2-core
+    VM).  An abelian group within the budget thus always gets its order,
+    where HLT's peak of live cosets could outgrow a tight budget.  Every
+    other order comes from :func:`_enumerate_hlt`.
     """
     return _order_and_invariants(pres, max_cosets)[0]
 

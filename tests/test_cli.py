@@ -407,12 +407,34 @@ def test_console_entry_point_exit_codes():
 
 def test_coset_enum_long_power_relator_is_linear():
     # one scan of a^100000 closes it at every coset; scanning it from each
-    # coset, and checking it letter by letter, took about 20 minutes
-    proc = _run_entry_point(
-        _entry_point_argv(), ["coset-enum", "--pres", "<a | a^100000>"], timeout=30
+    # coset, and checking it letter by letter, took about 20 minutes.  The
+    # bare HLT loop runs here, in a fresh interpreter: coset-enum itself
+    # answers a cyclic presentation from its abelianization.
+    script = (
+        "from cyclicaut import grouptheory as g\n"
+        "print(g._enumerate_hlt(1, g._powers([(1,) * 100000]), 1000000))\n"
     )
+    proc = _run_entry_point([sys.executable, "-c", script], [], timeout=30)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "100000"
+
+
+def test_coset_enum_long_cyclic_presentation_builds_no_table():
+    # Z_1000000 is abelian, so its order is its abelianization's; the
+    # million-coset table took 1.5-2 s and over 200 MB
+    script = (
+        "from cyclicaut import grouptheory\n"
+        "class NoTable:\n"
+        "    def __init__(self, *args):\n"
+        "        raise AssertionError('a coset table was built')\n"
+        "grouptheory._CosetTable = NoTable\n"
+        "from cyclicaut.cli import main\n"
+        "main()\n"
+    )
+    argv = ["coset-enum", "--pres", "<a | a^1000000>"]
+    proc = _run_entry_point([sys.executable, "-c", script], argv, timeout=10)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout.strip() == "1000000"
 
 
 def test_coset_enum_long_power_budget_stop_is_linear():
@@ -457,6 +479,18 @@ def test_coset_enum_free_product_of_120_z2_stops_before_the_table():
     names = [f"g{i}" for i in range(1, 121)]
     text = f"<{','.join(names)} | {', '.join(f'{x}^2' for x in names)}>"
     proc = _run_entry_point(_entry_point_argv(), ["coset-enum", "--pres", text], timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "BUDGET_EXCEEDED"
+
+
+def test_coset_enum_triangle_with_a_repeated_relator_stops_before_the_table():
+    # x^2 twice is one relator, so this is the (2,3,7) triangle group; with
+    # the repeat kept, the table ran to the default budget in 4.7 s
+    proc = _run_entry_point(
+        _entry_point_argv(),
+        ["coset-enum", "--pres", "<x,y | x^2, y^3, (x*y)^7, x^2>"],
+        timeout=5,
+    )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "BUDGET_EXCEEDED"
 

@@ -221,13 +221,18 @@ def test_coset_enumerate_deterministic():
 # counts of HLT scanning every relator at every coset, which skipping the
 # scans known to close must keep:
 # (text, max_cosets, cosets defined, merges, order or None at a budget stop).
-# coset_enumerate proves the infinite (2,3,7) triangle group infinite before
-# any table, so its budget stop is pinned on the bare HLT loop.
+# They are pinned on the bare HLT loop, which coset_enumerate runs where it
+# makes a table: it makes none for Z100xZ100, which is abelian, nor for the
+# (2,3,7) triangle group, which it proves infinite first.  The last two
+# repeat a relator, which _powers drops; kept, its scans change no count
+# (see test_a_repeated_relator_changes_no_count).
 PINNED_COUNTS = [
     ("<u,v | u^2, v^1000, (u*v)^2>", 1_000_000, 2996, 997, 2000),
     ("<a,b | a^100, b^100, [a,b]>", 1_000_000, 19603, 9604, 10000),
     ("<x,y | x^2, y^3, (x*y)^7, [x,y]^4>", 1_000_000, 668, 501, 168),
     ("<x,y | x^2, y^3, (x*y)^7>", 2000, 2296, 309, None),
+    ("<u,v | u^2, v^1000, (u*v)^2, v^1000, u^2>", 1_000_000, 2996, 997, 2000),
+    ("<x,y | x^2, y^3, (x*y)^7, x^2>", 2000, 2296, 309, None),
 ]
 
 
@@ -248,11 +253,23 @@ def _tables_made(monkeypatch) -> list:
 def test_skipped_scans_are_no_ops(monkeypatch, text, budget, defined, merges, order):
     tables = _tables_made(monkeypatch)
     pres = parse_presentation(text)
-    if order is None:
-        with pytest.raises(BudgetExceeded):
-            _hlt(pres, budget)
-    else:
-        assert coset_enumerate(pres, max_cosets=budget) == order
+    outcome = order or ("BudgetExceeded", "coset enumeration", budget)
+    assert _outcome(_hlt, pres, budget) == outcome
+    (ct,) = tables
+    assert (ct.defined, ct.merges) == (defined, merges)
+    assert _outcome(coset_enumerate, pres, budget) == outcome
+
+
+@pytest.mark.parametrize("text,budget,defined,merges,order", PINNED_COUNTS[:4])
+def test_a_repeated_relator_changes_no_count(monkeypatch, text, budget, defined, merges, order):
+    # every relator given twice, past the drop of repeats in _powers
+    tables = _tables_made(monkeypatch)
+    pres = parse_presentation(text)
+    powers = grouptheory._powers(pres.relators)
+    try:
+        grouptheory._enumerate_hlt(pres.generator_count, powers * 2, budget)
+    except BudgetExceeded:
+        pass
     (ct,) = tables
     assert (ct.defined, ct.merges) == (defined, merges)
 
@@ -335,6 +352,17 @@ def test_infinite_triangle_groups_stop_before_any_table(monkeypatch, text):
     assert tables == []
 
 
+def test_a_repeated_relator_is_dropped_before_the_triangle_test(monkeypatch):
+    # x^2 twice is one relator; the bare HLT loop ran to the default budget
+    # on this presentation in 4.7 s
+    pres = parse_presentation("<x,y | x^2, y^3, (x*y)^7, x^2>")
+    assert len(grouptheory._powers(pres.relators)) == 3
+    tables = _tables_made(monkeypatch)
+    with pytest.raises(BudgetExceeded):
+        coset_enumerate(pres)
+    assert tables == []
+
+
 def test_triangle_groups_skip_the_table_exactly_when_infinite(monkeypatch):
     tables = _tables_made(monkeypatch)
     for periods in TRIANGLE_PERIODS:
@@ -360,7 +388,6 @@ def test_the_bare_loop_also_stops_on_infinite_triangle_groups(periods):
     "text,order",
     [
         ("<x,y | x^2, y^3, (x*y)^7, [x,y]^4>", 168),  # an extra relator
-        ("<x,y | x^2, y^3, (x*y)^7, x^2>", None),  # a duplicated relator
         ("<x,y | x^2, y^3, (x*y^2)^7>", None),  # a longer root
         ("<x,y,z | x^2, y^3, z^7, x*y*z>", None),  # three generators
         ("<x,y | x^-2, y^3, (y*x^-1)^5>", 60),  # spherical
@@ -421,9 +448,11 @@ def test_abelianization_bounds_the_steps_of_each_block(monkeypatch):
 
 def test_a_large_minor_with_a_small_abelianization_still_enumerates(monkeypatch):
     # no row has a unit entry and the first two give the minor 1600, past
-    # the budget, but the abelianization is Z_2 x Z_40, so the table decides
-    pres = parse_presentation("<x,y | x^40, y^40, x^2*y^2, [x,y]>")
+    # the budget, but the abelianization is Z_2 x Z_2, and the group, the
+    # dihedral group of order 80, is not abelian, so the table decides
+    pres = parse_presentation("<x,y | x^40, y^40, (x*y)^2, y^2>")
     assert grouptheory._eliminate(_relation_matrix(pres)) == (2, 1600)
+    assert abelianization(pres) == AbelianInvariants((2, 2), 0)
     tables = _tables_made(monkeypatch)
     assert coset_enumerate(pres, max_cosets=1000) == 80
     assert len(tables) == 1
@@ -488,18 +517,44 @@ TRIANGLE_CASE = (parse_presentation("<x,y | x^2, y^-3, (y*x)^7>"), 300)
 @given(_presentations_and_budgets())
 @example(TRIANGLE_CASE)
 def test_abelianization_check_ends_like_the_bare_loop(case):
-    # the check before the table only ever stops where HLT would stop too
+    # the check before the table only ever stops where HLT would stop too,
+    # and every order it gives, from the table or from the abelianization,
+    # is the one HLT reaches with room to spare
     pres, budget = case
-    assert _outcome(coset_enumerate, pres, budget) == _outcome(_hlt, pres, budget)
+    outcome = _outcome(coset_enumerate, pres, budget)
+    if isinstance(outcome, int):
+        assert outcome == _hlt(pres, 1_000_000)
+    else:
+        assert outcome == _outcome(_hlt, pres, budget)
+
+
+def _commutator_rotations(i: int, j: int) -> set[tuple[int, ...]]:
+    """Every rotation of [x_i, x_j] and of its inverse."""
+    words = ((i, j, -i, -j), (j, i, -j, -i))
+    return {w[r:] + w[:r] for w in words for r in range(4)}
+
+
+def _has_every_commutator(pres: Presentation) -> bool:
+    """Reference: for every pair of generators, a relator is a rotation of
+    their commutator or of its inverse."""
+    relators = set(pres.relators)
+    g = pres.generator_count
+    return all(
+        relators & _commutator_rotations(i, j)
+        for i in range(1, g + 1)
+        for j in range(i + 1, g + 1)
+    )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_presentations_and_budgets())
 @example(TRIANGLE_CASE)
 def test_the_check_stops_exactly_on_a_large_abelianization(case):
-    # wherever the blocks' steps fit the gate, the check before the table
-    # stops on an infinite abelianization or one above the budget, and
-    # otherwise only on an infinite triangle group
+    # wherever the blocks' steps fit the gate, no table is built exactly
+    # where the check before it stops, on an infinite abelianization, one
+    # above the budget or an infinite triangle group, or where a commutator
+    # of every pair of generators makes the group abelian: there the order
+    # is the abelianization's
     pres, budget = case
     powers = grouptheory._powers(pres.relators)
     blocks = grouptheory._blocks(grouptheory._exponent_sums(powers))
@@ -508,12 +563,77 @@ def test_the_check_stops_exactly_on_a_large_abelianization(case):
     ab = abelianization(pres)
     too_large = ab.free_rank > 0 or ab.order() > budget
     too_large |= grouptheory._infinite_triangle(pres.generator_count, powers)
+    abelian = _has_every_commutator(pres)
     with pytest.MonkeyPatch.context() as mp:
         tables = _tables_made(mp)
         outcome = _outcome(coset_enumerate, pres, budget)
-    assert (tables == []) == too_large
+    assert (tables == []) == (too_large or abelian)
     if too_large:
         assert outcome == ("BudgetExceeded", "coset enumeration", budget)
+    elif abelian:
+        assert outcome == ab.order()
+
+
+@st.composite
+def _abelian_presentations(draw) -> Presentation:
+    """One to three generators, each with a power of it, the commutator of
+    every pair in a drawn rotation and sense, and up to two more relators,
+    each with a cancelling pair of letters in it, all in a drawn order."""
+    count = draw(st.integers(min_value=1, max_value=3), label="generators")
+    signs = st.sampled_from((1, -1))
+    exponents = st.integers(min_value=1, max_value=12)
+    relators = [(draw(signs) * x,) * draw(exponents) for x in range(1, count + 1)]
+    for i in range(1, count + 1):
+        for j in range(i + 1, count + 1):
+            word = (i, j, -i, -j) if draw(st.booleans()) else (j, i, -j, -i)
+            r = draw(st.integers(min_value=0, max_value=3))
+            relators.append(word[r:] + word[:r])
+    letters = st.sampled_from([s * x for x in range(1, count + 1) for s in (1, -1)])
+    for _ in range(draw(st.integers(min_value=0, max_value=2), label="extra relators")):
+        word = draw(st.lists(letters, max_size=5))
+        x = draw(letters)
+        at = draw(st.integers(min_value=0, max_value=len(word)))
+        relators.append(tuple(word[:at] + [x, -x] + word[at:]))
+    return Presentation(count, tuple(draw(st.permutations(relators))))
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(_abelian_presentations())
+def test_abelian_presentations_are_answered_without_a_table(pres):
+    assert _has_every_commutator(pres)
+    with pytest.MonkeyPatch.context() as mp:
+        tables = _tables_made(mp)
+        order = coset_enumerate(pres)
+    assert tables == []
+    assert order == _hlt(pres, 1_000_000)
+
+
+@pytest.mark.parametrize(
+    "text,budget,outcome",
+    [
+        # no relator makes a and c commute: they generate an infinite
+        # dihedral group, though the abelianization is Z_2^3
+        (
+            "<a,b,c | a^2, b^2, c^2, [a,b], [b,c]>",
+            2000,
+            ("BudgetExceeded", "coset enumeration", 2000),
+        ),
+        # a commutator-shaped word on one generator, and words of four
+        # letters that invert one of a and b but not the other: each
+        # presents S_3, whose abelianization is Z_2
+        ("<a,b | a^2, b^3, (a*b)^2, a*a*a^-1*a^-1>", 1_000_000, 6),
+        ("<a,b | a^2, b^3, a*b*a^-1*b>", 1_000_000, 6),
+        ("<a,b | a^3, b^2, a*b*a*b^-1>", 1_000_000, 6),
+    ],
+    ids=["missing [a,c]", "a*a*a^-1*a^-1", "a*b*a^-1*b", "a*b*a*b^-1"],
+)
+def test_presentations_short_of_a_commutator_still_build_a_table(
+    monkeypatch, text, budget, outcome
+):
+    tables = _tables_made(monkeypatch)
+    assert _outcome(coset_enumerate, parse_presentation(text), budget) == outcome
+    assert len(tables) == 1
 
 
 @pytest.mark.parametrize(
@@ -588,7 +708,9 @@ def test_scans_cost_index_times_root(monkeypatch, text, order):
     monkeypatch.setattr(grouptheory._CosetTable, "scan", counted_scan)
     monkeypatch.setattr(grouptheory._CosetTable, "_mark", counted_mark)
     pres = parse_presentation(text)
-    assert coset_enumerate(pres) == order
+    # the bare HLT loop: coset_enumerate makes no table for Z100xZ100,
+    # which is abelian
+    assert _hlt(pres, 1_000_000) == order
     roots = grouptheory._CosetTable(
         pres.generator_count, grouptheory._powers(pres.relators), 1
     ).roots
@@ -739,7 +861,8 @@ def test_coset_enumerate_closed_forms(text, order):
 
 
 def _closed_table(pres: Presentation) -> "grouptheory._CosetTable":
-    """The final coset table of an enumeration of pres."""
+    """The final coset table of the bare HLT loop on pres (coset_enumerate
+    makes none for an abelian presentation)."""
     tables = []
     validate = grouptheory._validate_closed_table
 
@@ -749,7 +872,7 @@ def _closed_table(pres: Presentation) -> "grouptheory._CosetTable":
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grouptheory, "_validate_closed_table", keep)
-        coset_enumerate(pres)
+        _hlt(pres, 1_000_000)
     return tables[0]
 
 
