@@ -197,17 +197,27 @@ class Verdict(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _verdict(family: str, n: int, leads: tuple[int, ...],
-             canonical: Optional[tuple[int, int, int]], g: int,
-             periods: tuple[int, ...], base_order: int) -> Verdict:
+             canonical: Optional[tuple[int, int, int]]) -> Verdict:
     """The verdict of the family's rule table on these sorted leads at degree
-    n, for a cover of genus g whose genus-0 signature has these periods.
-    Below genus 2 no extension chain applies, so none is built.
+    n: those of a triple with this canonical triple, or the lead d of the
+    Fermat curve y^n + x^d = 1 (whose canonical is None).  Genus, periods and
+    base order follow from the arguments: from the canonical triple's gcds,
+    or from closed forms in d and n.  So an entry's size does not grow with
+    the cover's branch points.  Below genus 2 no extension chain applies, so
+    none is built.
 
     Checks the row's genus column and the order law group.order = base_order
-    x chain indices (for genus >= 2).  Every input of both checks is an
-    argument, and the verdict is frozen, so checking it once, when it is
-    memoised, checks every verdict it serves.
+    x chain indices (for genus >= 2).  Every input of both checks follows
+    from the arguments, and the verdict is frozen, so checking it once, when
+    it is memoised, checks every verdict it serves.
     """
+    if family == "fermat":
+        (d,) = leads
+        g = (2 - d - gcd(d, n) + (d - 1) * n) // 2
+        periods, base_order = (d, n, lcm(d, n)), d * n
+    else:
+        g, periods = genus_and_periods(n, tuple(gcd(n, k) for k in canonical))
+        base_order = n
     for row, holds, build in _RULES[family]:
         twist = next((x for x in leads if holds(n, x)), None)
         if twist is not None:
@@ -298,7 +308,8 @@ def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
     """The verdict of ``_BELYI_RULES`` on the triple (a, b, c) at degree n.
 
     The triple is validated once, as its gcds with n are taken; genus and
-    signature come from the gcds.  A unit entry k leads two unit-led forms,
+    signature come from the canonical triple's gcds, which are the triple's
+    in some order.  A unit entry k leads two unit-led forms,
     with leads s/k mod n for the other entries s.  The canonical triple is
     (1, m, n-1-m) for the least lead m, or ``canonical_triple``'s without one.
     The sorted leads are the same for every member of a class (each unit
@@ -308,7 +319,6 @@ def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
     if n < 4:
         raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
     gcds = triple_gcds(n, a, b, c)
-    g, periods = genus_and_periods(n, gcds)
     leads = []
     for k, s, gk in zip((a, b, c), (b, c, a), gcds):
         if gk == 1:
@@ -316,7 +326,7 @@ def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
             leads += x, n - 1 - x
     leads.sort()
     canon = (1, leads[0], n - 1 - leads[0]) if leads else canonical_triple(n, a, b, c)
-    return _verdict("belyi", n, tuple(leads), canon, g, periods, n)
+    return _verdict("belyi", n, tuple(leads), canon)
 
 
 def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:
@@ -435,10 +445,10 @@ def classify_fermat(n: int, d: int) -> ClassificationReport:
         raise DomainError(f"need 2 <= d <= n, got d={d}, n={n}")
     cover = fermat_cover(n, d)
     g = genus(cover)
-    assert 2 * g == 2 - d - gcd(d, n) + (d - 1) * n, "genus closed form mismatch"
     if g < 2:
         raise DomainError(f"below hyperbolic range: y^{n} + x^{d} = 1 has genus {g}")
-    verdict = _verdict("fermat", n, (d,), None, g, (d, n, lcm(d, n)), d * n)
+    verdict = _verdict("fermat", n, (d,), None)
+    assert verdict.genus == g, "genus closed form mismatch"
     return _report("fermat", cover, verdict, d * n)
 
 

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: classify, lefschetz, fermat, genus, enumerate, cross-check,
-gs-table, coset-enum, abelianize, perm-order, verify-action.  Every command
-supports --json with a fixed key order.  Exit codes: 0 success (including a
-reported budget stop), 1 domain error, 2 usage error.
+gs-table, coset-enum, abelianize, perm-order, verify-action, each declared
+once in ``_COMMANDS``.  A handler prints nothing: it returns the exit code,
+the JSON payload and the text lines, and ``run`` writes one of the two.
+Every command supports --json with a fixed key order.  Exit codes: 0 success
+(including a reported budget stop), 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -43,175 +45,172 @@ from .verify import (
 )
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+def _compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
 
 
-def _print_report(report, as_json: bool) -> None:
-    if as_json:
-        _emit(report_to_json_dict(report))
-        return
-    print(f"row        {report.row}")
-    print(f"genus      {report.genus}")
-    print(f"signature  {','.join(str(p) for p in report.signature.periods)}")
-    print(f"order      {report.group.order}")
-    print(f"structure  {report.group.structure}")
-    print(f"base       {report.base_order}")
+def _csv(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _mark(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
+def _report_lines(report):
+    yield f"row        {report.row}"
+    yield f"genus      {report.genus}"
+    yield f"signature  {_csv(report.signature.periods)}"
+    yield f"order      {report.group.order}"
+    yield f"structure  {report.group.structure}"
+    yield f"base       {report.base_order}"
     for step in report.chain:
-        periods = ",".join(str(p) for p in step.signature.periods)
-        print(f"chain      row {step.row_id} -> ({periods}) index {step.index}")
+        yield f"chain      row {step.row_id} -> ({_csv(step.signature.periods)}) index {step.index}"
     if report.group.presentation_text is not None:
-        print(f"presentation {report.group.presentation_text}")
+        yield f"presentation {report.group.presentation_text}"
     if report.notes:
-        print(f"notes      {report.notes}")
+        yield f"notes      {report.notes}"
 
 
-def _cmd_classify(ns, parser) -> int:
+def _report(report):
+    return 0, report_to_json_dict(report), _report_lines(report)
+
+
+def _order(order: int):
+    return 0, {"order": order}, [str(order)]
+
+
+def _classify(ns):
     by_curve = ns.curve is not None
-    by_triple = any(v is not None for v in (ns.n, ns.a, ns.b, ns.c))
-    if by_curve == by_triple:
-        parser.error("give either --curve or all of --n/--a/--b/--c")
+    if by_curve == any(v is not None for v in (ns.n, ns.a, ns.b, ns.c)):
+        raise argparse.ArgumentError(None, "give either --curve or all of --n/--a/--b/--c")
     if by_curve:
-        report = classify_cover(parse_curve(ns.curve))
-    else:
-        if None in (ns.n, ns.a, ns.b, ns.c):
-            parser.error("triple mode needs all of --n/--a/--b/--c")
-        report = classify_belyi(ns.n, ns.a, ns.b, ns.c)
-    _print_report(report, ns.json)
-    return 0
+        return _report(classify_cover(parse_curve(ns.curve)))
+    if None in (ns.n, ns.a, ns.b, ns.c):
+        raise argparse.ArgumentError(None, "triple mode needs all of --n/--a/--b/--c")
+    return _report(classify_belyi(ns.n, ns.a, ns.b, ns.c))
 
 
-def _cmd_lefschetz(ns, parser) -> int:
-    _print_report(classify_lefschetz(ns.p, ns.a), ns.json)
-    return 0
-
-
-def _cmd_fermat(ns, parser) -> int:
-    _print_report(classify_fermat(ns.n, ns.d), ns.json)
-    return 0
-
-
-def _cmd_genus(ns, parser) -> int:
+def _genus(ns):
     cover = parse_curve(ns.curve)
-    g = genus(cover)
-    sig = signature_of(cover)
+    g, periods = genus(cover), signature_of(cover).periods
+    # only JSON output reports the monodromy genus, whose traversal is bounded
+    # in sheet steps, so text mode keeps any degree
+    payload = None
     if ns.json:
-        _emit(
-            {
-                "n": cover.n,
-                "genus": g,
-                "monodromy_genus": monodromy_genus(cover),
-                "signature": list(sig.periods),
-            }
-        )
-    else:
-        print(f"genus      {g}")
-        print(f"signature  {','.join(str(p) for p in sig.periods)}")
-    return 0
+        payload = {"n": cover.n, "genus": g, "monodromy_genus": monodromy_genus(cover),
+                   "signature": list(periods)}
+    return 0, payload, [f"genus      {g}", f"signature  {_csv(periods)}"]
 
 
-def _cmd_enumerate(ns, parser) -> int:
+def _enumerate(ns):
     classes = enumerate_classes(ns.n)
-    if ns.json:
-        _emit(enumeration_to_json_dict(ns.n, classes))
-        return 0
-    for c in classes:
-        canon = ",".join(str(v) for v in c.canonical)
-        print(
-            f"({canon})  size {c.size:3d}  row {c.report.row:7s} "
-            f"genus {c.report.genus:2d}  order {c.report.group.order:4d}  "
-            f"{c.report.group.structure}"
-        )
-    return 0
+    lines = (
+        f"({_csv(c.canonical)})  size {c.size:3d}  row {c.report.row:7s} "
+        f"genus {c.report.genus:2d}  order {c.report.group.order:4d}  "
+        f"{c.report.group.structure}"
+        for c in classes
+    )
+    return 0, enumeration_to_json_dict(ns.n, classes), lines
 
 
-def _cmd_cross_check(ns, parser) -> int:
-    if ns.n_max is None:
-        # filter mode: verify an enumeration report piped on standard input
-        try:
-            payload = json.load(sys.stdin)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"stdin is not valid JSON: {exc}")
-        except ValueError:  # an integer with more digits than int() converts
-            raise DomainError("stdin is not valid JSON: an integer is too long") from None
-        result = check_enumeration(payload)
-        if ns.json:
-            _emit({"checks": [check_to_json_dict(result)]})
-        else:
-            print(f"{'PASS' if result.passed else 'FAIL'} {result.name}")
-        return 0 if result.passed else 1
-    report = cross_check(ns.n_max)
-    if ns.json:
-        _emit(cross_check_to_json_dict(report))
-    else:
+def _cross_check(ns):
+    if ns.n_max is not None:
+        report = cross_check(ns.n_max)
+        lines = []
         for c in report.checks:
-            print(f"{'PASS' if c.passed else 'FAIL'} {c.name}")
+            lines.append(f"{_mark(c.passed)} {c.name}")
             if c.witness is not None:
-                print(f"     witness {json.dumps(c.witness, separators=(',', ':'))}")
-    return 0 if report.all_passed else 1
+                lines.append(f"     witness {_compact(c.witness)}")
+        return (0 if report.all_passed else 1), cross_check_to_json_dict(report), lines
+    # filter mode: verify an enumeration report piped on standard input
+    try:
+        payload = json.load(sys.stdin)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"stdin is not valid JSON: {exc}")
+    except ValueError:  # an integer with more digits than int() converts
+        raise DomainError("stdin is not valid JSON: an integer is too long") from None
+    result = check_enumeration(payload)
+    return (0 if result.passed else 1, {"checks": [check_to_json_dict(result)]},
+            [f"{_mark(result.passed)} {result.name}"])
 
 
-def _cmd_gs_table(ns, parser) -> int:
+def _gs_table(ns):
     rows = gs_table_json()
-    if ns.json:
-        _emit(rows)
-        return 0
-    for row in rows:
-        marker = "normal" if row["normal"] else "      "
-        print(f"{row['row_id']:3s} {marker} index {row['index']:>3}  {row['inner']}  ->  {row['outer']}")
-    return 0
+    lines = (
+        f"{row['row_id']:3s} {'normal' if row['normal'] else '      '} index {row['index']:>3}"
+        f"  {row['inner']}  ->  {row['outer']}"
+        for row in rows
+    )
+    return 0, rows, lines
 
 
-def _cmd_coset_enum(ns, parser) -> int:
-    pres = parse_presentation(ns.pres)
-    order = coset_enumerate(pres, max_cosets=ns.max_cosets)
-    if ns.json:
-        _emit({"order": order})
-    else:
-        print(order)
-    return 0
-
-
-def _cmd_abelianize(ns, parser) -> int:
-    pres = parse_presentation(ns.pres)
-    inv = abelianization(pres)
-    if ns.json:
-        _emit({"factors": list(inv.factors), "free_rank": inv.free_rank})
-        return 0
+def _abelianize(ns):
+    inv = abelianization(parse_presentation(ns.pres))
     parts = [f"Z{f}" for f in inv.factors] + ["Z"] * inv.free_rank
-    print(" + ".join(parts) if parts else "trivial")
-    return 0
+    payload = {"factors": list(inv.factors), "free_rank": inv.free_rank}
+    return 0, payload, [" + ".join(parts) or "trivial"]
 
 
-def _cmd_perm_order(ns, parser) -> int:
-    perms = parse_permutations(ns.perms, degree=ns.degree)
-    order = perm_order(perms, max_size=ns.max_size)
-    if ns.json:
-        _emit({"order": order})
-    else:
-        print(order)
-    return 0
-
-
-def _cmd_verify_action(ns, parser) -> int:
+def _verify_action(ns):
     scenario = build_scenario(ns.family, ns.n, k=ns.k, b=ns.b)
     outcomes = run_scenario(scenario, ns.samples, ns.seed)
-    if ns.json:
-        _emit(
-            {
-                "family": scenario.family,
-                "n": scenario.cover.n,
-                "seed": ns.seed,
-                "samples": ns.samples,
-                "checks": [
-                    {"label": o.label, "value": o.value, "pass": o.passed} for o in outcomes
-                ],
-            }
-        )
-    else:
-        for o in outcomes:
-            print(f"{'PASS' if o.passed else 'FAIL'} {o.label}  ({o.value} points)")
-    return 0 if all(o.passed for o in outcomes) else 1
+    payload = {
+        "family": scenario.family,
+        "n": scenario.cover.n,
+        "seed": ns.seed,
+        "samples": ns.samples,
+        "checks": [{"label": o.label, "value": o.value, "pass": o.passed} for o in outcomes],
+    }
+    lines = (f"{_mark(o.passed)} {o.label}  ({o.value} points)" for o in outcomes)
+    return (0 if all(o.passed for o in outcomes) else 1), payload, lines
+
+
+_INT = {"type": int}
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+
+# Each subcommand once: its name, its help, its handler, and its options as
+# (flag, add_argument keywords); every subcommand also takes --json.
+_COMMANDS = (
+    ("classify", "classify a three-branch-point cover", _classify, (
+        ("--curve", {"help": 'curve text, e.g. "y^7 = x(x-1)^2(x+1)^4"'}),
+        ("--n", _INT), ("--a", _INT), ("--b", _INT), ("--c", _INT),
+    )),
+    ("lefschetz", "classify y^p = x^a (x+1)", lambda ns: _report(classify_lefschetz(ns.p, ns.a)),
+     (("--p", _REQUIRED_INT), ("--a", _REQUIRED_INT))),
+    ("fermat", "classify y^n + x^d = 1", lambda ns: _report(classify_fermat(ns.n, ns.d)),
+     (("--n", _REQUIRED_INT), ("--d", _REQUIRED_INT))),
+    ("genus", "genus and signature of a curve", _genus, (("--curve", _REQUIRED),)),
+    ("enumerate", "equivalence classes at one degree", _enumerate, (("--n", _REQUIRED_INT),)),
+    ("cross-check", "replay classifier invariants", _cross_check, (
+        ("--n-max", {"type": int,
+                     "help": "sweep degrees 4..N, or omit to check a piped enumeration"}),
+    )),
+    ("gs-table", "print the signature-extension table", _gs_table, ()),
+    ("coset-enum", "order of a finitely presented group",
+     lambda ns: _order(coset_enumerate(parse_presentation(ns.pres), max_cosets=ns.max_cosets)), (
+        ("--pres", {"required": True, "help": 'e.g. "<x,y | x^2, y^3, (x*y)^7>"'}),
+        ("--max-cosets", {"type": int, "default": 1_000_000}),
+    )),
+    ("abelianize", "abelian invariants of a presentation", _abelianize, (("--pres", _REQUIRED),)),
+    ("perm-order", "order of a permutation group",
+     lambda ns: _order(perm_order(parse_permutations(ns.perms, degree=ns.degree),
+                                  max_size=ns.max_size)), (
+        ("--perms", {"required": True, "help": 'e.g. "(1,2,3);(1,2)"'}),
+        ("--degree", _INT),
+        ("--max-size", {
+            "type": int, "default": 10_000_000,
+            "help": "largest group order computed; a larger group prints BUDGET_EXCEEDED",
+        }),
+    )),
+    ("verify-action", "exact map verification over a prime field", _verify_action, (
+        ("--family", {"required": True, "choices": list(FAMILIES)}),
+        ("--n", _REQUIRED_INT), ("--k", _INT), ("--b", _INT),
+        ("--samples", {"type": int, "default": 100}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -220,82 +219,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Automorphism groups of cyclic covers of the sphere.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, help_text, handler, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("classify", _cmd_classify, help="classify a three-branch-point cover")
-    p.add_argument("--curve", help='curve text, e.g. "y^7 = x(x-1)^2(x+1)^4"')
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--c", type=int)
-
-    p = add("lefschetz", _cmd_lefschetz, help="classify y^p = x^a (x+1)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-
-    p = add("fermat", _cmd_fermat, help="classify y^n + x^d = 1")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-
-    p = add("genus", _cmd_genus, help="genus and signature of a curve")
-    p.add_argument("--curve", required=True)
-
-    p = add("enumerate", _cmd_enumerate, help="equivalence classes at one degree")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("cross-check", _cmd_cross_check, help="replay classifier invariants")
-    p.add_argument("--n-max", type=int, help="sweep degrees 4..N, or omit to check a piped enumeration")
-
-    add("gs-table", _cmd_gs_table, help="print the signature-extension table")
-
-    p = add("coset-enum", _cmd_coset_enum, help="order of a finitely presented group")
-    p.add_argument("--pres", required=True, help='e.g. "<x,y | x^2, y^3, (x*y)^7>"')
-    p.add_argument("--max-cosets", type=int, default=1_000_000)
-
-    p = add("abelianize", _cmd_abelianize, help="abelian invariants of a presentation")
-    p.add_argument("--pres", required=True)
-
-    p = add("perm-order", _cmd_perm_order, help="order of a permutation group")
-    p.add_argument("--perms", required=True, help='e.g. "(1,2,3);(1,2)"')
-    p.add_argument("--degree", type=int)
-    p.add_argument(
-        "--max-size", type=int, default=10_000_000,
-        help="largest group order computed; a larger group prints BUDGET_EXCEEDED",
-    )
-
-    p = add("verify-action", _cmd_verify_action, help="exact map verification over a prime field")
-    p.add_argument("--family", required=True, choices=list(FAMILIES))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv) -> int:
-    """Parse and dispatch; returns the process exit code."""
+    """Parse and dispatch; returns the process exit code.  The one place that
+    writes output: the result as JSON or text, a budget stop as
+    ``BUDGET_EXCEEDED`` or a ``budget_exceeded`` object, a domain error as
+    ``error: ...`` on stderr, a usage error as argparse's usage."""
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:
+        try:
+            code, payload, lines = ns.handler(ns)
+        except argparse.ArgumentError as exc:  # a usage fault the handler found
+            parser.error(str(exc))
+    except SystemExit as exc:  # argparse printed help or usage
         return int(exc.code or 0)
-    try:
-        return ns.fn(ns, parser)
-    except SystemExit as exc:  # parser.error inside a handler
-        return int(exc.code or 0)
-    except BudgetExceeded:
-        print("BUDGET_EXCEEDED")
-        return 0
+    except BudgetExceeded as exc:
+        code, payload = 0, {"budget_exceeded": {"what": exc.what, "budget": exc.budget}}
+        lines = ["BUDGET_EXCEEDED"]
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if ns.json:
+        print(_compact(payload))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def main() -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -280,7 +279,6 @@ def require_irreducible(cover: CyclicCover) -> None:
         raise DomainError("cover is reducible (exponents share a factor with n)")
 
 
-@lru_cache(maxsize=256)
 def genus_and_periods(n: int, gcds: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Genus and sorted periods of an irreducible degree-n cyclic cover of the
     sphere branched over len(gcds) points, read off the gcds g_i = gcd(n, k_i)

@@ -251,10 +251,16 @@ FAMILIES = {
 
 
 def build_scenario(family: str, n: int, k: Optional[int] = None, b: Optional[int] = None) -> MapScenario:
+    """The named family's scenario at degree n, given the one parameter, k or
+    b, the family takes; a parameter it does not take is refused."""
     if family not in FAMILIES:
         raise DomainError(f"unknown map family {family!r}")
     build, param, words = FAMILIES[family]
-    value = {"k": k, "b": b}.get(param)
+    values = {"k": k, "b": b}
+    for name, given in values.items():
+        if given is not None and name != param:
+            raise DomainError(f"{family} takes no parameter {name}")
+    value = values.get(param)
     if param and value is None:
         raise DomainError(f"{family} needs the {words} {param}")
     return build(n, value) if param else build(n)

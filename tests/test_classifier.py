@@ -1,6 +1,7 @@
 """Tests for the automorphism-group classifier."""
 
 import json
+import tracemalloc
 from itertools import permutations
 from math import gcd
 
@@ -455,6 +456,20 @@ def test_verdict_memo_holds_one_entry_per_class():
     assert belyi_verdict(n, *member) == verdict
     info = classifier._verdict.cache_info()
     assert (info.currsize, info.hits) == (1, 1)
+
+
+def test_fermat_verdicts_keep_no_memory_per_branch_point():
+    # y^n + x^d = 1 branches over d + 1 points; a memo keyed and valued by
+    # one entry per branch point kept about 0.1 MB for each of these calls
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(2000, 2020):
+            classify_fermat(n, 2000)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**19
 
 
 @pytest.mark.parametrize("breaks, message", [

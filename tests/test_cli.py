@@ -204,6 +204,20 @@ def test_coset_enum_budget(capsys):
     assert capsys.readouterr().out.strip() == "BUDGET_EXCEEDED"
 
 
+@pytest.mark.parametrize("argv, stop", [
+    (["coset-enum", "--pres", "<x,y | x^2, y^3, (x*y)^7>"],
+     {"what": "coset enumeration", "budget": 1000000}),
+    (["perm-order", "--perms", "(1,2,3,4,5,6,7,8,9,10,11,12)(13,14);(1,2)", "--max-size", "100"],
+     {"what": "permutation closure", "budget": 100}),
+])
+def test_budget_stop_under_json_is_one_object(capsys, argv, stop):
+    # a budget stop is a verdict, so --json reports it as JSON too
+    assert run(argv + ["--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"budget_exceeded": stop}
+    assert captured.err == ""
+
+
 def test_coset_enum_parse_error(capsys):
     assert run(["coset-enum", "--pres", "<x,y | x^^2>"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -360,6 +374,13 @@ def test_verify_action_errors(capsys):
     assert run(["verify-action", "--family", "twistedz2", "--n", "15", "--b", "4",
                 "--samples", "0"]) == 1
     capsys.readouterr()
+    # a parameter the family does not take is a domain error, not ignored
+    for argv in (["--family", "twistedz2", "--n", "15", "--b", "4", "--k", "99"],
+                 ["--family", "accola-maclachlan", "--n", "8", "--k", "3", "--b", "5"]):
+        assert run(["verify-action"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert "takes no parameter k" in captured.err
 
 
 def _entry_point_argv():

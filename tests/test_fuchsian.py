@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -147,6 +148,28 @@ def test_gs_index_sweep():
         assert extensions(3, t, 3 * t)["13"] == ((2, 3, 3 * t), 4)
     for t in range(4, 31):
         assert extensions(2, t, 2 * t)["14"] == ((2, 3, 2 * t), 3)
+
+
+def _area(periods):
+    """Hyperbolic area of a genus-0 signature over 2 pi: r - 2 - sum 1/p_i."""
+    return len(periods) - 2 - sum(Fraction(1, p) for p in periods)
+
+
+def test_gs_index_is_the_area_ratio():
+    # by Riemann-Hurwitz a subgroup of index i has i times the area of the
+    # group, so each row's typed index is the ratio of its patterns' areas;
+    # this guards the 16 indices and 32 pattern texts against a slip
+    triples = set(itertools.combinations_with_replacement(range(2, 31), 3))
+    for t in range(2, 31):
+        triples |= {(t, 4 * t, 4 * t), (t, 2 * t, 2 * t), (3, t, 3 * t), (2, t, 2 * t)}
+    quadruples = itertools.combinations_with_replacement(range(2, 31), 4)
+    matched = set()
+    for periods in itertools.chain(sorted(triples), quadruples):
+        sig = Signature(periods)
+        for row, outer in gs_extensions(sig):
+            assert row.index == _area(sig.periods) / _area(outer.periods), (row.row_id, periods)
+            matched.add(row.row_id)
+    assert matched == {row.row_id for row in _TABLE}
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,15 @@ def test_build_scenario_dispatch():
         build_scenario("twistedz2", 15)
     with pytest.raises(DomainError, match="unknown map family 'klein'"):
         build_scenario("klein", 7)
+    # a parameter the family does not take is refused, not ignored
+    with pytest.raises(DomainError, match="^twistedz2 takes no parameter k$"):
+        build_scenario("twistedz2", 15, k=99, b=4)
+    with pytest.raises(DomainError, match="^periodthree takes no parameter b$"):
+        build_scenario("periodthree", 7, k=2, b=3)
+    with pytest.raises(DomainError, match="^accola-maclachlan takes no parameter k$"):
+        build_scenario("accola-maclachlan", 8, k=3, b=5)
+    with pytest.raises(DomainError, match="^accola-maclachlan takes no parameter b$"):
+        build_scenario("accola-maclachlan", 8, b=5)
 
 
 def test_verify_map_order_seed_independent():
