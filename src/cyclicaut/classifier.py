@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .curve import (
     MINUS_ONE,
@@ -304,29 +304,63 @@ _BELYI_RULES: tuple[_Rule, ...] = (
 )
 
 
-def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
-    """The verdict of ``_BELYI_RULES`` on the triple (a, b, c) at degree n.
+def _lead_verdict(n: int, a: int, b: int, c: int, gcd_of, inverse_of) -> Verdict:
+    """The verdict of ``_BELYI_RULES`` on the admissible triple (a, b, c) at
+    degree n, given gcd_of[k] = gcd(n, k) for each entry k and
+    inverse_of[k] = k^-1 mod n for each unit entry.
 
-    The triple is validated once, as its gcds with n are taken; genus and
-    signature come from the canonical triple's gcds, which are the triple's
-    in some order.  A unit entry k leads two unit-led forms,
-    with leads s/k mod n for the other entries s.  The canonical triple is
-    (1, m, n-1-m) for the least lead m, or ``canonical_triple``'s without one.
-    The sorted leads are the same for every member of a class (each unit
-    entry k adds the pair {s/k, n-1-s/k}, and a unit rescaling keeps the
-    ratios), so a class costs ``_verdict`` one memo miss.
+    A unit entry k leads two unit-led forms, with leads s/k mod n for the
+    other entries s.  The canonical triple is (1, m, n-1-m) for the least
+    lead m, or ``canonical_triple``'s without one; genus and signature come
+    from its gcds, which are the triple's in some order.  The sorted leads
+    are the same for every member of a class (each unit entry k adds the
+    pair {s/k, n-1-s/k}, and a unit rescaling keeps the ratios), so a class
+    costs ``_verdict`` one memo miss.
     """
-    if n < 4:
-        raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
-    gcds = triple_gcds(n, a, b, c)
     leads = []
-    for k, s, gk in zip((a, b, c), (b, c, a), gcds):
-        if gk == 1:
-            x = pow(k, -1, n) * s % n
+    for k, s in ((a, b), (b, c), (c, a)):
+        if gcd_of[k] == 1:
+            x = inverse_of[k] * s % n
             leads += x, n - 1 - x
     leads.sort()
     canon = (1, leads[0], n - 1 - leads[0]) if leads else canonical_triple(n, a, b, c)
     return _verdict("belyi", n, tuple(leads), canon)
+
+
+def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
+    """The verdict of ``_BELYI_RULES`` on the triple (a, b, c) at degree n.
+
+    The triple is validated once, as its gcds with n are taken, and each
+    unit entry is inverted with ``pow``; ``_lead_verdict`` reads the leads
+    from these, as it does from ``belyi_verdicts``' per-degree tables.
+    """
+    if n < 4:
+        raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
+    gcd_of = dict(zip((a, b, c), triple_gcds(n, a, b, c)))
+    inverse_of = {k: pow(k, -1, n) for k, g in gcd_of.items() if g == 1}
+    return _lead_verdict(n, a, b, c, gcd_of, inverse_of)
+
+
+def belyi_verdicts(n: int) -> Iterator[tuple[tuple[int, int, int], Verdict]]:
+    """Every admissible ordered triple (a, b, c) of degree n with its
+    verdict, in lexicographic order, each verdict that of ``belyi_verdict``.
+
+    gcd(n, k) and k^-1 mod n are tabled once for the degree, so a triple
+    pays for no validation, gcd with n or inverse: (a, b) runs over
+    [1, n-1]^2, c is -(a + b) mod n, and the triple is admissible when c is
+    nonzero and gcd(n, a) and gcd(n, b) are coprime (a factor common to n,
+    a and b divides c = -(a + b) mod n too).
+    """
+    if n < 4:
+        raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
+    gcd_of = [gcd(n, k) for k in range(n)]
+    inverse_of = [pow(k, -1, n) if g == 1 else 0 for k, g in enumerate(gcd_of)]
+    for a in range(1, n):
+        ga = gcd_of[a]
+        for b in range(1, n):
+            c = -(a + b) % n
+            if c and gcd(ga, gcd_of[b]) == 1:
+                yield (a, b, c), _lead_verdict(n, a, b, c, gcd_of, inverse_of)
 
 
 def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:

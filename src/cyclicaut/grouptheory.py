@@ -612,26 +612,33 @@ def _infinite_triangle(generator_count: int, powers: Sequence[_Power]) -> bool:
     Generators and Relations for Discrete Groups, ch. 4).
 
     The three relators must be a power of x, a power of y and a power of a
-    two-letter root that uses both, each letter with either sign.  Rotating
-    or inverting a relator keeps its normal closure, so (y*x)^n and
-    (x*y)^-n may stand for (x*y)^n.  The maps x -> x^e and y -> y^d, for
-    signs e and d, are automorphisms of the free group that fix x^l and y^m
-    up to inversion and send x*y to x^e*y^d, so every choice of signs
-    presents the same group.  A repeated relator is dropped before (see
+    root that is, up to rotation, x^e*y^f: a run of one signed letter, then
+    a run of the other.  Rotating or inverting a relator keeps its normal
+    closure, so (y^f*x^e)^n and (x^e*y^f)^-n may stand for (x^e*y^f)^n.
+    When e is a unit mod l and f one mod m, the maps x -> x^e and y -> y^f
+    are automorphisms of Z_l and Z_m, so together one of their free product
+    Z_l * Z_m, which sends x*y to x^e*y^f; the relators then present the
+    von Dyck group (l, m, n).  A repeated relator is dropped before (see
     _powers).  Anything else, a finite triangle group included, is left to
     the table.
     """
     if generator_count != 2 or len(powers) != 3:
         return False
-    periods: dict[frozenset[int], int] = {}
-    for root, k in powers:
-        letters = frozenset(map(abs, root))
-        if len(letters) != len(root):
-            return False
-        periods[letters] = k
-    if len(periods) != 3:
+    periods = {abs(root[0]): k for root, k in powers if len(root) == 1}
+    roots = [(root, k) for root, k in powers if len(root) > 1]
+    if len(periods) != 2 or len(roots) != 1:
         return False
-    l, m, n = periods.values()
+    ((root, n),) = roots
+    # the runs of the root read cyclically start where a letter differs
+    # from the one before it
+    starts = [i for i in range(len(root)) if root[i] != root[i - 1]]
+    if len(starts) != 2 or {abs(root[i]) for i in starts} != periods.keys():
+        return False
+    i, j = starts
+    runs = ((root[i], j - i), (root[j], len(root) - (j - i)))
+    if any(gcd(run, periods[abs(letter)]) != 1 for letter, run in runs):
+        return False
+    l, m = periods.values()
     return l * m + l * n + m * n <= l * m * n
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Callable, Optional, Sequence
 
-from .classifier import ClassificationReport, Verdict, belyi_verdict, classify_belyi
+from .classifier import ClassificationReport, Verdict, belyi_verdicts, classify_belyi
 from .curve import (
     MINUS_ONE,
     ONE,
@@ -399,16 +399,6 @@ class TripleClass:
     report: ClassificationReport
 
 
-def _ordered_admissible(n: int):
-    for a in range(1, n):
-        for b in range(1, n):
-            c = (-a - b) % n
-            if c == 0:
-                continue
-            if gcd(gcd(gcd(n, a), b), c) == 1:
-                yield (a, b, c)
-
-
 ENUMERATION_CAP = 60
 
 
@@ -430,6 +420,11 @@ def _walk_orbits(
     """Take the verdict of every admissible ordered triple of degree n once,
     bucketed by its canonical triple.
 
+    The triples and their verdicts come from ``belyi_verdicts``, which
+    tables gcd(n, k) and k^-1 mod n once for the degree; each verdict is
+    still the member's own, read from its own leads, so a member whose
+    verdict differs from its class's is caught.
+
     Returns the classes in canonical order, each with the report on its
     first member (one ``classify_belyi`` call per class), and the first
     (triple, canonical triple) whose verdict differs from its class's first
@@ -439,8 +434,7 @@ def _walk_orbits(
     firsts: dict[Triple, tuple[Triple, Verdict]] = {}
     sizes: dict[Triple, int] = {}
     stray = None
-    for triple in _ordered_admissible(n):
-        verdict = belyi_verdict(n, *triple)
+    for triple, verdict in belyi_verdicts(n):
         if on_triple is not None:
             on_triple(triple, verdict)
         canon = verdict.canonical

@@ -12,6 +12,7 @@ from cyclicaut import classifier
 from cyclicaut.classifier import (
     GroupDescriptor,
     belyi_verdict,
+    belyi_verdicts,
     classify_belyi,
     classify_cover,
     classify_fermat,
@@ -302,6 +303,30 @@ def test_verdict_is_the_report():
                 assert (v.canonical, v.row, v.group, v.chain, v.genus, v.signature) == (
                     r.canonical, r.row, r.group, r.chain, r.genus, r.signature
                 ), (n, a, b, c)
+
+
+@pytest.mark.parametrize("n", [*range(4, 61), 105, 120, 210])
+def test_belyi_verdicts_walks_the_admissible_triples(n):
+    # the sweep's walk, from per-degree gcd and inverse tables, yields
+    # exactly the admissible ordered triples, in lexicographic order, each
+    # with the verdict belyi_verdict gives it alone; 105, 120 and 210 have
+    # many non-units, so many triples have fewer than three leads or none
+    brute = sorted(
+        (a, b, c)
+        for a in range(1, n)
+        for b in range(1, n)
+        for c in (n - a - b, 2 * n - a - b)
+        if 1 <= c <= n - 1 and gcd(n, a, b, c) == 1
+    )
+    walked = list(belyi_verdicts(n))
+    assert [triple for triple, _ in walked] == brute
+    for triple, verdict in walked:
+        assert verdict == belyi_verdict(n, *triple), (n, triple)
+
+
+def test_belyi_verdicts_below_degree_four():
+    with pytest.raises(DomainError, match="degree >= 4"):
+        next(belyi_verdicts(3))
 
 
 # -- the rule walker against the nested walk on pairs -------------------------

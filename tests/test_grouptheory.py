@@ -3,7 +3,7 @@ import json
 import random
 import tracemalloc
 from itertools import islice, product
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -342,6 +342,10 @@ INFINITE_TRIANGLES = [p for p in TRIANGLE_PERIODS if _triangle_order(*p) is None
         "<x,y | (x*y)^7, y^3, x^2>",  # listed in another order
         "<x,y | y^3, (y*x)^7, x^2>",
         "<a,b | b^5, (b*a^-1)^4, a^-3>",
+        "<x,y | x^2, y^3, (x*y^2)^7>",  # a power in the root
+        "<x,y | x^4, y^3, (x^3*y)^4>",
+        "<x,y | x^2, y^3, (y*x*y)^7>",  # rotated mid-run
+        "<x,y | x^2, y^-3, (y^-2*x^-1)^-7>",
     ],
 )
 def test_infinite_triangle_groups_stop_before_any_table(monkeypatch, text):
@@ -378,6 +382,26 @@ def test_triangle_groups_skip_the_table_exactly_when_infinite(monkeypatch):
             assert len(tables) == made + 1, periods
 
 
+def test_a_unit_power_in_the_root_keeps_the_triangle_group(monkeypatch):
+    # x -> x^e, y -> y^f is an automorphism of Z_l * Z_m for units e mod l
+    # and f mod m, so (x^e*y^f)^n presents the group (x*y)^n does
+    tables = _tables_made(monkeypatch)
+    for l, m, n in product(range(2, 6), repeat=3):
+        order = _triangle_order(l, m, n)
+        for e, f in product(range(1, l), range(1, m)):
+            if gcd(e, l) != 1 or gcd(f, m) != 1:
+                continue
+            made = len(tables)
+            pres = parse_presentation(f"<x,y | x^{l}, y^{m}, (x^{e}*y^{f})^{n}>")
+            if order is None:
+                with pytest.raises(BudgetExceeded):
+                    coset_enumerate(pres)
+                assert len(tables) == made, (l, m, n, e, f)
+            else:
+                assert coset_enumerate(pres) == order, (l, m, n, e, f)
+                assert len(tables) == made + 1, (l, m, n, e, f)
+
+
 @pytest.mark.parametrize("periods", INFINITE_TRIANGLES[:: len(INFINITE_TRIANGLES) // 20])
 def test_the_bare_loop_also_stops_on_infinite_triangle_groups(periods):
     with pytest.raises(BudgetExceeded):
@@ -388,9 +412,12 @@ def test_the_bare_loop_also_stops_on_infinite_triangle_groups(periods):
     "text,order",
     [
         ("<x,y | x^2, y^3, (x*y)^7, [x,y]^4>", 168),  # an extra relator
-        ("<x,y | x^2, y^3, (x*y^2)^7>", None),  # a longer root
         ("<x,y,z | x^2, y^3, z^7, x*y*z>", None),  # three generators
         ("<x,y | x^-2, y^3, (y*x^-1)^5>", 60),  # spherical
+        ("<x,y | x^2, y^3, (x*y^2)^3>", 12),  # spherical, a power in the root
+        ("<x,y | x^2, y^3, (y^2*x)^5>", 60),
+        ("<x,y | x^4, y^3, (x^2*y)^3>", None),  # 2 is no unit mod 4
+        ("<x,y | x^2, y^3, (x*y*x*y^2)^7>", None),  # four runs
     ],
 )
 def test_near_miss_triangles_still_build_a_table(monkeypatch, text, order):

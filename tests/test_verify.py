@@ -9,7 +9,7 @@ from math import gcd, lcm
 import pytest
 
 from cyclicaut import classifier, curve, verify
-from cyclicaut.classifier import belyi_verdict, classify_belyi
+from cyclicaut.classifier import belyi_verdicts, classify_belyi
 from cyclicaut.curve import (
     MINUS_ONE,
     ONE,
@@ -519,11 +519,11 @@ def test_cross_check_passes():
 
 def test_cross_check_fault_injection(monkeypatch):
     # the verdict's own genus goes wrong at n = 9; the check must read it
-    def verdict(n, *triple):
-        v = belyi_verdict(n, *triple)
-        return v._replace(genus=v.genus + (n == 9))
+    def verdicts(n):
+        for triple, v in belyi_verdicts(n):
+            yield triple, v._replace(genus=v.genus + (n == 9))
 
-    monkeypatch.setattr(verify, "belyi_verdict", verdict)
+    monkeypatch.setattr(verify, "belyi_verdicts", verdicts)
     report = cross_check(9)
     byname = {c.name: c for c in report.checks}
     failed = byname["genus_matches_monodromy"]
@@ -539,13 +539,13 @@ def test_cross_check_fault_injection(monkeypatch):
 def test_orbit_disagreement_names_the_triple(monkeypatch):
     # (2,4,1) is a later member of the class of (1,2,4) at n = 7; its verdict
     # alone moves to another row
-    def verdict(n, *triple):
-        v = belyi_verdict(n, *triple)
-        if (n, triple) == (7, (2, 4, 1)):
-            return v._replace(row="A.1")
-        return v
+    def verdicts(n):
+        for triple, v in belyi_verdicts(n):
+            if (n, triple) == (7, (2, 4, 1)):
+                v = v._replace(row="A.1")
+            yield triple, v
 
-    monkeypatch.setattr(verify, "belyi_verdict", verdict)
+    monkeypatch.setattr(verify, "belyi_verdicts", verdicts)
     report = cross_check(9)
     byname = {c.name: c for c in report.checks}
     failed = byname["equivalence_invariance"]
@@ -554,6 +554,19 @@ def test_orbit_disagreement_names_the_triple(monkeypatch):
     assert [c.name for c in report.checks if not c.passed] == ["equivalence_invariance"]
     with pytest.raises(AssertionError, match=r"orbit member \(2, 4, 1\) disagrees with class \(1, 2, 4\)"):
         enumerate_classes(7)
+
+
+def admissible(n):
+    """Every admissible ordered triple of degree n, by brute force over all
+    entries in [1, n-1]: it sums to 0 mod n and no factor is common to n
+    and its three entries."""
+    return [
+        (a, b, c)
+        for a in range(1, n)
+        for b in range(1, n)
+        for c in range(1, n)
+        if (a + b + c) % n == 0 and gcd(n, a, b, c) == 1
+    ]
 
 
 def test_one_report_per_class(monkeypatch):
@@ -567,7 +580,7 @@ def test_one_report_per_class(monkeypatch):
         return build(*args)
 
     def class_count(n):
-        return len({canonical_triple(n, *t) for t in verify._ordered_admissible(n)})
+        return len({canonical_triple(n, *t) for t in admissible(n)})
 
     monkeypatch.setattr(classifier, "ClassificationReport", counted)
     for n in (7, 12, 24, 30):
@@ -584,7 +597,7 @@ def test_cycle_table_genus_matches_monodromy():
     # translations
     for n in range(4, 25):
         cycles = cycle_counts(n)
-        for triple in verify._ordered_admissible(n):
+        for triple in admissible(n):
             cover = classify_belyi(n, *triple).cover
             assert twice_monodromy_genus(n, cycles, cover.all_exponents()) == (
                 2 * monodromy_genus(cover)

@@ -77,8 +77,10 @@ Input sets, in output order:
   <x,y | x^l, y^m, (x*y)^n> of ``TRIANGLE_PERIODS`` (spherical, Euclidean
   and hyperbolic), each in its 64 forms: x^l and y^m with either sign, and
   (x*y)^n rotated to (y*x)^n, inverted, and with either sign on each
-  letter; then at budget 2,000 the near misses of ``NEAR_MISS_TRIANGLES``,
-  which the check before the table leaves to it (1,152 + 4 calls).
+  letter; then at budget 2,000 the near misses of ``NEAR_MISS_TRIANGLES``:
+  an extra relator, a repeated one, a power in the root and three
+  generators, all but the power in the root left to the table by the check
+  before it (1,152 + 4 calls).
 
 The sections are in the order they were added, so the dump of an older
 checkout is a prefix of this one's.
@@ -107,6 +109,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cyclicaut.classifier import (  # noqa: E402
+    belyi_verdicts,
     classify_belyi,
     classify_fermat,
     classify_lefschetz,
@@ -135,7 +138,6 @@ from cyclicaut.grouptheory import (  # noqa: E402
 from cyclicaut.numtheory import MAX_PRIMALITY, DomainError, is_prime  # noqa: E402
 from cyclicaut.verify import (  # noqa: E402
     ENUMERATION_CAP,
-    _ordered_admissible,
     build_scenario,
     cross_check,
     cross_check_to_json_dict,
@@ -320,7 +322,7 @@ def _report_presentations() -> list[str]:
             texts.setdefault(text)
 
     for n in range(4, ENUMERATION_CAP + 1):
-        for triple in _ordered_admissible(n):
+        for triple, _ in belyi_verdicts(n):
             keep(classify_belyi, n, *triple)
     for p in range(ENUMERATION_CAP + 1):
         for a in range(p + 1):
@@ -605,7 +607,7 @@ FERMAT_INPUTS = [(n, d) for n in range(70) for d in range(n + 2)]
 def _calls():
     """(name, function, args) of every call, in output order."""
     for n in range(4, ENUMERATION_CAP + 1):
-        for triple in _ordered_admissible(n):
+        for triple, _ in belyi_verdicts(n):
             yield "belyi", _reported(classify_belyi), (n, *triple)
     for args in INVALID_BELYI:
         yield "belyi", _reported(classify_belyi), args
