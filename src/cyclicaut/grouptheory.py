@@ -2,8 +2,8 @@
 
 Certifies group orders and abelian invariants independently of any
 classification table: Todd-Coxeter coset enumeration (HLT strategy with
-deterministic definition order, coincidence handling and a lookahead
-collapse pass), Smith normal form modulo a maximal minor, and permutation
+deterministic definition order, coincidence handling and lookahead
+passes), Smith normal form modulo a maximal minor, and permutation
 group orders by deterministic Schreier-Sims.
 
 The Smith normal form takes the rank and a nonzero maximal minor D from one
@@ -19,24 +19,21 @@ the blocks' eliminations, not one elimination over every generator.  A
 block of r distinct rows over c generators takes up to r * c * min(r, c)
 steps, and abelianization ends with BudgetExceeded, before any block's
 matrix is built, when one passes MAX_ELIMINATION_STEPS.  Coset enumeration
-computes the same abelian invariants from the same blocks before any coset
-is defined, when the blocks together would take no more steps than the
-coset budget: the group's order is at least its abelianization's, so a free
-rank (an infinite group), or an abelianization larger than the budget, ends
-the enumeration with BudgetExceeded at once, as HLT would end after
-outgrowing the budget.  A von Dyck group <x, y | x^l, y^m, (x*y)^n> with
-1/l + 1/m + 1/n <= 1 is infinite, so it ends the enumeration the same way.
-When the abelianization is finite and within the budget, and every pair of
-generators has a relator that is a rotation of their commutator or of its
-inverse, the group is abelian: its order is the abelianization's, and no
-coset table is built.  Every other order comes from the table.  The check
-holds only over the trivial subgroup.
+reads the same blocks in a check before any coset is defined (see
+coset_enumerate).
 
 The enumeration writes each relator as w^k with w primitive.  One scan of
 w^k that closes at a coset closes it at every coset of that coset's w-cycle,
 so those cosets skip the scan, and the final check asks that every cycle of
 w on the table have a length dividing k.  A relator thus costs about
 index * |w| letters rather than index * k * |w|.
+
+HLT and lookahead are one scan loop over the cosets in index order
+(_CosetTable.scan_from).  HLT runs it with definitions on; when the live
+cosets reach the budget, a lookahead pass runs it over every coset with
+definitions off.  The loop passes a dead coset with one comparison and
+skips a relator known to close at a coset, and with definitions off a scan
+proven to change nothing (see _CosetTable._prove_open).
 
 The coset table is stored by column, as in Cannon, Dimino, Havas and Watson
 (Math. Comp. 27, 1973) and Holt, Eick and O'Brien (*Handbook of
@@ -352,6 +349,9 @@ class _CosetTable:
     indexed by coset, beside the per-coset lists parent, closed, proven and
     proven_at; all of them grow together by chunks, so defining a coset is
     a few stores.
+
+    One loop, scan_from, scans the cosets against the relators: with
+    definitions on it is HLT, and with them off a lookahead pass.
     """
 
     def __init__(self, generator_count: int, powers: Sequence[_Power], max_cosets: int):
@@ -427,13 +427,6 @@ class _CosetTable:
             raise BudgetExceeded("coset table slots", MAX_TABLE_SLOTS)
         for column in (*self.cols, self.parent, self.closed, self.proven, self.proven_at):
             column.extend(room)
-
-    def rep(self, k: int) -> int:
-        parent = self.parent
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
 
     def _define(self, alpha: int, col: list[int], mirror: list[int]) -> int:
         """Define alpha times the column col, whose mirror is ``mirror``, as a
@@ -573,31 +566,52 @@ class _CosetTable:
                     proven_at[cur] = epoch
                     proven[cur] = bit
 
-    def scan_all(self, alpha: int) -> None:
-        """Scan, filling, every relator not known to close at alpha, while
-        alpha lives."""
-        closed, parent = self.closed, self.parent
-        for r, bit in enumerate(self.bits):
-            if parent[alpha] != alpha:
-                return
-            if not closed[alpha] & bit:
-                self.scan(alpha, r, True)
+    def scan_from(self, alpha: int, fill: bool) -> None:
+        """Scan each coset from alpha on, in index order and while it lives,
+        against every relator not known to close there.
+
+        With ``fill`` on this is HLT: a scan defines the cosets it needs, and
+        the entries the coset still lacks are then defined.  When the live
+        cosets reach the budget, a lookahead pass runs and the coset is taken
+        again; a pass that leaves less than 5% headroom ends the enumeration
+        with BudgetExceeded.  With ``fill`` off this is the lookahead pass
+        itself: nothing is defined, and a scan proven to change nothing is
+        skipped (see _prove_open)."""
+        closed, parent, proven, proven_at = self.closed, self.parent, self.proven, self.proven_at
+        relators, pairs, scan = tuple(enumerate(self.bits)), self.pairs, self.scan
+        # a merge points a coset only at a lower one, so k lives exactly when
+        # parent[k] == k
+        while alpha < self.size:
+            if parent[alpha] == alpha:
+                try:
+                    for r, bit in relators:
+                        if closed[alpha] & bit:
+                            continue
+                        if not fill and proven_at[alpha] == self.epoch and proven[alpha] & bit:
+                            continue
+                        scan(alpha, r, fill)
+                        if parent[alpha] != alpha:
+                            break
+                    else:
+                        if fill:
+                            # a definition merges nothing, so alpha lives on
+                            for col, mirror in pairs:
+                                if not col[alpha]:
+                                    self._define(alpha, col, mirror)
+                except _NeedLookahead:
+                    self.lookahead()
+                    if self.alive > self.max_cosets - max(1, self.max_cosets // 20):
+                        raise BudgetExceeded("coset enumeration", self.max_cosets) from None
+                    continue
+            alpha += 1
 
     def lookahead(self) -> None:
-        """Scan every live coset without definitions, skipping the scans
-        proven to change nothing: a pass over a long open chain of a power
-        relator costs about one walk along it, not one per coset."""
-        parent, closed, proven, proven_at = self.parent, self.closed, self.proven, self.proven_at
-        for beta in range(1, self.size):
-            for r, bit in enumerate(self.bits):
-                if parent[beta] != beta:
-                    # its path halving leaves the parent array a pass that
-                    # scans every relator would leave
-                    self.rep(beta)
-                    break
-                if closed[beta] & bit or proven_at[beta] == self.epoch and proven[beta] & bit:
-                    continue
-                self.scan(beta, r, False)
+        """The scan loop over every coset with definitions off, which may
+        find coincidences but defines nothing.  A pass over a long open chain
+        of a power relator costs about one walk along it, not one per coset.
+        The pass ends by advancing the epoch, so the scans it proved open are
+        scanned again by the next."""
+        self.scan_from(1, False)
         self.epoch += 1
 
     def live_cosets(self) -> list[int]:
@@ -685,7 +699,8 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     prove infinite, or larger than that, stops the enumeration at once with
     :class:`BudgetExceeded`, as it would have after outgrowing the budget.
     Two checks come before any coset is defined, and an abelian group is
-    answered from the second with no table at all.
+    answered from the second with no table at all.  Both hold only over the
+    trivial subgroup.
 
     A von Dyck group <x, y | x^l, y^m, (x*y)^n> with
     1/l + 1/m + 1/n <= 1 is infinite (see _infinite_triangle): (2,3,7) at
@@ -727,9 +742,10 @@ def _enumerate_hlt(generator_count: int, powers: Sequence[_Power], max_cosets: i
 
     HLT strategy: cosets are processed in ascending index order, each scanned
     against every relator, remaining columns filled by definition.  When the
-    live-coset count reaches ``max_cosets`` a full lookahead pass (scans
-    without definitions) tries to collapse the table; if that cannot reclaim
-    at least 5% headroom the enumeration stops with :class:`BudgetExceeded`.
+    live-coset count reaches ``max_cosets`` a lookahead pass, the same scan
+    loop over every coset with definitions off (see _CosetTable.scan_from),
+    tries to collapse the table; if that cannot reclaim at least 5% headroom
+    the enumeration stops with :class:`BudgetExceeded`.
 
     Each relator is written as w^k with w primitive.  A scan of w^k that
     closes at a coset alpha without a coincidence proves it closed at every
@@ -739,27 +755,7 @@ def _enumerate_hlt(generator_count: int, powers: Sequence[_Power], max_cosets: i
     coincidences found are those of scanning every relator everywhere.
     """
     ct = _CosetTable(generator_count, powers, max_cosets)
-    headroom = max(1, max_cosets // 20)
-    # a merge points a coset only at a lower one, so k lives exactly when
-    # parent[k] == k
-    parent = ct.parent
-    alpha = 1
-    while alpha < ct.size:
-        if parent[alpha] == alpha:
-            while True:
-                try:
-                    ct.scan_all(alpha)
-                    for col, mirror in ct.pairs:
-                        if parent[alpha] != alpha:
-                            break
-                        if not col[alpha]:
-                            ct._define(alpha, col, mirror)
-                    break
-                except _NeedLookahead:
-                    ct.lookahead()
-                    if ct.alive > max_cosets - headroom:
-                        raise BudgetExceeded("coset enumeration", max_cosets) from None
-        alpha += 1
+    ct.scan_from(1, True)
     _validate_closed_table(ct)
     return ct.alive
 

@@ -475,6 +475,19 @@ def test_coset_enum_long_power_budget_stop_is_linear():
     assert proc.stdout.strip() == "BUDGET_EXCEEDED"
 
 
+def test_coset_enum_dihedral_budget_stop_skips_scans_proven_open():
+    # D_200000 has order 400,000, above the budget, but its abelianization
+    # Z_2 x Z_2 does not outgrow it, so the table runs to the budget along
+    # the open chain of a.  Each lookahead scan of a^200000 stops at the
+    # chain's gap.  Without the skip of the scans it proves open
+    # (_prove_open), a pass cost budget x chain length and ran for more than
+    # 10 minutes.
+    argv = ["coset-enum", "--pres", "<a,b | a^200000, b^2, b*a*b*a>", "--max-cosets", "100000"]
+    proc = _run_entry_point(_entry_point_argv(), argv, timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "BUDGET_EXCEEDED"
+
+
 def test_coset_table_wider_than_its_slot_bound_stops_within_the_address_space():
     # the free product of 120 copies of Z_2 is infinite; its table takes 244
     # slots a coset, and the bare HLT loop ended in a MemoryError at 1.46 GB

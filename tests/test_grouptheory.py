@@ -25,6 +25,7 @@ from cyclicaut.grouptheory import (
     smith_normal_form,
 )
 from cyclicaut import grouptheory
+from cyclicaut.classifier import classify_fermat
 from cyclicaut.numtheory import DomainError
 
 # relators whose expansion passes MAX_RELATOR_LETTERS: a huge power, a power
@@ -688,7 +689,7 @@ def test_lookahead_skips_only_scans_that_change_nothing(monkeypatch, text, budge
         start = scans[0]
         for beta in range(1, reference.size):
             for r, bit in enumerate(reference.bits):
-                if reference.rep(beta) == beta and not reference.closed[beta] & bit:
+                if reference.parent[beta] == beta and not reference.closed[beta] & bit:
                     reference.scan(beta, r, False)
         middle = scans[0]
         lookahead(self)
@@ -709,6 +710,24 @@ def test_lookahead_skips_only_scans_that_change_nothing(monkeypatch, text, budge
         except BudgetExceeded:
             pass
     assert skipped[0] > 0
+
+
+def test_one_lookahead_pass_reaches_the_f6_order():
+    # HLT alone peaks at 40,804 live cosets on F.6 at n = 201; a lookahead
+    # pass at the budget collapses the table, and the enumeration ends in it
+    report = classify_fermat(201, 3)
+    assert report.row == "F.6"
+    assert coset_enumerate(report.group.presentation, max_cosets=20_000) == 1206
+
+
+@pytest.mark.parametrize(
+    "budget,outcome", [(176, 168), (170, ("BudgetExceeded", "coset enumeration", 170))]
+)
+def test_lookahead_passes_reach_psl27_within_a_tight_budget(budget, outcome):
+    # at 176 three passes each leave HLT the 5% headroom it needs to go on;
+    # at 170 the third leaves less, and the enumeration stops
+    pres = parse_presentation("<x,y | x^2, y^3, (x*y)^7, [x,y]^4>")
+    assert _outcome(coset_enumerate, pres, budget) == outcome
 
 
 @pytest.mark.parametrize(

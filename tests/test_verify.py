@@ -536,6 +536,59 @@ def test_cross_check_fault_injection(monkeypatch):
     assert any("witness" in entry for entry in out["checks"])
 
 
+def _doubled_base_order_at_9(n, a, b, c):
+    report = classify_belyi(n, a, b, c)
+    return dataclasses.replace(report, base_order=report.base_order * (1 + (n == 9)))
+
+
+def _genus_2_on_c2(n, a, b, c):
+    report = classify_belyi(n, a, b, c)
+    return dataclasses.replace(report, genus=2) if report.row == "C.2" else report
+
+
+# each per-class invariant of cross_check, the name in verify whose fault
+# fails it, the fault, and the first class that shows it
+PER_CLASS_FAULTS = [
+    (
+        "harvey_condition",
+        "harvey_admissible",
+        lambda signature, n: False,
+        {"n": 4, "triple": [1, 1, 2], "row": "A.2", "order": 16},
+    ),
+    (
+        "default_not_extendable",
+        "cb_extendable",
+        lambda cover: ("fault",),
+        {"n": 9, "triple": [1, 2, 6], "row": "DEFAULT", "order": 9},
+    ),
+    (
+        "order_law",
+        "classify_belyi",
+        _doubled_base_order_at_9,
+        {"n": 9, "triple": [1, 1, 7], "row": "A.1", "order": 18},
+    ),
+    (
+        "hurwitz_bound",
+        "classify_belyi",
+        _genus_2_on_c2,
+        {"n": 7, "triple": [1, 2, 4], "row": "C.2", "order": 168},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,target,fault,witness", [pytest.param(*case, id=case[0]) for case in PER_CLASS_FAULTS]
+)
+def test_per_class_invariant_fault_injection(monkeypatch, name, target, fault, witness):
+    # a fault in one invariant's oracle fails that invariant alone, with the
+    # first class it reaches as the witness
+    monkeypatch.setattr(verify, target, fault)
+    report = cross_check(9)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [name]
+    assert failed[0].witness == witness
+
+
 def test_orbit_disagreement_names_the_triple(monkeypatch):
     # (2,4,1) is a later member of the class of (1,2,4) at n = 7; its verdict
     # alone moves to another row
