@@ -33,7 +33,10 @@ HLT and lookahead are one scan loop over the cosets in index order
 cosets reach the budget, a lookahead pass runs it over every coset with
 definitions off.  The loop passes a dead coset with one comparison and
 skips a relator known to close at a coset, and with definitions off a scan
-proven to change nothing (see _CosetTable._prove_open).
+proven to change nothing: a scan that stops open proves the same of every
+coset ahead of it along its relator's root (see _CosetTable._prove_open).
+The open scans of one pass walk at most MAX_LOOKAHEAD_LETTERS letters, and a
+pass that would walk more ends the enumeration with BudgetExceeded.
 
 The coset table is stored by column, as in Cannon, Dimino, Havas and Watson
 (Math. Comp. 27, 1973) and Holt, Eick and O'Brien (*Handbook of
@@ -167,6 +170,13 @@ MAX_RELATOR_LETTERS = 10**7
 # lists, 8 bytes each, so about 270 MB at this bound.  The coset budget bounds
 # the cosets but not the width of each, which a wide presentation sets.
 MAX_TABLE_SLOTS = 2**25
+
+# Most letters the open no-fill scans of one lookahead pass may walk.  Each
+# deduction or merge of a pass voids the scans it has proved open, so a pass
+# whose deductions keep coming re-walks every long open chain after each one,
+# and its work can grow with the square of the budget.  At this bound a pass
+# stops in about 5 s on one core of a shared 2-core VM.
+MAX_LOOKAHEAD_LETTERS = 2**25
 
 # Most steps a dense elimination of the relation matrix may take, in
 # abelianization per block and in coset_enumerate's check before the table
@@ -351,7 +361,11 @@ class _CosetTable:
     a few stores.
 
     One loop, scan_from, scans the cosets against the relators: with
-    definitions on it is HLT, and with them off a lookahead pass.
+    definitions on it is HLT, and with them off a lookahead pass.  A pass
+    records, for each no-fill scan that stops open, the cosets ahead of it
+    along the relator's root whose scans would change nothing either, and
+    skips those scans until the table changes; it counts the letters its
+    open scans walk and stops at MAX_LOOKAHEAD_LETTERS.
     """
 
     def __init__(self, generator_count: int, powers: Sequence[_Power], max_cosets: int):
@@ -371,25 +385,18 @@ class _CosetTable:
         self.fwd: list[tuple[list[int], ...]] = []
         self.bwd: list[tuple[list[int], ...]] = []
         self.roots: list[tuple[list[int], ...]] = []
-        # each root read backward, letter by letter inverted
-        self.inverse_roots: list[tuple[list[int], ...]] = []
         self.bits: list[int] = []
         for r, (word, k) in enumerate(powers):
             root = tuple(map(by_letter.__getitem__, word))
-            back = tuple(map(by_inverse.__getitem__, word))
             self.fwd.append(root * k)
-            self.bwd.append(back * k)
+            self.bwd.append(tuple(map(by_inverse.__getitem__, word)) * k)
             self.roots.append(root)
-            self.inverse_roots.append(back[::-1])
             self.bits.append(1 << r if k > 1 else 0)
-        # a no-fill scan of a proper power that walks two roots on one side
-        # proves cosets worth skipping (see _prove_open); recording a
-        # shorter walk costs about what skipping would save.  A scan of a
-        # relator with k = 1 walks fewer than len(w) letters on each side.
-        self.proof_walk = [
-            2 * len(root) if bit else len(word)
-            for word, root, bit in zip(self.fwd, self.roots, self.bits)
-        ]
+        # a no-fill scan that walks two roots forward proves cosets worth
+        # skipping (see _prove_open); recording a shorter walk costs about
+        # what skipping would save.  A scan of a relator with k = 1 stops
+        # open before one root, so it never proves.
+        self.proof_walk = [2 * len(root) for root in self.roots]
         self.max_cosets = max_cosets
         # cosets 1 .. size - 1 have been defined; the lists hold room beyond
         self.size = 2
@@ -405,6 +412,9 @@ class _CosetTable:
         self.proven = [0, 0]
         self.proven_at = [0, 0]
         self.epoch = 1
+        # letters walked by the open no-fill scans of the current lookahead
+        # pass (see MAX_LOOKAHEAD_LETTERS)
+        self.walked = 0
         self.alive = 1
 
     # every coset defined takes the next index and every merge kills one, so
@@ -525,10 +535,11 @@ class _CosetTable:
                     self._mark(alpha, r)
                 return
             if not fill:
-                behind = len(fwd) - 1 - j
-                least = self.proof_walk[r]
-                if i >= least or behind >= least:
-                    self._prove_open(alpha, r, i, behind)
+                self.walked += i + len(fwd) - 1 - j
+                if self.walked > MAX_LOOKAHEAD_LETTERS:
+                    raise BudgetExceeded("lookahead letters", MAX_LOOKAHEAD_LETTERS)
+                if i >= self.proof_walk[r]:
+                    self._prove_open(alpha, r, i)
                 return
             # define f times letter i as a new coset and step to it
             f = self._define(f, fwd[i], bwd[i])
@@ -546,25 +557,24 @@ class _CosetTable:
             if cur == alpha:
                 return
 
-    def _prove_open(self, alpha: int, r: int, ahead: int, behind: int) -> None:
-        """A no-fill scan of relator r = root^k at alpha has stopped at a gap
-        ``ahead`` letters forward and ``behind`` letters backward, changing
-        nothing.  Scanned from alpha*root^m, for m*|root| up to ``ahead``, or
-        from alpha*root^-m, for m*|root| up to ``behind``, the relator reads
-        the same letters between the same two gaps, so it would change
-        nothing there either: record those cosets in ``proven``."""
+    def _prove_open(self, alpha: int, r: int, ahead: int) -> None:
+        """A no-fill scan of relator r = root^k at alpha has stopped open,
+        changing nothing, at a gap ``ahead`` letters forward.  Scanned from
+        alpha*root^m, for m*|root| up to ``ahead``, the relator reads the
+        same letters between the same two gaps, so it would change nothing
+        there either: record those cosets, each ahead of alpha on the
+        root's path, in ``proven``."""
         bit, root = self.bits[r], self.roots[r]
         proven, proven_at, epoch = self.proven, self.proven_at, self.epoch
-        for steps, cols in ((ahead, root), (behind, self.inverse_roots[r])):
-            cur = alpha
-            for _ in range(steps // len(root)):
-                for col in cols:
-                    cur = col[cur]
-                if proven_at[cur] == epoch:
-                    proven[cur] |= bit
-                else:
-                    proven_at[cur] = epoch
-                    proven[cur] = bit
+        cur = alpha
+        for _ in range(ahead // len(root)):
+            for col in root:
+                cur = col[cur]
+            if proven_at[cur] == epoch:
+                proven[cur] |= bit
+            else:
+                proven_at[cur] = epoch
+                proven[cur] = bit
 
     def scan_from(self, alpha: int, fill: bool) -> None:
         """Scan each coset from alpha on, in index order and while it lives,
@@ -575,8 +585,9 @@ class _CosetTable:
         cosets reach the budget, a lookahead pass runs and the coset is taken
         again; a pass that leaves less than 5% headroom ends the enumeration
         with BudgetExceeded.  With ``fill`` off this is the lookahead pass
-        itself: nothing is defined, and a scan proven to change nothing is
-        skipped (see _prove_open)."""
+        itself: nothing is defined, a scan proven to change nothing is
+        skipped (see _prove_open), and open scans that walk more than
+        MAX_LOOKAHEAD_LETTERS letters in all end it with BudgetExceeded."""
         closed, parent, proven, proven_at = self.closed, self.parent, self.proven, self.proven_at
         relators, pairs, scan = tuple(enumerate(self.bits)), self.pairs, self.scan
         # a merge points a coset only at a lower one, so k lives exactly when
@@ -609,8 +620,10 @@ class _CosetTable:
         """The scan loop over every coset with definitions off, which may
         find coincidences but defines nothing.  A pass over a long open chain
         of a power relator costs about one walk along it, not one per coset.
-        The pass ends by advancing the epoch, so the scans it proved open are
-        scanned again by the next."""
+        The pass starts its count of letters walked from zero and ends by
+        advancing the epoch, so the scans it proved open are scanned again by
+        the next."""
+        self.walked = 0
         self.scan_from(1, False)
         self.epoch += 1
 
@@ -1335,22 +1348,20 @@ def fingerprint(
     max_cosets: int = 1_000_000,
     max_size: int = 10_000_000,
 ) -> Fingerprint:
-    """(order, abelian invariants, is_abelian) for a presentation or permutation set."""
+    """(order, abelian invariants, is_abelian) for a presentation or permutation set.
+
+    A finite group is abelian exactly when its abelianization has its order."""
     if isinstance(obj, Presentation):
         order, ab = _order_and_invariants(obj, max_cosets)
         if ab is None:
             ab = abelianization(obj)
-        return Fingerprint(order, ab.factors, ab.order() == order)
-    if isinstance(obj, PermutationSet):
+        invariants = ab.factors
+    elif isinstance(obj, PermutationSet):
         order = perm_order(obj, max_size)
         invariants, visited = _perm_abelian_invariants(obj, max_size)
         # two unrelated counts of one order: the stabilizer chain's orbit
         # lengths and the elements the closure walk visited
         assert visited == order, f"closure walk visited {visited}, stabilizer chain gives {order}"
-        commuting = all(
-            _compose(p, q) == _compose(q, p)
-            for i, p in enumerate(obj.generators)
-            for q in obj.generators[i + 1 :]
-        )
-        return Fingerprint(order, invariants, commuting)
-    raise DomainError(f"cannot fingerprint {type(obj).__name__}")
+    else:
+        raise DomainError(f"cannot fingerprint {type(obj).__name__}")
+    return Fingerprint(order, invariants, prod(invariants) == order)

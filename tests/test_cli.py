@@ -488,6 +488,26 @@ def test_coset_enum_dihedral_budget_stop_skips_scans_proven_open():
     assert proc.stdout.strip() == "BUDGET_EXCEEDED"
 
 
+@pytest.mark.parametrize(
+    "flags,expected",
+    [
+        ([], "BUDGET_EXCEEDED"),
+        (["--json"], '{"budget_exceeded":{"what":"lookahead letters","budget":33554432}}'),
+    ],
+    ids=["text", "json"],
+)
+def test_coset_enum_lookahead_pass_stops_on_its_letter_bound(flags, expected):
+    # D_1000000 outgrows the budget, but its abelianization Z_2 x Z_2 does
+    # not, so the table runs along the open chain of (a*b)^1000000.  Every
+    # a^2 or b^2 deduction of the pass voids the scans it proved open, so
+    # each scan of (a*b)^1000000 walked the whole chain again: the call ran
+    # past 90 s before a pass was bounded in letters.
+    argv = ["coset-enum", "--pres", "<a,b | (a*b)^1000000, b^2, a^2>", *flags]
+    proc = _run_entry_point(_entry_point_argv(), argv, timeout=30)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout.strip() == expected
+
+
 def test_coset_table_wider_than_its_slot_bound_stops_within_the_address_space():
     # the free product of 120 copies of Z_2 is infinite; its table takes 244
     # slots a coset, and the bare HLT loop ended in a MemoryError at 1.46 GB

@@ -80,7 +80,12 @@ Input sets, in output order:
   letter; then at budget 2,000 the near misses of ``NEAR_MISS_TRIANGLES``:
   an extra relator, a repeated one, a power in the root and three
   generators, all but the power in the root left to the table by the check
-  before it (1,152 + 4 calls).
+  before it (1,152 + 4 calls);
+- ``coset_enumerate`` of <a,b | (a*b)^N, b^2, a^2> at (N, budget) =
+  (1000, 500), (1000, 1,000,000), (10000, 5000) and (100000, 20000), and of
+  <a,b | a^200000, b^2, b*a*b*a> at budget 100,000: the dihedral group of
+  order 2,000, then four budget stops whose lookahead passes walk a long
+  open chain of a power relator (5 calls).
 
 The sections are in the order they were added, so the dump of an older
 checkout is a prefix of this one's.
@@ -672,6 +677,9 @@ def _calls():
                 yield "coset", _coset_answer, (text, budget)
     for text in NEAR_MISS_TRIANGLES:
         yield "coset", _coset_answer, (text, 2000)
+    for n, budget in ((1000, 500), (1000, 1_000_000), (10000, 5000), (100000, 20000)):
+        yield "coset", _coset_answer, (f"<a,b | (a*b)^{n}, b^2, a^2>", budget)
+    yield "coset", _coset_answer, ("<a,b | a^200000, b^2, b*a*b*a>", 100_000)
 
 
 def main() -> None:
