@@ -304,41 +304,58 @@ _BELYI_RULES: tuple[_Rule, ...] = (
 )
 
 
-def _lead_verdict(n: int, a: int, b: int, c: int, gcd_of, inverse_of) -> Verdict:
-    """The verdict of ``_BELYI_RULES`` on the admissible triple (a, b, c) at
-    degree n, given gcd_of[k] = gcd(n, k) for each entry k and
-    inverse_of[k] = k^-1 mod n for each unit entry.
+def _lows(n: int, a: int, b: int, c: int, gcd_of, inverse_of) -> tuple[int, ...]:
+    """The sorted lows of the admissible triple (a, b, c) at degree n, given
+    gcd_of[k] = gcd(n, k) for each entry k and inverse_of[k] = k^-1 mod n
+    for each unit entry.
 
-    A unit entry k leads two unit-led forms, with leads s/k mod n for the
-    other entries s.  The canonical triple is (1, m, n-1-m) for the least
-    lead m, or ``canonical_triple``'s without one; genus and signature come
-    from its gcds, which are the triple's in some order.  The sorted leads
-    are the same for every member of a class (each unit entry k adds the
-    pair {s/k, n-1-s/k}, and a unit rescaling keeps the ratios), so a class
-    costs ``_verdict`` one memo miss.
+    A unit entry k leads two unit-led forms, with leads x = s/k and
+    n-1-x = t/k mod n for the entry s after it and the entry t before it
+    (as k + s + t = 0 mod n); its low is min(x, n-1-x).  A unit rescaling
+    keeps the ratios and a permutation only swaps x with n-1-x, so the
+    sorted lows are the same for every member of a class.  They fix the
+    sorted leads, each low l standing for the pair {l, n-1-l}, and the
+    canonical triple (1, m, n-1-m) for the least low m.  A triple with no
+    unit entry has no lows.
     """
-    leads = []
+    lows = []
     for k, s in ((a, b), (b, c), (c, a)):
         if gcd_of[k] == 1:
             x = inverse_of[k] * s % n
-            leads += x, n - 1 - x
-    leads.sort()
-    canon = (1, leads[0], n - 1 - leads[0]) if leads else canonical_triple(n, a, b, c)
-    return _verdict("belyi", n, tuple(leads), canon)
+            lows.append(x if x + x < n else n - 1 - x)  # min(x, n-1-x), without a call
+    lows.sort()
+    return tuple(lows)
+
+
+def _lows_verdict(n: int, a: int, b: int, c: int, lows: tuple[int, ...]) -> Verdict:
+    """The verdict of ``_BELYI_RULES`` on the admissible triple (a, b, c) at
+    degree n, whose lows (see ``_lows``) are given.
+
+    The sorted leads and the canonical triple come from the lows; a triple
+    with no unit entry has no leads, and ``canonical_triple`` gives its
+    canonical triple.  Genus and signature come from the canonical triple's
+    gcds, which are the triple's in some order.  A class thus costs
+    ``_verdict`` one memo miss.
+    """
+    if not lows:
+        return _verdict("belyi", n, (), canonical_triple(n, a, b, c))
+    leads = tuple(sorted(lows + tuple(n - 1 - x for x in lows)))
+    return _verdict("belyi", n, leads, (1, lows[0], n - 1 - lows[0]))
 
 
 def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
     """The verdict of ``_BELYI_RULES`` on the triple (a, b, c) at degree n.
 
     The triple is validated once, as its gcds with n are taken, and each
-    unit entry is inverted with ``pow``; ``_lead_verdict`` reads the leads
-    from these, as it does from ``belyi_verdicts``' per-degree tables.
+    unit entry is inverted with ``pow``; ``_lows`` reads the lows from
+    these, as it does from ``belyi_verdicts``' per-degree tables, and
+    ``_lows_verdict`` gives the verdict.
     """
     if n < 4:
         raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
     gcd_of = dict(zip((a, b, c), triple_gcds(n, a, b, c)))
     inverse_of = {k: pow(k, -1, n) for k, g in gcd_of.items() if g == 1}
-    return _lead_verdict(n, a, b, c, gcd_of, inverse_of)
+    return _lows_verdict(n, a, b, c, _lows(n, a, b, c, gcd_of, inverse_of))
 
 
 def belyi_verdicts(n: int) -> Iterator[tuple[tuple[int, int, int], Verdict]]:
@@ -349,18 +366,28 @@ def belyi_verdicts(n: int) -> Iterator[tuple[tuple[int, int, int], Verdict]]:
     pays for no validation, gcd with n or inverse: (a, b) runs over
     [1, n-1]^2, c is -(a + b) mod n, and the triple is admissible when c is
     nonzero and gcd(n, a) and gcd(n, b) are coprime (a factor common to n,
-    a and b divides c = -(a + b) mod n too).
+    a and b divides c = -(a + b) mod n too).  Beside these tables the walk
+    keeps one from non-empty lows (see ``_lows``) to verdict, so a lead set
+    seen before costs one dict lookup, and the members of a class share one
+    verdict object.  The table lives for one walk.
     """
     if n < 4:
         raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
     gcd_of = [gcd(n, k) for k in range(n)]
     inverse_of = [pow(k, -1, n) if g == 1 else 0 for k, g in enumerate(gcd_of)]
+    verdict_of: dict[tuple[int, ...], Verdict] = {}
     for a in range(1, n):
         ga = gcd_of[a]
         for b in range(1, n):
             c = -(a + b) % n
             if c and gcd(ga, gcd_of[b]) == 1:
-                yield (a, b, c), _lead_verdict(n, a, b, c, gcd_of, inverse_of)
+                lows = _lows(n, a, b, c, gcd_of, inverse_of)
+                verdict = verdict_of.get(lows)
+                if verdict is None:
+                    verdict = _lows_verdict(n, a, b, c, lows)
+                    if lows:
+                        verdict_of[lows] = verdict
+                yield (a, b, c), verdict
 
 
 def classify_belyi(n: int, a: int, b: int, c: int) -> ClassificationReport:

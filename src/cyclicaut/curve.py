@@ -410,10 +410,11 @@ def twice_monodromy_genus(
 
     The monodromy of each branch point is the translation by its exponent,
     so their product is the translation by sum(ks): the identity exactly
-    when the sum is 0 mod n.
+    when the sum is 0 mod n.  The cycle counts are summed by ``map``, with
+    no generator, as ``cross_check`` calls this once per triple.
     """
     assert sum(ks) % n == 0, "monodromy product is not the identity"
-    return 2 - 2 * n + sum(n - cycles[k] for k in ks)
+    return 2 - 2 * n + n * len(ks) - sum(map(cycles.__getitem__, ks))
 
 
 # Most sheet steps monodromy_genus takes: it traverses the n sheets once per

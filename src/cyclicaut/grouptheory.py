@@ -633,21 +633,30 @@ class _CosetTable:
 
 
 def _infinite_triangle(generator_count: int, powers: Sequence[_Power]) -> bool:
-    """Whether the powers (see _powers) present a von Dyck group
-    <x, y | x^l, y^m, (x*y)^n> with 1/l + 1/m + 1/n <= 1, which is
-    infinite (Euclidean at equality, hyperbolic below it; Coxeter-Moser,
-    Generators and Relations for Discrete Groups, ch. 4).
+    """Whether the powers (see _powers) present, on two generators, a group
+    <x, y | x^l, y^m, (x^e*y^f)^n> proven infinite by one of two tests.
 
     The three relators must be a power of x, a power of y and a power of a
     root that is, up to rotation, x^e*y^f: a run of one signed letter, then
     a run of the other.  Rotating or inverting a relator keeps its normal
-    closure, so (y^f*x^e)^n and (x^e*y^f)^-n may stand for (x^e*y^f)^n.
+    closure, so (y^f*x^e)^n and (x^e*y^f)^-n may stand for (x^e*y^f)^n.  A
+    repeated relator is dropped before (see _powers).
+
     When e is a unit mod l and f one mod m, the maps x -> x^e and y -> y^f
     are automorphisms of Z_l and Z_m, so together one of their free product
     Z_l * Z_m, which sends x*y to x^e*y^f; the relators then present the
-    von Dyck group (l, m, n).  A repeated relator is dropped before (see
-    _powers).  Anything else, a finite triangle group included, is left to
-    the table.
+    von Dyck group (l, m, n), which is infinite when 1/l + 1/m + 1/n <= 1
+    (Euclidean at equality, hyperbolic below it; Coxeter-Moser, Generators
+    and Relations for Discrete Groups, ch. 4).
+
+    When d = gcd(e, l) > 1, adding the relator x^d kills x^e, so the group
+    maps onto <x, y | x^d, y^m, y^(f*n)>, the free product
+    Z_d * Z_gcd(m, f*n).  A free product of two nontrivial groups is
+    infinite, so the group is when gcd(m, f*n) > 1; the same holds with the
+    roles of x and y swapped.  <x,y | x^4, y^3, (x^2*y)^3> maps so onto
+    Z_2 * Z_3.  Both tests only prove a group infinite: anything they leave,
+    a finite triangle group or <x,y | x^4, y^3, (x^2*y)^2> (gcd(3, 2) = 1)
+    included, is left to the table.
     """
     if generator_count != 2 or len(powers) != 3:
         return False
@@ -662,11 +671,56 @@ def _infinite_triangle(generator_count: int, powers: Sequence[_Power]) -> bool:
     if len(starts) != 2 or {abs(root[i]) for i in starts} != periods.keys():
         return False
     i, j = starts
-    runs = ((root[i], j - i), (root[j], len(root) - (j - i)))
-    if any(gcd(run, periods[abs(letter)]) != 1 for letter, run in runs):
-        return False
-    l, m = periods.values()
-    return l * m + l * n + m * n <= l * m * n
+    l, m = periods[abs(root[i])], periods[abs(root[j])]
+    e, f = j - i, len(root) - (j - i)
+    if gcd(e, l) == gcd(f, m) == 1:
+        return l * m + l * n + m * n <= l * m * n
+    return gcd(e, l) > 1 and gcd(m, f * n) > 1 or gcd(f, m) > 1 and gcd(l, e * n) > 1
+
+
+def _cyclically_reduced(word: Sequence[int]) -> tuple[int, ...]:
+    """The word freely reduced, then stripped of inverse letters at its two
+    ends: a conjugate of it, so a relator with the same normal closure."""
+    out: list[int] = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    i, j = 0, len(out)
+    while j - i > 1 and out[i] == -out[j - 1]:
+        i, j = i + 1, j - 1
+    return tuple(out[i:j])
+
+
+def _two_generator_form(generator_count: int, powers: Sequence[_Power]) -> list[_Power] | None:
+    """The powers of a presentation on three generators with one generator
+    eliminated, or None when no relator lets one go.
+
+    A relator that is a product of three distinct generators, each to the
+    power +-1, defines its last letter from the other two: a*b*c = 1 gives
+    c = (a*b)^-1 and c^-1 = a*b, whether c is z or z^-1.  Putting these
+    words for z and z^-1 into every relator, each then cyclically reduced (see
+    _cyclically_reduced), is a Tietze transformation, so the powers of the
+    result present the same group on the two generators left:
+    <x,y,z | x^2, y^3, z^7, x*y*z> becomes <x,y | x^2, y^3, (y^-1*x^-1)^7>.
+    A relator that reduces to nothing, the defining one included, is
+    dropped.
+    """
+    if generator_count != 3:
+        return None
+    for root, k in powers:
+        if k == 1 and len(root) == 3 and len({abs(x) for x in root}) == 3:
+            *rest, last = root
+            swap = {last: inverse_word(rest), -last: tuple(rest)}
+            reduced: dict[_Power, None] = {}
+            for other, j in powers:
+                word = _cyclically_reduced([y for x in other for y in swap.get(x, (x,))])
+                if word:
+                    m = _root_length(word)
+                    reduced.setdefault((word[:m], j * len(word) // m))
+            return list(reduced)
+    return None
 
 
 def _commute_pairwise(generator_count: int, relators: Sequence[tuple[int, ...]]) -> bool:
@@ -693,7 +747,9 @@ def _order_and_invariants(
     g = pres.generator_count
     powers = _powers(pres.relators)
     blocks = _blocks(_exponent_sums(powers))
-    if sum(len(gens) for _, gens in blocks) < g or _infinite_triangle(g, powers):
+    two = _two_generator_form(g, powers)
+    if (sum(len(gens) for _, gens in blocks) < g or _infinite_triangle(g, powers)
+            or two is not None and _infinite_triangle(2, two)):
         raise BudgetExceeded("coset enumeration", max_cosets)
     invariants = None
     if sum(_elimination_steps(*block) for block in blocks) <= min(max_cosets, MAX_ELIMINATION_STEPS):
@@ -719,8 +775,12 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     1/l + 1/m + 1/n <= 1 is infinite (see _infinite_triangle): (2,3,7) at
     budget 2,000 stops in about 0.03 ms, where the table took 8 ms, and
     (4,8,8) at the default budget in about 0.04 ms, where it took 2.7 s
-    (best of 5 in-process, one core of a shared 2-core VM).  This test only
-    proves a group infinite; it computes no order.
+    (best of 5 in-process, one core of a shared 2-core VM).  So is
+    <x, y | x^l, y^m, (x^e*y^f)^n> when it maps onto a free product of two
+    nontrivial cyclic groups, such as <x,y | x^4, y^3, (x^2*y)^3> onto
+    Z_2 * Z_3, and a three-generator form that one relator x*y*z reduces to
+    either (see _two_generator_form), such as <x,y,z | x^2, y^3, z^7, x*y*z>.
+    These tests only prove a group infinite; they compute no order.
 
     The order is at least that of the abelianization, which the relation
     matrix gives.  When the abelianization has a free rank or an order above

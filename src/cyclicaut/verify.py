@@ -421,9 +421,12 @@ def _walk_orbits(
     bucketed by its canonical triple.
 
     The triples and their verdicts come from ``belyi_verdicts``, which
-    tables gcd(n, k) and k^-1 mod n once for the degree; each verdict is
-    still the member's own, read from its own leads, so a member whose
-    verdict differs from its class's is caught.
+    tables gcd(n, k) and k^-1 mod n once for the degree, and within the
+    walk one verdict per lead set (its lows, see ``classifier._lows``).  A
+    member shares a verdict only with the members of equal lows, and a
+    member without a unit entry gets its own from ``canonical_triple``, so a
+    member whose lows, and thus whose verdict, differ from its class's
+    first is caught.
 
     Returns the classes in canonical order, each with the report on its
     first member (one ``classify_belyi`` call per class), and the first

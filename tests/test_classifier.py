@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from functools import lru_cache
 from itertools import permutations
 from math import gcd
 
@@ -31,6 +32,7 @@ from cyclicaut.curve import (
     triple_gcds,
 )
 from cyclicaut.fuchsian import cb_extendable
+from cyclicaut.numtheory import factorize
 from cyclicaut.grouptheory import (
     Presentation,
     coset_enumerate,
@@ -953,3 +955,80 @@ def test_shared_descriptors_stay_values():
             assert r.group.structure == f"Z{n}"
             assert r.group.presentation_text == f"<a | a^{n}>"
             assert r.base_order == n and r.chain == ()
+
+
+# -- the lows key -------------------------------------------------------------
+
+
+def _lows_of(n, triple):
+    """The sorted lows min(x, n-1-x) of the leads x = s/k, over the unit
+    entries k of the triple and the entry s after each, inverted by pow."""
+    lows = []
+    for k, s in zip(triple, triple[1:] + triple[:1]):
+        if gcd(n, k) == 1:
+            x = s * pow(k, -1, n) % n
+            lows.append(min(x, n - 1 - x))
+    return tuple(sorted(lows))
+
+
+@lru_cache(maxsize=16)
+def _walk_by_lows(n):
+    """The walk of degree n as {triple: verdict}, and its triples by lows."""
+    verdicts, by_lows = {}, {}
+    for triple, verdict in belyi_verdicts(n):
+        verdicts[triple] = verdict
+        by_lows.setdefault(_lows_of(n, triple), []).append(triple)
+    return verdicts, by_lows
+
+
+@st.composite
+def _lows_case(draw):
+    """An admissible triple at a degree from 4 to 10^4, with a unit u.  Half
+    the degrees are at most 60, and many are multiples of 6, 30, 210 or
+    2310; each of the first two entries is a multiple of one of the
+    degree's primes two times in three, so that many triples have one unit
+    entry or none."""
+    if draw(st.booleans(), label="walked degree"):
+        n = draw(st.one_of(st.integers(min_value=4, max_value=60),
+                           st.sampled_from([12, 24, 30, 36, 42, 48, 60])), label="n")
+    else:
+        n = draw(st.one_of(st.integers(min_value=61, max_value=10**4),
+                           st.integers(min_value=1, max_value=47).map(lambda k: 210 * k),
+                           st.integers(min_value=1, max_value=4).map(lambda k: 2310 * k)),
+                 label="n")
+    primes = [q for q, _ in factorize(n) if q < n]
+    entries = []
+    for label in ("a", "b"):
+        p = draw(st.sampled_from([1, *primes, *primes]), label=f"{label} factor")
+        entries.append(p * draw(st.integers(min_value=1, max_value=(n - 1) // p), label=label))
+    a, b = entries
+    c = (-a - b) % n
+    assume(c != 0 and gcd(n, a, b, c) == 1)
+    u = draw(st.integers(min_value=1, max_value=n - 1), label="unit")
+    while gcd(u, n) != 1:
+        u += 1
+    return n, (a, b, c), u
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_lows_case())
+@example((30, (2, 3, 25), 7))  # no unit entry
+@example((12, (2, 3, 7), 5))  # one unit entry
+@example((2310, (2, 3, 2305), 13))  # no unit entry, past the walked degrees
+@example((8, (1, 2, 5), 3))
+def test_the_lows_key_is_a_class_invariant(case):
+    # the verdict is the same on every permutation and unit rescaling of a
+    # triple, and the walk's, which it keys on the lows, agrees with it;
+    # within one walk, equal non-empty lows give one verdict object
+    n, triple, u = case
+    verdict = belyi_verdict(n, *triple)
+    for perm in permutations(triple):
+        assert belyi_verdict(n, *perm) == verdict, (n, perm)
+    assert belyi_verdict(n, *(u * k % n for k in triple)) == verdict, (n, triple, u)
+    if n > 60:
+        return
+    verdicts, by_lows = _walk_by_lows(n)
+    assert verdicts[triple] == verdict, (n, triple)
+    lows = _lows_of(n, triple)
+    if lows:
+        assert all(verdicts[t] is verdicts[triple] for t in by_lows[lows]), (n, triple)

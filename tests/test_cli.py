@@ -204,6 +204,25 @@ def test_coset_enum_budget(capsys):
     assert capsys.readouterr().out.strip() == "BUDGET_EXCEEDED"
 
 
+@pytest.mark.parametrize("text", [
+    "<x,y | x^4, y^3, (x^2*y)^3>",
+    "<x,y | x^6, y^4, (x^2*y^2)^5>",
+    "<x,y,z | x^2, y^3, z^7, x*y*z>",
+])
+def test_coset_enum_infinite_forms_build_no_table(capsys, monkeypatch, text):
+    # a free-product quotient and (2,3,7) on three generators are proven
+    # infinite before the table
+    def no_table(*args):
+        raise AssertionError("a coset table was built")
+
+    monkeypatch.setattr(grouptheory, "_CosetTable", no_table)
+    assert run(["coset-enum", "--pres", text]) == 0
+    assert capsys.readouterr().out.strip() == "BUDGET_EXCEEDED"
+    assert run(["coset-enum", "--pres", text, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "budget_exceeded": {"what": "coset enumeration", "budget": 1000000}}
+
+
 @pytest.mark.parametrize("argv, stop", [
     (["coset-enum", "--pres", "<x,y | x^2, y^3, (x*y)^7>"],
      {"what": "coset enumeration", "budget": 1000000}),

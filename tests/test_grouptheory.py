@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import time
 import tracemalloc
 from itertools import islice, product
 from math import factorial, gcd, prod
@@ -413,12 +414,14 @@ def test_the_bare_loop_also_stops_on_infinite_triangle_groups(periods):
     "text,order",
     [
         ("<x,y | x^2, y^3, (x*y)^7, [x,y]^4>", 168),  # an extra relator
-        ("<x,y,z | x^2, y^3, z^7, x*y*z>", None),  # three generators
         ("<x,y | x^-2, y^3, (y*x^-1)^5>", 60),  # spherical
         ("<x,y | x^2, y^3, (x*y^2)^3>", 12),  # spherical, a power in the root
         ("<x,y | x^2, y^3, (y^2*x)^5>", 60),
-        ("<x,y | x^4, y^3, (x^2*y)^3>", None),  # 2 is no unit mod 4
         ("<x,y | x^2, y^3, (x*y*x*y^2)^7>", None),  # four runs
+        ("<x,y | x^4, y^3, (x^2*y)^2>", None),  # gcd(3, 2) = 1: no quotient found
+        ("<x,y,z | x^2, y^3, z^5, x*y*z>", 60),  # eliminated, spherical
+        ("<x,y,z | x^2, y^3, z^4, x*y*z>", 24),
+        ("<x,y,z | x^2, y^3, z^7, x*y*z^2>", None),  # no generator to eliminate
     ],
 )
 def test_near_miss_triangles_still_build_a_table(monkeypatch, text, order):
@@ -427,6 +430,66 @@ def test_near_miss_triangles_still_build_a_table(monkeypatch, text, order):
         order or ("BudgetExceeded", "coset enumeration", 2000)
     )
     assert len(tables) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<x,y | x^4, y^3, (x^2*y)^3>",  # adding x^2 gives Z_2 * Z_3
+        "<x,y | x^6, y^4, (x^2*y^2)^5>",  # adding x^2 gives Z_2 * Z_2
+        "<x,y,z | x^2, y^3, z^7, x*y*z>",  # z = (x*y)^-1 gives (2,3,7)
+    ],
+)
+def test_infinite_forms_stop_before_the_table(monkeypatch, text):
+    tables = _tables_made(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        coset_enumerate(parse_presentation(text))
+    assert time.perf_counter() - start < 0.1
+    assert (exc.value.what, exc.value.budget) == ("coset enumeration", 1_000_000)
+    assert tables == []
+
+
+def test_free_product_quotients_agree_with_the_table():
+    # a group the free-product test calls infinite never gets an order from
+    # the bare loop; the loop stops on its budget on each of them
+    claimed = 0
+    for l, m, n in product(range(2, 7), range(2, 5), range(2, 4)):
+        for e, f in product(range(1, l), range(1, m)):
+            if gcd(e, l) == gcd(f, m) == 1:
+                continue  # the triangle test's
+            pres = parse_presentation(f"<x,y | x^{l}, y^{m}, (x^{e}*y^{f})^{n}>")
+            powers = grouptheory._powers(pres.relators)
+            if grouptheory._infinite_triangle(2, powers):
+                claimed += 1
+                with pytest.raises(BudgetExceeded):
+                    _hlt(pres, 500)
+    assert claimed > 30
+
+
+def test_eliminating_a_generator_keeps_the_group():
+    # z = (x*y)^-1, or z = x*y from x*y*z^-1, turns the three-generator
+    # form into a two-generator one with the same order
+    pres = parse_presentation("<x,y,z | x^2, y^3, z^7, x*y*z>")
+    assert grouptheory._two_generator_form(3, grouptheory._powers(pres.relators)) == [
+        ((1,), 2), ((2,), 3), ((-2, -1), 7)]
+    pres = parse_presentation("<x,y,z | z^7, x^2, y^3, x*y*z^-1>")
+    assert grouptheory._two_generator_form(3, grouptheory._powers(pres.relators)) == [
+        ((1, 2), 7), ((1,), 2), ((2,), 3)]
+    for l, m, n in product(range(2, 5), repeat=3):
+        order = _triangle_order(l, m, n)
+        if order is None:
+            continue
+        for rel in ("x*y*z", "x*y*z^-1", "z*x^-1*y"):
+            pres = parse_presentation(f"<x,y,z | x^{l}, y^{m}, z^{n}, {rel}>")
+            two = grouptheory._two_generator_form(3, grouptheory._powers(pres.relators))
+            assert grouptheory._enumerate_hlt(2, two, 2000) == _hlt(pres, 2000), (l, m, n, rel)
+            assert coset_enumerate(pres) == order, (l, m, n, rel)
+    # no relator of three distinct generators, or not three generators
+    for text in ("<x,y,z | x^2, y^3, z^7, x*y*z^2>", "<x,y,z | x*y*x>", "<x,y | x*y*x^-1>"):
+        pres = parse_presentation(text)
+        powers = grouptheory._powers(pres.relators)
+        assert grouptheory._two_generator_form(pres.generator_count, powers) is None
 
 
 def _relation_matrix(pres: Presentation) -> list[list[int]]:
