@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Callable, Optional, Sequence
 
@@ -101,17 +101,42 @@ class ProductForm:
     factors: tuple[tuple[BranchPoint, int], ...] = ()
 
     def over(self, field: PrimeField) -> Callable[[int, int], int]:
-        """This form as a function on F_p x F_p; pow raises ValueError at a pole."""
-        p, c, xp, yp = field.p, field.element(self.constant), self.x_power, self.y_power
-        roots = [(field.element(root), exp) for root, exp in self.factors]
+        """This form as a function on F_p x F_p, compiled once by ``_parts``;
+        pow raises ValueError at a pole."""
+        p, parts = field.p, _parts((self,), field)
 
         def evaluate(x: int, y: int) -> int:
-            value = c * pow(x, xp, p) * pow(y, yp, p)
-            for root, exp in roots:
-                value = value * pow(x - root, exp, p) % p
-            return value % p
+            num, den = parts(x, y)
+            return num if den == 1 else num * pow(den, -1, p) % p
 
         return evaluate
+
+
+def _parts(forms: Sequence[ProductForm], field: PrimeField) -> Callable[[int, int], list[int]]:
+    """The forms over F_p compiled once into one function, which gives the
+    numerator and the denominator of each form in turn at (x, y).
+
+    Each constant is folded into its numerator; y^k and x^k are taken as the
+    factors (y - 0)^k and (x - 0)^k; a factor with exponent 0 is dropped,
+    one with exponent 1 multiplied in directly and any other raised to
+    |exp| by one pow, into the denominator where exp < 0.  A form has a pole
+    where its denominator is 0.  No two factors are merged, so the poles are
+    those of the forms as written."""
+    p, start, terms = field.p, [], []
+    for i, form in enumerate(forms):
+        start += [field.element(form.constant), 1]
+        factors = [(True, 0, form.y_power), (False, 0, form.x_power)]
+        factors += [(False, field.element(root), exp) for root, exp in form.factors]
+        terms += [(on_y, root, abs(exp), 2 * i + (exp < 0)) for on_y, root, exp in factors if exp]
+
+    def parts(x: int, y: int) -> list[int]:
+        values = start.copy()
+        for on_y, root, exp, at in terms:
+            base = (y if on_y else x) - root
+            values[at] = values[at] * (base if exp == 1 else pow(base, exp, p)) % p
+        return values
+
+    return parts
 
 
 @dataclass(frozen=True)
@@ -120,6 +145,21 @@ class RationalMap:
 
     x_form: ProductForm
     y_form: ProductForm
+
+    def over(self, field: PrimeField) -> Callable[[int, int], Point]:
+        """This map as one function on F_p x F_p: both components compiled
+        once by ``_parts`` and divided by one inverse of their denominators'
+        product, so pow raises ValueError exactly at a pole of either."""
+        p, parts = field.p, _parts((self.x_form, self.y_form), field)
+
+        def image(x: int, y: int) -> Point:
+            nx, dx, ny, dy = parts(x, y)
+            if dx == dy == 1:
+                return nx, ny
+            inverse = pow(dx * dy, -1, p)
+            return nx * dy * inverse % p, ny * dx * inverse % p
+
+        return image
 
 
 def deck_map(cover: CyclicCover, power: int = 1) -> RationalMap:
@@ -131,11 +171,11 @@ def deck_map(cover: CyclicCover, power: int = 1) -> RationalMap:
 
 def composite(maps: Sequence[RationalMap], field: PrimeField) -> Callable[[int, int], Point]:
     """The maps over F_p, applied left to right: the first entry acts first."""
-    steps = [(m.x_form.over(field), m.y_form.over(field)) for m in maps]
+    images = [m.over(field) for m in maps]
 
     def apply(x: int, y: int) -> Point:
-        for fx, fy in steps:
-            x, y = fx(x, y), fy(x, y)
+        for image in images:
+            x, y = image(x, y)
         return x, y
 
     return apply
@@ -276,9 +316,9 @@ def curve_rhs(cover: CyclicCover) -> ProductForm:
 
 
 # Most draws of x that sample_curve may expect to make.  At this bound
-# verify-action takes about 3.5 s for accola-maclachlan at n = 4 with 2^17
-# samples, and 0.7 to 4 s, by seed, for twistedz2 at n = 32760 with 100, on
-# one core of a 2-core VM.
+# verify-action takes about 2.6 s for accola-maclachlan at n = 4 with 2^17
+# samples, and 0.7 to 3 s, by seed (0 to 4), for twistedz2 at n = 32760 with
+# 100, most of it drawing the samples, on one core of a 2-core VM.
 MAX_SAMPLE_DRAWS = 2**17
 
 
@@ -323,44 +363,126 @@ def sample_curve(cover: CyclicCover, count: int, seed: int = 0) -> tuple[Point, 
     return tuple(points)
 
 
-def _everywhere(samples: Sequence[Point], test: Callable[[int, int], bool]) -> bool:
-    """True iff the test holds at every sample; a pole (pow's ValueError) fails."""
-    try:
-        return all(test(x, y) for x, y in samples)
-    except ValueError:
-        return False
+class MapProgram:
+    """The exact map checks on one cover, run sample by sample.
+
+    Each pipeline prefix the checks name is a slot: slot 0 is the sample
+    itself and every other slot is one map applied to its parent slot, so a
+    prefix that several checks share, such as u in u, u^2, ..., is one slot.
+    Each map is compiled once for the cover's field.  ``run`` walks the
+    slots once per sample, so each map image is computed once per sample,
+    and then reads each test at that sample from the slots.  A pole
+    (pow's ValueError) voids its slot and every slot derived from it, and
+    fails exactly the tests that read a void slot.
+
+    The check methods add their tests and return the verdict as a function
+    of ``run``'s result; a verdict holds as the check would on its own.
+    """
+
+    def __init__(self, cover: CyclicCover) -> None:
+        self.cover = cover
+        self._steps: list[tuple[int, Callable[[int, int], Point]]] = []  # slot i + 1
+        self._slots: dict[tuple[int, int], int] = {}  # (parent slot, map id) -> slot
+        # each map's image function by its id; the entry keeps the map, so the id stays its own
+        self._images: dict[int, tuple[RationalMap, Callable[[int, int], Point]]] = {}
+        # (slot, None): the slot lies on the curve; (slot, other): the two agree
+        self._tests: list[tuple[int, Optional[int]]] = []
+
+    @cached_property
+    def field(self) -> PrimeField:
+        return cover_field(self.cover)
+
+    def _slot(self, pipeline: Sequence[RationalMap], start: int = 0) -> int:
+        """The slot of the pipeline, applied left to right after ``start``."""
+        slot = start
+        for rmap in pipeline:
+            if id(rmap) not in self._images:
+                self._images[id(rmap)] = (rmap, rmap.over(self.field))
+            key = (slot, id(rmap))
+            if key not in self._slots:
+                self._steps.append((slot, self._images[id(rmap)][1]))
+                self._slots[key] = len(self._steps)
+            slot = self._slots[key]
+        return slot
+
+    def _test(self, slot: int, other: Optional[int] = None) -> int:
+        self._tests.append((slot, other))
+        return len(self._tests) - 1
+
+    def on_curve(self, maps: Sequence[RationalMap] = ()) -> Callable[[list[bool]], bool]:
+        """The maps, applied left to right, carry every sample onto the curve."""
+        test = self._test(self._slot(maps))
+        return lambda holds: holds[test]
+
+    def order(self, rmap: RationalMap, k: int) -> Callable[[list[bool]], bool]:
+        """The k-th iterate is the identity on every sample and no smaller
+        positive iterate is."""
+        if k < 1:
+            raise DomainError(f"claimed order must be positive, got {k}")
+        slot, tests = 0, []
+        for _ in range(k):
+            slot = self._slot((rmap,), slot)
+            tests.append(self._test(slot, 0))
+        return lambda holds: holds[tests[-1]] and not any(holds[t] for t in tests[:-1])
+
+    def relation(
+        self, left: Sequence[RationalMap], right: Sequence[RationalMap]
+    ) -> Callable[[list[bool]], bool]:
+        """The two pipelines agree at every sample."""
+        test = self._test(self._slot(left), self._slot(right))
+        return lambda holds: holds[test]
+
+    def run(self, samples: Sequence[Point]) -> list[bool]:
+        """Whether each test holds at every sample."""
+        f, n, p = curve_rhs(self.cover).over(self.field), self.cover.n, self.field.p
+        steps, tests = self._steps, self._tests
+        holds = [True] * len(tests)
+        for x, y in samples:
+            images = [(x, y)]
+            for parent, image in steps:
+                source = images[parent]
+                if source is not None:
+                    try:
+                        source = image(*source)
+                    except ValueError:
+                        source = None
+                images.append(source)
+            for t, (slot, other) in enumerate(tests):
+                if holds[t]:
+                    value = images[slot]
+                    if value is None:
+                        holds[t] = False
+                    elif other is None:
+                        # the curve's exponents are positive: f has no pole
+                        holds[t] = pow(value[1], n, p) == f(value[0], 0)
+                    else:
+                        holds[t] = value == images[other]
+        return holds
 
 
 def on_curve(cover: CyclicCover, samples: Sequence[Point], maps: Sequence[RationalMap] = ()) -> bool:
     """True iff the maps, applied left to right, carry every sample to a point
     of y^n = f(x); with no maps, iff every sample lies on the curve."""
-    field = cover_field(cover)
-    f, apply, n, p = curve_rhs(cover).over(field), composite(maps, field), cover.n, field.p
-
-    def test(x: int, y: int) -> bool:
-        x, y = apply(x, y)
-        return pow(y, n, p) == f(x, 0)
-
-    return _everywhere(samples, test)
+    program = MapProgram(cover)
+    verdict = program.on_curve(maps)
+    return verdict(program.run(samples))
 
 
 def verify_map_order(cover: CyclicCover, rmap: RationalMap, k: int, samples: Sequence[Point]) -> bool:
     """True iff the k-fold composite is the identity on all samples and no
     smaller positive iterate is."""
-    if k < 1:
-        raise DomainError(f"claimed order must be positive, got {k}")
-    return verify_relation(cover, [rmap] * k, (), samples) and not any(
-        verify_relation(cover, [rmap] * i, (), samples) for i in range(1, k)
-    )
+    program = MapProgram(cover)
+    verdict = program.order(rmap, k)
+    return verdict(program.run(samples))
 
 
 def verify_relation(
     cover: CyclicCover, left: Sequence[RationalMap], right: Sequence[RationalMap], samples: Sequence[Point]
 ) -> bool:
     """True iff the two pipelines agree at every sample."""
-    field = cover_field(cover)
-    lhs, rhs = composite(left, field), composite(right, field)
-    return _everywhere(samples, lambda x, y: lhs(x, y) == rhs(x, y))
+    program = MapProgram(cover)
+    verdict = program.relation(left, right)
+    return verdict(program.run(samples))
 
 
 @dataclass(frozen=True)
@@ -372,18 +494,21 @@ class ScenarioOutcome:
 
 def run_scenario(scenario: MapScenario, count: int = 100, seed: int = 0) -> list[ScenarioOutcome]:
     """Curve, preservation, order and relation checks for one scenario at one
-    seed, each an equality in the cover's prime field at every sample."""
+    seed, each an equality in the cover's prime field at every sample; one
+    ``MapProgram`` runs them all, so each sample walks each map prefix once."""
     cover, maps, name = scenario.cover, scenario.maps, scenario.featured
     samples = sample_curve(cover, count, seed)
+    program = MapProgram(cover)
     checks = [
-        ("on_curve_samples", on_curve(cover, samples)),
-        (f"preserves_curve[{name}]", on_curve(cover, samples, [maps[name]])),
-        (f"order[{name}]={scenario.order}", verify_map_order(cover, maps[name], scenario.order, samples)),
+        ("on_curve_samples", program.on_curve()),
+        (f"preserves_curve[{name}]", program.on_curve([maps[name]])),
+        (f"order[{name}]={scenario.order}", program.order(maps[name], scenario.order)),
     ] + [
-        (label, verify_relation(cover, [maps[m] for m in left], [maps[m] for m in right], samples))
+        (label, program.relation([maps[m] for m in left], [maps[m] for m in right]))
         for left, right, label in scenario.relations
     ]
-    return [ScenarioOutcome(label, len(samples), passed) for label, passed in checks]
+    holds = program.run(samples)
+    return [ScenarioOutcome(label, len(samples), verdict(holds)) for label, verdict in checks]
 
 
 # ---------------------------------------------------------------------------

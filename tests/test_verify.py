@@ -2,11 +2,14 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclicaut import classifier, curve, verify
 from cyclicaut.classifier import belyi_verdicts, classify_belyi
@@ -138,6 +141,23 @@ def test_sample_curve_deterministic_and_seed_sensitive():
     assert a != c
 
 
+def _digest(points):
+    return hashlib.sha256(json.dumps(points).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("text,seed,count,first,digest", [
+    ("y^6 = (x-1)(x+1)", 0, 10, (3231671, 5364796), "a5987037a85dfb66"),
+    ("y^60 = (x-1)(x+1)", 3, 100, (46678604, 23198355), "ec7a16491a7c38be"),
+    ("y^21 = (x+1)^8(x-1)", 1, 50, (3149405, 16532436), "5b4ff54c5ca42f29"),
+    ("y^4 = x(x-1)(x+1)", 2, 7, (299762, 903642), "52084423233ef32f"),
+])
+def test_sample_curve_points_are_pinned(text, seed, count, first, digest):
+    points = sample_curve(parse_curve(text), count, seed)
+    assert points[0] == first and _digest(points) == digest
+    assert _digest(sample_curve(periodthree(57, 7).cover, 100, 5)) == "c4431a2254b867d7"
+
+
+
 def test_sample_curve_count_validation():
     cover = parse_curve("y^6 = (x-1)(x+1)")
     with pytest.raises(DomainError):
@@ -205,6 +225,104 @@ def _dump_scenarios():
             yield periodthree(1 + k + k * k, k)
 
 
+def _naive_form(form, field):
+    """The form over F_p term by term: one pow per term, zero and unit
+    exponents included; pow raises ValueError at a pole."""
+    p, c = field.p, field.element(form.constant)
+    roots = [(field.element(root), exp) for root, exp in form.factors]
+
+    def value(x, y):
+        v = c * pow(x, form.x_power, p) * pow(y, form.y_power, p)
+        for root, exp in roots:
+            v = v * pow(x - root, exp, p) % p
+        return v % p
+
+    return value
+
+
+def _naive_outcomes(scenario, samples):
+    """(label, passed) of each of run_scenario's checks, each check on its
+    own: every pipeline applied map by map and term by term at every
+    sample, and a pole anywhere in a check fails that check."""
+    cover, field = scenario.cover, cover_field(scenario.cover)
+    n, p = cover.n, field.p
+    rhs = _naive_form(curve_rhs(cover), field)
+    forms = {name: (_naive_form(m.x_form, field), _naive_form(m.y_form, field))
+             for name, m in scenario.maps.items()}
+
+    def apply(names, x, y):
+        for name in names:
+            fx, fy = forms[name]
+            x, y = fx(x, y), fy(x, y)
+        return x, y
+
+    def everywhere(test):
+        try:
+            return all(test(x, y) for x, y in samples)
+        except ValueError:
+            return False
+
+    def lands_on_curve(names):
+        def test(x, y):
+            x, y = apply(names, x, y)
+            return pow(y, n, p) == rhs(x, 0)
+        return everywhere(test)
+
+    def identity(names):
+        return everywhere(lambda x, y: apply(names, x, y) == (x, y))
+
+    name, k = scenario.featured, scenario.order
+    outcomes = [
+        ("on_curve_samples", lands_on_curve(())),
+        (f"preserves_curve[{name}]", lands_on_curve((name,))),
+        (f"order[{name}]={k}",
+         identity((name,) * k) and not any(identity((name,) * i) for i in range(1, k))),
+    ]
+    for left, right, label in scenario.relations:
+        outcomes.append((label, everywhere(lambda x, y: apply(left, x, y) == apply(right, x, y))))
+    return outcomes
+
+
+def _with_map(scenario, name, **y_form_changes):
+    """The scenario with map ``name``'s y-component changed."""
+    rmap = scenario.maps[name]
+    wrong = dataclasses.replace(rmap, y_form=dataclasses.replace(rmap.y_form, **y_form_changes))
+    return dataclasses.replace(scenario, maps={**scenario.maps, name: wrong})
+
+
+def _wrong_scenarios():
+    """A wrong featured map of each family at several degrees: accola's
+    zeta_n^2 for zeta_n, periodthree's constant times j and twistedz2's eta
+    times zeta_2n."""
+    for n in (4, 8, 30, 60):
+        yield _with_map(accola_maclachlan(n), "u", constant=BranchPoint.root_of_unity(2, n))
+    for n, k in ((7, 2), (13, 3), (19, 7), (31, 5)):  # 3 does not divide n: j y is no deck map
+        sc = periodthree(n, k)
+        c = sc.maps["S"].y_form.constant
+        yield _with_map(sc, "S", constant=BranchPoint.root_of_unity(c.root_index + 1, 3))
+    for n, b in ((15, 4), (21, 8), (16, 7), (24, 5), (60, 11)):
+        t = _least_phase(n, b)
+        yield _with_map(twistedz2(n, b), "u", constant=BranchPoint.root_of_unity(t + 2, 2 * n))
+
+
+def _reference_scenarios():
+    """Every scenario family of tools/dump_answers.py with n <= 60."""
+    yield from _dump_scenarios()
+    for n in range(8, ENUMERATION_CAP + 1, 8):
+        for b in range(2, n - 1):
+            if b * b % n == 1:
+                yield twistedz2(n, b)
+
+
+def _assert_matches_reference(sc, seed):
+    samples = verify.sample_curve(sc.cover, 100, seed)  # as run_scenario draws them
+    outcomes = run_scenario(sc, 100, seed)
+    assert [(o.label, o.passed) for o in outcomes] == _naive_outcomes(sc, samples), (
+        sc.family, sc.cover.n, seed)
+    assert [o.value for o in outcomes] == [len(samples)] * len(outcomes)
+    return outcomes
+
+
 PERIODTHREE_PAIRS = [
     (n, k) for n in range(4, 61) for k in range(2, n - 1) if (1 + k + k * k) % n == 0
 ]
@@ -213,13 +331,14 @@ GENERAL_PHASES = [(12, 5, 0), (16, 7, 2), (24, 5, 4), (24, 7, 0), (24, 11, 2), (
 
 
 def test_every_scenario_passes_at_three_seeds():
-    scenarios = list(_dump_scenarios())
-    assert len(scenarios) == 75
+    # each outcome equals the term-by-term reference, label for label
+    scenarios = list(_reference_scenarios())
+    assert len(scenarios) == 105
     scenarios += [periodthree(n, k) for n, k in PERIODTHREE_PAIRS]
     scenarios += [twistedz2(n, b) for n, b, _ in GENERAL_PHASES]
     for sc in scenarios:
         for seed in (0, 1, 2):
-            outcomes = run_scenario(sc, 100, seed)
+            outcomes = _assert_matches_reference(sc, seed)
             assert passed(outcomes), (sc.family, sc.cover.n, seed, outcomes)
             # each value is the number of points checked
             assert [o.value for o in outcomes] == [100] * len(outcomes)
@@ -244,6 +363,29 @@ def test_accola_maclachlan_square_is_half_turn():
     assert verify_map_order(sc.cover, u, 4, samples)
     assert not verify_map_order(sc.cover, u, 2, samples)
     assert not verify_map_order(sc.cover, u, 8, samples)
+
+
+def _dump_answers():
+    path = Path(__file__).resolve().parents[1] / "tools" / "dump_answers.py"
+    spec = importlib.util.spec_from_file_location("dump_answers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_dump_answers_writes_the_named_sections(capsys):
+    dump = _dump_answers()
+    # SECTIONS names every section once
+    assert {name for name, _, _ in dump._calls({"scenario"})} == set(dump.SECTIONS)
+    assert len(set(dump.SECTIONS)) == len(dump.SECTIONS)
+    dump.main(["--section", "scenario", "--section", "parse_curve"])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line[0] for line in lines] == ["parse_curve"] * 42 + ["scenario"] * 105 + [
+        "parse_curve"] + ["scenario"] * 3
+    assert lines[42] == ["scenario", ["accola-maclachlan", 4, None, None],
+                         [[o.label, o.value, o.passed] for o in run_scenario(accola_maclachlan(4))]]
+    with pytest.raises(SystemExit):
+        dump.main(["--section", "scenarios"])
 
 
 def test_accola_maclachlan_validation():
@@ -437,6 +579,107 @@ def test_composite_order():
     assert composite([sq, t], field)(x, y) == (x * x % p, zeta * y % p)
     assert composite([t] * 6, field)(x, y) == (x, y)
     assert composite([], field)(x, y) == (x, y)
+
+
+# -- the evaluation kernel against a term-by-term reference ------------------
+
+
+def test_wrong_maps_match_the_term_by_term_reference():
+    for sc in _wrong_scenarios():
+        for seed in (0, 1, 2):
+            outcomes = _assert_matches_reference(sc, seed)
+            assert not passed(outcomes), (sc.family, sc.cover.n)
+
+
+def test_a_pole_fails_the_same_checks_as_in_the_reference(monkeypatch):
+    # (1, 0) lies on each family's curve; the first map with 1/y, or one
+    # whose image reaches a root of a negative-exponent factor, has a pole
+    # there, and the pole voids every image derived from it
+    real = verify.sample_curve
+    monkeypatch.setattr(
+        verify, "sample_curve", lambda cover, count, seed=0: real(cover, count, seed) + ((1, 0),)
+    )
+    voided = set()
+    for sc in list(_reference_scenarios()) + list(_wrong_scenarios()):
+        outcomes = _assert_matches_reference(sc, 0)
+        assert outcomes[0].passed and outcomes[0].value == 101
+        voided.add((sc.family, passed(outcomes)))
+    # the pole fails some check in each family, and not in every scenario of
+    # periodthree, where S has no pole at (1, 0) when n = 1 + k + k^2
+    assert {family for family, ok in voided if not ok} == set(FAMILIES)
+
+
+def test_each_sample_walks_each_map_prefix_once(monkeypatch):
+    # accola's prefixes are u, u^2, u^3, u^4 and the half turn
+    calls = []
+    over = RationalMap.over
+
+    def counting(self, field):
+        image = over(self, field)
+        return lambda x, y: calls.append(self) or image(x, y)
+
+    monkeypatch.setattr(RationalMap, "over", counting)
+    sc = accola_maclachlan(10)
+    assert passed(run_scenario(sc, 40, 1))
+    assert len(calls) == 40 * 5
+    assert calls.count(sc.maps["u"]) == 40 * 4
+
+
+def test_order_walks_one_chain():
+    cover = parse_curve("y^1000 = (x-1)(x+1)")
+    samples = sample_curve(cover, 4, seed=0)
+    t = deck_map(cover)
+    assert verify_map_order(cover, t, 1000, samples)
+    assert not verify_map_order(cover, t, 500, samples)
+    assert not verify_map_order(cover, t, 2000, samples)
+    with pytest.raises(DomainError, match="claimed order must be positive"):
+        verify_map_order(cover, t, 0, samples)
+
+
+_FIELD = cover_field(parse_curve("y^12 = (x-1)(x+1)"))  # holds the 12th roots of unity
+_ROOTS = [BranchPoint.root_of_unity(i, 12) for i in range(12)]
+_ROOTS += [BranchPoint.at(2), BranchPoint.at(Fraction(-1, 3))]
+_EXPONENTS = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-40, 40))
+
+
+@st.composite
+def _forms(draw):
+    factors = draw(st.lists(st.tuples(st.sampled_from(_ROOTS), _EXPONENTS), max_size=4))
+    return ProductForm(draw(st.sampled_from(_ROOTS)), draw(_EXPONENTS), draw(_EXPONENTS), tuple(factors))
+
+
+@st.composite
+def _points(draw, forms):
+    """A point of F_p^2 that is often a pole: x at a root of a factor or 0, y often 0."""
+    roots = [0] + [_FIELD.element(root) for form in forms for root, _ in form.factors]
+    x = draw(st.one_of(st.sampled_from(roots), st.integers(0, _FIELD.p - 1)))
+    y = draw(st.one_of(st.just(0), st.integers(0, _FIELD.p - 1)))
+    return x, y
+
+
+def _value_or_pole(fn, x, y):
+    try:
+        return fn(x, y)
+    except ValueError:
+        return "pole"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_compiled_forms_match_the_term_by_term_reference(data):
+    x_form, y_form = data.draw(_forms()), data.draw(_forms())
+    points = data.draw(st.lists(_points((x_form, y_form)), min_size=1, max_size=5))
+    rmap = RationalMap(x_form, y_form)
+    compiled = (x_form.over(_FIELD), y_form.over(_FIELD), rmap.over(_FIELD))
+    naive = (_naive_form(x_form, _FIELD), _naive_form(y_form, _FIELD))
+    for x, y in points:
+        nx, ny = (_value_or_pole(f, x, y) for f in naive)
+        assert _value_or_pole(compiled[0], x, y) == nx
+        assert _value_or_pole(compiled[1], x, y) == ny
+        # the map has a pole exactly where either component has one
+        expected = "pole" if "pole" in (nx, ny) else (nx, ny)
+        assert _value_or_pole(compiled[2], x, y) == expected
+        assert _value_or_pole(composite([rmap], _FIELD), x, y) == expected
 
 
 # -- enumeration ------------------------------------------------------------

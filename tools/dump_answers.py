@@ -7,6 +7,15 @@ byte-identical, so a change that must keep answers is checked with one cmp:
     python3 /path/to/other/checkout/tools/dump_answers.py > before.jsonl
     cmp before.jsonl after.jsonl
 
+``--section NAME``, repeatable, writes only the lines of the named sections
+(the first entry of each line, one of ``SECTIONS``), in the usual order, so
+one section is compared in seconds.  The lines are those of the full dump
+with the other sections left out; for a checkout without the option, grep
+its full dump for them:
+
+    python3 tools/dump_answers.py --section scenario > after.jsonl
+    grep '^\\["scenario",' before.jsonl | cmp - after.jsonl
+
 The script imports ``cyclicaut`` from ``src/`` of the checkout it sits in;
 for a checkout that predates it, copy it into that checkout's ``tools/``.
 Input sets, in output order:
@@ -105,6 +114,7 @@ genus, or the ``DomainError`` text of the cover or of the parse.
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import sys
@@ -603,14 +613,23 @@ def _triangle_forms(l: int, m: int, n: int):
             yield f"<x,y | x^{sl * l}, y^{sm * m}, ({root})^{sn * n}>"
 
 
+# The section names: the first entry of each line.
+SECTIONS = (
+    "belyi", "lefschetz", "fermat", "extensions", "perm", "coset", "enumerate", "cross_check",
+    "parse_curve", "parse_presentation", "scenario", "abelianization", "smith_normal_form",
+    "monodromy_lefschetz", "monodromy_fermat", "monodromy_curve",
+)
+
 LEFSCHETZ_INPUTS = [
     (p, a) for p in [q for q in range(400) if is_prime(q)] + [4, 6, 9, 15, 21] for a in range(p + 1)
 ]
 FERMAT_INPUTS = [(n, d) for n in range(70) for d in range(n + 2)]
 
 
-def _calls():
-    """(name, function, args) of every call, in output order."""
+def _calls(wanted=None):
+    """(name, function, args) of every call, in output order; given a set of
+    section names, the coset presentations are built only if a section
+    that reads them is in it."""
     for n in range(4, ENUMERATION_CAP + 1):
         for triple, _ in belyi_verdicts(n):
             yield "belyi", _reported(classify_belyi), (n, *triple)
@@ -627,7 +646,8 @@ def _calls():
         yield "perm", _perm_answer, (text, degree)
     for text in PERM_EXAMPLES:
         yield "perm", _perm_answer, (text, None)
-    coset_inputs = list(_coset_inputs())
+    reads_cosets = wanted is None or {"coset", "abelianization"} & wanted
+    coset_inputs = list(_coset_inputs()) if reads_cosets else []
     for args in coset_inputs:
         yield "coset", _coset_answer, args
     for n in range(4, ENUMERATION_CAP + 1):
@@ -682,9 +702,19 @@ def _calls():
     yield "coset", _coset_answer, ("<a,b | a^200000, b^2, b*a*b*a>", 100_000)
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description="Dump cyclicaut's answers, one JSON line per call.")
+    parser.add_argument(
+        "--section", action="append", choices=SECTIONS, metavar="NAME",
+        help="write only this section's lines, in the usual order; repeatable; one of "
+        + ", ".join(SECTIONS),
+    )
+    wanted = parser.parse_args(argv).section
+    wanted = set(wanted) if wanted else None
     out = sys.stdout
-    for name, fn, args in _calls():
+    for name, fn, args in _calls(wanted):
+        if wanted is not None and name not in wanted:
+            continue
         answer = _answer(fn, *args)
         out.write(json.dumps([name, list(args), answer], separators=(",", ":")) + "\n")
 
