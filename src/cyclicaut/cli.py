@@ -94,8 +94,8 @@ def _classify(ns):
 def _genus(ns):
     cover = parse_curve(ns.curve)
     g, periods = genus(cover), signature_of(cover).periods
-    # only JSON output reports the monodromy genus, whose traversal is bounded
-    # in sheet steps, so text mode keeps any degree
+    # only JSON output reports the monodromy genus, which is bounded in sheet
+    # steps (n per distinct exponent), so text mode keeps any degree
     payload = None
     if ns.json:
         payload = {"n": cover.n, "genus": g, "monodromy_genus": monodromy_genus(cover),

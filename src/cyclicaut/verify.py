@@ -648,9 +648,9 @@ def cross_check(n_max: int) -> CrossCheckReport:
     independent oracle.
 
     The monodromy genus of each triple is read from the cycle counts of the
-    translations s -> s + k (``curve.cycle_counts``), traversed once per
-    (n, k), so a degree costs O(n^2) sheet steps rather than O(n) for each of
-    its triples.
+    translations s -> s + k (``curve.cycle_counts``), counted once per
+    (n, k), so a degree costs n counts of O(log n) n-bit rotations each
+    rather than three for each of its triples.
     """
     _require_degree(n_max, "cross-check needs n_max")
     failures: dict[str, dict] = {}

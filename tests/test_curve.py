@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclicaut import curve
 from cyclicaut.curve import (
@@ -337,6 +337,14 @@ def test_monodromy_genus_bounds_its_sheet_steps(monkeypatch):
     assert monodromy_genus(repeated) == genus(repeated) == 5
 
 
+def test_monodromy_genus_at_the_sheet_step_bound():
+    # 4 distinct exponents (1, 2, 3 and 2499991 over infinity) of 2499997
+    # sheets: 9,999,988 sheet steps, just under MAX_MONODROMY_STEPS
+    cover = parse_curve("y^2499997 = x(x-1)^2(x+1)^3")
+    assert cover.n * len(set(cover.all_exponents())) <= curve.MAX_MONODROMY_STEPS
+    assert monodromy_genus(cover) == genus(cover) == 2499996
+
+
 def test_fermat_cover_bounds_the_x_degree(monkeypatch):
     monkeypatch.setattr(curve, "MAX_FERMAT_DEGREE", 6)
     assert len(fermat_cover(5, 6).branches) == 6
@@ -354,16 +362,49 @@ def test_translation_cycles_is_gcd():
 
 
 def _cycles_of(perm):
-    """Cycles of a permutation of range(len(perm)), as the orbits it moves
-    each point through."""
-    orbits = set()
+    """Cycles of a permutation of range(len(perm)), each walked once from
+    its first point not yet seen."""
+    seen = [False] * len(perm)
+    cycles = 0
     for s in range(len(perm)):
-        orbit, t = {s}, perm[s]
-        while t != s:
-            orbit.add(t)
-            t = perm[t]
-        orbits.add(frozenset(orbit))
-    return len(orbits)
+        if not seen[s]:
+            cycles += 1
+            while not seen[s]:
+                seen[s] = True
+                s = perm[s]
+    return cycles
+
+
+@st.composite
+def _translations(draw):
+    # any integer k, as s -> s + k mod n is defined for all of them
+    n = draw(st.integers(min_value=1, max_value=3000))
+    return n, draw(st.integers(min_value=-2 * n, max_value=2 * n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_translations())
+@example((1, 0))
+@example((1, 3))
+@example((12, 0))
+@example((12, 6))
+@example((12, 11))
+@example((2999, 1))
+@example((2999, 2998))
+@example((2999, -5998))
+@example((2048, 1024))
+@example((2048, 3))
+@example((2048, -1))
+@example((3000, 6000))
+def test_translation_cycles_matches_explicit_permutation(translation):
+    n, k = translation
+    assert translation_cycles(n, k) == _cycles_of([(s + k) % n for s in range(n)])
+
+
+def test_translation_cycles_near_a_million_sheets():
+    for n in (999_983, 10**6, 2**20, 999_999):
+        for k in (0, 1, 2, 3, n // 2, n - 1, n + 7, -6, 1024, 3 * 7 * 11 * 13, 37 * 27_027):
+            assert translation_cycles(n, k) == gcd(n, k), (n, k)
 
 
 def test_monodromy_genus_matches_composed_permutations():
