@@ -304,32 +304,21 @@ _BELYI_RULES: tuple[_Rule, ...] = (
 )
 
 
-def _lows(n: int, a: int, b: int, c: int, gcd_of, inverse_of) -> tuple[int, ...]:
-    """The sorted lows of the admissible triple (a, b, c) at degree n, given
-    gcd_of[k] = gcd(n, k) for each entry k and inverse_of[k] = k^-1 mod n
-    for each unit entry.
+def _low(n: int, x: int) -> int:
+    """The low min(x, n-1-x) of the lead x at degree n.
 
     A unit entry k leads two unit-led forms, with leads x = s/k and
     n-1-x = t/k mod n for the entry s after it and the entry t before it
-    (as k + s + t = 0 mod n); its low is min(x, n-1-x).  A unit rescaling
-    keeps the ratios and a permutation only swaps x with n-1-x, so the
-    sorted lows are the same for every member of a class.  They fix the
-    sorted leads, each low l standing for the pair {l, n-1-l}, and the
-    canonical triple (1, m, n-1-m) for the least low m.  A triple with no
-    unit entry has no lows.
+    (as k + s + t = 0 mod n); its low is the low of x.  Neither s nor t is
+    0, so neither lead is 0 or n-1 and no low is 0: a key (see
+    ``_key_verdict``) reads 0 for a non-unit entry, the low of x = 0.
     """
-    lows = []
-    for k, s in ((a, b), (b, c), (c, a)):
-        if gcd_of[k] == 1:
-            x = inverse_of[k] * s % n
-            lows.append(x if x + x < n else n - 1 - x)  # min(x, n-1-x), without a call
-    lows.sort()
-    return tuple(lows)
+    return x if x + x < n else n - 1 - x
 
 
 def _lows_verdict(n: int, a: int, b: int, c: int, lows: tuple[int, ...]) -> Verdict:
     """The verdict of ``_BELYI_RULES`` on the admissible triple (a, b, c) at
-    degree n, whose lows (see ``_lows``) are given.
+    degree n, whose sorted lows (see ``_key_verdict``) are given.
 
     The sorted leads and the canonical triple come from the lows; a triple
     with no unit entry has no leads, and ``canonical_triple`` gives its
@@ -343,50 +332,80 @@ def _lows_verdict(n: int, a: int, b: int, c: int, lows: tuple[int, ...]) -> Verd
     return _verdict("belyi", n, leads, (1, lows[0], n - 1 - lows[0]))
 
 
+def _key_verdict(n: int, a: int, b: int, c: int, key: tuple[int, int, int],
+                 verdict_of_lows: dict[tuple[int, ...], Verdict]) -> Verdict:
+    """The verdict of the admissible triple (a, b, c) at degree n from its
+    key: the lows of its entries a, b and c in that order, 0 for a
+    non-unit entry (see ``_low``).
+
+    The sorted non-zero lows are the triple's lows.  A unit rescaling keeps
+    the ratios and a permutation only swaps a lead x with n-1-x, so the
+    sorted lows are the same for every member of a class.  They fix the
+    sorted leads, each low l standing for the pair {l, n-1-l}, and the
+    canonical triple (1, m, n-1-m) for the least low m.  A triple with no
+    unit entry has no lows.  ``verdict_of_lows`` maps non-empty lows to the
+    verdict ``_lows_verdict`` gave them, so equal lows share one verdict.
+    """
+    lows = tuple(sorted(key))[key.count(0):]
+    verdict = verdict_of_lows.get(lows)
+    if verdict is None:
+        verdict = _lows_verdict(n, a, b, c, lows)
+        if lows:
+            verdict_of_lows[lows] = verdict
+    return verdict
+
+
 def belyi_verdict(n: int, a: int, b: int, c: int) -> Verdict:
     """The verdict of ``_BELYI_RULES`` on the triple (a, b, c) at degree n.
 
     The triple is validated once, as its gcds with n are taken, and each
-    unit entry is inverted with ``pow``; ``_lows`` reads the lows from
-    these, as it does from ``belyi_verdicts``' per-degree tables, and
-    ``_lows_verdict`` gives the verdict.
+    unit entry is inverted with ``pow``, a non-unit one standing for 0;
+    ``_low`` reads the key from these, as ``belyi_verdicts`` does from its
+    per-degree tables, and ``_key_verdict`` gives the verdict.
     """
     if n < 4:
         raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
-    gcd_of = dict(zip((a, b, c), triple_gcds(n, a, b, c)))
-    inverse_of = {k: pow(k, -1, n) for k, g in gcd_of.items() if g == 1}
-    return _lows_verdict(n, a, b, c, _lows(n, a, b, c, gcd_of, inverse_of))
+    ia, ib, ic = (pow(k, -1, n) if g == 1 else 0
+                  for k, g in zip((a, b, c), triple_gcds(n, a, b, c)))
+    key = (_low(n, ia * b % n), _low(n, ib * c % n), _low(n, ic * a % n))
+    return _key_verdict(n, a, b, c, key, {})
 
 
 def belyi_verdicts(n: int) -> Iterator[tuple[tuple[int, int, int], Verdict]]:
     """Every admissible ordered triple (a, b, c) of degree n with its
     verdict, in lexicographic order, each verdict that of ``belyi_verdict``.
 
-    gcd(n, k) and k^-1 mod n are tabled once for the degree, so a triple
-    pays for no validation, gcd with n or inverse: (a, b) runs over
-    [1, n-1]^2, c is -(a + b) mod n, and the triple is admissible when c is
-    nonzero and gcd(n, a) and gcd(n, b) are coprime (a factor common to n,
-    a and b divides c = -(a + b) mod n too).  Beside these tables the walk
-    keeps one from non-empty lows (see ``_lows``) to verdict, so a lead set
-    seen before costs one dict lookup, and the members of a class share one
-    verdict object.  The table lives for one walk.
+    gcd(n, k), k^-1 mod n (0 for a non-unit k) and the low of each lead x
+    (see ``_low``) are tabled once for the degree, so a triple pays for no
+    validation, gcd with n, inverse or sort: (a, b) runs over [1, n-1]^2, c
+    is -(a + b) mod n, and the triple is admissible when c is nonzero and
+    gcd(n, a) and gcd(n, b) are coprime (a factor common to n, a and b
+    divides c = -(a + b) mod n too).  Its key, the unsorted lows of its
+    entries (see ``_key_verdict``), is read from the tables.  Beside them
+    the walk keeps two dicts: one from a non-zero key to its verdict, so a
+    key seen before costs one lookup, and one from non-empty sorted lows to
+    verdict, so the members of a class share one verdict object.  Both live
+    for one walk.
     """
     if n < 4:
         raise DomainError(f"three-branch-point classification needs degree >= 4, got {n}")
     gcd_of = [gcd(n, k) for k in range(n)]
     inverse_of = [pow(k, -1, n) if g == 1 else 0 for k, g in enumerate(gcd_of)]
-    verdict_of: dict[tuple[int, ...], Verdict] = {}
+    low_of = [_low(n, x) for x in range(n)]
+    verdict_of: dict[tuple[int, int, int], Verdict] = {}
+    verdict_of_lows: dict[tuple[int, ...], Verdict] = {}
     for a in range(1, n):
-        ga = gcd_of[a]
+        ga, ia = gcd_of[a], inverse_of[a]
         for b in range(1, n):
             c = -(a + b) % n
             if c and gcd(ga, gcd_of[b]) == 1:
-                lows = _lows(n, a, b, c, gcd_of, inverse_of)
-                verdict = verdict_of.get(lows)
+                key = (low_of[ia * b % n], low_of[inverse_of[b] * c % n],
+                       low_of[inverse_of[c] * a % n])
+                verdict = verdict_of.get(key)
                 if verdict is None:
-                    verdict = _lows_verdict(n, a, b, c, lows)
-                    if lows:
-                        verdict_of[lows] = verdict
+                    verdict = _key_verdict(n, a, b, c, key, verdict_of_lows)
+                    if any(key):
+                        verdict_of[key] = verdict
                 yield (a, b, c), verdict
 
 

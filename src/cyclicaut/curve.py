@@ -162,8 +162,7 @@ def lefschetz_cover(p: int, a: int) -> CyclicCover:
 
 # Largest x-degree d of a Fermat curve y^n + x^d = 1.  Its cover holds one
 # branch point per d-th root of unity, so d sizes the cover and every pass
-# over it: at this bound one cover builds in 0.85 s and 71 MB on one core of
-# a 2-core Xeon VM.
+# over it: at this bound one cover builds in about a second and some 70 MB.
 MAX_FERMAT_DEGREE = 10**5
 
 
@@ -430,8 +429,7 @@ def twice_monodromy_genus(
 
 # Most sheet steps monodromy_genus admits: n sheets once per distinct
 # exponent.  Each exponent's count costs O(log n) rotations of an n-bit
-# integer, so at this bound the counts take about 10 ms on one core of a
-# 2-core Xeon VM.
+# integer, so at this bound the counts take on the order of 10 ms.
 MAX_MONODROMY_STEPS = 10**7
 
 

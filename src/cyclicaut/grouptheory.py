@@ -175,12 +175,12 @@ MAX_TABLE_SLOTS = 2**25
 # deduction or merge of a pass voids the scans it has proved open, so a pass
 # whose deductions keep coming re-walks every long open chain after each one,
 # and its work can grow with the square of the budget.  At this bound a pass
-# stops in about 5 s on one core of a shared 2-core VM.
+# stops within seconds.
 MAX_LOOKAHEAD_LETTERS = 2**25
 
 # Most steps a dense elimination of the relation matrix may take, in
 # abelianization per block and in coset_enumerate's check before the table
-# over all blocks: about 3 s at this bound on one core of a 2-core VM.
+# over all blocks: a few seconds at this bound.
 MAX_ELIMINATION_STEPS = 2**26
 
 # Most generators a presentation may have.  Each coset of the table takes a
@@ -198,8 +198,7 @@ MAX_NESTING_DEPTH = 100
 # O(degree) points per base point and strong generator, and holds one level's
 # transversal, up to degree**2 points, while it sifts that level's Schreier
 # generators: about 140 MB at this bound, where the slowest groups measured
-# (dihedral of order 8192, S_4096 up to its budget stop) take 1.5 to 8.5 s on
-# one core of a 2-core Xeon VM.
+# (dihedral of order 8192, S_4096 up to its budget stop) take seconds.
 MAX_PERMUTATION_DEGREE = 4096
 
 # Most image points the distinct generators of a parsed permutation set may
@@ -772,10 +771,8 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     trivial subgroup.
 
     A von Dyck group <x, y | x^l, y^m, (x*y)^n> with
-    1/l + 1/m + 1/n <= 1 is infinite (see _infinite_triangle): (2,3,7) at
-    budget 2,000 stops in about 0.03 ms, where the table took 8 ms, and
-    (4,8,8) at the default budget in about 0.04 ms, where it took 2.7 s
-    (best of 5 in-process, one core of a shared 2-core VM).  So is
+    1/l + 1/m + 1/n <= 1 is infinite (see _infinite_triangle), so (2,3,7)
+    and (4,8,8) stop before any coset is defined.  So is
     <x, y | x^l, y^m, (x^e*y^f)^n> when it maps onto a free product of two
     nontrivial cyclic groups, such as <x,y | x^4, y^3, (x^2*y)^3> onto
     Z_2 * Z_3, and a three-generator form that one relator x*y*z reduces to
@@ -800,9 +797,9 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     _commute_pairwise) presents an abelian group, which equals its
     abelianization: the order is the product of the invariant factors, and
     no table is built.  Every cyclic presentation is one: <a | a^1000000>
-    takes about 25 ms, most of it finding the relator's root, where its
-    million-coset table took 2 s (in-process, one core of a shared 2-core
-    VM).  An abelian group within the budget thus always gets its order,
+    gets its order with no million-coset table, most of the time going to
+    finding the relator's root.  An abelian group within the budget thus
+    always gets its order,
     where HLT's peak of live cosets could outgrow a tight budget.  Every
     other order comes from :func:`_enumerate_hlt`.
     """

@@ -316,9 +316,9 @@ def curve_rhs(cover: CyclicCover) -> ProductForm:
 
 
 # Most draws of x that sample_curve may expect to make.  At this bound
-# verify-action takes about 2.6 s for accola-maclachlan at n = 4 with 2^17
-# samples, and 0.7 to 3 s, by seed (0 to 4), for twistedz2 at n = 32760 with
-# 100, most of it drawing the samples, on one core of a 2-core VM.
+# verify-action takes seconds for accola-maclachlan at n = 4 with 2^17
+# samples, and for twistedz2 at n = 32760 with 100 (how many, by seed), most
+# of it drawing the samples.
 MAX_SAMPLE_DRAWS = 2**17
 
 
@@ -546,12 +546,13 @@ def _walk_orbits(
     bucketed by its canonical triple.
 
     The triples and their verdicts come from ``belyi_verdicts``, which
-    tables gcd(n, k) and k^-1 mod n once for the degree, and within the
-    walk one verdict per lead set (its lows, see ``classifier._lows``).  A
-    member shares a verdict only with the members of equal lows, and a
-    member without a unit entry gets its own from ``canonical_triple``, so a
-    member whose lows, and thus whose verdict, differ from its class's
-    first is caught.
+    tables gcd(n, k), k^-1 mod n and the low of each lead once for the
+    degree, and within the walk takes one verdict per key (the unsorted
+    lows of a triple's entries, see ``classifier._key_verdict``) from that
+    key's first triple.  A member shares a verdict only with the members of
+    equal lows, and a member without a unit entry gets its own from
+    ``canonical_triple``, so a member whose key's verdict differs from its
+    class's first is caught.
 
     Returns the classes in canonical order, each with the report on its
     first member (one ``classify_belyi`` call per class), and the first

@@ -309,7 +309,7 @@ def test_verdict_is_the_report():
 
 @pytest.mark.parametrize("n", [*range(4, 61), 105, 120, 210])
 def test_belyi_verdicts_walks_the_admissible_triples(n):
-    # the sweep's walk, from per-degree gcd and inverse tables, yields
+    # the sweep's walk, from per-degree gcd, inverse and lows tables, yields
     # exactly the admissible ordered triples, in lexicographic order, each
     # with the verdict belyi_verdict gives it alone; 105, 120 and 210 have
     # many non-units, so many triples have fewer than three leads or none

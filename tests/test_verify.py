@@ -716,13 +716,18 @@ def test_enumerate_classes_validation():
 # The range holds every degree of an exact row: 7 (C.2), 8 (B.3, E.1), 12 (D.1,
 # E.2) and 24 (E.3).
 SWEEP_4_30_SHA256 = "790d6cca1e5a04fc18041b39465fa24a827467d14ba9573fc6e33ed16c1ef124"
+# The same over range(4, 61), the whole sweep range, made at commit b496c48,
+# before the walk keyed its verdicts on the unsorted lows.
+SWEEP_4_60_SHA256 = "0983a0e6fd67fc3bfbc23cf94600669ed303d1a72aaaa40dc38482507ac74e6f"
 
 
 def test_sweep_answers_pinned():
-    text = "".join(
-        json.dumps(enumeration_to_json_dict(n, enumerate_classes(n))) + "\n" for n in range(4, 31)
-    )
-    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_4_30_SHA256
+    lines = [
+        json.dumps(enumeration_to_json_dict(n, enumerate_classes(n))) + "\n"
+        for n in range(4, ENUMERATION_CAP + 1)
+    ]
+    assert hashlib.sha256("".join(lines[:27]).encode()).hexdigest() == SWEEP_4_30_SHA256
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == SWEEP_4_60_SHA256
 
 
 def test_enumeration_json_and_check():
@@ -849,6 +854,34 @@ def test_orbit_disagreement_names_the_triple(monkeypatch):
     assert failed.witness == {"n": 7, "triple": [2, 4, 1], "canonical": [1, 2, 4]}
     assert [c.name for c in report.checks if not c.passed] == ["equivalence_invariance"]
     with pytest.raises(AssertionError, match=r"orbit member \(2, 4, 1\) disagrees with class \(1, 2, 4\)"):
+        enumerate_classes(7)
+
+
+def test_stray_key_names_its_first_triple(monkeypatch):
+    # the walk memoises each verdict on the unsorted lows of a triple's
+    # entries; at n = 7 the class of (1, 1, 5) holds the keys (1, 1, 3),
+    # (3, 1, 1) and (1, 3, 1), first held by (1, 1, 5), (1, 3, 3) and
+    # (1, 5, 1).  The verdict the walk takes on the miss of the last key
+    # alone moves to another row, so every triple holding that key strays,
+    # and the first of them in walk order is the witness.
+    key_verdict = classifier._key_verdict
+    missed = []
+
+    def stray(n, a, b, c, key, verdict_of_lows):
+        verdict = key_verdict(n, a, b, c, key, verdict_of_lows)
+        if (n, key) == (7, (1, 3, 1)):
+            missed.append((a, b, c))
+            verdict = verdict._replace(row="DEFAULT")
+        return verdict
+
+    monkeypatch.setattr(classifier, "_key_verdict", stray)
+    report = cross_check(9)
+    assert missed == [(1, 5, 1)]  # one miss per walk of the key
+    byname = {c.name: c for c in report.checks}
+    assert byname["equivalence_invariance"].witness == {
+        "n": 7, "triple": [1, 5, 1], "canonical": [1, 1, 5]}
+    assert [c.name for c in report.checks if not c.passed] == ["equivalence_invariance"]
+    with pytest.raises(AssertionError, match=r"orbit member \(1, 5, 1\) disagrees with class \(1, 1, 5\)"):
         enumerate_classes(7)
 
 
