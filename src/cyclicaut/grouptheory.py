@@ -631,8 +631,8 @@ class _CosetTable:
         return [k for k in range(1, self.size) if parent[k] == k]
 
 
-def _infinite_triangle(generator_count: int, powers: Sequence[_Power]) -> bool:
-    """Whether the powers (see _powers) present, on two generators, a group
+def _infinite_triangle(powers: Sequence[_Power]) -> bool:
+    """Whether the powers (see _powers) of two generators present a group
     <x, y | x^l, y^m, (x^e*y^f)^n> proven infinite by one of two tests.
 
     The three relators must be a power of x, a power of y and a power of a
@@ -657,7 +657,7 @@ def _infinite_triangle(generator_count: int, powers: Sequence[_Power]) -> bool:
     a finite triangle group or <x,y | x^4, y^3, (x^2*y)^2> (gcd(3, 2) = 1)
     included, is left to the table.
     """
-    if generator_count != 2 or len(powers) != 3:
+    if len(powers) != 3:
         return False
     periods = {abs(root[0]): k for root, k in powers if len(root) == 1}
     roots = [(root, k) for root, k in powers if len(root) > 1]
@@ -735,31 +735,6 @@ def _commute_pairwise(generator_count: int, relators: Sequence[tuple[int, ...]])
     return len(pairs) == generator_count * (generator_count - 1) // 2
 
 
-def _order_and_invariants(
-    pres: Presentation, max_cosets: int
-) -> tuple[int, AbelianInvariants | None]:
-    """The order :func:`coset_enumerate` gives, and the abelian invariants
-    its check before the table computed, or None where it left them to the
-    table."""
-    if max_cosets < 1:
-        raise DomainError("max_cosets must be positive")
-    g = pres.generator_count
-    powers = _powers(pres.relators)
-    blocks = _blocks(_exponent_sums(powers))
-    two = _two_generator_form(g, powers)
-    if (sum(len(gens) for _, gens in blocks) < g or _infinite_triangle(g, powers)
-            or two is not None and _infinite_triangle(2, two)):
-        raise BudgetExceeded("coset enumeration", max_cosets)
-    invariants = None
-    if sum(_elimination_steps(*block) for block in blocks) <= min(max_cosets, MAX_ELIMINATION_STEPS):
-        invariants = _block_invariants(blocks, g)
-        if invariants.free_rank or invariants.order() > max_cosets:
-            raise BudgetExceeded("coset enumeration", max_cosets)
-        if _commute_pairwise(g, pres.relators):
-            return invariants.order(), invariants
-    return _enumerate_hlt(g, powers, max_cosets), invariants
-
-
 def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     """Order of the presented group by coset enumeration over the trivial subgroup.
 
@@ -803,7 +778,21 @@ def coset_enumerate(pres: Presentation, max_cosets: int = 1_000_000) -> int:
     where HLT's peak of live cosets could outgrow a tight budget.  Every
     other order comes from :func:`_enumerate_hlt`.
     """
-    return _order_and_invariants(pres, max_cosets)[0]
+    if max_cosets < 1:
+        raise DomainError("max_cosets must be positive")
+    g = pres.generator_count
+    powers = _powers(pres.relators)
+    blocks = _blocks(_exponent_sums(powers))
+    two = powers if g == 2 else _two_generator_form(g, powers)
+    if sum(len(gens) for _, gens in blocks) < g or two is not None and _infinite_triangle(two):
+        raise BudgetExceeded("coset enumeration", max_cosets)
+    if sum(_elimination_steps(*block) for block in blocks) <= min(max_cosets, MAX_ELIMINATION_STEPS):
+        invariants = _block_invariants(blocks, g)
+        if invariants.free_rank or invariants.order() > max_cosets:
+            raise BudgetExceeded("coset enumeration", max_cosets)
+        if _commute_pairwise(g, pres.relators):
+            return invariants.order()
+    return _enumerate_hlt(g, powers, max_cosets)
 
 
 def _enumerate_hlt(generator_count: int, powers: Sequence[_Power], max_cosets: int) -> int:
@@ -1409,10 +1398,8 @@ def fingerprint(
 
     A finite group is abelian exactly when its abelianization has its order."""
     if isinstance(obj, Presentation):
-        order, ab = _order_and_invariants(obj, max_cosets)
-        if ab is None:
-            ab = abelianization(obj)
-        invariants = ab.factors
+        order = coset_enumerate(obj, max_cosets)
+        invariants = abelianization(obj).factors
     elif isinstance(obj, PermutationSet):
         order = perm_order(obj, max_size)
         invariants, visited = _perm_abelian_invariants(obj, max_size)

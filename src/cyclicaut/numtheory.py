@@ -6,6 +6,10 @@ call (trial division in factorize costs O(sqrt(n)); is_prime runs
 Miller-Rabin on a fixed set of bases, O(log n) multiplications).  A
 classification makes no such scan: its canonical triple has a closed form,
 and its table rows test congruences on the triple's unit-led forms.
+
+No module calls ``units``, ``involutory_units`` or ``omega_units``.  They
+stay because the benchmark's traced spans wrap them by name
+(``perfbench/spans.py``); they leave together with those spans.
 """
 
 from __future__ import annotations

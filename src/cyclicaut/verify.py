@@ -3,7 +3,8 @@
 Two kinds of evidence live here.  Exact: the explicit coordinate maps (extra
 involutions, order-3 and order-4 symmetries) are applied to sampled points of
 the affine curves over a prime field, where curve preservation, exact order,
-and the stated relations with the deck map are equalities.  Combinatorial:
+and the stated relations with the deck map are equalities; every check of a
+cover runs through one ``MapProgram``.  Combinatorial:
 the exhaustive triple enumeration groups equivalent covers into classes and
 the cross-check driver replays every classifier invariant against the oracles.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Callable, Optional, Sequence
 
@@ -100,17 +101,6 @@ class ProductForm:
     y_power: int = 0
     factors: tuple[tuple[BranchPoint, int], ...] = ()
 
-    def over(self, field: PrimeField) -> Callable[[int, int], int]:
-        """This form as a function on F_p x F_p, compiled once by ``_parts``;
-        pow raises ValueError at a pole."""
-        p, parts = field.p, _parts((self,), field)
-
-        def evaluate(x: int, y: int) -> int:
-            num, den = parts(x, y)
-            return num if den == 1 else num * pow(den, -1, p) % p
-
-        return evaluate
-
 
 def _parts(forms: Sequence[ProductForm], field: PrimeField) -> Callable[[int, int], list[int]]:
     """The forms over F_p compiled once into one function, which gives the
@@ -167,18 +157,6 @@ def deck_map(cover: CyclicCover, power: int = 1) -> RationalMap:
     power (x, zeta_n^power y), which is one map however large the power."""
     zeta = BranchPoint.root_of_unity(power, cover.n)
     return RationalMap(ProductForm(ONE, 1, 0), ProductForm(zeta, 0, 1))
-
-
-def composite(maps: Sequence[RationalMap], field: PrimeField) -> Callable[[int, int], Point]:
-    """The maps over F_p, applied left to right: the first entry acts first."""
-    images = [m.over(field) for m in maps]
-
-    def apply(x: int, y: int) -> Point:
-        for image in images:
-            x, y = image(x, y)
-        return x, y
-
-    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +289,8 @@ def build_scenario(family: str, n: int, k: Optional[int] = None, b: Optional[int
 
 
 def curve_rhs(cover: CyclicCover) -> ProductForm:
-    """The right-hand side f(x) of y^n = f(x), as a form in x."""
+    """The right-hand side f(x) of y^n = f(x), as a form in x.  Its exponents
+    are positive, so ``_parts`` gives it no pole and the denominator 1."""
     return ProductForm(BranchPoint.at(cover.constant), factors=cover.branches)
 
 
@@ -346,14 +325,14 @@ def sample_curve(cover: CyclicCover, count: int, seed: int = 0) -> tuple[Point, 
     if len({field.element(pt) for pt, _ in cover.branches}) < len(cover.branches):
         raise DomainError(f"two branch points meet mod {field.p}")
     p, m = field.p, (field.p - 1) // n
-    f = curve_rhs(cover).over(field)
+    f = _parts((curve_rhs(cover),), field)
     root, zeta = pow(n, -1, m), field.element(BranchPoint.root_of_unity(1, n))
     rng = random.Random(seed)
     drawn = set()
     points: list[Point] = []
     while len(points) < count:
         x = rng.randrange(p)
-        fx = f(x, 0)
+        fx = f(x, 0)[0]
         if fx == 0 or x in drawn or pow(fx, m, p) != 1:
             continue
         drawn.add(x)
@@ -369,11 +348,13 @@ class MapProgram:
     Each pipeline prefix the checks name is a slot: slot 0 is the sample
     itself and every other slot is one map applied to its parent slot, so a
     prefix that several checks share, such as u in u, u^2, ..., is one slot.
-    Each map is compiled once for the cover's field.  ``run`` walks the
-    slots once per sample, so each map image is computed once per sample,
-    and then reads each test at that sample from the slots.  A pole
-    (pow's ValueError) voids its slot and every slot derived from it, and
-    fails exactly the tests that read a void slot.
+    A slot is keyed on its parent and the map's value, so equal maps built
+    apart share their slots.  ``run`` compiles each distinct map once for
+    the cover's field and walks the slots once per sample, so each map
+    image is computed once per sample, and then reads each test at that
+    sample from the slots.  A pole (pow's ValueError) voids its slot and
+    every slot derived from it, and fails exactly the tests that read a
+    void slot.
 
     The check methods add their tests and return the verdict as a function
     of ``run``'s result; a verdict holds as the check would on its own.
@@ -381,28 +362,16 @@ class MapProgram:
 
     def __init__(self, cover: CyclicCover) -> None:
         self.cover = cover
-        self._steps: list[tuple[int, Callable[[int, int], Point]]] = []  # slot i + 1
-        self._slots: dict[tuple[int, int], int] = {}  # (parent slot, map id) -> slot
-        # each map's image function by its id; the entry keeps the map, so the id stays its own
-        self._images: dict[int, tuple[RationalMap, Callable[[int, int], Point]]] = {}
+        # (parent slot, map) -> slot, numbered 1, 2, ... in insertion order
+        self._slots: dict[tuple[int, RationalMap], int] = {}
         # (slot, None): the slot lies on the curve; (slot, other): the two agree
         self._tests: list[tuple[int, Optional[int]]] = []
-
-    @cached_property
-    def field(self) -> PrimeField:
-        return cover_field(self.cover)
 
     def _slot(self, pipeline: Sequence[RationalMap], start: int = 0) -> int:
         """The slot of the pipeline, applied left to right after ``start``."""
         slot = start
         for rmap in pipeline:
-            if id(rmap) not in self._images:
-                self._images[id(rmap)] = (rmap, rmap.over(self.field))
-            key = (slot, id(rmap))
-            if key not in self._slots:
-                self._steps.append((slot, self._images[id(rmap)][1]))
-                self._slots[key] = len(self._steps)
-            slot = self._slots[key]
+            slot = self._slots.setdefault((slot, rmap), len(self._slots) + 1)
         return slot
 
     def _test(self, slot: int, other: Optional[int] = None) -> int:
@@ -434,8 +403,10 @@ class MapProgram:
 
     def run(self, samples: Sequence[Point]) -> list[bool]:
         """Whether each test holds at every sample."""
-        f, n, p = curve_rhs(self.cover).over(self.field), self.cover.n, self.field.p
-        steps, tests = self._steps, self._tests
+        field, n, tests = cover_field(self.cover), self.cover.n, self._tests
+        f, p = _parts((curve_rhs(self.cover),), field), field.p
+        compiled = {rmap: rmap.over(field) for _, rmap in self._slots}
+        steps = [(parent, compiled[rmap]) for parent, rmap in self._slots]
         holds = [True] * len(tests)
         for x, y in samples:
             images = [(x, y)]
@@ -453,36 +424,10 @@ class MapProgram:
                     if value is None:
                         holds[t] = False
                     elif other is None:
-                        # the curve's exponents are positive: f has no pole
-                        holds[t] = pow(value[1], n, p) == f(value[0], 0)
+                        holds[t] = pow(value[1], n, p) == f(value[0], 0)[0]
                     else:
                         holds[t] = value == images[other]
         return holds
-
-
-def on_curve(cover: CyclicCover, samples: Sequence[Point], maps: Sequence[RationalMap] = ()) -> bool:
-    """True iff the maps, applied left to right, carry every sample to a point
-    of y^n = f(x); with no maps, iff every sample lies on the curve."""
-    program = MapProgram(cover)
-    verdict = program.on_curve(maps)
-    return verdict(program.run(samples))
-
-
-def verify_map_order(cover: CyclicCover, rmap: RationalMap, k: int, samples: Sequence[Point]) -> bool:
-    """True iff the k-fold composite is the identity on all samples and no
-    smaller positive iterate is."""
-    program = MapProgram(cover)
-    verdict = program.order(rmap, k)
-    return verdict(program.run(samples))
-
-
-def verify_relation(
-    cover: CyclicCover, left: Sequence[RationalMap], right: Sequence[RationalMap], samples: Sequence[Point]
-) -> bool:
-    """True iff the two pipelines agree at every sample."""
-    program = MapProgram(cover)
-    verdict = program.relation(left, right)
-    return verdict(program.run(samples))
 
 
 @dataclass(frozen=True)

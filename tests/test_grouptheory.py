@@ -460,7 +460,7 @@ def test_free_product_quotients_agree_with_the_table():
                 continue  # the triangle test's
             pres = parse_presentation(f"<x,y | x^{l}, y^{m}, (x^{e}*y^{f})^{n}>")
             powers = grouptheory._powers(pres.relators)
-            if grouptheory._infinite_triangle(2, powers):
+            if grouptheory._infinite_triangle(powers):
                 claimed += 1
                 with pytest.raises(BudgetExceeded):
                     _hlt(pres, 500)
@@ -653,7 +653,7 @@ def test_the_check_stops_exactly_on_a_large_abelianization(case):
     assume(steps <= min(budget, grouptheory.MAX_ELIMINATION_STEPS))
     ab = abelianization(pres)
     too_large = ab.free_rank > 0 or ab.order() > budget
-    too_large |= grouptheory._infinite_triangle(pres.generator_count, powers)
+    too_large |= pres.generator_count == 2 and grouptheory._infinite_triangle(powers)
     abelian = _has_every_commutator(pres)
     with pytest.MonkeyPatch.context() as mp:
         tables = _tables_made(mp)
@@ -1483,20 +1483,24 @@ def test_fingerprint_presentation():
 
 
 def test_fingerprint_abelianizes_a_presentation_once(monkeypatch):
-    calls = []
-    snf = grouptheory.smith_normal_form
+    calls, abelianizations = [], []
+    snf, abelianize = grouptheory.smith_normal_form, grouptheory.abelianization
     monkeypatch.setattr(grouptheory, "smith_normal_form", lambda m: calls.append(1) or snf(m))
-    # two blocks, a^4 and b^6, each one Smith normal form
+    monkeypatch.setattr(
+        grouptheory, "abelianization", lambda pres: abelianizations.append(1) or abelianize(pres)
+    )
+    # two blocks, a^4 and b^6, each one Smith normal form in the check
+    # before the table and one in fingerprint's abelianization
     pres = parse_presentation("<a,b | a^4, b^6, [a,b]>")
     assert fingerprint(pres) == Fingerprint(24, (2, 12), True)
-    assert len(calls) == 2
+    assert len(calls) == 2 + 2 and len(abelianizations) == 1
     # one block of 3 * 2 * 2 steps, dearer than a budget of 5: the check
-    # before the table leaves it, and fingerprint abelianizes it itself
+    # before the table leaves it, and only fingerprint abelianizes it
     calls.clear()
     assert fingerprint(parse_presentation("<a,b | a^2, b^2, a*b>"), max_cosets=5) == Fingerprint(
         2, (2,), True
     )
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(abelianizations) == 2
 
 
 def test_fingerprint_permutations():

@@ -29,12 +29,12 @@ from cyclicaut.verify import (
     ENUMERATION_CAP,
     FAMILIES,
     FIELD_FLOOR,
+    MapProgram,
     ProductForm,
     RationalMap,
     accola_maclachlan,
     build_scenario,
     check_enumeration,
-    composite,
     cover_field,
     cross_check,
     cross_check_to_json_dict,
@@ -42,18 +42,22 @@ from cyclicaut.verify import (
     deck_map,
     enumerate_classes,
     enumeration_to_json_dict,
-    on_curve,
     periodthree,
     run_scenario,
     sample_curve,
     twistedz2,
-    verify_map_order,
-    verify_relation,
 )
 
 
 def passed(outcomes):
     return all(o.passed for o in outcomes)
+
+
+def holds(cover, samples, check, *args):
+    """The verdict of one MapProgram check, such as ``MapProgram.order``, run
+    on its own at the samples."""
+    program = MapProgram(cover)
+    return check(program, *args)(program.run(samples))
 
 
 # -- prime fields -----------------------------------------------------------
@@ -116,7 +120,7 @@ def test_sample_curve_basics():
         cover = parse_curve(text)
         field = cover_field(cover)
         p = field.p
-        f = curve_rhs(cover).over(field)
+        f = _naive_form(curve_rhs(cover), field)
         branch_values = {field.element(pt) for pt, _ in cover.branches}
         for count in [1, 2, 3, 5, 6, 9, 100]:
             samples = sample_curve(cover, count, seed=count)
@@ -128,7 +132,7 @@ def test_sample_curve_basics():
             xs = [x for x, _ in samples]
             assert len(set(xs)) >= min(count, 4)
             assert max(xs.count(x) for x in xs) <= max(1, count // 4)
-            assert on_curve(cover, samples)
+            assert holds(cover, samples, MapProgram.on_curve)
 
 
 def test_sample_curve_deterministic_and_seed_sensitive():
@@ -191,21 +195,21 @@ def test_on_curve_detects_an_off_curve_point():
     samples = sample_curve(cover, 10, seed=0)
     (x, y), rest = samples[0], samples[1:]
     moved = ((x, 2 * y % cover_field(cover).p),) + rest
-    assert not on_curve(cover, moved)
+    assert not holds(cover, moved, MapProgram.on_curve)
 
 
 def test_deck_map_preserves_curve_with_exact_order():
     cover = parse_curve("y^7 = x(x-1)^2(x+1)^4")
     samples = sample_curve(cover, 50, seed=0)
     t = deck_map(cover)
-    assert on_curve(cover, samples, [t])
-    assert verify_map_order(cover, t, 7, samples)
-    assert not verify_map_order(cover, t, 14, samples)  # smaller iterate closes
-    assert not verify_map_order(cover, t, 3, samples)
+    assert holds(cover, samples, MapProgram.on_curve, [t])
+    assert holds(cover, samples, MapProgram.order, t, 7)
+    assert not holds(cover, samples, MapProgram.order, t, 14)  # smaller iterate closes
+    assert not holds(cover, samples, MapProgram.order, t, 3)
     # a power of the deck map is one map, the composite of that many
-    assert verify_relation(cover, [deck_map(cover, 3)], [t] * 3, samples)
-    assert verify_relation(cover, [deck_map(cover, 10)], [t] * 3, samples)
-    assert not verify_relation(cover, [deck_map(cover, 4)], [t] * 3, samples)
+    assert holds(cover, samples, MapProgram.relation, [deck_map(cover, 3)], [t] * 3)
+    assert holds(cover, samples, MapProgram.relation, [deck_map(cover, 10)], [t] * 3)
+    assert not holds(cover, samples, MapProgram.relation, [deck_map(cover, 4)], [t] * 3)
 
 
 # -- the three map families -------------------------------------------------
@@ -359,10 +363,10 @@ def test_accola_maclachlan_square_is_half_turn():
     sc = accola_maclachlan(6)
     samples = sample_curve(sc.cover, 100, seed=0)
     u = sc.maps["u"]
-    assert verify_relation(sc.cover, [u, u], [sc.maps["half_turn"]], samples)
-    assert verify_map_order(sc.cover, u, 4, samples)
-    assert not verify_map_order(sc.cover, u, 2, samples)
-    assert not verify_map_order(sc.cover, u, 8, samples)
+    assert holds(sc.cover, samples, MapProgram.relation, [u, u], [sc.maps["half_turn"]])
+    assert holds(sc.cover, samples, MapProgram.order, u, 4)
+    assert not holds(sc.cover, samples, MapProgram.order, u, 2)
+    assert not holds(sc.cover, samples, MapProgram.order, u, 8)
 
 
 def _dump_answers():
@@ -386,6 +390,24 @@ def test_dump_answers_writes_the_named_sections(capsys):
                          [[o.label, o.value, o.passed] for o in run_scenario(accola_maclachlan(4))]]
     with pytest.raises(SystemExit):
         dump.main(["--section", "scenarios"])
+
+
+def test_scenario_answers_match_their_committed_digest(capsys, tmp_path):
+    # the scenario section recomputed in-process against tools/answers.sha256
+    dump = _dump_answers()
+    committed = Path(dump.__file__).with_name("answers.sha256")
+    lines, sha = dump.read_digests(committed)["scenario"]
+    assert dump.main(["--check", str(committed), "--section", "scenario"]) == 0
+    assert capsys.readouterr().out == f"ok scenario {lines} {sha}\n"
+    # a moved digest and a section without an entry each fail the check
+    moved = tmp_path / "answers.sha256"
+    moved.write_text("parse_presentation 37 " + "0" * 64 + "\n")
+    argv = ["--check", str(moved), "--section", "parse_presentation", "--section", "parse_curve"]
+    assert dump.main(argv) == 1
+    parse_curve, parse_presentation = capsys.readouterr().out.splitlines()
+    assert parse_curve.startswith("MOVED parse_curve 43 ") and parse_curve.endswith(", no entry")
+    assert parse_presentation.startswith("MOVED parse_presentation 37 ")
+    assert parse_presentation.endswith(f", 37 {'0' * 64} in {moved}")
 
 
 def test_accola_maclachlan_validation():
@@ -419,9 +441,9 @@ def test_periodthree_commutation_with_deck():
     samples = sample_curve(sc.cover, 100, seed=5)
     s, t = sc.maps["S"], sc.maps["T"]
     # pipeline [T, S] applies T first: the composite S.T
-    assert verify_relation(sc.cover, [t, s], [s, t, t], samples)
+    assert holds(sc.cover, samples, MapProgram.relation, [t, s], [s, t, t])
     # and the relation really is twisted: plain commutation fails
-    assert not verify_relation(sc.cover, [t, s], [s, t], samples)
+    assert not holds(sc.cover, samples, MapProgram.relation, [t, s], [s, t])
 
 
 def test_periodthree_validation():
@@ -462,8 +484,8 @@ def test_twistedz2_conjugation_relation():
     sc = twistedz2(15, 4)
     samples = sample_curve(sc.cover, 100, seed=2)
     u, t = sc.maps["u"], sc.maps["T"]
-    assert verify_relation(sc.cover, [u, t, u], [t] * 4, samples)
-    assert verify_map_order(sc.cover, u, 2, samples)
+    assert holds(sc.cover, samples, MapProgram.relation, [u, t, u], [t] * 4)
+    assert holds(sc.cover, samples, MapProgram.order, u, 2)
 
 
 def test_twistedz2_validation():
@@ -510,7 +532,7 @@ def test_verify_map_order_seed_independent():
     verdicts = set()
     for seed in range(5):
         samples = sample_curve(sc.cover, 40, seed)
-        verdicts.add(verify_map_order(sc.cover, u, 2, samples))
+        verdicts.add(holds(sc.cover, samples, MapProgram.order, u, 2))
     assert verdicts == {True}
 
 
@@ -518,7 +540,7 @@ def test_verify_relation_detects_mismatch():
     cover = parse_curve("y^6 = (x-1)(x+1)")
     samples = sample_curve(cover, 30, seed=0)
     t = deck_map(cover)
-    assert not verify_relation(cover, [t], [t, t], samples)
+    assert not holds(cover, samples, MapProgram.relation, [t], [t, t])
 
 
 def test_wrong_maps_fail():
@@ -540,14 +562,14 @@ def test_wrong_maps_fail():
     # (x, 2y) leaves the curve
     stretch = RationalMap(ProductForm(ONE, 1, 0), ProductForm(BranchPoint.at(2), 0, 1))
     samples = sample_curve(sc.cover, 100, seed=0)
-    assert not on_curve(sc.cover, samples, [stretch])
+    assert not holds(sc.cover, samples, MapProgram.on_curve, [stretch])
     # a deck map claimed to have order 14 or 3 at n = 7, and S.T = T.S
     three = periodthree(7, 2)
     samples = sample_curve(three.cover, 100, seed=1)
     s, t = three.maps["S"], three.maps["T"]
-    assert not verify_map_order(three.cover, t, 14, samples)
-    assert not verify_map_order(three.cover, t, 3, samples)
-    assert not verify_relation(three.cover, [s, t], [t, s], samples)
+    assert not holds(three.cover, samples, MapProgram.order, t, 14)
+    assert not holds(three.cover, samples, MapProgram.order, t, 3)
+    assert not holds(three.cover, samples, MapProgram.relation, [s, t], [t, s])
     claimed = dataclasses.replace(three, relations=((("S", "T"), ("T", "S"), "S.T = T.S"),))
     assert [o.passed for o in run_scenario(claimed, 100, 1)] == [True, True, True, False]
 
@@ -559,26 +581,29 @@ def test_pole_fails_its_point():
     good = sample_curve(sc.cover, 20, seed=0)
     poisoned = good + ((1, 0),)
     u = sc.maps["u"]
-    assert on_curve(sc.cover, poisoned)  # x = 1 is a branch value: 0^6 = 0
-    assert not on_curve(sc.cover, poisoned, [u])
-    assert not verify_map_order(sc.cover, u, 4, poisoned)
-    assert not verify_relation(sc.cover, [u, u], [sc.maps["half_turn"]], poisoned)
-    assert on_curve(sc.cover, good, [u])
+    assert holds(sc.cover, poisoned, MapProgram.on_curve)  # x = 1 is a branch value: 0^6 = 0
+    assert not holds(sc.cover, poisoned, MapProgram.on_curve, [u])
+    assert not holds(sc.cover, poisoned, MapProgram.order, u, 4)
+    assert not holds(sc.cover, poisoned, MapProgram.relation, [u, u], [sc.maps["half_turn"]])
+    assert holds(sc.cover, good, MapProgram.on_curve, [u])
 
 
 def test_composite_order():
     cover = parse_curve("y^6 = (x-1)(x+1)")
-    field = cover_field(cover)
-    p = field.p
+    samples = sample_curve(cover, 20, seed=0) + ((12345, 678),)
     t = deck_map(cover)
     sq = RationalMap(ProductForm(ONE, 2, 0), ProductForm(ONE, 0, 1))
-    x, y = 12345, 678
     # t first, then squaring: (x^2, zeta y) expected
-    zeta = field.element(BranchPoint.root_of_unity(1, 6))
-    assert composite([t, sq], field)(x, y) == (x * x % p, zeta * y % p)
-    assert composite([sq, t], field)(x, y) == (x * x % p, zeta * y % p)
-    assert composite([t] * 6, field)(x, y) == (x, y)
-    assert composite([], field)(x, y) == (x, y)
+    both = RationalMap(ProductForm(ONE, 2, 0), ProductForm(BranchPoint.root_of_unity(1, 6), 0, 1))
+    assert holds(cover, samples, MapProgram.relation, [t, sq], [both])
+    # the two commute
+    assert holds(cover, samples, MapProgram.relation, [sq, t], [both])
+    assert holds(cover, samples, MapProgram.relation, [t, sq], [sq, t])
+    # t^6 is the identity, and the empty pipeline is (x, y)
+    assert holds(cover, samples, MapProgram.order, t, 6)
+    assert holds(cover, samples, MapProgram.relation, [t] * 6, [])
+    identity = RationalMap(ProductForm(ONE, 1, 0), ProductForm(ONE, 0, 1))
+    assert holds(cover, samples, MapProgram.relation, [], [identity])
 
 
 # -- the evaluation kernel against a term-by-term reference ------------------
@@ -625,18 +650,42 @@ def test_each_sample_walks_each_map_prefix_once(monkeypatch):
     assert calls.count(sc.maps["u"]) == 40 * 4
 
 
+def test_equal_maps_built_apart_share_one_slot(monkeypatch):
+    # two deck maps built apart are one value: one step, compiled once and
+    # applied once per sample
+    cover = parse_curve("y^7 = x(x-1)^2(x+1)^4")
+    samples = sample_curve(cover, 10, seed=0)
+    first, second = deck_map(cover), deck_map(cover)
+    assert first == second and first is not second
+    compiled, images = [], []
+    over = RationalMap.over
+
+    def counting(self, field):
+        compiled.append(self)
+        image = over(self, field)
+        return lambda x, y: images.append(self) or image(x, y)
+
+    monkeypatch.setattr(RationalMap, "over", counting)
+    program = MapProgram(cover)
+    verdicts = [program.on_curve([first]), program.relation([second], [first])]
+    results = program.run(samples)
+    assert all(verdict(results) for verdict in verdicts)
+    assert len(compiled) == 1 and len(images) == len(samples)
+
+
 def test_order_walks_one_chain():
     cover = parse_curve("y^1000 = (x-1)(x+1)")
     samples = sample_curve(cover, 4, seed=0)
     t = deck_map(cover)
-    assert verify_map_order(cover, t, 1000, samples)
-    assert not verify_map_order(cover, t, 500, samples)
-    assert not verify_map_order(cover, t, 2000, samples)
+    assert holds(cover, samples, MapProgram.order, t, 1000)
+    assert not holds(cover, samples, MapProgram.order, t, 500)
+    assert not holds(cover, samples, MapProgram.order, t, 2000)
     with pytest.raises(DomainError, match="claimed order must be positive"):
-        verify_map_order(cover, t, 0, samples)
+        holds(cover, samples, MapProgram.order, t, 0)
 
 
-_FIELD = cover_field(parse_curve("y^12 = (x-1)(x+1)"))  # holds the 12th roots of unity
+_COVER = parse_curve("y^12 = (x-1)(x+1)")
+_FIELD = cover_field(_COVER)  # holds the 12th roots of unity
 _ROOTS = [BranchPoint.root_of_unity(i, 12) for i in range(12)]
 _ROOTS += [BranchPoint.at(2), BranchPoint.at(Fraction(-1, 3))]
 _EXPONENTS = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-40, 40))
@@ -670,16 +719,20 @@ def test_compiled_forms_match_the_term_by_term_reference(data):
     x_form, y_form = data.draw(_forms()), data.draw(_forms())
     points = data.draw(st.lists(_points((x_form, y_form)), min_size=1, max_size=5))
     rmap = RationalMap(x_form, y_form)
-    compiled = (x_form.over(_FIELD), y_form.over(_FIELD), rmap.over(_FIELD))
+    # each form on its own, beside the identity in the other coordinate,
+    # which has no pole
+    x_only = RationalMap(x_form, ProductForm(ONE, 0, 1)).over(_FIELD)
+    y_only = RationalMap(ProductForm(ONE, 1, 0), y_form).over(_FIELD)
     naive = (_naive_form(x_form, _FIELD), _naive_form(y_form, _FIELD))
     for x, y in points:
         nx, ny = (_value_or_pole(f, x, y) for f in naive)
-        assert _value_or_pole(compiled[0], x, y) == nx
-        assert _value_or_pole(compiled[1], x, y) == ny
+        assert _value_or_pole(x_only, x, y) == ("pole" if nx == "pole" else (nx, y))
+        assert _value_or_pole(y_only, x, y) == ("pole" if ny == "pole" else (x, ny))
         # the map has a pole exactly where either component has one
         expected = "pole" if "pole" in (nx, ny) else (nx, ny)
-        assert _value_or_pole(compiled[2], x, y) == expected
-        assert _value_or_pole(composite([rmap], _FIELD), x, y) == expected
+        assert _value_or_pole(rmap.over(_FIELD), x, y) == expected
+        # and a program voids the map's slot exactly there
+        assert holds(_COVER, [(x, y)], MapProgram.relation, [rmap], [rmap]) == (expected != "pole")
 
 
 # -- enumeration ------------------------------------------------------------

@@ -16,6 +16,18 @@ its full dump for them:
     python3 tools/dump_answers.py --section scenario > after.jsonl
     grep '^\\["scenario",' before.jsonl | cmp - after.jsonl
 
+``--check FILE`` compares each section, or each named one, with its entry
+in FILE instead of writing it: the count of its lines and the sha256 of
+their bytes, one ``section lines sha256`` entry a line, as ``--digest``
+writes them and as ``grep '^\\["scenario",' dump.jsonl | sha256sum`` gives
+them.  It prints one line per section and exits 1 when any moved.  The
+committed ``answers.sha256`` beside this script holds every section's entry:
+
+    python3 tools/dump_answers.py --check tools/answers.sha256
+    python3 tools/dump_answers.py --digest > tools/answers.sha256
+
+A digest that moves is an answer that changed.
+
 The script imports ``cyclicaut`` from ``src/`` of the checkout it sits in;
 for a checkout that predates it, copy it into that checkout's ``tools/``.
 Input sets, in output order:
@@ -115,6 +127,7 @@ genus, or the ``DomainError`` text of the cover or of the parse.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import sys
@@ -702,22 +715,70 @@ def _calls(wanted=None):
     yield "coset", _coset_answer, ("<a,b | a^200000, b^2, b*a*b*a>", 100_000)
 
 
-def main(argv: list[str] | None = None) -> None:
+def _lines(wanted=None):
+    """(section, text) of every line of the dump in order, only those of the
+    wanted sections when given."""
+    for name, fn, args in _calls(wanted):
+        if wanted is None or name in wanted:
+            yield name, json.dumps([name, list(args), _answer(fn, *args)], separators=(",", ":")) + "\n"
+
+
+def section_digests(wanted=None) -> dict[str, tuple[int, str]]:
+    """(line count, sha256 of the lines) of each section, or of each wanted
+    one, in SECTIONS order."""
+    counts = {name: [0, hashlib.sha256()] for name in SECTIONS if wanted is None or name in wanted}
+    for name, text in _lines(wanted):
+        entry = counts[name]
+        entry[0] += 1
+        entry[1].update(text.encode())
+    return {name: (count, sha.hexdigest()) for name, (count, sha) in counts.items()}
+
+
+def read_digests(path) -> dict[str, tuple[int, str]]:
+    """The ``section lines sha256`` entries of a digest file by section."""
+    entries = {}
+    for line in Path(path).read_text().splitlines():
+        name, count, digest = line.split()
+        entries[name] = (int(count), digest)
+    return entries
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Dump cyclicaut's answers, one JSON line per call.")
     parser.add_argument(
         "--section", action="append", choices=SECTIONS, metavar="NAME",
         help="write only this section's lines, in the usual order; repeatable; one of "
         + ", ".join(SECTIONS),
     )
-    wanted = parser.parse_args(argv).section
-    wanted = set(wanted) if wanted else None
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--digest", action="store_true",
+        help="write one 'section lines sha256' entry per section instead of its lines",
+    )
+    mode.add_argument(
+        "--check", metavar="FILE",
+        help="compare each section's line count and sha256 with its entry in FILE; exit 1 if any moved",
+    )
+    args = parser.parse_args(argv)
+    wanted = set(args.section) if args.section else None
     out = sys.stdout
-    for name, fn, args in _calls(wanted):
-        if wanted is not None and name not in wanted:
-            continue
-        answer = _answer(fn, *args)
-        out.write(json.dumps([name, list(args), answer], separators=(",", ":")) + "\n")
+    if args.digest or args.check:
+        expected = read_digests(args.check) if args.check else {}
+        moved = False
+        for name, entry in section_digests(wanted).items():
+            line = f"{name} {entry[0]} {entry[1]}"
+            if args.check and expected.get(name) == entry:
+                line = "ok " + line
+            elif args.check:
+                moved = True
+                was = expected.get(name)
+                line = f"MOVED {line}, " + (f"{was[0]} {was[1]} in {args.check}" if was else "no entry")
+            out.write(line + "\n")
+        return 1 if moved else 0
+    for _, text in _lines(wanted):
+        out.write(text)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
